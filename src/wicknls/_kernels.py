@@ -3,8 +3,7 @@
 Every kernel has a pure-numpy implementation; when numba is importable the
 jitted variant is used instead. Set the environment variable
 ``WICKNLS_NO_NUMBA=1`` to force the numpy path (e.g. for debugging or on
-platforms without a working JIT). ``benchmarks/bench_kernels.py`` compares
-the two paths.
+platforms without a working JIT).
 
 All paths compute identical sums in exact arithmetic; tests assert agreement
 to roundoff.

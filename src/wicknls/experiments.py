@@ -26,7 +26,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import yaml
-from scipy import stats
 
 from . import field as fld
 from . import random_data as rnd
@@ -214,6 +213,28 @@ def _weak_run(spec: WeakSequenceSpec, threads: int = 1) -> _WeakRun:
                     times=times, ref_probe=ref_p)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of ``values``; tied values share the mean of their ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman_rho(x, y) -> float:
+    """Spearman rank correlation (average ranks for ties); nan for constant input."""
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float(np.dot(rx, rx)) * float(np.dot(ry, ry)))
+    return float(np.dot(rx, ry)) / denom if denom > 0.0 else math.nan
+
+
 def _weak_verdicts(run: _WeakRun, mode: str = "auto") -> tuple[dict, dict]:
     if mode not in ("auto", "decay", "plateau"):
         raise ValueError("verdict mode must be auto, decay or plateau")
@@ -229,7 +250,7 @@ def _weak_verdicts(run: _WeakRun, mode: str = "auto") -> tuple[dict, dict]:
             return {"gap_decay_trend": True, "gap_decay_ratio": True}, details
         return {"gap_plateau": True}, details
     if mode == "decay":
-        rho = float(stats.spearmanr(modes, gaps).statistic)
+        rho = _spearman_rho(modes, gaps)
         ratio = float(gaps[-1] / gaps[0]) if gaps[0] > 0 else math.inf
         details.update({"spearman_rho": rho, "gap_ratio": ratio})
         return {
@@ -323,15 +344,17 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 
 def free_flow_l4_norm(f: fld.TorusField, t_horizon: float,
                       time_step: float | None = None) -> float:
-    """Space-time L4 norm of S(t)f over [-T, T], left rectangle rule in time.
+    """Space-time L4 norm of S(t)f over [-T, T].
 
-    Matches ``spacetime_l4_norm`` applied to the trajectory of free-flow
-    snapshots on the same grid; evaluated in batches so the trajectory is
-    never materialized.
+    By default the time integral is exact (``_free_flow_l4_exact``). An
+    explicit ``time_step`` selects the left rectangle rule instead, which
+    matches ``spacetime_l4_norm`` applied to the trajectory of free-flow
+    snapshots on the same grid; it is evaluated in batches so the trajectory
+    is never materialized.
     """
-    n_max = f.max_mode
     if time_step is None:
-        time_step = math.pi / (4.0 * max(1, n_max) ** 2)
+        return _free_flow_l4_exact(f.coeffs, t_horizon) ** 0.25
+    n_max = f.max_mode
     k_steps = max(2, math.ceil(2.0 * t_horizon / time_step))
     dt = 2.0 * t_horizon / k_steps
     m = fast_fft_size(2 * (2 * n_max + 1))
@@ -347,6 +370,33 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float,
         a2 = u.real**2 + u.imag**2
         total += dt * fld.TWO_PI * float(np.sum(np.mean(a2**2, axis=1)))
     return total**0.25
+
+
+def _free_flow_l4_exact(c: np.ndarray, t_horizon: float) -> float:
+    """int_{-T}^{T} int_T |S(t)f|^4 dx dt for coefficients c of modes -N..N.
+
+    The space integral is 2 pi sum_m |sum_j a_m(j) e^{i m(2j+m) t}|^2 with
+    a_m(j) = c(j+m) conj(c(j)); integrating e^{2imdt} over [-T, T] gives the
+    Toeplitz kernel K_m(d) = 2T sinc(2mdT) in the lag d. So the integral is
+    2 pi [2T mass^2 + 2 sum_{m>=1} sum_d K_m(d) R_m(d)], where R_m is the
+    autocorrelation of a_m (m < 0 mirrors m > 0, m = 0 is the mass term).
+    Each sum over d is (1/L) sum_k Khat_m(k) |ahat_m(k)|^2 on L >= 4N+1
+    points, enough that the circular correlation of a_m does not wrap.
+    """
+    n = len(c)
+    mass = float(np.sum(c.real**2 + c.imag**2))
+    size = fast_fft_size(2 * n - 1)
+    shift = np.arange(1, n)[:, None]
+    padded = np.concatenate([c, np.zeros_like(c)])
+    a = padded[shift + np.arange(n)] * np.conj(c)  # row m-1 holds a_m
+    power = np.abs(np.fft.fft(a, n=size, axis=-1)) ** 2
+    # K_m is real and even in d: hfft takes its lags 0..size//2 and returns
+    # its whole (real) spectrum
+    lag = np.arange(size // 2 + 1)
+    kernel = 2.0 * t_horizon * np.sinc(2.0 * t_horizon / math.pi * shift * lag)
+    kernel_hat = np.fft.hfft(kernel, n=size, axis=-1)
+    cross = float(np.sum(kernel_hat * power)) / size
+    return fld.TWO_PI * (2.0 * t_horizon * mass * mass + 2.0 * cross)
 
 
 def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy 2 loads numpy.fft on first use; load it with the package, so that code
+# wrapping numpy.fft.fft from outside (the perfbench tracer, profilers) finds it
+import numpy.fft  # noqa: F401
 
 from ._kernels import fast_fft_size
 

@@ -52,6 +52,29 @@ def dense_quartic_integral(coeffs, max_mode, grid_points=4096):
     return TWO_PI * float(np.mean(np.abs(u) ** 4))
 
 
+def quadruple_sum_free_l4(coeffs, max_mode, horizon):
+    """int_{-T}^{T} int_T |S(t)f|^4 dx dt as the direct sum over resonances.
+
+    2 pi sum_{n1 - n2 + n3 - n4 = 0} c1 conj(c2) c3 conj(c4) 2T sinc(W T)
+    with W = n1^2 - n2^2 + n3^2 - n4^2 and sinc(x) = sin(x) / x.
+    """
+    import math
+
+    c = np.asarray(coeffs)
+    total = 0j
+    for n1 in range(-max_mode, max_mode + 1):
+        for n2 in range(-max_mode, max_mode + 1):
+            for n3 in range(-max_mode, max_mode + 1):
+                n4 = n1 - n2 + n3
+                if abs(n4) > max_mode:
+                    continue
+                w = (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4) * horizon
+                kernel = 2.0 * horizon * (math.sin(w) / w if w else 1.0)
+                total += kernel * (c[n1 + max_mode] * np.conj(c[n2 + max_mode])
+                                   * c[n3 + max_mode] * np.conj(c[n4 + max_mode]))
+    return TWO_PI * total.real
+
+
 def rational_weight_sum(max_mode, exponent):
     """sum_{|n| <= N} 1 / (1 + |n|^exponent) in exact rational arithmetic."""
     total = Fraction(1, 2) if exponent == 0 else Fraction(1)

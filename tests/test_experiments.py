@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.dynamics import EquationSpec, IntegratorSpec, linear_propagator
+
+from oracles import quadruple_sum_free_l4
 
 TWO_PI = 2.0 * np.pi
 
@@ -163,6 +168,27 @@ class TestStrichartzProbe:
         assert xp.free_flow_l4_norm(f, t_hor, time_step=dt) == pytest.approx(
             fld.spacetime_l4_norm(traj), rel=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+    def test_exact_matches_quadruple_sum(self, band, t_hor, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * band + 1
+        f = fld.TorusField(rng.standard_normal(n) + 1j * rng.standard_normal(n), band)
+        expected = quadruple_sum_free_l4(f.coeffs, band, t_hor)
+        assert xp.free_flow_l4_norm(f, t_hor) ** 4 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rectangle_rule_first_order(self, seed):
+        # |W| = |n1^2 - n2^2 + n3^2 - n4^2| <= 2 N^2 = 32 at band 4, so even the
+        # largest step has dt |W| <= 0.32 and all four lie in the asymptotic range
+        rng = np.random.default_rng(seed)
+        f = fld.TorusField(rng.standard_normal(9) + 1j * rng.standard_normal(9), 4)
+        dts = np.array([1e-2, 5e-3, 2.5e-3, 1.25e-3])
+        exact = xp.free_flow_l4_norm(f, 0.5)
+        errors = [abs(xp.free_flow_l4_norm(f, 0.5, time_step=dt) - exact) for dt in dts]
+        order = np.polyfit(np.log(dts), np.log(errors), 1)[0]
+        assert 0.9 <= order <= 1.1
+
     def test_periodic_preapplication_invariance(self):
         # S(2 pi) is the identity (integer frequencies), so pre-applying it
         # cannot change the ratio
@@ -178,6 +204,13 @@ class TestStrichartzProbe:
         assert len(report.get_series("l4_ratio_band8").values) == 100
         assert len(report.get_series("l4_ratio_band16").values) == 100
 
+    def test_probe_independent_of_threads(self):
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=8, seed=4)
+        one = xp.strichartz_ratio_probe(ens, 0.5, 100, threads=1)
+        two = xp.strichartz_ratio_probe(ens, 0.5, 100, threads=2)
+        for name in ("l4_ratio_band8", "l4_ratio_band16"):
+            assert one.get_series(name).values == two.get_series(name).values
+
     def test_zero_samples_skipped(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=5, gaussian_scale=0.0)
         report = xp.strichartz_ratio_probe(ens, 0.5, 100, doubling=False)
@@ -189,6 +222,25 @@ class TestStrichartzProbe:
             xp.strichartz_ratio_probe(ens, 1.5, 100)
         with pytest.raises(ValueError):
             xp.strichartz_ratio_probe(ens, 0.5, 10)
+
+
+class TestSpearman:
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_scipy(self, ties):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            size = int(rng.integers(3, 12))
+            if ties:
+                x, y = rng.integers(0, 4, size), rng.integers(0, 3, size)
+                if np.ptp(x) == 0 or np.ptp(y) == 0:
+                    continue
+            else:
+                x, y = rng.standard_normal(size), rng.standard_normal(size)
+            assert xp._spearman_rho(x, y) == pytest.approx(
+                stats.spearmanr(x, y).statistic, rel=1e-12, abs=1e-15)
+
+    def test_constant_input_is_nan(self):
+        assert math.isnan(xp._spearman_rho([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
 
 class TestAprioriGrowth:
