@@ -14,7 +14,8 @@ from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec,
                        gauge_transform, linear_propagator, nonlinearity,
                        plane_wave_frequency, resonant_split, truncation_gauge)
 from .random_data import (RandomDataSpec, expected_mean_intensity,
-                          regularity_profile, sample, sample_ensemble)
+                          regularity_profile, sample, sample_block,
+                          sample_ensemble)
 from .experiments import (ExperimentReport, Series, WeakSequenceSpec,
                           apriori_growth_probe, free_flow_l4_norm,
                           integrator_order_study, phase_defect_contrast_run,
@@ -33,8 +34,9 @@ __all__ = [
     "mean_intensity", "nonlinearity", "norm", "pairing",
     "phase_defect_contrast_run", "plane_wave_frequency", "project",
     "quartic_integral", "regularity_profile", "renormalization_constant",
-    "resolution_doubling_check", "resonant_split", "sample", "sample_ensemble",
-    "spacetime_l4_norm", "spacetime_lp_norm", "strichartz_ratio_probe",
+    "resolution_doubling_check", "resonant_split", "sample", "sample_block",
+    "sample_ensemble", "spacetime_l4_norm", "spacetime_lp_norm",
+    "strichartz_ratio_probe",
     "synthesize", "truncation_gauge", "verdict_thresholds",
     "weak_continuity_run", "wick_abs_fourth", "wick_abs_square",
     "wick_hamiltonian",

@@ -419,14 +419,15 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     for band in bands:
         spec_b = replace(ensemble, max_mode=band)
 
-        def one(k, _spec=spec_b):
-            f = rnd.sample(_spec, k)
+        def one(coeffs, _band=band):
+            f = fld.TorusField(coeffs, _band)
             denom = math.sqrt(fld.pairing(f, f).real)
             if denom == 0.0:
                 return None
             return free_flow_l4_norm(f, t_horizon, time_step) / denom
 
-        ratios = [r for r in _parallel(one, range(samples), threads) if r is not None]
+        block = rnd.sample_block(spec_b, range(samples))
+        ratios = [r for r in _parallel(one, block, threads) if r is not None]
         h = spec_hash({**spec_b.to_dict(), "t_horizon": t_horizon})
         series.append(Series(f"l4_ratio_band{band}", "dimensionless", "sample",
                              tuple(range(len(ratios))), tuple(ratios), h))

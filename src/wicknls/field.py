@@ -29,16 +29,15 @@ class TorusField:
     max_mode: int
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.array(self.coeffs, dtype=np.complex128)
         if self.max_mode < 0:
             raise ValueError("max_mode must be >= 0")
         if c.ndim != 1 or len(c) != 2 * self.max_mode + 1:
             raise ValueError(
                 f"coefficient array must have length {2 * self.max_mode + 1}, got {c.shape}"
             )
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

@@ -54,6 +54,13 @@ class RandomDataSpec:
         return d
 
 
+# Normals drawn per block by ``sample_ensemble`` and ``regularity_profile``:
+# 512 KiB of float64 at any band, so that an ensemble costs a bounded amount of
+# memory over a single sample, while a block is large enough to amortise the
+# per-call overhead of the draw.
+_BLOCK_NORMALS = 2**16
+
+
 def _draw_positions(max_mode: int) -> np.ndarray:
     """Stream position of the first normal for each mode, ordered -N..N."""
     n = np.arange(-max_mode, max_mode + 1)
@@ -68,30 +75,74 @@ def covariance_weights(alpha: float, max_mode: int) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + n ** (2.0 * alpha))
 
 
+def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
+    """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r]).
+
+    One generator serves the whole block: it is keyed to the first index, and
+    for each later index its state is reset to the fresh state of that key
+    (counter 0, empty buffer), which costs a fraction of building a new one.
+    """
+    out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
+    if len(out) == 0:
+        return out
+    bits = np.random.Philox(key=np.array([spec.seed, indices[0]], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state if len(out) > 1 else None
+    gen.standard_normal(out=out[0])
+    for row, index in zip(out[1:], indices[1:]):
+        fresh["state"]["key"] = (spec.seed, index)
+        bits.state = fresh
+        gen.standard_normal(out=row)
+    return out
+
+
+def _gaussians(spec: RandomDataSpec, indices) -> np.ndarray:
+    z = _normals(spec, indices)
+    pos = _draw_positions(spec.max_mode)
+    # take, not z[:, pos]: fancy indexing along the last axis may return an
+    # F-ordered array, and the block must be C-ordered
+    g = np.take(z, pos, axis=1) + 1j * np.take(z, pos + 1, axis=1)
+    g *= np.sqrt(spec.gaussian_scale / 2.0)
+    return g
+
+
 def gaussian_coefficients(spec: RandomDataSpec, index: int = 0) -> np.ndarray:
     """Raw complex Gaussians g_n (E|g_n|^2 = gaussian_scale), modes -N..N."""
-    gen = np.random.Generator(
-        np.random.Philox(key=np.array([spec.seed, index], dtype=np.uint64))
-    )
-    z = gen.standard_normal(2 * (2 * spec.max_mode + 1))
-    pos = _draw_positions(spec.max_mode)
-    g = z[pos] + 1j * z[pos + 1]
-    return g * np.sqrt(spec.gaussian_scale / 2.0)
+    return _gaussians(spec, [index])[0]
+
+
+def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
+    """Coefficients of ``sample(spec, k)`` for each ``k`` in ``indices``.
+
+    ``indices`` is a sequence of ints in [0, 2**64): any order, gaps and
+    repeats allowed. Returns a C-contiguous complex array of shape
+    ``(len(indices), 2 * max_mode + 1)`` whose row r is bit-identical to
+    ``sample(spec, indices[r]).coeffs``. No ``TorusField`` is built.
+    """
+    coeffs = _gaussians(spec, indices)
+    coeffs *= covariance_weights(spec.alpha, spec.max_mode)
+    if spec.offset is not None:
+        coeffs += spec.offset.padded_to(spec.max_mode).coeffs
+    return coeffs
 
 
 def sample(spec: RandomDataSpec, index: int = 0) -> fld.TorusField:
     """One random field; ``index`` selects a member of the ensemble."""
-    coeffs = gaussian_coefficients(spec, index) * covariance_weights(spec.alpha, spec.max_mode)
-    if spec.offset is not None:
-        off = spec.offset.padded_to(spec.max_mode).coeffs
-        coeffs = coeffs + off
-    return fld.TorusField(coeffs, spec.max_mode)
+    return fld.TorusField(sample_block(spec, [index])[0], spec.max_mode)
+
+
+def _blocks(spec: RandomDataSpec, count: int):
+    """(first index, sample_block) pairs covering indices 0..count-1."""
+    rows = max(1, _BLOCK_NORMALS // (2 * (2 * spec.max_mode + 1)))
+    for start in range(0, count, rows):
+        yield start, sample_block(spec, range(start, min(start + rows, count)))
 
 
 def sample_ensemble(spec: RandomDataSpec, count: int):
     """Iterator over ``count`` independent samples (indices 0..count-1)."""
-    for k in range(count):
-        yield sample(spec, k)
+    for _, block in _blocks(spec, count):
+        for row in block:
+            yield fld.TorusField(row, spec.max_mode)
 
 
 def expected_mean_intensity(spec: RandomDataSpec) -> float:
@@ -119,12 +170,13 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     weights = [bracket ** (2.0 * s) for s in s_values]
 
     norms = np.empty((len(s_values), len(cutoffs), samples))
-    for k in range(samples):
-        a2 = np.abs(sample(spec, k).coeffs) ** 2
+    for start, block in _blocks(spec, samples):
+        a2 = np.abs(block) ** 2
+        span = slice(start, start + len(block))
         for i, w in enumerate(weights):
             v = w * a2
             for j, m in enumerate(cutoffs):
-                norms[i, j, k] = np.sqrt(v[center - m:center + m + 1].sum())
+                norms[i, j, span] = np.sqrt(v[:, center - m:center + m + 1].sum(axis=1))
 
     rows = []
     for i, s in enumerate(s_values):

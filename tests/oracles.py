@@ -101,3 +101,38 @@ def gaussian_even_moment(k):
     for j in range(1, 2 * k, 2):
         out *= j
     return out
+
+
+def keyed_sample_coeffs(seed, index, alpha, max_mode, gaussian_scale=1.0, offset=None):
+    """One random sample's coefficients from a fresh Philox stream (seed, index).
+
+    Mode n takes normals 2p and 2p+1 of the stream as its real and imaginary
+    parts, with p = 0, 1, 2, 3, 4, ... for n = 0, +1, -1, +2, -2, ...
+    """
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    z = gen.standard_normal(2 * (2 * max_mode + 1))
+    modes = np.arange(-max_mode, max_mode + 1)
+    pair = np.array([2 * n - 1 if n > 0 else -2 * n for n in modes])
+    g = z[2 * pair] + 1j * z[2 * pair + 1]
+    weights = 1.0 / np.sqrt(1.0 + np.abs(modes.astype(np.float64)) ** (2.0 * alpha))
+    c = g * np.sqrt(gaussian_scale / 2.0) * weights
+    return c if offset is None else c + offset
+
+
+def regularity_profile_loop(draw, max_mode, s_values, cutoffs, samples):
+    """Rows of a regularity profile, one sample at a time; draw(k) gives its coefficients."""
+    bracket = 1.0 + np.abs(np.arange(-max_mode, max_mode + 1, dtype=np.float64))
+    norms = np.empty((len(s_values), len(cutoffs), samples))
+    for k in range(samples):
+        a2 = np.abs(draw(k)) ** 2
+        for i, s in enumerate(s_values):
+            v = bracket ** (2.0 * s) * a2
+            for j, m in enumerate(cutoffs):
+                norms[i, j, k] = np.sqrt(v[max_mode - m:max_mode + m + 1].sum())
+    rows = []
+    for i, s in enumerate(s_values):
+        for j, m in enumerate(cutoffs):
+            q25, med, q75 = np.percentile(norms[i, j], [25.0, 50.0, 75.0])
+            rows.append({"s": s, "cutoff": m, "median": float(med),
+                         "q25": float(q25), "q75": float(q75), "samples": samples})
+    return rows

@@ -211,6 +211,17 @@ class TestStrichartzProbe:
         for name in ("l4_ratio_band8", "l4_ratio_band16"):
             assert one.get_series(name).values == two.get_series(name).values
 
+    def test_probe_matches_per_sample_loop(self):
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=8, seed=4)
+        report = xp.strichartz_ratio_probe(ens, 0.5, 100)
+        for band in (8, 16):
+            spec = rnd.RandomDataSpec(alpha=0.0, max_mode=band, seed=4)
+            loop = []
+            for k in range(100):
+                f = rnd.sample(spec, k)
+                loop.append(xp.free_flow_l4_norm(f, 0.5) / math.sqrt(fld.pairing(f, f).real))
+            assert report.get_series(f"l4_ratio_band{band}").values == tuple(loop)
+
     def test_zero_samples_skipped(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=5, gaussian_scale=0.0)
         report = xp.strichartz_ratio_probe(ens, 0.5, 100, doubling=False)

@@ -28,6 +28,16 @@ class TestTorusField:
         with pytest.raises(ValueError):
             fld.TorusField(c, 1)
 
+    def test_accepts_strided_input(self):
+        c = np.arange(10, dtype=complex)
+        f = fld.TorusField(c[::2], 2)
+        assert np.array_equal(f.coeffs, c[::2]) and f.coeffs.flags.c_contiguous
+        block = np.arange(12, dtype=complex).reshape(2, 6)
+        assert np.array_equal(fld.TorusField(block[1, ::2], 1).coeffs, [6, 8, 10])
+        c[4] = np.inf
+        with pytest.raises(ValueError):
+            fld.TorusField(c[::2], 2)
+
     def test_immutable(self):
         f = random_field(3)
         with pytest.raises(ValueError):

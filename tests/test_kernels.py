@@ -25,13 +25,6 @@ class TestCubicConvolution:
         b = K.cubic_convolution_numpy(c)
         assert np.max(np.abs(a - b)) < 1e-11 * np.max(np.abs(b))
 
-    @pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_path_matches_numpy_path(self):
-        c = random_coeffs(17, seed=2)
-        a = K.cubic_convolution_numba(c)
-        b = K.cubic_convolution_numpy(c)
-        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
-
     def test_dispatch_small_and_large(self):
         for n in (3, K.DIRECT_CONV_MAX_MODE + 10):
             c = random_coeffs(n, seed=n)
@@ -45,47 +38,24 @@ class TestHermiteBatch:
     @pytest.mark.parametrize("degree", [0, 1, 2, 5, 12])
     def test_numpy_path_matches_closed_form(self, degree):
         x = np.linspace(-3, 3, 41)
-        got = K.hermite_batch_numpy(degree, x, 1.0)
+        got = K.hermite_batch(degree, x, 1.0)
         want = np.array([hermite_reference(degree, xi, 1.0) for xi in x])
         assert np.max(np.abs(got - want)) < 1e-9 * max(1.0, np.max(np.abs(want)))
 
     def test_variance_parameter(self):
         x = np.array([1.25])
-        got = K.hermite_batch_numpy(4, x, 2.5)[0]
+        got = K.hermite_batch(4, x, 2.5)[0]
         assert got == pytest.approx(hermite_reference(4, 1.25, 2.5), rel=1e-12)
-
-    @pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_path_matches_numpy(self):
-        x = np.linspace(-4, 4, 101)
-        for degree in (0, 1, 3, 8):
-            a = K.hermite_batch_numba(degree, x, 1.5)
-            b = K.hermite_batch_numpy(degree, x, 1.5)
-            assert np.array_equal(a, b) or np.max(np.abs(a - b)) < 1e-12
-
-    @pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_path_preserves_shape(self):
-        x = np.linspace(-1, 1, 12).reshape(3, 4)
-        assert K.hermite_batch_numba(2, x, 1.0).shape == (3, 4)
 
 
 class TestNonlinearPhase:
     def test_numpy_path(self):
         u = np.array([1.0 + 0j, 2.0j, 0.5 - 0.5j])
         v = u.copy()
-        worst = K.nonlinear_phase_numpy(v, 0.3, -0.1)
+        worst = K.nonlinear_phase(v, 0.3, -0.1)
         expect = u * np.exp(0.3j * (np.abs(u) ** 2 - 0.1))
         assert np.allclose(v, expect, atol=1e-15)
         assert worst == pytest.approx(4.0)
-
-    @pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba unavailable")
-    def test_paths_agree(self):
-        rng = np.random.default_rng(5)
-        u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        a, b = u.copy(), u.copy()
-        wa = K.nonlinear_phase_numba(a, -0.2, 0.05)
-        wb = K.nonlinear_phase_numpy(b, -0.2, 0.05)
-        assert wa == pytest.approx(wb, rel=1e-15)
-        assert np.max(np.abs(a - b)) < 1e-15
 
     def test_modulus_preserved(self):
         rng = np.random.default_rng(6)

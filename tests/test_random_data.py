@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.wick import renormalization_constant
+
+from oracles import keyed_sample_coeffs, regularity_profile_loop
 
 
 class TestSpecValidation:
@@ -51,6 +55,80 @@ class TestDeterminism:
         assert not np.allclose(fields[0].coeffs, fields[1].coeffs)
 
 
+def _offset(band):
+    m = min(band, 2)
+    return fld.TorusField.from_modes({n: complex(n, 0.5 - n) for n in range(-m, m + 1)}, m)
+
+
+# unsorted, with gaps and repeats, empty; small indices and the full 64-bit range
+_INDEX_LISTS = (st.lists(st.integers(0, 20), max_size=8)
+                | st.lists(st.integers(0, 2**64 - 1), max_size=4))
+
+
+class TestSampleBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+           band=st.integers(0, 40), alpha=st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+           scale=st.sampled_from([1.0, 0.0, 2.5]), with_offset=st.booleans(),
+           indices=_INDEX_LISTS)
+    def test_rows_bit_identical_to_sample(self, seed, band, alpha, scale, with_offset,
+                                          indices):
+        offset = _offset(band) if with_offset else None
+        spec = rnd.RandomDataSpec(alpha=alpha, max_mode=band, seed=seed,
+                                  gaussian_scale=scale, offset=offset)
+        block = rnd.sample_block(spec, indices)
+        assert block.shape == (len(indices), 2 * band + 1)
+        assert block.dtype == np.complex128 and block.flags.c_contiguous
+        off = None if offset is None else offset.padded_to(band).coeffs
+        for row, k in zip(block, indices):
+            assert row.tobytes() == rnd.sample(spec, k).coeffs.tobytes()
+            assert row.tobytes() == keyed_sample_coeffs(seed, k, alpha, band, scale,
+                                                        off).tobytes()
+
+    def test_empty(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        assert rnd.sample_block(spec, []).shape == (0, 11)
+        assert list(rnd.sample_ensemble(spec, 0)) == []
+
+    def test_rejects_index_outside_64_bits(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        for indices in ([-1], [0, -1], [2**64], [3, 2**64]):
+            with pytest.raises(OverflowError):
+                rnd.sample_block(spec, indices)
+
+    def test_ensemble_across_block_boundary(self):
+        spec = rnd.RandomDataSpec(alpha=0.0, max_mode=256, seed=7)
+        rows_per_block = rnd._BLOCK_NORMALS // (2 * 513)
+        count = 2 * rows_per_block + 4
+        fields = list(rnd.sample_ensemble(spec, count))
+        assert len(fields) == count
+        for k, f in enumerate(fields):
+            assert f.coeffs.tobytes() == rnd.sample(spec, k).coeffs.tobytes()
+
+    @pytest.mark.parametrize("alpha, band, cutoffs, samples", [
+        (1.0, 64, [0, 5, 16, 64], 300),   # two blocks of 254 rows and 46
+        (0.5, 3, [1, 3], 7),
+    ])
+    def test_profile_matches_per_sample_loop(self, alpha, band, cutoffs, samples):
+        spec = rnd.RandomDataSpec(alpha=alpha, max_mode=band, seed=12)
+        s_values = [0.0, -0.25, 0.5]
+        rows = rnd.regularity_profile(spec, s_values, cutoffs, samples)
+        want = regularity_profile_loop(lambda k: rnd.sample(spec, k).coeffs, band,
+                                       s_values, cutoffs, samples)
+        assert rows == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), small=st.integers(0, 16),
+           extra=st.integers(0, 48), alpha=st.floats(0.0, 3.0), indices=_INDEX_LISTS)
+    def test_truncations_nested(self, seed, small, extra, alpha, indices):
+        wide = small + extra
+        big = rnd.sample_block(rnd.RandomDataSpec(alpha=alpha, max_mode=wide, seed=seed),
+                               indices)
+        narrow = rnd.sample_block(rnd.RandomDataSpec(alpha=alpha, max_mode=small,
+                                                     seed=seed), indices)
+        assert big[:, extra:extra + 2 * small + 1].tobytes() == narrow.tobytes()
+
+
 class TestDistribution:
     def test_offset_only_at_zero_scale(self):
         v0 = fld.TorusField.single_mode(1, 2.0 + 1.0j)
@@ -62,14 +140,14 @@ class TestDistribution:
     def test_white_noise_mode_variance(self):
         # alpha = 0: E|u(n)|^2 = 1/2 on every mode
         spec = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=3)
-        coeffs = np.array([rnd.sample(spec, k).coeffs for k in range(100_000)])
+        coeffs = rnd.sample_block(spec, range(100_000))
         second = np.mean(np.abs(coeffs) ** 2, axis=0)
         stderr = np.std(np.abs(coeffs) ** 2, axis=0) / math.sqrt(len(coeffs))
         assert np.all(np.abs(second - 0.5) <= 3.0 * stderr)
 
     def test_mode_independence(self):
         spec = rnd.RandomDataSpec(alpha=0.0, max_mode=3, seed=11)
-        coeffs = np.array([rnd.sample(spec, k).coeffs for k in range(50_000)])
+        coeffs = rnd.sample_block(spec, range(50_000))
         a, b = coeffs[:, 1], coeffs[:, 4]  # modes -2 and +1
         corr = np.mean(a * np.conj(b))
         assert abs(corr) <= 3.0 / math.sqrt(len(coeffs))
@@ -77,8 +155,7 @@ class TestDistribution:
     def test_rotation_invariance_chi2(self):
         # phases of a fixed mode are uniform: chi-squared test at the 1% level
         spec = rnd.RandomDataSpec(alpha=0.5, max_mode=2, seed=21)
-        phases = np.array([np.angle(rnd.sample(spec, k).coeff(1))
-                           for k in range(100_000)])
+        phases = np.angle(rnd.sample_block(spec, range(100_000))[:, 1 + spec.max_mode])
         counts, _ = np.histogram(phases, bins=16, range=(-np.pi, np.pi))
         expected = len(phases) / 16.0
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
