@@ -10,8 +10,8 @@ from .wick import (HypercontractivityReport, hermite, hypercontractivity_check,
                    intensity_fluctuation, renormalization_constant,
                    wick_abs_fourth, wick_abs_square, wick_hamiltonian)
 from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec,
-                       Trajectory, Variant, conserved, evolve, galilean_boost,
-                       gauge_transform, linear_propagator, nonlinearity,
+                       Trajectory, Variant, conserved, evolve, evolve_batch,
+                       galilean_boost, gauge_transform, linear_propagator, nonlinearity,
                        plane_wave_frequency, resonant_split, truncation_gauge)
 from .random_data import (RandomDataSpec, expected_mean_intensity,
                           regularity_profile, sample, sample_block,
@@ -28,7 +28,7 @@ __all__ = [
     "IntegrationDivergedError", "IntegratorSpec", "NormSpec", "RandomDataSpec",
     "Series", "Trajectory", "TorusField", "Variant", "WeakSequenceSpec",
     "__version__", "analyze", "apriori_growth_probe", "conserved", "evolve",
-    "expected_mean_intensity", "field_allclose", "free_flow_l4_norm",
+    "evolve_batch", "expected_mean_intensity", "field_allclose", "free_flow_l4_norm",
     "galilean_boost", "gauge_transform", "hermite", "hypercontractivity_check",
     "integrator_order_study", "intensity_fluctuation", "linear_propagator",
     "mean_intensity", "nonlinearity", "norm", "pairing",

@@ -63,13 +63,23 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
-# returns max |u|^2 (used by the divergence guard); mutates u in place
+# u is one grid or a (B, m) stack of grids, offset a scalar or a (B, 1) column;
+# returns the max of |u|^2 per grid (for the divergence guard); mutates u
 # ---------------------------------------------------------------------------
 
-def nonlinear_phase(u: np.ndarray, factor: float, offset: float) -> float:
-    a2 = u.real * u.real + u.imag * u.imag
-    u *= np.exp(1j * (factor * (a2 + offset)))
-    return float(a2.max())
+def nonlinear_phase(u: np.ndarray, factor: float, offset) -> np.ndarray:
+    a2 = u.real * u.real
+    a2 += u.imag * u.imag
+    worst = np.maximum.reduce(a2, axis=-1)
+    a2 += offset
+    a2 *= factor
+    # cos and sin written into one buffer give exp(1j*theta) bit for bit,
+    # without the complex temporaries
+    rotation = np.empty_like(u)
+    np.cos(a2, out=rotation.real)
+    np.sin(a2, out=rotation.imag)
+    u *= rotation
+    return worst
 
 
 # ---------------------------------------------------------------------------

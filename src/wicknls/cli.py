@@ -487,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: $WICKNLS_OUT or .)")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker pool size for ensembles/sequences")
+                       help="accepted for compatibility; the bump family runs as one batch")
         p.add_argument("--repro", action="store_true",
                        help="reproducibility mode: force --threads 1")
         p.add_argument("--set", dest="overrides", action="append", default=[],

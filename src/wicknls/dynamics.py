@@ -18,11 +18,14 @@ Variants of the nonlinearity ``N(u)``:
 The Strang integrator alternates the exact linear multiplier flow with the
 exact pointwise phase flow of the nonlinear substep, evaluated on an odd
 collocation grid that is in exact bijection with the retained mode range.
-Untruncated runs keep the full grid band (every substep is then unitary /
-unit-modulus, so mass is conserved to roundoff); truncated runs re-apply the
-Dirichlet projection after each nonlinear substep because the projection is
-part of the model. RK4 integrates the full Galerkin right-hand side in mode
-space with the cubic term evaluated by exact zero-padded convolution.
+Adjacent linear half-steps are fused into one full step between snapshots,
+and a batch of initial data steps together as one (B, m) stack
+(``evolve_batch``). Untruncated runs keep the full grid band (every substep
+is then unitary / unit-modulus, and each row's mass is pinned to its initial
+value); truncated runs re-apply the Dirichlet projection after each
+nonlinear substep because the projection is part of the model. RK4
+integrates the full Galerkin right-hand side in mode space with the cubic
+term evaluated by exact zero-padded convolution.
 """
 
 import math
@@ -269,31 +272,42 @@ def _ledger_row(u, eq):
 
 
 class _Recorder:
-    def __init__(self, eq, integ, probes, band):
+    """Snapshots, ledgers and probe pairings of B runs that step together."""
+
+    def __init__(self, eq, integ, probe_names, rows, n_steps):
         self.eq, self.integ = eq, integ
-        self.band = band
-        self.times, self.snaps, self.rows = [], [], []
-        self.ptimes = []
-        self.pvals = {name: [] for name in probes}
+        self.names = tuple(probe_names)
+        self.times = []
+        self.snaps = [[] for _ in range(rows)]
+        self.ledgers = [[] for _ in range(rows)]
+        # pairing at step k of row r against probe j (without the 2 pi)
+        self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
+        self.recorded = 0
 
-    def snapshot(self, t, u):
+    def snapshot(self, t, coeffs, band):
         self.times.append(t)
-        self.snaps.append(u)
-        self.rows.append(_ledger_row(u, self.eq))
+        for r, c in enumerate(coeffs):
+            u = fld.TorusField(c, band)
+            self.snaps[r].append(u)
+            self.ledgers[r].append(_ledger_row(u, self.eq))
 
-    def probe(self, t, values):
-        self.ptimes.append(t)
-        for name, v in values.items():
-            self.pvals[name].append(v)
+    def probe(self, values):
+        self.pairings[self.recorded] = values
+        self.recorded += 1
 
-    def build(self, backward: bool) -> Trajectory:
-        keys = self.rows[0].keys() if self.rows else ()
-        ledger = {k: np.array([r[k] for r in self.rows]) for k in keys}
+    def build(self, r, dt) -> Trajectory:
+        entries = self.ledgers[r]
+        keys = entries[0].keys() if entries else ()
+        ledger = {k: np.array([e[k] for e in entries]) for k in keys}
         times = np.asarray(self.times)
-        snaps = tuple(self.snaps)
-        ptimes = np.asarray(self.ptimes) if self.ptimes else None
-        probes = {k: np.asarray(v) for k, v in self.pvals.items()}
-        if backward:
+        snaps = tuple(self.snaps[r])
+        ptimes, probes = None, {}
+        if self.names:
+            ptimes = np.arange(self.recorded) * dt
+            ptimes[0] = 0.0  # not -0.0 on a backward run
+            probes = {name: fld.TWO_PI * self.pairings[:self.recorded, r, j]
+                      for j, name in enumerate(self.names)}
+        if dt < 0:
             times = times[::-1].copy()
             snaps = snaps[::-1]
             ledger = {k: v[::-1].copy() for k, v in ledger.items()}
@@ -314,105 +328,127 @@ def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
     to test fields; the L2 pairing against each is recorded at every step
     (finer than the snapshot stride). Raises IntegrationDivergedError when
     the grid maximum of |u| exceeds ``amplitude_cap`` or turns NaN; the
-    partial trajectory is attached to the exception.
+    partial trajectory is attached to the exception. This is the one-row
+    case of ``evolve_batch``.
+    """
+    return evolve_batch([u0], eq, integ, probes=probes, amplitude_cap=amplitude_cap,
+                        pad_factor=pad_factor)[0]
+
+
+def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
+                 probes: dict | None = None, amplitude_cap: float = 1e6,
+                 pad_factor: int = 3) -> list[Trajectory]:
+    """``evolve`` for several initial data that share eq, integ and probes.
+
+    Strang rows step together as one (B, m) stack, and each returned
+    trajectory is bit-identical to ``evolve`` of its row; RK4 rows run one
+    after another. Untruncated rows must share ``max_mode`` (truncated rows
+    are projected onto the truncation band first). A divergence in any row
+    raises IntegrationDivergedError carrying that row's partial trajectory.
     """
     probes = probes or {}
     n_steps = integ.step_count()
     dt = math.copysign(integ.dt, integ.t_end) if integ.t_end else integ.dt
+    u0s = list(u0s)
+    if not u0s:
+        return []
     if eq.truncated:
         work_band = eq.truncation
-        u0 = fld.project(u0, work_band)
+        u0s = [fld.project(u0, work_band) for u0 in u0s]
     else:
-        work_band = u0.max_mode
-
+        bands = {u0.max_mode for u0 in u0s}
+        if len(bands) > 1:
+            raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
+        work_band = bands.pop()
     if integ.scheme == "strang":
-        return _evolve_strang(u0, eq, integ, n_steps, dt, work_band, probes,
+        return _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes,
                               amplitude_cap, pad_factor)
-    return _evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, amplitude_cap)
+    return [_evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, amplitude_cap)
+            for u0 in u0s]
 
 
-def _spectrum_layout(coeffs: np.ndarray, n_max: int, m: int) -> np.ndarray:
-    spec = np.zeros(m, dtype=np.complex128)
-    spec[np.mod(np.arange(-n_max, n_max + 1), m)] = coeffs
-    return spec
+def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap, pad_factor):
+    """Strang splitting of a (B, m) stack, with adjacent half-steps fused.
 
-
-def _unitary_multiply(spec: np.ndarray, mult: np.ndarray) -> None:
-    """In-place multiply by a unit-modulus multiplier, restoring moduli.
-
-    A precomputed multiplier has |m| = 1 only to a rounding, and reusing the
-    same array every step turns that into a systematic mass drift linear in
-    the step count. The true flow preserves each modulus exactly, so we
-    restore it; the remaining error is a random walk at the roundoff floor.
+    Between snapshots the state owes half a linear step: it is rotated by
+    one full multiplier per step, and the probes are rotated by the missing
+    half instead of the state. At a snapshot step it takes the half, is
+    recorded, and takes the other half. After each nonlinear substep every
+    row's mass is pinned to its target, so transform roundoff cannot build
+    up a drift; truncated runs measure the target again after each
+    projection, which is part of the model.
     """
-    before = np.abs(spec)
-    spec *= mult
-    after = np.abs(spec)
-    np.divide(before, after, out=before, where=after > 0.0)
-    before[after == 0.0] = 1.0
-    spec *= before
-
-
-def _layout_to_field(spec: np.ndarray, n_max: int) -> fld.TorusField:
-    m = len(spec)
-    return fld.TorusField(spec[np.mod(np.arange(-n_max, n_max + 1), m)], n_max)
-
-
-def _evolve_strang(u0, eq, integ, n_steps, dt, work_band, probes, cap, pad_factor):
+    truncated, stride = eq.truncated, integ.snapshot_stride
     m = fast_fft_size(pad_factor * (2 * work_band + 1), odd=True)
     grid_band = (m - 1) // 2
-    snap_band = work_band if eq.truncated else grid_band
+    snap_band = work_band if truncated else grid_band
     freq = np.arange(m, dtype=np.float64)
     freq[freq > grid_band] -= m
 
     shift = 2.0 * eq.sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
     half = np.exp(1j * (freq**2 - shift) * (dt / 2.0))
-    keep = np.abs(freq) <= work_band  # projection mask for truncated variants
+    full = np.exp(1j * (freq**2 - shift) * dt)
+    cols = np.mod(np.arange(-snap_band, snap_band + 1), m)  # mode n sits in column n mod m
+    drop = slice(work_band + 1, m - work_band)  # the columns of modes |n| > work_band
 
-    spec = _spectrum_layout(u0.padded_to(snap_band).coeffs, snap_band, m)
-    probe_specs = {name: _spectrum_layout(p.padded_to(snap_band).coeffs, snap_band, m)
-                   for name, p in probes.items()}
+    rows = len(u0s)
+    s = np.zeros((rows, m), dtype=np.complex128)
+    s[:, cols] = [u0.padded_to(snap_band).coeffs for u0 in u0s]
+    s_real = s.view(np.float64)
+    u = np.empty_like(s)
 
-    rec = _Recorder(eq, integ, probes, snap_band)
+    rec = _Recorder(eq, integ, probes, rows, n_steps)
+    if probes:
+        p = np.array([q.padded_to(snap_band).coeffs for q in probes.values()])
+        support = np.flatnonzero(np.any(p != 0.0, axis=0))
+        pcols = cols[support]
+        paired = np.conj(p[:, support])
+        rotated = paired * half[pcols]
+        rec.probe(np.einsum("ij,kj->ik", s[:, pcols], paired))
+    rec.snapshot(0.0, np.take(s, cols, axis=1), snap_band)
 
-    def record_probes(t):
-        if probe_specs:
-            rec.probe(t, {name: fld.TWO_PI * complex(np.vdot(p, spec))
-                          for name, p in probe_specs.items()})
-
-    rec.snapshot(0.0, _layout_to_field(spec, snap_band))
-    record_probes(0.0)
     cap2 = cap * cap
     scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
+    phase_factor = eq.sign * dt * scale2
+    target = np.einsum("ij,ij->i", s_real, s_real)
+    empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
+
+    def mean_offset():
+        # -2 mu per row in grid units: the mass is pinned, so mu is the target's
+        return (-2.0 / scale2) * target[:, None] if eq.mean_shifted else 0.0
+
+    offset = mean_offset()
+    s *= half
     for k in range(n_steps):
-        _unitary_multiply(spec, half)
-        mass_before = float(np.sum(spec.real**2 + spec.imag**2))
-        u = np.fft.ifft(spec)
-        if eq.mean_shifted:
-            a2 = u.real**2 + u.imag**2
-            offset = -2.0 * float(np.sum(a2)) / m  # = -2 mu / scale2
-        else:
-            offset = 0.0
-        max_a2 = nonlinear_phase(u, eq.sign * dt * scale2, offset)
-        if not math.isfinite(max_a2) or max_a2 * scale2 > cap2:
-            t_bad = (k + 1) * dt
+        np.fft.ifft(s, axis=-1, out=u)
+        max_a2 = nonlinear_phase(u, phase_factor, offset)
+        if not np.maximum.reduce(max_a2) * scale2 <= cap2:  # NaN-safe
+            bad = int(np.argmin(max_a2 * scale2 <= cap2))
             raise IntegrationDivergedError(
-                f"|u| exceeded {cap:g} during step to t={t_bad:g}",
-                last_valid_time=k * dt, trajectory=rec.build(dt < 0))
-        spec = np.fft.fft(u)
-        # the substeps conserve the l2 mass exactly; pin it so transform
-        # roundoff cannot accumulate a systematic drift
-        mass_after = float(np.sum(spec.real**2 + spec.imag**2))
-        if mass_after > 0.0:
-            spec *= math.sqrt(mass_before / mass_after)
-        _unitary_multiply(spec, half)
-        if eq.truncated:
-            spec[~keep] = 0.0
-        t = (k + 1) * dt
-        record_probes(t)
-        if (k + 1) % integ.snapshot_stride == 0:
-            rec.snapshot(t, _layout_to_field(spec, snap_band))
-    return rec.build(dt < 0)
+                f"|u| exceeded {cap:g} during step to t={(k + 1) * dt:g}",
+                last_valid_time=k * dt, trajectory=rec.build(bad, dt))
+        np.fft.fft(u, axis=-1, out=s)
+        pin = np.einsum("ij,ij->i", s_real, s_real)
+        pin += empty
+        np.divide(target, pin, out=pin)
+        np.sqrt(pin, out=pin)
+        s *= pin[:, None]
+        if probes:
+            rec.probe(np.einsum("ij,kj->ik", s[:, pcols], rotated))
+        if (k + 1) % stride == 0:
+            s *= half
+            if truncated:
+                s[:, drop] = 0.0
+            rec.snapshot((k + 1) * dt, np.take(s, cols, axis=1), snap_band)
+            s *= half
+        else:
+            s *= full
+            if truncated:
+                s[:, drop] = 0.0
+        if truncated:
+            target = np.einsum("ij,ij->i", s_real, s_real)
+            offset = mean_offset()
+    return [rec.build(r, dt) for r in range(rows)]
 
 
 def _evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, cap):
@@ -429,13 +465,12 @@ def _evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, cap):
         return 1j * ((modes2 - shift) * c + sign * nl)
 
     c = u0.padded_to(n).coeffs.copy()
-    probe_coeffs = {name: p.padded_to(n).coeffs for name, p in probes.items()}
-    rec = _Recorder(eq, integ, probes, n)
+    probe_coeffs = [p.padded_to(n).coeffs for p in probes.values()]
+    rec = _Recorder(eq, integ, probes, 1, n_steps)
 
-    def record_probes(t):
+    def record_probes():
         if probe_coeffs:
-            rec.probe(t, {name: fld.TWO_PI * complex(np.vdot(p, c))
-                          for name, p in probe_coeffs.items()})
+            rec.probe([[np.vdot(p, c) for p in probe_coeffs]])
 
     def guard(k):
         if np.all(np.isfinite(c.view(np.float64))):
@@ -446,10 +481,10 @@ def _evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, cap):
         if not math.isfinite(worst) or worst > cap:
             raise IntegrationDivergedError(
                 f"|u| exceeded {cap:g} during step to t={(k + 1) * dt:g}",
-                last_valid_time=k * dt, trajectory=rec.build(dt < 0))
+                last_valid_time=k * dt, trajectory=rec.build(0, dt))
 
-    rec.snapshot(0.0, fld.TorusField(c, n))
-    record_probes(0.0)
+    rec.snapshot(0.0, [c], n)
+    record_probes()
     for k in range(n_steps):
         k1 = rhs(c)
         k2 = rhs(c + 0.5 * dt * k1)
@@ -458,12 +493,11 @@ def _evolve_rk4(u0, eq, integ, n_steps, dt, work_band, probes, cap):
         c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(c.view(np.float64))):
             guard(k)
-        t = (k + 1) * dt
-        record_probes(t)
+        record_probes()
         if (k + 1) % integ.snapshot_stride == 0:
             guard(k)
-            rec.snapshot(t, fld.TorusField(c, n))
-    return rec.build(dt < 0)
+            rec.snapshot((k + 1) * dt, [c], n)
+    return rec.build(0, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ import yaml
 
 from . import field as fld
 from . import random_data as rnd
-from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve,
-                       linear_propagator, plane_wave_frequency)
+from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve, evolve_batch,
+                       plane_wave_frequency)
 from .serialization import spec_hash
 from ._kernels import fast_fft_size
 
@@ -167,22 +167,15 @@ class _WeakRun(SimpleNamespace):
     pass
 
 
-def _two_sided(u0, eq, integ_fwd, integ_bwd, probe):
-    fwd = evolve(u0, eq, integ_fwd, probes={"phi": probe})
-    bwd = evolve(u0, eq, integ_bwd, probes={"phi": probe})
-    return fwd, bwd
-
-
-def _weak_run(spec: WeakSequenceSpec, threads: int = 1) -> _WeakRun:
+def _weak_run(spec: WeakSequenceSpec) -> _WeakRun:
     eq = spec.eq
     t_hor = float(spec.horizon)
-    integ_f = replace(spec.integrator, t_end=t_hor)
-    integ_b = replace(spec.integrator, t_end=-t_hor)
     data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
-
-    pairs = _parallel(lambda u0: _two_sided(u0, eq, integ_f, integ_b, spec.probe),
-                      data, threads)
-    ref_f, ref_b = pairs[0]
+    probes = {"phi": spec.probe}
+    # the base and every bump step together, once forward and once backward
+    fwd = evolve_batch(data, eq, replace(spec.integrator, t_end=t_hor), probes=probes)
+    bwd = evolve_batch(data, eq, replace(spec.integrator, t_end=-t_hor), probes=probes)
+    ref_f, ref_b = fwd[0], bwd[0]
     # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
     times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
     ref_p = np.concatenate([ref_b.probes["phi"], ref_f.probes["phi"][1:]])
@@ -192,7 +185,7 @@ def _weak_run(spec: WeakSequenceSpec, threads: int = 1) -> _WeakRun:
 
     gaps, weak_proxy, l4_gap, l6_gap, defects = [], [], [], [], []
     mu_ref = fld.mean_intensity(ref_f.snapshots[0])
-    for (run_f, run_b) in pairs[1:]:
+    for run_f, run_b in zip(fwd[1:], bwd[1:]):
         d = np.concatenate([run_b.probes["phi"], run_f.probes["phi"][1:]]) - ref_p
         gaps.append(float(np.max(np.abs(d))))
         weak_proxy.append(float(abs(np.sum(d * window) * dt_fine)))
@@ -287,8 +280,9 @@ def weak_continuity_run(spec: WeakSequenceSpec, threads: int = 1,
     are checked for a decaying-gap trend and the plain variants for a
     persistent plateau; pass ``"decay"`` or ``"plateau"`` to force one (e.g.
     applying the decay verdict to the plain equation exhibits its failure).
+    ``threads`` is accepted but unused: the bump family runs as one batch.
     """
-    run = _weak_run(spec, threads)
+    run = _weak_run(spec)
     verdicts, details = _weak_verdicts(run, verdict_mode)
     details["working_band"] = run.spec.resolved_band()
     return ExperimentReport(kind="weak-continuity", config=spec.to_dict(),
@@ -308,7 +302,8 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 
     The plain equation's gap plateau is compared against the scalar
     phase-defect prediction; the mean-shifted equation must pass its decay
-    verdicts on the same data.
+    verdicts on the same data. ``threads`` is accepted but unused: each bump
+    family runs as one batch.
     """
     if spec.eq.truncated:
         plain = replace(spec.eq, variant=Variant.TRUNCATED_NLS)
@@ -317,8 +312,8 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
         plain = replace(spec.eq, variant=Variant.NLS)
         shifted = replace(spec.eq, variant=Variant.WNLS)
 
-    run_w = _weak_run(replace(spec, eq=shifted), threads)
-    run_n = _weak_run(replace(spec, eq=plain), threads)
+    run_w = _weak_run(replace(spec, eq=shifted))
+    run_n = _weak_run(replace(spec, eq=plain))
 
     w_verdicts, w_details = _weak_verdicts(run_w)
     predicted = _plateau_prediction(run_w, shifted.sign)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wicknls import dynamics as dyn
 from wicknls import field as fld
@@ -223,6 +225,27 @@ class TestPlaneWaveEvolution:
         expected = np.exp(-1j * dyn.plane_wave_frequency(1, 1.0, eq) * 0.5)
         assert abs(traj.snapshots[0].coeff(1) - expected) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(list(dyn.Variant)), sign=st.sampled_from([1, -1]),
+           mode=st.integers(-4, 4), amplitude=st.floats(0.1, 2.0),
+           phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(1e-3, 2e-2),
+           steps=st.integers(1, 40), backward=st.booleans())
+    def test_strang_exact_on_single_mode(self, variant, sign, mode, amplitude, phase,
+                                         dt, steps, backward):
+        # both substeps are exact flows on A e^{inx}, so Strang is exact at any dt
+        amp = amplitude * complex(math.cos(phase), math.sin(phase))
+        eq = dyn.EquationSpec(variant, sign=sign,
+                              truncation=4 if variant.value.startswith("truncated") else None)
+        t_end = -steps * dt if backward else steps * dt
+        integ = dyn.IntegratorSpec("strang", dt=dt, t_end=t_end, snapshot_stride=steps)
+        traj = dyn.evolve(fld.TorusField.single_mode(mode, amp, max_mode=4), eq, integ)
+        final = traj.snapshots[0] if backward else traj.final
+        expected = amp * np.exp(1j * dyn.plane_wave_frequency(mode, amp, eq) * t_end)
+        rest = final.coeffs.copy()
+        rest[mode + final.max_mode] = 0.0
+        assert abs(final.coeff(mode) - expected) <= 1e-13 * amplitude
+        assert np.max(np.abs(rest)) <= 1e-13 * amplitude
+
 
 class TestConservation:
     def test_mass_machine_precision_long_run(self):
@@ -233,6 +256,16 @@ class TestConservation:
         traj = dyn.evolve(f, eq, integ)
         mass = traj.ledger["mass"]
         assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
+
+    def test_mass_pinned_to_roundoff(self):
+        # the same run as above: the pin to the initial mass leaves only the
+        # rounding of the last linear multiplier
+        f = fld.TorusField.from_modes({0: 0.7, 1: 0.5 + 0.2j, 2: 0.3j, -3: 0.4},
+                                      max_mode=16)
+        eq = dyn.EquationSpec("wnls", sign=1)
+        integ = dyn.IntegratorSpec("strang", dt=1e-3, t_end=10.0, snapshot_stride=500)
+        mass = dyn.evolve(f, eq, integ).ledger["mass"]
+        assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-14
 
     def test_momentum_drift_short_run(self):
         f = fld.TorusField.from_modes({1: 0.6, 2: 0.4j, -1: 0.2}, max_mode=12)
@@ -410,3 +443,85 @@ class TestProbes:
         for t, u in zip(traj.times, traj.snapshots):
             k = np.argmin(np.abs(traj.probe_times - t))
             assert traj.probes["phi"][k] == pytest.approx(fld.pairing(u, phi), rel=1e-12)
+
+    @pytest.mark.parametrize("backward, eq", [
+        (True, dyn.EquationSpec("wnls", sign=1)),
+        (False, dyn.EquationSpec("truncated-wnls-gauged", sign=-1, truncation=8)),
+    ])
+    def test_probe_matches_pairing_backward_and_truncated(self, backward, eq):
+        # pins the rotated-probe pairing at the snapshot times
+        u0 = random_field(6, seed=16)
+        phi = fld.TorusField.single_mode(1, 1.0)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=-0.2 if backward else 0.2,
+                                   snapshot_stride=10)
+        traj = dyn.evolve(u0, eq, integ, probes={"phi": phi})
+        assert len(traj.probe_times) == 21
+        for t, u in zip(traj.times, traj.snapshots):
+            k = np.argmin(np.abs(traj.probe_times - t))
+            assert traj.probes["phi"][k] == pytest.approx(fld.pairing(u, phi), rel=1e-12)
+
+
+def assert_same_trajectory(a, b):
+    assert np.array_equal(a.times, b.times)
+    assert len(a.snapshots) == len(b.snapshots)
+    assert all(x.max_mode == y.max_mode and np.array_equal(x.coeffs, y.coeffs)
+               for x, y in zip(a.snapshots, b.snapshots))
+    assert a.ledger.keys() == b.ledger.keys()
+    assert all(np.array_equal(a.ledger[k], b.ledger[k]) for k in a.ledger)
+    if a.probe_times is None:
+        assert b.probe_times is None
+    else:
+        assert np.array_equal(a.probe_times, b.probe_times)
+    assert a.probes.keys() == b.probes.keys()
+    assert all(np.array_equal(a.probes[k], b.probes[k]) for k in a.probes)
+
+
+class TestEvolveBatch:
+    @pytest.mark.parametrize("eq", [
+        dyn.EquationSpec("nls", sign=1),
+        dyn.EquationSpec("wnls", sign=-1),
+        dyn.EquationSpec("truncated-wnls-gauged", sign=1, truncation=8),
+    ], ids=lambda eq: eq.variant.value)
+    @pytest.mark.parametrize("t_end", [0.2, -0.2])
+    def test_rows_match_evolve_bit_for_bit(self, eq, t_end):
+        rows = [random_field(6, seed=21), fld.TorusField.zeros(6),
+                fld.TorusField.single_mode(2, 0.8 - 0.3j, max_mode=6),
+                random_field(6, seed=22, scale=0.9)]
+        probes = {"phi": fld.TorusField.single_mode(1, 1.0),
+                  "psi": random_field(3, seed=23)}
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=t_end, snapshot_stride=5)
+        batch = dyn.evolve_batch(rows, eq, integ, probes=probes)
+        assert len(batch) == len(rows)
+        for u0, traj in zip(rows, batch):
+            assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+
+    def test_rk4_rows_match_evolve(self):
+        eq = dyn.EquationSpec("truncated-nls", sign=1, truncation=6)
+        integ = dyn.IntegratorSpec("rk4", dt=0.01, t_end=0.1, snapshot_stride=5)
+        rows = [random_field(6, seed=24), random_field(4, seed=25)]
+        probes = {"phi": fld.TorusField.single_mode(1, 1.0)}
+        for u0, traj in zip(rows, dyn.evolve_batch(rows, eq, integ, probes=probes)):
+            assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+
+    def test_untruncated_rows_share_a_band(self):
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="share max_mode"):
+            dyn.evolve_batch([random_field(4), random_field(5)],
+                             dyn.EquationSpec("nls", sign=1), integ)
+        assert dyn.evolve_batch([], dyn.EquationSpec("nls", sign=1), integ) == []
+
+    def test_divergence_carries_the_failing_row(self):
+        # a focusing plane wave of amplitude 1 is modulationally unstable:
+        # its seeded sidebands grow past the cap while the small row stays put
+        eq = dyn.EquationSpec("nls", sign=-1)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=10.0, snapshot_stride=10)
+        calm = fld.TorusField.single_mode(0, 0.3, max_mode=4)
+        unstable = fld.TorusField.from_modes({0: 1.0, 1: 0.05, -1: 0.05}, max_mode=4)
+        with pytest.raises(dyn.IntegrationDivergedError) as single:
+            dyn.evolve(unstable, eq, integ, amplitude_cap=1.5)
+        with pytest.raises(dyn.IntegrationDivergedError) as batch:
+            dyn.evolve_batch([calm, unstable], eq, integ, amplitude_cap=1.5)
+        assert batch.value.last_valid_time == single.value.last_valid_time > 0.0
+        assert str(batch.value) == str(single.value)
+        assert len(batch.value.trajectory.snapshots) > 1
+        assert_same_trajectory(batch.value.trajectory, single.value.trajectory)

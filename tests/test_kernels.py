@@ -57,6 +57,19 @@ class TestNonlinearPhase:
         assert np.allclose(v, expect, atol=1e-15)
         assert worst == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("shape, offset", [((64,), -0.4), ((3, 64), None)])
+    def test_matches_exponential_form(self, shape, offset):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if offset is None:  # one offset per row of a stack
+            offset = rng.standard_normal((shape[0], 1))
+        v = u.copy()
+        worst = K.nonlinear_phase(v, 0.7, offset)
+        expect = u * np.exp(1j * 0.7 * (np.abs(u) ** 2 + offset))
+        assert np.allclose(v, expect, rtol=1e-14, atol=1e-14)
+        assert np.shape(worst) == shape[:-1]
+        assert np.array_equal(worst, np.max(u.real**2 + u.imag**2, axis=-1))
+
     def test_modulus_preserved(self):
         rng = np.random.default_rng(6)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
