@@ -8,8 +8,8 @@ output embeds the fully resolved config and the tool version, so re-running
 from an embedded config reproduces outputs byte-for-byte in reproducibility
 mode (``--repro``, which forces a single worker).
 
-Exit codes: 0 success / verdict passed, 2 malformed config, 3 integration
-diverged (partial output is still flushed), 4 scientific verdict failed.
+Exit codes: 0 success / verdict passed, 2 malformed config, 3 numerical
+scheme failure (partial output is still flushed), 4 scientific verdict failed.
 """
 
 import argparse
@@ -243,7 +243,7 @@ def cmd_simulate(args, cfg: dict) -> int:
         for i, u in enumerate(traj.snapshots):
             ser.save_field(u, snap_dir / f"snapshot_{i:06d}.json")
     if diverged is not None:
-        print(f"integration diverged: {diverged}", file=sys.stderr)
+        print(diverged, file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
 
@@ -382,8 +382,8 @@ def cmd_sample(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
 
     records = [ser.meta_record(cfg, command="sample")]
-    for k in range(count):
-        u = rnd.sample(spec, k)
+    for k, coeffs in enumerate(rnd.sample_block(spec, range(count))):
+        u = fld.TorusField(coeffs, spec.max_mode)
         fname = f"sample_{k:03d}.json"
         ser.save_field(u, out / fname)
         records.append({"record": "sample", "index": k, "file": fname,
@@ -510,7 +510,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as exc:
-        print(f"integration diverged: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_DIVERGED
 
 

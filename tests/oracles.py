@@ -136,3 +136,29 @@ def regularity_profile_loop(draw, max_mode, s_values, cutoffs, samples):
             rows.append({"s": s, "cutoff": m, "median": float(med),
                          "q25": float(q25), "q75": float(q75), "samples": samples})
     return rows
+
+
+def galerkin_rk4(coeffs, max_mode, sign, shift, mean_shifted, dt, steps):
+    """Classical RK4 of i c' = -(n^2 - shift) c - sign N(c) in mode space.
+
+    N is the band-N slice of ``triple_sum_cubic``, minus 2 mu(c) c (mu taken
+    from the stage value) when ``mean_shifted``. Stable only while
+    dt * N^2 stays well under 2.8.
+    """
+    modes2 = np.arange(-max_mode, max_mode + 1, dtype=np.float64) ** 2
+    center = slice(2 * max_mode, 4 * max_mode + 1)
+
+    def rhs(c):
+        nl = triple_sum_cubic(c, max_mode)[center]
+        if mean_shifted:
+            nl = nl - 2.0 * np.sum(np.abs(c) ** 2) * c
+        return 1j * ((modes2 - shift) * c + sign * nl)
+
+    c = np.array(coeffs, dtype=complex)
+    for _ in range(steps):
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * dt * k1)
+        k3 = rhs(c + 0.5 * dt * k2)
+        k4 = rhs(c + dt * k3)
+        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return c

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from wicknls import dynamics as dyn
 from wicknls import field as fld
+from wicknls import random_data as rnd
 from wicknls.wick import renormalization_constant, wick_hamiltonian
 
-from oracles import triple_sum_cubic, triple_sum_nonresonant
+from oracles import galerkin_rk4, triple_sum_cubic, triple_sum_nonresonant
 
 TWO_PI = 2.0 * np.pi
 
@@ -210,6 +211,15 @@ class TestPlaneWaveEvolution:
         expected = np.exp(1j * dyn.plane_wave_frequency(1, 1.0, eq))
         assert abs(traj.final.coeff(1) - expected) < 1e-9
 
+    def test_rk4_band64_plane_wave_stays_on_its_circle(self):
+        # dt * 64^2 = 4.1 lies past classical RK4's stability limit 2.83 on
+        # the imaginary axis; the integrating factor takes n^2 out of RK4
+        eq = dyn.EquationSpec("wnls", sign=1)
+        integ = dyn.IntegratorSpec("rk4", dt=1e-3, t_end=1.0, snapshot_stride=10)
+        traj = dyn.evolve(fld.TorusField.single_mode(3, 0.5, max_mode=64), eq, integ)
+        assert traj.times[-1] == pytest.approx(1.0)
+        assert max(abs(abs(u.coeff(3)) - 0.5) for u in traj.snapshots) <= 1e-12
+
     def test_zero_data(self):
         eq = dyn.EquationSpec("wnls", sign=1)
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
@@ -245,6 +255,26 @@ class TestPlaneWaveEvolution:
         rest[mode + final.max_mode] = 0.0
         assert abs(final.coeff(mode) - expected) <= 1e-13 * amplitude
         assert np.max(np.abs(rest)) <= 1e-13 * amplitude
+
+
+class TestLawsonRK4:
+    @pytest.mark.parametrize("variant,sign,truncation", [
+        ("nls", 1, None), ("wnls", -1, None),
+        ("truncated-nls", -1, 4), ("truncated-wnls-hamiltonian", 1, 4),
+    ])
+    def test_matches_classical_rk4_on_the_triple_sum(self, variant, sign, truncation):
+        # both schemes are fourth order for the same Galerkin system, so they
+        # agree to their O(dt^4) errors (2e-7 here); a cubic aliased on a grid
+        # under 4N+1 = 17 points is off by 0.1
+        rng = np.random.default_rng(30)
+        u0 = fld.TorusField(0.5 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)), 4)
+        eq = dyn.EquationSpec(variant, sign=sign, truncation=truncation)
+        shift = 2.0 * sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
+        want = galerkin_rk4(u0.coeffs, 4, sign, shift, eq.mean_shifted, 2e-3, 50)
+        integ = dyn.IntegratorSpec("rk4", dt=2e-3, t_end=0.1, snapshot_stride=50)
+        got = dyn.evolve(u0, eq, integ).final
+        assert got.max_mode == 4
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-6
 
 
 class TestConservation:
@@ -341,6 +371,24 @@ class TestGaugeEquivalence:
             for a, b in zip(tg.snapshots, tw.snapshots))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), band=st.integers(0, 32),
+           sign=st.sampled_from([1, -1]))
+    def test_gauge_identity_property(self, scheme, seed, band, sign):
+        # both schemes treat the -2 mu0 u term as part of an exact linear
+        # factor, so the scalar gauge maps one run onto the other to roundoff
+        spec = rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=seed)
+        rows = [fld.TorusField(c, band) for c in rnd.sample_block(spec, range(3))]
+        integ = dyn.IntegratorSpec(scheme, dt=2e-3, t_end=0.2, snapshot_stride=25)
+        plain = dyn.evolve_batch(rows, dyn.EquationSpec("nls", sign=sign), integ)
+        wick = dyn.evolve_batch(rows, dyn.EquationSpec("wnls", sign=sign), integ)
+        l2 = fld.NormSpec.l2()
+        for u0, tn, tw in zip(rows, plain, wick):
+            gauged = dyn.gauge_transform(tn, fld.mean_intensity(u0), sign)
+            worst = max(fld.norm(a - b, l2) for a, b in zip(gauged.snapshots, tw.snapshots))
+            assert worst <= 1e-12 * fld.norm(u0, l2)
+
     def test_mu_zero_identity(self):
         u0 = random_field(4, seed=13)
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
@@ -424,6 +472,20 @@ class TestDivergenceGuard:
         assert info.value.trajectory is not None
         assert info.value.last_valid_time >= 0.0
 
+    def test_rk4_mass_check_alone_trips(self):
+        # with no amplitude cap the first step's mass jump (45.6 -> 2.6e8)
+        # is what reports the failure
+        u0 = fld.TorusField.from_modes({0: 2.0, 1: 1.5, -2: 1.0}, max_mode=8)
+        eq = dyn.EquationSpec("truncated-nls", sign=-1, truncation=8)
+        integ = dyn.IntegratorSpec("rk4", dt=0.1, t_end=2.0, snapshot_stride=1)
+        with pytest.raises(dyn.IntegrationDivergedError,
+                           match="numerical scheme failure: relative mass drift") as info:
+            dyn.evolve(u0, eq, integ, amplitude_cap=math.inf)
+        assert info.value.last_valid_time == 0.0
+        partial = info.value.trajectory
+        assert partial.times.tolist() == [0.0]
+        assert partial.ledger["mass"][0] == pytest.approx(45.553, rel=1e-4)
+
     def test_amplitude_cap_strang(self):
         u0 = fld.TorusField.single_mode(0, 2.0, max_mode=4)
         eq = dyn.EquationSpec("nls", sign=-1)
@@ -496,12 +558,21 @@ class TestEvolveBatch:
             assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
 
     def test_rk4_rows_match_evolve(self):
-        eq = dyn.EquationSpec("truncated-nls", sign=1, truncation=6)
-        integ = dyn.IntegratorSpec("rk4", dt=0.01, t_end=0.1, snapshot_stride=5)
-        rows = [random_field(6, seed=24), random_field(4, seed=25)]
-        probes = {"phi": fld.TorusField.single_mode(1, 1.0)}
-        for u0, traj in zip(rows, dyn.evolve_batch(rows, eq, integ, probes=probes)):
-            assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+        probes = {"phi": fld.TorusField.single_mode(1, 1.0),
+                  "psi": random_field(3, seed=23)}
+        for eq in (dyn.EquationSpec("truncated-nls", sign=1, truncation=6),
+                   dyn.EquationSpec("wnls", sign=-1),
+                   dyn.EquationSpec("truncated-wnls-hamiltonian", sign=1, truncation=6)):
+            rows = [random_field(6, seed=24), fld.TorusField.zeros(6),
+                    random_field(6, seed=25, scale=0.9)]
+            if eq.truncated:
+                rows.append(random_field(4, seed=26))  # padded to the truncation band
+            for t_end in (0.1, -0.1):
+                integ = dyn.IntegratorSpec("rk4", dt=0.01, t_end=t_end, snapshot_stride=5)
+                batch = dyn.evolve_batch(rows, eq, integ, probes=probes)
+                assert len(batch) == len(rows)
+                for u0, traj in zip(rows, batch):
+                    assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
 
     def test_untruncated_rows_share_a_band(self):
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1)
@@ -514,14 +585,15 @@ class TestEvolveBatch:
         # a focusing plane wave of amplitude 1 is modulationally unstable:
         # its seeded sidebands grow past the cap while the small row stays put
         eq = dyn.EquationSpec("nls", sign=-1)
-        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=10.0, snapshot_stride=10)
         calm = fld.TorusField.single_mode(0, 0.3, max_mode=4)
         unstable = fld.TorusField.from_modes({0: 1.0, 1: 0.05, -1: 0.05}, max_mode=4)
-        with pytest.raises(dyn.IntegrationDivergedError) as single:
-            dyn.evolve(unstable, eq, integ, amplitude_cap=1.5)
-        with pytest.raises(dyn.IntegrationDivergedError) as batch:
-            dyn.evolve_batch([calm, unstable], eq, integ, amplitude_cap=1.5)
-        assert batch.value.last_valid_time == single.value.last_valid_time > 0.0
-        assert str(batch.value) == str(single.value)
-        assert len(batch.value.trajectory.snapshots) > 1
-        assert_same_trajectory(batch.value.trajectory, single.value.trajectory)
+        for scheme in ("strang", "rk4"):
+            integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=10.0, snapshot_stride=10)
+            with pytest.raises(dyn.IntegrationDivergedError) as single:
+                dyn.evolve(unstable, eq, integ, amplitude_cap=1.5)
+            with pytest.raises(dyn.IntegrationDivergedError) as batch:
+                dyn.evolve_batch([calm, unstable], eq, integ, amplitude_cap=1.5)
+            assert batch.value.last_valid_time == single.value.last_valid_time > 0.0
+            assert str(batch.value) == str(single.value)
+            assert len(batch.value.trajectory.snapshots) > 1
+            assert_same_trajectory(batch.value.trajectory, single.value.trajectory)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import stats
 from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
-from wicknls.dynamics import EquationSpec, IntegratorSpec, linear_propagator
+from wicknls.dynamics import EquationSpec, IntegratorSpec, evolve, linear_propagator
 
 from oracles import quadruple_sum_free_l4
 
@@ -267,6 +268,23 @@ class TestAprioriGrowth:
         report = xp.apriori_growth_probe(ens, -1.0 / 6.0, 0.5, samples=6, threads=2)
         assert report.verdicts["p99_bounded"]
 
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    def test_probe_matches_per_sample_loop(self, scheme):
+        ens = rnd.RandomDataSpec(alpha=0.5, max_mode=8, seed=9)
+        integ = IntegratorSpec(scheme, dt=1e-3, t_end=0.1, snapshot_stride=20)
+        s = -0.25
+        report = xp.apriori_growth_probe(ens, s, 0.1, samples=5, integ=integ, sign=-1)
+        norm_spec = fld.NormSpec.sobolev(s)
+        eq = EquationSpec("wnls", sign=-1)
+        for band in (8, 16):
+            spec = replace(ens, max_mode=band)
+            loop = []
+            for k in range(5):
+                u0 = rnd.sample(spec, k)
+                worst = max(fld.norm(u, norm_spec) for u in evolve(u0, eq, integ).snapshots)
+                loop.append(worst / fld.norm(u0, norm_spec))
+            assert report.get_series(f"growth_ratio_band{band}").values == tuple(loop)
+
     def test_validation(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
         with pytest.raises(ValueError):
@@ -293,6 +311,13 @@ class TestOrderStudy:
                           alpha=1.0)
         report = xp.integrator_order_study(u0, eq, [1e-2, 5e-3, 2.5e-3], scheme="rk4")
         assert 3.8 <= report.details["fitted_order"] <= 4.2
+
+    def test_rk4_fourth_order_on_rough_wick_data(self):
+        # dt * N^2 = 2.0 at the largest step: classical RK4 fitted 1.72 here
+        u0 = rnd.sample(rnd.RandomDataSpec(alpha=1, max_mode=32, seed=0), 0)
+        report = xp.integrator_order_study(u0, EquationSpec("wnls"), [2e-3, 1e-3, 5e-4],
+                                           scheme="rk4", t_end=0.5)
+        assert report.verdicts == {"order_in_band": True}
 
     def test_validation(self):
         u0 = fld.TorusField.single_mode(1, 1.0)
