@@ -248,6 +248,11 @@ def cmd_simulate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+# the config key behind each WeakSequenceSpec field
+_WEAK_SPEC_KEYS = {"mode_list": "modes", "horizon": "horizon", "probe": "probe",
+                   "working_band": "working_band", "eq": "equation.truncation"}
+
+
 def cmd_weak_limit(args, cfg: dict) -> int:
     exp = _section(cfg, "experiment", required=False)
     kind = exp.get("kind", "weak-continuity")
@@ -265,13 +270,17 @@ def cmd_weak_limit(args, cfg: dict) -> int:
     if not isinstance(modes, list) or not modes:
         raise ConfigError("config field 'modes' must be a non-empty list")
     try:
+        mode_list = tuple(int(n) for n in modes)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field 'modes': {exc}") from exc
+    try:
         spec = xp.WeakSequenceSpec(
-            base=base, bump_amplitude=bump, mode_list=tuple(int(n) for n in modes),
+            base=base, bump_amplitude=bump, mode_list=mode_list,
             probe=probe, horizon=horizon, eq=eq, integrator=integ,
             working_band=_get(cfg, "working_band", int, default=None),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except xp.SpecFieldError as exc:
+        raise ConfigError(f"config field {_WEAK_SPEC_KEYS[exc.field]!r}: {exc}") from exc
 
     if kind == "weak-continuity":
         report = xp.weak_continuity_run(spec, threads=args.threads,

@@ -19,7 +19,6 @@ Verdicts are trend/threshold based; the thresholds live in
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from types import SimpleNamespace
@@ -92,16 +91,17 @@ class ExperimentReport:
         return rows
 
 
-def _parallel(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # weak continuity of the solution map
 # ---------------------------------------------------------------------------
+
+class SpecFieldError(ValueError):
+    """A rejected spec value; ``field`` names the spec field it came from."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
 
 @dataclass(frozen=True)
 class WeakSequenceSpec:
@@ -119,16 +119,19 @@ class WeakSequenceSpec:
     def __post_init__(self):
         modes = tuple(int(n) for n in self.mode_list)
         if not modes or any(n <= 0 for n in modes) or len(set(modes)) != len(modes):
-            raise ValueError("mode_list must be distinct positive integers")
+            raise SpecFieldError("mode_list", "mode_list must be distinct positive integers")
         object.__setattr__(self, "mode_list", modes)
         if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise SpecFieldError("horizon", "horizon must be positive")
         if fld.mean_intensity(self.probe) == 0.0:
-            raise ValueError("probe must be nonzero")
+            raise SpecFieldError("probe", "probe must be nonzero")
         band = self.resolved_band()
         need = 4 * max(modes)
         if band < need:
-            raise ValueError(
+            # a truncated equation fixes the band; otherwise only an explicit
+            # working_band can be too small
+            raise SpecFieldError(
+                "eq" if self.eq.truncated else "working_band",
                 f"working band {band} too small for bump modes (need >= {need} "
                 "to keep cubic harmonics resolved)")
 
@@ -341,14 +344,14 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float,
                       time_step: float | None = None) -> float:
     """Space-time L4 norm of S(t)f over [-T, T].
 
-    By default the time integral is exact (``_free_flow_l4_exact``). An
-    explicit ``time_step`` selects the left rectangle rule instead, which
-    matches ``spacetime_l4_norm`` applied to the trajectory of free-flow
-    snapshots on the same grid; it is evaluated in batches so the trajectory
-    is never materialized.
+    By default the time integral is exact: the one-row case of
+    ``_free_flow_l4_exact``. An explicit ``time_step`` selects the left
+    rectangle rule instead, which matches ``spacetime_l4_norm`` applied to the
+    trajectory of free-flow snapshots on the same grid; it is evaluated in
+    batches so the trajectory is never materialized.
     """
     if time_step is None:
-        return _free_flow_l4_exact(f.coeffs, t_horizon) ** 0.25
+        return float(_free_flow_l4_exact(f.coeffs[None, :], t_horizon)[0]) ** 0.25
     n_max = f.max_mode
     k_steps = max(2, math.ceil(2.0 * t_horizon / time_step))
     dt = 2.0 * t_horizon / k_steps
@@ -367,30 +370,61 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float,
     return total**0.25
 
 
-def _free_flow_l4_exact(c: np.ndarray, t_horizon: float) -> float:
-    """int_{-T}^{T} int_T |S(t)f|^4 dx dt for coefficients c of modes -N..N.
+# Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB). The
+# row count of a group follows from this and the band alone, so a field's
+# integral does not depend on which other fields share its block.
+_L4_WORK_VALUES = 2**14
 
-    The space integral is 2 pi sum_m |sum_j a_m(j) e^{i m(2j+m) t}|^2 with
+
+def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
+    """int_{-T}^{T} int_T |S(t)f|^4 dx dt for each row of a (k, 2N+1) block.
+
+    Row r holds the coefficients of modes -N..N of one field. The space
+    integral is 2 pi sum_m |sum_j a_m(j) e^{i m(2j+m) t}|^2 with
     a_m(j) = c(j+m) conj(c(j)); integrating e^{2imdt} over [-T, T] gives the
     Toeplitz kernel K_m(d) = 2T sinc(2mdT) in the lag d. So the integral is
     2 pi [2T mass^2 + 2 sum_{m>=1} sum_d K_m(d) R_m(d)], where R_m is the
     autocorrelation of a_m (m < 0 mirrors m > 0, m = 0 is the mass term).
     Each sum over d is (1/L) sum_k Khat_m(k) |ahat_m(k)|^2 on L >= 4N+1
     points, enough that the circular correlation of a_m does not wrap.
+
+    The kernel spectrum Khat is built once per call. The rows are processed
+    in groups through one complex and one real work buffer of
+    ``_L4_WORK_VALUES`` values (at least one row), so the work memory is
+    bounded and reused whatever the block size.
     """
-    n = len(c)
-    mass = float(np.sum(c.real**2 + c.imag**2))
+    c = np.asarray(block, dtype=np.complex128)
+    k, n = c.shape
     size = fast_fft_size(2 * n - 1)
     shift = np.arange(1, n)[:, None]
-    padded = np.concatenate([c, np.zeros_like(c)])
-    a = padded[shift + np.arange(n)] * np.conj(c)  # row m-1 holds a_m
-    power = np.abs(np.fft.fft(a, n=size, axis=-1)) ** 2
     # K_m is real and even in d: hfft takes its lags 0..size//2 and returns
     # its whole (real) spectrum
     lag = np.arange(size // 2 + 1)
     kernel = 2.0 * t_horizon * np.sinc(2.0 * t_horizon / math.pi * shift * lag)
     kernel_hat = np.fft.hfft(kernel, n=size, axis=-1)
-    cross = float(np.sum(kernel_hat * power)) / size
+
+    padded = np.zeros((k, 2 * n), dtype=np.complex128)
+    padded[:, :n] = c
+    # shifted[r, m-1, j] = c_r(j+m), zero past the band
+    shifted = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], n, axis=-1)[:, :n - 1]
+    conj = np.conj(c)[:, None, :]
+    rows = max(1, _L4_WORK_VALUES // max(1, (n - 1) * size))
+    buf = np.empty((min(rows, k), n - 1, size), dtype=np.complex128)
+    power = np.empty(buf.shape)
+    cross = np.empty(k)
+    for start in range(0, k, rows):
+        stop = min(start + rows, k)
+        a, p = buf[:stop - start], power[:stop - start]
+        np.multiply(shifted[start:stop], conj[start:stop], out=a[..., :n])  # a_m
+        a[..., n:] = 0.0
+        np.fft.fft(a, axis=-1, out=a)
+        np.abs(a, out=p)
+        np.square(p, out=p)
+        p *= kernel_hat
+        # one pairwise sum per row over its flattened values, as np.sum
+        np.add.reduce(p.reshape(len(p), -1), axis=1, out=cross[start:stop])
+    cross /= size
+    mass = np.add.reduce(c.real**2 + c.imag**2, axis=1)
     return fld.TWO_PI * (2.0 * t_horizon * mass * mass + 2.0 * cross)
 
 
@@ -401,7 +435,10 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
 
     Zero-norm samples are skipped. With ``doubling`` the ensemble is rerun at
     twice the band; the verdict requires the max ratio to move by at most the
-    fixture tolerance.
+    fixture tolerance. Each band's samples are drawn as one ``sample_block``
+    and, for the exact norm, integrated by one call of the block kernel; the
+    ratios equal those of a loop of ``free_flow_l4_norm`` over
+    ``sample(spec, k)`` bit for bit. ``threads`` is accepted but unused.
     """
     if t_horizon > 1.0 or t_horizon <= 0:
         raise ValueError("t_horizon must lie in (0, 1]")
@@ -413,16 +450,17 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     maxima = []
     for band in bands:
         spec_b = replace(ensemble, max_mode=band)
-
-        def one(coeffs, _band=band):
-            f = fld.TorusField(coeffs, _band)
-            denom = math.sqrt(fld.pairing(f, f).real)
-            if denom == 0.0:
-                return None
-            return free_flow_l4_norm(f, t_horizon, time_step) / denom
-
         block = rnd.sample_block(spec_b, range(samples))
-        ratios = [r for r in _parallel(one, block, threads) if r is not None]
+        if time_step is None:
+            norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
+        else:
+            norms = [free_flow_l4_norm(fld.TorusField(row, band), t_horizon, time_step)
+                     for row in block]
+        ratios = []
+        for row, l4 in zip(block, norms):
+            denom = math.sqrt(fld.TWO_PI * np.vdot(row, row).real)  # as fld.pairing
+            if denom != 0.0:
+                ratios.append(l4 / denom)
         h = spec_hash({**spec_b.to_dict(), "t_horizon": t_horizon})
         series.append(Series(f"l4_ratio_band{band}", "dimensionless", "sample",
                              tuple(range(len(ratios))), tuple(ratios), h))

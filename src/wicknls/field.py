@@ -42,6 +42,18 @@ class TorusField:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
+    def _trusted(cls, coeffs: np.ndarray, max_mode: int) -> "TorusField":
+        """Wrap a read-only, finite complex128 row of length 2*max_mode+1.
+
+        Skips the copy and the checks of the constructor; for callers that
+        built ``coeffs`` themselves and guarantee those properties.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        object.__setattr__(f, "max_mode", max_mode)
+        return f
+
+    @classmethod
     def zeros(cls, max_mode: int) -> "TorusField":
         return cls(np.zeros(2 * max_mode + 1, dtype=np.complex128), max_mode)
 
@@ -186,7 +198,7 @@ def norm(field: TorusField, spec: NormSpec) -> float:
 def mean_intensity(field: TorusField) -> float:
     """Average of |u|^2 over the torus: sum of squared coefficient moduli."""
     a = field.coeffs
-    return float(np.sum(a.real**2 + a.imag**2))
+    return float(np.add.reduce(a.real * a.real + a.imag * a.imag))
 
 
 def pairing(f: TorusField, g: TorusField) -> complex:

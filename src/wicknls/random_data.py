@@ -97,11 +97,12 @@ def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
 
 
 def _gaussians(spec: RandomDataSpec, indices) -> np.ndarray:
-    z = _normals(spec, indices)
-    pos = _draw_positions(spec.max_mode)
-    # take, not z[:, pos]: fancy indexing along the last axis may return an
+    # a mode's pair of normals sits at an even stream position, so it is one
+    # complex value of the block viewed as complex
+    z = _normals(spec, indices).view(np.complex128)
+    # take, not z[:, cols]: fancy indexing along the last axis may return an
     # F-ordered array, and the block must be C-ordered
-    g = np.take(z, pos, axis=1) + 1j * np.take(z, pos + 1, axis=1)
+    g = np.take(z, _draw_positions(spec.max_mode) // 2, axis=1)
     g *= np.sqrt(spec.gaussian_scale / 2.0)
     return g
 
@@ -139,10 +140,16 @@ def _blocks(spec: RandomDataSpec, count: int):
 
 
 def sample_ensemble(spec: RandomDataSpec, count: int):
-    """Iterator over ``count`` independent samples (indices 0..count-1)."""
+    """Iterator over ``count`` independent samples (indices 0..count-1).
+
+    Member k equals ``sample(spec, k)``. Its coefficients are a read-only
+    view of a row of the sampler's block, not a copy, so a member kept alive
+    keeps its block (at most ``_BLOCK_NORMALS`` normals) alive too.
+    """
     for _, block in _blocks(spec, count):
+        block.setflags(write=False)
         for row in block:
-            yield fld.TorusField(row, spec.max_mode)
+            yield fld.TorusField._trusted(row, spec.max_mode)
 
 
 def expected_mean_intensity(spec: RandomDataSpec) -> float:

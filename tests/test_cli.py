@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,8 @@ import yaml
 from wicknls import cli
 from wicknls import serialization as ser
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 
 
 def run(*argv):
@@ -136,6 +140,23 @@ class TestConfigErrors:
         })
         assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("overrides, key", [
+        (["modes=[3, 3]"], "'modes'"),
+        (["working_band=8"], "'working_band'"),
+        (["horizon=0"], "'horizon'"),
+        (["probe.amplitude=0"], "'probe'"),
+        (["equation.variant=truncated-wnls-gauged", "equation.truncation=16"],
+         "'equation.truncation'"),
+    ])
+    def test_weak_spec_errors_name_the_field(self, tmp_path, capsys, overrides, key):
+        argv = ["weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
+                "--out", str(tmp_path / "o")]
+        for pair in overrides:
+            argv += ["--set", pair]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field {key}: ")
+
     def test_missing_offset_file(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1,
@@ -171,6 +192,21 @@ class TestWeakLimit:
         gaps = next(r for r in records
                     if r["record"] == "series" and r["name"] == "gap_sup")
         assert all(v == 0.0 for v in gaps["values"])
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wicknls", "simulate", "--config",
+             str(CONFIG_DIR / "simulate_plane_wave.yaml"), "--out", str(out), "--repro"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert any(out.iterdir())
+        bad = subprocess.run([sys.executable, "-m", "wicknls", "simulate"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert bad.returncode == 2 and "config error" in bad.stderr
 
 
 class TestDeterminism:

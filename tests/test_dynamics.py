@@ -441,6 +441,19 @@ class TestTruncationGauge:
             dyn.truncation_gauge(traj, 4, 1.0)
 
 
+def boosted_prediction(base_final, beta, t_end, max_mode):
+    """Coefficients of u^beta at t_end from those of u, by the boost formula."""
+    shift = beta // 2
+    predicted = {}
+    for n in base_final.modes:
+        n = int(n)
+        if abs(n + shift) <= max_mode:
+            predicted[n + shift] = (np.exp(1j * beta**2 * t_end / 4.0)
+                                    * np.exp(1j * n * beta * t_end)
+                                    * base_final.coeff(n))
+    return fld.TorusField.from_modes(predicted, max_mode)
+
+
 class TestGalileanCovariance:
     def test_boosted_evolution(self):
         # u^beta(x,t) = e^{i beta x/2} e^{i beta^2 t/4} u(x + beta t, t)
@@ -450,15 +463,23 @@ class TestGalileanCovariance:
         integ = dyn.IntegratorSpec("strang", dt=5e-4, t_end=t_end, snapshot_stride=2000)
         boosted_final = dyn.evolve(dyn.galilean_boost(u0, beta), eq, integ).final
         base_final = dyn.evolve(u0, eq, integ).final
-        shift = beta // 2
-        predicted = {}
-        for n in base_final.modes:
-            n = int(n)
-            if abs(n + shift) <= boosted_final.max_mode:
-                predicted[n + shift] = (np.exp(1j * beta**2 * t_end / 4.0)
-                                        * np.exp(1j * n * beta * t_end)
-                                        * base_final.coeff(n))
-        pred = fld.TorusField.from_modes(predicted, boosted_final.max_mode)
+        pred = boosted_prediction(base_final, beta, t_end, boosted_final.max_mode)
+        assert final_distance(boosted_final, pred) < 1e-8
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([-6, -4, -2, 2, 4, 6]), st.sampled_from(["nls", "wnls"]),
+           st.sampled_from([1, -1]),
+           st.lists(st.complex_numbers(max_magnitude=0.4), min_size=3, max_size=3))
+    def test_boost_property(self, beta, variant, sign, amps):
+        # the same boost identity for even beta, both signs and the Wick
+        # equation (the boost keeps mu), on data in modes -1..1
+        t_end = 1.0
+        u0 = fld.TorusField(np.array(amps), 1).padded_to(16)
+        eq = dyn.EquationSpec(variant, sign=sign)
+        integ = dyn.IntegratorSpec("strang", dt=5e-4, t_end=t_end, snapshot_stride=2000)
+        boosted_final = dyn.evolve(dyn.galilean_boost(u0, beta), eq, integ).final
+        base_final = dyn.evolve(u0, eq, integ).final
+        pred = boosted_prediction(base_final, beta, t_end, boosted_final.max_mode)
         assert final_distance(boosted_final, pred) < 1e-8
 
 

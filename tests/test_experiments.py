@@ -178,6 +178,23 @@ class TestStrichartzProbe:
         expected = quadruple_sum_free_l4(f.coeffs, band, t_hor)
         assert xp.free_flow_l4_norm(f, t_hor) ** 4 == pytest.approx(expected, rel=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 40), st.floats(1e-6, 1.0), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 2), min_size=1, max_size=24))
+    def test_block_rows_match_one_row_calls(self, band, t_hor, seed, picks):
+        # any subset, order and repeats of three fields: group boundaries of
+        # the work buffer fall anywhere, and no row may notice its neighbours
+        rng = np.random.default_rng(seed)
+        n = 2 * band + 1
+        source = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        got = xp._free_flow_l4_exact(source[picks], t_hor)
+        alone = {k: xp._free_flow_l4_exact(source[k:k + 1], t_hor) for k in set(picks)}
+        for r, k in enumerate(picks):
+            assert got[r:r + 1].tobytes() == alone[k].tobytes()
+        for k, value in alone.items():
+            expected = quadruple_sum_free_l4(source[k], band, t_hor)
+            assert value[0] == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rectangle_rule_first_order(self, seed):
         # |W| = |n1^2 - n2^2 + n3^2 - n4^2| <= 2 N^2 = 32 at band 4, so even the

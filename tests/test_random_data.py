@@ -105,6 +105,17 @@ class TestSampleBlock:
         for k, f in enumerate(fields):
             assert f.coeffs.tobytes() == rnd.sample(spec, k).coeffs.tobytes()
 
+    def test_ensemble_members_are_read_only_views(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=40, seed=3, gaussian_scale=2.0,
+                                  offset=fld.TorusField.from_modes({0: 0.5, -2: 1j}))
+        rows_per_block = rnd._BLOCK_NORMALS // (2 * 81)
+        count = 2 * rows_per_block + 3
+        for k, f in enumerate(rnd.sample_ensemble(spec, count)):
+            assert f.coeffs.tobytes() == rnd.sample(spec, k).coeffs.tobytes()
+            assert f.max_mode == 40 and not f.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                f.coeffs[0] = 0.0
+
     @pytest.mark.parametrize("alpha, band, cutoffs, samples", [
         (1.0, 64, [0, 5, 16, 64], 300),   # two blocks of 254 rows and 46
         (0.5, 3, [1, 3], 7),
