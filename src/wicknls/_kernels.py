@@ -1,13 +1,6 @@
-"""Hot numeric kernels, in numpy.
-
-The cubic convolution has two exact routes, a direct double convolution and a
-zero-padded FFT, selected by band size; tests assert they agree to roundoff.
-"""
+"""Hot numeric kernels, in numpy."""
 
 import numpy as np
-
-# Direct convolution beats the FFT route below this band size (see benchmarks).
-DIRECT_CONV_MAX_MODE = 48
 
 
 # ---------------------------------------------------------------------------
@@ -15,17 +8,12 @@ DIRECT_CONV_MAX_MODE = 48
 # input has modes -N..N (length 2N+1), output -3N..3N (length 6N+1)
 # ---------------------------------------------------------------------------
 
-def cubic_convolution_numpy(coeffs: np.ndarray) -> np.ndarray:
-    c = np.ascontiguousarray(coeffs, dtype=np.complex128)
-    # b(m) = sum_{n1-n2=m} c(n1) conj(c(n2))  via convolve with the
-    # reversed conjugate, then one more convolution with c itself.
-    b = np.convolve(c, np.conj(c[::-1]))
-    return np.convolve(b, c)
+def cubic_convolution(coeffs: np.ndarray) -> np.ndarray:
+    """Exact cubic convolution of a coefficient array (band N -> band 3N).
 
-
-def _cubic_convolution_fft(coeffs: np.ndarray) -> np.ndarray:
-    # Zero-padded transform: the cubic product of a band-N field is a
-    # trigonometric polynomial of band 3N, exact on >= 6N+1 points.
+    Zero-padded transform: the cubic product of a band-N field is a
+    trigonometric polynomial of band 3N, exact on >= 6N+1 points.
+    """
     c = np.asarray(coeffs, dtype=np.complex128)
     n_max = (len(c) - 1) // 2
     m = fast_fft_size(6 * n_max + 1)
@@ -36,14 +24,6 @@ def _cubic_convolution_fft(coeffs: np.ndarray) -> np.ndarray:
     prod = np.fft.fft(grid * np.conj(grid) * grid) / m
     out_modes = np.arange(-3 * n_max, 3 * n_max + 1)
     return prod[np.mod(out_modes, m)]
-
-
-def cubic_convolution(coeffs: np.ndarray) -> np.ndarray:
-    """Exact cubic convolution of a coefficient array (band N -> band 3N)."""
-    n_max = (len(coeffs) - 1) // 2
-    if n_max > DIRECT_CONV_MAX_MODE:
-        return _cubic_convolution_fft(coeffs)
-    return cubic_convolution_numpy(coeffs)
 
 
 # ---------------------------------------------------------------------------

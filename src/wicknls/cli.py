@@ -117,6 +117,11 @@ def _as_complex(value) -> complex:
     return complex(float(value), 0.0)
 
 
+def _chaos_terms(value) -> list:
+    """Chaos terms [[coefficient, [degree, ...]], ...] as (float, int tuple) pairs."""
+    return [(float(coeff), tuple(int(d) for d in degrees)) for coeff, degrees in value]
+
+
 def _build_field(section: dict, path: str) -> fld.TorusField:
     kind = _get(section, f"{path}.kind", str, required=True)
     try:
@@ -265,7 +270,8 @@ def cmd_weak_limit(args, cfg: dict) -> int:
     integ = _build_integrator(cfg, t_end=horizon)
     base = _build_field(_section(cfg, "base"), "base")
     probe = _build_field(_section(cfg, "probe"), "probe")
-    bump = _as_complex(cfg.get("bump", {}).get("amplitude", 1.0))
+    bump = _get(_section(cfg, "bump", required=False), "bump.amplitude", _as_complex,
+                default=1.0 + 0.0j)
     modes = cfg.get("modes")
     if not isinstance(modes, list) or not modes:
         raise ConfigError("config field 'modes' must be a non-empty list")
@@ -340,7 +346,7 @@ def cmd_wick_check(args, cfg: dict) -> int:
             "q": q,
             "samples": _get(case, f"hypercontractivity[{i}].samples", int,
                             default=200_000),
-            "terms": case.get("terms"),
+            "terms": _get(case, f"hypercontractivity[{i}].terms", _chaos_terms),
         })
 
     records = [ser.meta_record(cfg, command="wick-check")]

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import field as fld
 from ._kernels import cubic_convolution, fast_fft_size, nonlinear_phase
-from .wick import renormalization_constant, wick_hamiltonian
+from .wick import intensity_fluctuation, renormalization_constant
 
 
 class Variant(str, Enum):
@@ -258,15 +258,33 @@ def galilean_boost(u: fld.TorusField, beta: int) -> fld.TorusField:
     return fld.TorusField(c, n_out)
 
 
+def _ledger(block: np.ndarray, sign: int, renorm: float | None = None) -> dict:
+    """Conserved-quantity columns of a (B, 2K+1) block whose rows hold modes -K..K.
+
+    Mass, momentum, kinetic energy and mu are mode sums, and the quartic
+    integral is one batched FFT (``field._quartic_integrals``). With the
+    renormalization constant ``renorm`` = a, the Wick Hamiltonian
+    ``H - sign a mass + sign pi a^2`` of ``wick.wick_hamiltonian`` is added.
+    Every row's values are those of a one-row block, bit for bit.
+    """
+    n = np.arange(block.shape[-1], dtype=np.float64) - (block.shape[-1] - 1) // 2
+    a2 = block.real * block.real + block.imag * block.imag
+    mu = np.add.reduce(a2, axis=-1)
+    mass = fld.TWO_PI * mu
+    momentum = fld.TWO_PI * np.add.reduce(n * a2, axis=-1)
+    hamiltonian = 0.5 * fld.TWO_PI * np.add.reduce(n * n * a2, axis=-1) \
+        + sign * 0.25 * fld._quartic_integrals(block)
+    ledger = {"mass": mass, "momentum": momentum, "hamiltonian": hamiltonian, "mu": mu}
+    if renorm is not None:
+        ledger["wick_hamiltonian"] = (hamiltonian - sign * renorm * mass
+                                      + sign * math.pi * renorm * renorm)
+    return ledger
+
+
 def conserved(u: fld.TorusField, sign: int) -> tuple[float, float, float]:
-    """(mass, momentum, hamiltonian) = (N, P, H) of the field."""
-    a2 = np.abs(u.coeffs) ** 2
-    n = u.modes.astype(np.float64)
-    mass = fld.TWO_PI * float(np.sum(a2))
-    momentum = fld.TWO_PI * float(np.sum(n * a2))
-    hamiltonian = 0.5 * fld.TWO_PI * float(np.sum(n**2 * a2)) \
-        + sign * 0.25 * fld.quartic_integral(u)
-    return mass, momentum, hamiltonian
+    """(mass, momentum, hamiltonian) = (N, P, H) of the field: a one-row ledger."""
+    row = _ledger(u.coeffs[None, :], sign)
+    return float(row["mass"][0]), float(row["momentum"][0]), float(row["hamiltonian"][0])
 
 
 def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> float:
@@ -284,43 +302,57 @@ def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> flo
 # evolution
 # ---------------------------------------------------------------------------
 
-def _ledger_row(u, eq):
-    mass, momentum, ham = conserved(u, eq.sign)
-    row = {"mass": mass, "momentum": momentum, "hamiltonian": ham,
-           "mu": fld.mean_intensity(u)}
-    if eq.renorm_shifted:
-        row["wick_hamiltonian"] = wick_hamiltonian(u, eq.truncation, eq.alpha, eq.sign)
-    return row
-
-
 class _Recorder:
-    """Snapshots, ledgers and probe pairings of B runs that step together."""
+    """Snapshots, ledgers and probe pairings of B runs that step together.
 
-    def __init__(self, eq, integ, probe_names, rows, n_steps):
-        self.eq, self.integ = eq, integ
-        self.names = tuple(probe_names)
+    A state handed to it is a (B, m) stack whose row r holds modes
+    -band..band of run r in columns 0..2 band, i.e. the spectrum of
+    e^{i band x} u; columns past 2 band are not read. The constructor records
+    the pairings and the snapshot of the initial state.
+    """
+
+    def __init__(self, eq, integ, dt, band, probes, state, n_steps):
+        self.eq, self.integ, self.dt = eq, integ, dt
+        self.band, self.width = band, 2 * band + 1
+        self.renorm = eq.renorm_constant() if eq.renorm_shifted else None
+        self.names = tuple(probes)
+        rows = len(state)
         self.times = []
         self.snaps = [[] for _ in range(rows)]
-        self.ledgers = [[] for _ in range(rows)]
+        self.ledgers = []  # one dict of (B,) columns per snapshot
         # pairing at step k of row r against probe j (without the 2 pi)
         self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
         self.recorded = 0
+        if self.names:
+            p = np.array([q.padded_to(band).coeffs for q in probes.values()])
+            self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
+            self.paired = np.conj(p[:, self.support])
+            self.probe(state, self.paired)
+        self.snapshot(0.0, state)
 
-    def snapshot(self, t, coeffs, band):
-        self.times.append(t)
-        for r, c in enumerate(coeffs):
-            u = fld.TorusField(c, band)
-            self.snaps[r].append(u)
-            self.ledgers[r].append(_ledger_row(u, self.eq))
-
-    def probe(self, values):
-        self.pairings[self.recorded] = values
+    def probe(self, state, vectors):
+        """Record each row's pairing with each row of ``vectors`` on the probe support."""
+        # einsum, not matmul: a row's pairing does not depend on its neighbours
+        self.pairings[self.recorded] = np.einsum("ij,kj->ik", state[:, self.support], vectors)
         self.recorded += 1
 
-    def build(self, r, dt) -> Trajectory:
-        entries = self.ledgers[r]
-        keys = entries[0].keys() if entries else ()
-        ledger = {k: np.array([e[k] for e in entries]) for k in keys}
+    def snapshot(self, t, state):
+        block = state[:, :self.width]
+        self.times.append(t)
+        self.ledgers.append(_ledger(block, self.eq.sign, self.renorm))
+        for r, c in enumerate(block):
+            self.snaps[r].append(fld.TorusField(c, self.band))
+
+    def fail(self, row, message, step):
+        """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory."""
+        raise IntegrationDivergedError(
+            f"numerical scheme failure: {message} during step to t={(step + 1) * self.dt:g}",
+            last_valid_time=step * self.dt, trajectory=self.build(row))
+
+    def build(self, r) -> Trajectory:
+        dt = self.dt
+        ledger = {k: np.array([entry[k][r] for entry in self.ledgers])
+                  for k in self.ledgers[0]}
         times = np.asarray(self.times)
         snaps = tuple(self.snaps[r])
         ptimes, probes = None, {}
@@ -341,8 +373,7 @@ class _Recorder:
 
 
 def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
-           probes: dict | None = None, amplitude_cap: float = 1e6,
-           pad_factor: int = 3) -> Trajectory:
+           probes: dict | None = None, amplitude_cap: float = 1e6) -> Trajectory:
     """Integrate the chosen equation from u0 up to integ.t_end.
 
     Negative ``t_end`` runs backward in time; the returned trajectory is
@@ -354,13 +385,12 @@ def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
     trajectory is attached to the exception. This is the one-row case of
     ``evolve_batch``.
     """
-    return evolve_batch([u0], eq, integ, probes=probes, amplitude_cap=amplitude_cap,
-                        pad_factor=pad_factor)[0]
+    return evolve_batch([u0], eq, integ, probes=probes, amplitude_cap=amplitude_cap)[0]
 
 
 def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
-                 probes: dict | None = None, amplitude_cap: float = 1e6,
-                 pad_factor: int = 3) -> list[Trajectory]:
+                 probes: dict | None = None,
+                 amplitude_cap: float = 1e6) -> list[Trajectory]:
     """``evolve`` for several initial data that share eq, integ and probes.
 
     The rows step together as one (B, m) stack under either scheme, and each
@@ -383,14 +413,18 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
         if len(bands) > 1:
             raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
         work_band = bands.pop()
-    if integ.scheme == "strang":
-        return _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes,
-                              amplitude_cap, pad_factor)
-    return _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, amplitude_cap)
+    core = _evolve_strang if integ.scheme == "strang" else _evolve_lawson
+    return core(u0s, eq, integ, n_steps, dt, work_band, probes, amplitude_cap)
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap, pad_factor):
+def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     """Strang splitting of a (B, m) stack, with adjacent half-steps fused.
+
+    The grid is odd with m >= 3 (2N+1) points. Row r holds modes -K..K in
+    columns 0..2K, the spectrum of e^{iKx} u, with K the grid band (m = 2K+1)
+    for untruncated runs and the truncation otherwise; the pointwise phase
+    commutes with that unimodular factor. Truncated runs zero the columns
+    past 2K after every linear substep.
 
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
@@ -401,33 +435,24 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap, pad_fact
     projection, which is part of the model.
     """
     truncated, stride = eq.truncated, integ.snapshot_stride
-    m = fast_fft_size(pad_factor * (2 * work_band + 1), odd=True)
-    grid_band = (m - 1) // 2
-    snap_band = work_band if truncated else grid_band
-    freq = np.arange(m, dtype=np.float64)
-    freq[freq > grid_band] -= m
-
+    m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
+    band = work_band if truncated else (m - 1) // 2
+    width = 2 * band + 1
+    # the mode of each column; columns past 2K are zeroed right after each
+    # multiplier, so any unimodular value serves there
+    freq = np.arange(m, dtype=np.float64) - band
     shift = 2.0 * eq.sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
     half = np.exp(1j * (freq**2 - shift) * (dt / 2.0))
     full = np.exp(1j * (freq**2 - shift) * dt)
-    cols = np.mod(np.arange(-snap_band, snap_band + 1), m)  # mode n sits in column n mod m
-    drop = slice(work_band + 1, m - work_band)  # the columns of modes |n| > work_band
 
-    rows = len(u0s)
-    s = np.zeros((rows, m), dtype=np.complex128)
-    s[:, cols] = [u0.padded_to(snap_band).coeffs for u0 in u0s]
+    s = np.zeros((len(u0s), m), dtype=np.complex128)
+    s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
     u = np.empty_like(s)
 
-    rec = _Recorder(eq, integ, probes, rows, n_steps)
+    rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
     if probes:
-        p = np.array([q.padded_to(snap_band).coeffs for q in probes.values()])
-        support = np.flatnonzero(np.any(p != 0.0, axis=0))
-        pcols = cols[support]
-        paired = np.conj(p[:, support])
-        rotated = paired * half[pcols]
-        rec.probe(np.einsum("ij,kj->ik", s[:, pcols], paired))
-    rec.snapshot(0.0, np.take(s, cols, axis=1), snap_band)
+        rotated = rec.paired * half[rec.support]
 
     cap2 = cap * cap
     scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
@@ -445,11 +470,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap, pad_fact
         np.fft.ifft(s, axis=-1, out=u)
         max_a2 = nonlinear_phase(u, phase_factor, offset)
         if not np.maximum.reduce(max_a2) * scale2 <= cap2:  # NaN-safe
-            bad = int(np.argmin(max_a2 * scale2 <= cap2))
-            raise IntegrationDivergedError(
-                f"numerical scheme failure: |u| exceeded {cap:g} during step to "
-                f"t={(k + 1) * dt:g}",
-                last_valid_time=k * dt, trajectory=rec.build(bad, dt))
+            rec.fail(int(np.argmin(max_a2 * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
         np.fft.fft(u, axis=-1, out=s)
         pin = np.einsum("ij,ij->i", s_real, s_real)
         pin += empty
@@ -457,21 +478,21 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap, pad_fact
         np.sqrt(pin, out=pin)
         s *= pin[:, None]
         if probes:
-            rec.probe(np.einsum("ij,kj->ik", s[:, pcols], rotated))
+            rec.probe(s, rotated)
         if (k + 1) % stride == 0:
             s *= half
             if truncated:
-                s[:, drop] = 0.0
-            rec.snapshot((k + 1) * dt, np.take(s, cols, axis=1), snap_band)
+                s[:, width:] = 0.0
+            rec.snapshot((k + 1) * dt, s)
             s *= half
         else:
             s *= full
             if truncated:
-                s[:, drop] = 0.0
+                s[:, width:] = 0.0
         if truncated:
             target = np.einsum("ij,ij->i", s_real, s_real)
             offset = mean_offset()
-    return [rec.build(r, dt) for r in range(rows)]
+    return [rec.build(r) for r in range(len(u0s))]
 
 
 def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
@@ -532,13 +553,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         np.multiply(grid[:, :width], factor, out=out)
         return worst
 
-    rec = _Recorder(eq, integ, probes, rows, n_steps)
-    if probes:
-        p = np.array([q.padded_to(n).coeffs for q in probes.values()])
-        support = np.flatnonzero(np.any(p != 0.0, axis=0))
-        paired = np.conj(p[:, support])
-        rec.probe(np.einsum("ij,kj->ik", c[:, support], paired))
-    rec.snapshot(0.0, c, n)
+    rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
 
     cap2 = cap * cap
     for k in range(n_steps):
@@ -546,11 +561,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         stage_in[...] = c
         worst = cubic(slope)  # K1
         if not np.maximum.reduce(worst) * scale2 <= cap2:  # NaN-safe
-            bad = int(np.argmin(worst * scale2 <= cap2))
-            raise IntegrationDivergedError(
-                f"numerical scheme failure: |u| exceeded {cap:g} during step to "
-                f"t={(k + 1) * dt:g}",
-                last_valid_time=k * dt, trajectory=rec.build(bad, dt))
+            rec.fail(int(np.argmin(worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
         np.multiply(slope, 0.5, out=stage_in)
         stage_in += c
         stage_in *= half
@@ -578,16 +589,13 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
             ok = drift <= LAWSON_MASS_RTOL * target  # NaN-safe; a zero row stays zero
             if not ok.all():
                 bad = int(np.argmin(ok))
-                raise IntegrationDivergedError(
-                    f"numerical scheme failure: relative mass drift "
-                    f"{drift[bad] / target[bad]:.3g} above {LAWSON_MASS_RTOL:g} "
-                    f"during step to t={(k + 1) * dt:g}",
-                    last_valid_time=k * dt, trajectory=rec.build(bad, dt))
+                rec.fail(bad, f"relative mass drift {drift[bad] / target[bad]:.3g} "
+                         f"above {LAWSON_MASS_RTOL:g}", k)
         if probes:
-            rec.probe(np.einsum("ij,kj->ik", c[:, support], paired))
+            rec.probe(c, rec.paired)
         if snap:
-            rec.snapshot((k + 1) * dt, c, n)
-    return [rec.build(r, dt) for r in range(rows)]
+            rec.snapshot((k + 1) * dt, c)
+    return [rec.build(r) for r in range(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +636,6 @@ def truncation_gauge(traj: Trajectory, n_max: int, alpha: float,
     The result solves the ``truncated-wnls-gauged`` system. ``debug``
     re-evaluates c on every snapshot and asserts constancy to 1e-10.
     """
-    from .wick import intensity_fluctuation
-
     if traj.eq.variant is not Variant.TRUNCATED_WNLS_HAMILTONIAN:
         raise ValueError("truncation_gauge expects a truncated-wnls-hamiltonian run")
     c0 = intensity_fluctuation(traj.snapshots[0], n_max, alpha)

@@ -340,34 +340,12 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 # Strichartz-type ratio probe for the free flow
 # ---------------------------------------------------------------------------
 
-def free_flow_l4_norm(f: fld.TorusField, t_horizon: float,
-                      time_step: float | None = None) -> float:
-    """Space-time L4 norm of S(t)f over [-T, T].
+def free_flow_l4_norm(f: fld.TorusField, t_horizon: float) -> float:
+    """Space-time L4 norm of S(t)f over [-T, T], exact in time.
 
-    By default the time integral is exact: the one-row case of
-    ``_free_flow_l4_exact``. An explicit ``time_step`` selects the left
-    rectangle rule instead, which matches ``spacetime_l4_norm`` applied to the
-    trajectory of free-flow snapshots on the same grid; it is evaluated in
-    batches so the trajectory is never materialized.
+    The one-row case of ``_free_flow_l4_exact``.
     """
-    if time_step is None:
-        return float(_free_flow_l4_exact(f.coeffs[None, :], t_horizon)[0]) ** 0.25
-    n_max = f.max_mode
-    k_steps = max(2, math.ceil(2.0 * t_horizon / time_step))
-    dt = 2.0 * t_horizon / k_steps
-    m = fast_fft_size(2 * (2 * n_max + 1))
-    modes = np.arange(-n_max, n_max + 1)
-    cols = np.mod(modes, m)
-    total = 0.0
-    chunk = 256
-    for start in range(0, k_steps, chunk):
-        t = -t_horizon + dt * np.arange(start, min(start + chunk, k_steps))
-        spectra = np.zeros((len(t), m), dtype=np.complex128)
-        spectra[:, cols] = np.exp(1j * np.outer(t, modes.astype(float) ** 2)) * f.coeffs
-        u = np.fft.ifft(spectra, axis=1) * m
-        a2 = u.real**2 + u.imag**2
-        total += dt * fld.TWO_PI * float(np.sum(np.mean(a2**2, axis=1)))
-    return total**0.25
+    return float(_free_flow_l4_exact(f.coeffs[None, :], t_horizon)[0]) ** 0.25
 
 
 # Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB). The
@@ -429,16 +407,16 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
 
 
 def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
-                           samples: int, *, time_step: float | None = None,
-                           doubling: bool = True, threads: int = 1) -> ExperimentReport:
+                           samples: int, *, doubling: bool = True,
+                           threads: int = 1) -> ExperimentReport:
     """Distribution of ||S(t)f||_{L4_{T,x}} / ||f||_{L2} over a random ensemble.
 
     Zero-norm samples are skipped. With ``doubling`` the ensemble is rerun at
     twice the band; the verdict requires the max ratio to move by at most the
     fixture tolerance. Each band's samples are drawn as one ``sample_block``
-    and, for the exact norm, integrated by one call of the block kernel; the
-    ratios equal those of a loop of ``free_flow_l4_norm`` over
-    ``sample(spec, k)`` bit for bit. ``threads`` is accepted but unused.
+    and integrated by one call of the block kernel; the ratios equal those
+    of a loop of ``free_flow_l4_norm`` over ``sample(spec, k)`` bit for bit.
+    ``threads`` is accepted but unused.
     """
     if t_horizon > 1.0 or t_horizon <= 0:
         raise ValueError("t_horizon must lie in (0, 1]")
@@ -451,11 +429,7 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     for band in bands:
         spec_b = replace(ensemble, max_mode=band)
         block = rnd.sample_block(spec_b, range(samples))
-        if time_step is None:
-            norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
-        else:
-            norms = [free_flow_l4_norm(fld.TorusField(row, band), t_horizon, time_step)
-                     for row in block]
+        norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
         ratios = []
         for row, l4 in zip(block, norms):
             denom = math.sqrt(fld.TWO_PI * np.vdot(row, row).real)  # as fld.pairing
@@ -479,7 +453,7 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
         details["max_ratio_change"] = change
     return ExperimentReport(kind="strichartz-ratio", config={
         "ensemble": ensemble.to_dict(), "t_horizon": t_horizon,
-        "samples": samples, "time_step": time_step,
+        "samples": samples,
     }, series=tuple(series), verdicts=verdicts, details=details)
 
 

@@ -157,6 +157,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config field {key}: ")
 
+    @pytest.mark.parametrize("pair, key", [
+        ("bump=2", "'bump'"),
+        ("bump.amplitude=abc", "'bump.amplitude'"),
+        ("bump.amplitude=[1,2,3]", "'bump.amplitude'"),
+    ])
+    def test_malformed_bump_names_the_field(self, tmp_path, capsys, pair, key):
+        assert run("weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
+                   "--out", str(tmp_path / "o"), "--set", pair) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config field {key}")
+
+    def test_malformed_chaos_terms_name_the_field(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "seed": 1, "mc_samples": 10_000,
+            "hypercontractivity": [{"order": 2, "dim": 1, "q": 4.0, "terms": 5}],
+        })
+        assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config field 'hypercontractivity[0].terms': ")
+
     def test_missing_offset_file(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1,

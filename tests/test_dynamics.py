@@ -10,7 +10,8 @@ from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.wick import renormalization_constant, wick_hamiltonian
 
-from oracles import galerkin_rk4, triple_sum_cubic, triple_sum_nonresonant
+from oracles import (dense_quartic_integral, galerkin_rk4, triple_sum_cubic,
+                     triple_sum_nonresonant)
 
 TWO_PI = 2.0 * np.pi
 
@@ -346,6 +347,43 @@ class TestConservation:
         traj = dyn.evolve(u0, eq, integ)
         assert traj.ledger["wick_hamiltonian"][0] == pytest.approx(
             wick_hamiltonian(u0, 4, 1.0, 1), rel=1e-12)
+
+
+class TestLedger:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["strang", "rk4"]), st.sampled_from(list(dyn.Variant)),
+           st.sampled_from([1, -1]), st.booleans(), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_columns_match_independent_sums(self, scheme, variant, sign, backward,
+                                            band, seed):
+        truncated = variant.value.startswith("truncated")
+        eq = dyn.EquationSpec(variant, sign=sign, truncation=band if truncated else None,
+                              alpha=0.5)
+        rows = [random_field(band, seed=seed), fld.TorusField.zeros(band),
+                random_field(band, seed=seed + 1, scale=0.3)]
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=-0.04 if backward else 0.04,
+                                   snapshot_stride=2)
+        for traj in dyn.evolve_batch(rows, eq, integ):
+            ledger = traj.ledger
+            assert len(traj.snapshots) == 3
+            for k, u in enumerate(traj.snapshots):
+                n = u.modes.astype(np.float64)
+                a2 = np.abs(u.coeffs) ** 2
+                mass = TWO_PI * np.sum(a2)
+                kinetic = 0.5 * TWO_PI * np.sum(n**2 * a2)
+                quartic = dense_quartic_integral(u.coeffs, u.max_mode)
+                scale = 1e-12 * (mass + kinetic + quartic)
+                assert abs(ledger["mass"][k] - mass) <= scale
+                assert abs(ledger["mu"][k] - mass / TWO_PI) <= scale
+                assert abs(ledger["momentum"][k] - TWO_PI * np.sum(n * a2)) <= band * scale
+                assert abs(ledger["hamiltonian"][k] - (kinetic + sign * quartic / 4)) <= scale
+                if eq.renorm_shifted:
+                    a = renormalization_constant(band, eq.alpha)
+                    want = wick_hamiltonian(u, band, eq.alpha, sign)
+                    assert abs(ledger["wick_hamiltonian"][k] - want) <= (
+                        1e-12 * (kinetic + quartic + 4 * a * mass + 4 * math.pi * a * a))
+                else:
+                    assert "wick_hamiltonian" not in ledger
 
 
 class TestGaugeEquivalence:
