@@ -44,18 +44,31 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
 # u is one grid or a (B, m) stack of grids, offset a scalar or a (B, 1) column;
-# returns the max of |u|^2 per grid (for the divergence guard); mutates u
+# returns the max of |u|^2 over `axis` (per grid by default; None gives one
+# value for the whole stack), for the divergence guard; mutates u
 # ---------------------------------------------------------------------------
 
-def nonlinear_phase(u: np.ndarray, factor: float, offset) -> np.ndarray:
-    a2 = u.real * u.real
-    a2 += u.imag * u.imag
-    worst = np.maximum.reduce(a2, axis=-1)
-    a2 += offset
+def nonlinear_phase(u: np.ndarray, factor: float, offset, *, axis=-1,
+                    a2: np.ndarray | None = None,
+                    rotation: np.ndarray | None = None):
+    """Rotate u in place; ``a2`` (real) and ``rotation`` (complex), both of
+    u's shape, are work buffers that a caller stepping many times allocates
+    once. On return ``a2`` holds the phase and ``rotation`` its exponential.
+    """
+    if a2 is None:
+        a2 = np.empty(u.shape)
+    if rotation is None:
+        rotation = np.empty_like(u)
+    np.multiply(u.real, u.real, out=a2)
+    # the real half of the rotation is scratch until cos writes it
+    np.multiply(u.imag, u.imag, out=rotation.real)
+    a2 += rotation.real
+    worst = np.maximum.reduce(a2, axis=axis)
+    if isinstance(offset, np.ndarray) or offset != 0.0:
+        a2 += offset
     a2 *= factor
     # cos and sin written into one buffer give exp(1j*theta) bit for bit,
     # without the complex temporaries
-    rotation = np.empty_like(u)
     np.cos(a2, out=rotation.real)
     np.sin(a2, out=rotation.imag)
     u *= rotation

@@ -27,7 +27,7 @@ from . import random_data as rnd
 from . import serialization as ser
 from . import wick
 from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec,
-                       evolve)
+                       _amplitude_cap, evolve)
 
 SCHEMA_VERSION = 1
 
@@ -225,7 +225,7 @@ def cmd_simulate(args, cfg: dict) -> int:
     integ = _build_integrator(cfg)
     data = _section(cfg, "data")
     u0 = _build_field(data, "data")
-    cap = _get(cfg, "amplitude_cap", float, default=1e6)
+    cap = _get(cfg, "amplitude_cap", _amplitude_cap, default=1e6)
     out = _out_dir(args, cfg)
     write_snapshots = bool(_section(cfg, "output", required=False).get("snapshots", False))
 

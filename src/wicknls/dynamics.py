@@ -22,8 +22,9 @@ Adjacent linear half-steps are fused into one full step between snapshots,
 and a batch of initial data steps together as one (B, m) stack
 (``evolve_batch``). Untruncated runs keep the full grid band (every substep
 is then unitary / unit-modulus, and each row's mass is pinned to its initial
-value); truncated runs re-apply the Dirichlet projection after each
-nonlinear substep because the projection is part of the model.
+value at every snapshot step); truncated runs re-apply the Dirichlet
+projection after each nonlinear substep because the projection is part of
+the model.
 
 The ``rk4`` scheme is integrating-factor ("Lawson") RK4 on the same kind of
 (B, m) stack: the linear multiplier is applied exactly and RK4 integrates
@@ -183,6 +184,14 @@ class IntegrationDivergedError(RuntimeError):
 # drift by orders of magnitude less (3.4e-5 for the band-64 rough data of the
 # benchmark's growth probe).
 LAWSON_MASS_RTOL = 1e-3
+
+
+def _amplitude_cap(cap) -> float:
+    """``cap`` as a float, or ValueError unless it is > 0 (inf is allowed)."""
+    cap = float(cap)
+    if not cap > 0.0:  # NaN-safe
+        raise ValueError(f"amplitude_cap must be > 0, got {cap:g}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +391,9 @@ def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
     (finer than the snapshot stride). Raises IntegrationDivergedError when
     the grid maximum of |u| exceeds ``amplitude_cap`` or turns NaN, or when
     an RK4 run's mass drifts by more than ``LAWSON_MASS_RTOL``; the partial
-    trajectory is attached to the exception. This is the one-row case of
-    ``evolve_batch``.
+    trajectory is attached to the exception. ``amplitude_cap`` must be > 0
+    (``inf`` checks only for NaN); anything else raises ValueError. This is
+    the one-row case of ``evolve_batch``.
     """
     return evolve_batch([u0], eq, integ, probes=probes, amplitude_cap=amplitude_cap)[0]
 
@@ -399,6 +409,7 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
     onto the truncation band first). A scheme failure in any row raises
     IntegrationDivergedError carrying that row's partial trajectory.
     """
+    cap = _amplitude_cap(amplitude_cap)
     probes = probes or {}
     n_steps = integ.step_count()
     dt = math.copysign(integ.dt, integ.t_end) if integ.t_end else integ.dt
@@ -414,7 +425,7 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
             raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
         work_band = bands.pop()
     core = _evolve_strang if integ.scheme == "strang" else _evolve_lawson
-    return core(u0s, eq, integ, n_steps, dt, work_band, probes, amplitude_cap)
+    return core(u0s, eq, integ, n_steps, dt, work_band, probes, cap)
 
 
 def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
@@ -429,10 +440,14 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
     half instead of the state. At a snapshot step it takes the half, is
-    recorded, and takes the other half. After each nonlinear substep every
-    row's mass is pinned to its target, so transform roundoff cannot build
-    up a drift; truncated runs measure the target again after each
-    projection, which is part of the model.
+    recorded, and takes the other half.
+
+    Every row's mass is pinned to its target after the nonlinear substep of
+    each snapshot step, so transform roundoff cannot build up a drift in
+    what is recorded. Untruncated substeps are all unitary in exact
+    arithmetic, so between snapshots the pin would only reset roundoff.
+    Truncated runs pin after every step and measure the target again after
+    each projection, which is part of the model.
     """
     truncated, stride = eq.truncated, integ.snapshot_stride
     m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
@@ -449,6 +464,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
     u = np.empty_like(s)
+    a2, rotation = np.empty(s.shape), np.empty_like(s)  # phase kernel work buffers
 
     rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
     if probes:
@@ -467,19 +483,23 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     offset = mean_offset()
     s *= half
     for k in range(n_steps):
+        snap = (k + 1) % stride == 0
         np.fft.ifft(s, axis=-1, out=u)
-        max_a2 = nonlinear_phase(u, phase_factor, offset)
-        if not np.maximum.reduce(max_a2) * scale2 <= cap2:  # NaN-safe
-            rec.fail(int(np.argmin(max_a2 * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
+        worst = nonlinear_phase(u, phase_factor, offset, axis=None, a2=a2, rotation=rotation)
+        if not worst * scale2 <= cap2:  # NaN-safe
+            np.fft.ifft(s, axis=-1, out=u)  # the grid values again, before the phase
+            row_worst = np.maximum.reduce(u.real * u.real + u.imag * u.imag, axis=-1)
+            rec.fail(int(np.argmin(row_worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
         np.fft.fft(u, axis=-1, out=s)
-        pin = np.einsum("ij,ij->i", s_real, s_real)
-        pin += empty
-        np.divide(target, pin, out=pin)
-        np.sqrt(pin, out=pin)
-        s *= pin[:, None]
+        if truncated or snap:
+            pin = np.einsum("ij,ij->i", s_real, s_real)
+            pin += empty
+            np.divide(target, pin, out=pin)
+            np.sqrt(pin, out=pin)
+            s *= pin[:, None]
         if probes:
             rec.probe(s, rotated)
-        if (k + 1) % stride == 0:
+        if snap:
             s *= half
             if truncated:
                 s[:, width:] = 0.0
@@ -542,16 +562,14 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     factor = 1j * eq.sign * dt * scale2
 
     def cubic(out):
-        # out = dt * i sign P_N(|v|^2 v) for v = stage_in; returns max |v|^2 / m^2 per row
+        # out = dt * i sign P_N(|v|^2 v) for v = stage_in; leaves |v|^2 / m^2 in a2
         np.fft.ifft(pad, axis=-1, out=grid)
         np.multiply(grid.real, grid.real, out=a2)
         np.multiply(grid.imag, grid.imag, out=b2)
         np.add(a2, b2, out=a2)
-        worst = np.maximum.reduce(a2, axis=-1)
         np.multiply(grid, a2, out=grid)
         np.fft.fft(grid, axis=-1, out=grid)
         np.multiply(grid[:, :width], factor, out=out)
-        return worst
 
     rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
 
@@ -559,9 +577,10 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     for k in range(n_steps):
         # c <- E (E (c + K1/6) + (K2 + K3)/3) + K4/6, accumulated in place
         stage_in[...] = c
-        worst = cubic(slope)  # K1
-        if not np.maximum.reduce(worst) * scale2 <= cap2:  # NaN-safe
-            rec.fail(int(np.argmin(worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
+        cubic(slope)  # K1
+        if not np.maximum.reduce(a2, axis=None) * scale2 <= cap2:  # NaN-safe
+            row_worst = np.maximum.reduce(a2, axis=-1)
+            rec.fail(int(np.argmin(row_worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
         np.multiply(slope, 0.5, out=stage_in)
         stage_in += c
         stage_in *= half

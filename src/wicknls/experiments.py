@@ -197,8 +197,9 @@ def _weak_run(spec: WeakSequenceSpec) -> _WeakRun:
             diff = SimpleNamespace(
                 times=run.times,
                 snapshots=[a - b for a, b in zip(run.snapshots, ref.snapshots)])
-            p4 += fld.spacetime_lp_norm(diff, 4.0) ** 4
-            p6 += fld.spacetime_lp_norm(diff, 6.0) ** 6
+            s4, s6 = fld._lp_sums(diff, (4.0, 6.0))
+            p4 += s4
+            p6 += s6
         l4_gap.append(p4**0.25)
         l6_gap.append(p6 ** (1.0 / 6.0))
         defects.append(fld.mean_intensity(run_f.snapshots[0]) - mu_ref)

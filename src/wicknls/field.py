@@ -230,12 +230,11 @@ def quartic_integral(field: TorusField) -> float:
     return float(_quartic_integrals(field.coeffs[None, :])[0])
 
 
-def spacetime_lp_norm(trajectory, p: float) -> float:
-    """Space-time L^p norm over [t_0, t_last] by the left rectangle rule.
+def _lp_sums(trajectory, ps) -> list[float]:
+    """Left rectangle-rule sums of the integral of |u|^p over space-time, one per p.
 
-    ``trajectory`` is anything with ``times`` and ``snapshots`` attributes;
-    times must be uniformly spaced, with at least two snapshots. The spatial
-    integral is exact for band-limited fields (2x-oversampled grid).
+    Each snapshot is synthesized once, on the grid of the largest p, which
+    integrates |u|^p exactly in space for every even p in ``ps``.
     """
     times = np.asarray(trajectory.times, dtype=np.float64)
     snaps = list(trajectory.snapshots)
@@ -246,13 +245,24 @@ def spacetime_lp_norm(trajectory, p: float) -> float:
     if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("snapshot times must be uniformly spaced")
     n_max = max(f.max_mode for f in snaps)
-    m = fast_fft_size(max(2 * (2 * n_max + 1), int(p * n_max) + 2))
-    total = 0.0
+    m = fast_fft_size(max(2 * (2 * n_max + 1), int(max(ps) * n_max) + 2))
+    totals = [0.0] * len(ps)
     for f in snaps[:-1]:
         u = synthesize(f, m)
         a2 = u.real**2 + u.imag**2
-        total += dt * TWO_PI * float(np.mean(a2 ** (p / 2.0)))
-    return total ** (1.0 / p)
+        for i, p in enumerate(ps):
+            totals[i] += dt * TWO_PI * float(np.mean(a2 ** (p / 2.0)))
+    return totals
+
+
+def spacetime_lp_norm(trajectory, p: float) -> float:
+    """Space-time L^p norm over [t_0, t_last] by the left rectangle rule.
+
+    ``trajectory`` is anything with ``times`` and ``snapshots`` attributes;
+    times must be uniformly spaced, with at least two snapshots. The spatial
+    integral is exact for band-limited fields (2x-oversampled grid).
+    """
+    return _lp_sums(trajectory, (p,))[0] ** (1.0 / p)
 
 
 def spacetime_l4_norm(trajectory) -> float:

@@ -167,6 +167,13 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "o"), "--set", pair) == 2
         assert capsys.readouterr().err.startswith(f"config error: config field {key}")
 
+    @pytest.mark.parametrize("cap", ["-1", "0", ".nan"])
+    def test_bad_amplitude_cap_names_the_field(self, tmp_path, capsys, cap):
+        assert run("simulate", "--config", str(CONFIG_DIR / "simulate_plane_wave.yaml"),
+                   "--out", str(tmp_path / "o"), "--set", f"amplitude_cap={cap}") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config field 'amplitude_cap': ")
+
     def test_malformed_chaos_terms_name_the_field(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1, "seed": 1, "mc_samples": 10_000,

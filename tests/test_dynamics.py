@@ -306,6 +306,35 @@ class TestConservation:
         p = traj.ledger["momentum"]
         assert np.max(np.abs(p - p[0])) / abs(p[0]) <= 1e-10
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), band=st.integers(1, 16),
+           variant=st.sampled_from(["nls", "wnls"]), sign=st.sampled_from([1, -1]),
+           t_end=st.sampled_from([0.1, -0.1]), stride=st.sampled_from([5, 25]))
+    def test_snapshot_stride_does_not_change_the_run(self, seed, band, variant, sign,
+                                                     t_end, stride):
+        # untruncated substeps are unitary, so pinning the mass only at
+        # snapshot steps makes the stride a pure output choice: the runs agree
+        # to roundoff at their common times, and every recorded mass is the
+        # initial one
+        u0 = rnd.sample(rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=seed), 0)
+        phi = random_field(3, seed=31)
+        eq = dyn.EquationSpec(variant, sign=sign)
+        fine, coarse = (dyn.evolve(u0, eq, dyn.IntegratorSpec(
+            "strang", dt=2e-3, t_end=t_end, snapshot_stride=k), probes={"phi": phi})
+            for k in (1, stride))
+        size = float(np.linalg.norm(u0.coeffs))
+        common = [i for i, t in enumerate(fine.times) if np.any(coarse.times == t)]
+        assert len(common) == len(coarse.times)
+        for i, u in zip(common, coarse.snapshots):
+            assert np.max(np.abs(fine.snapshots[i].coeffs - u.coeffs)) <= 1e-13 * size
+        assert np.array_equal(fine.probe_times, coarse.probe_times)
+        pairing_bound = TWO_PI * size * float(np.linalg.norm(phi.coeffs))
+        assert np.max(np.abs(fine.probes["phi"] - coarse.probes["phi"])) \
+            <= 1e-13 * pairing_bound
+        mass0 = TWO_PI * size * size
+        for traj in (fine, coarse):
+            assert np.max(np.abs(traj.ledger["mass"] - mass0)) <= 1e-14 * mass0
+
     def test_strang_hamiltonian_second_order(self):
         u0 = fld.TorusField.from_modes({0: 0.6, 1: 0.4 + 0.3j, -2: 0.35, 3: 0.2j},
                                        max_mode=8)
@@ -551,6 +580,14 @@ class TestDivergenceGuard:
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=1.0, snapshot_stride=10)
         with pytest.raises(dyn.IntegrationDivergedError):
             dyn.evolve(u0, eq, integ, amplitude_cap=1.5)
+
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
+    def test_bad_amplitude_cap_rejected(self, scheme, cap):
+        u0 = fld.TorusField.single_mode(1, 1.0, max_mode=4)
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="amplitude_cap must be > 0"):
+            dyn.evolve(u0, dyn.EquationSpec("nls", sign=1), integ, amplitude_cap=cap)
 
 
 class TestProbes:

@@ -231,6 +231,14 @@ class TestSpacetimeL4:
         assert fld.spacetime_l4_norm(traj2) == pytest.approx(
             2.0 * fld.spacetime_l4_norm(traj1), rel=1e-12)
 
+    def test_several_exponents_from_one_synthesis(self):
+        # one pass on the p=6 grid gives every sum the one-exponent norm gives
+        snaps = [random_field(5, seed=s) for s in range(4)]
+        traj = _Traj(np.linspace(0, 0.3, 4), snaps)
+        s4, s6 = fld._lp_sums(traj, (4.0, 6.0))
+        assert s4 == pytest.approx(fld.spacetime_lp_norm(traj, 4.0) ** 4, rel=1e-12)
+        assert s6 == pytest.approx(fld.spacetime_lp_norm(traj, 6.0) ** 6, rel=1e-12)
+
     def test_nonuniform_times_rejected(self):
         f = random_field(2)
         with pytest.raises(ValueError):

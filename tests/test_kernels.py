@@ -73,6 +73,27 @@ class TestNonlinearPhase:
         assert np.shape(worst) == shape[:-1]
         assert np.array_equal(worst, np.max(u.real**2 + u.imag**2, axis=-1))
 
+    @pytest.mark.parametrize("shape, offset", [((64,), -0.4), ((3, 64), 0.0),
+                                               ((3, 64), None)])
+    def test_work_buffers_bit_for_bit(self, shape, offset):
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if offset is None:
+            offset = rng.standard_normal((shape[0], 1))
+        a2, rotation = np.empty(shape), np.empty(shape, dtype=complex)
+        v = u.copy()
+        worst = K.nonlinear_phase(v, 0.7, offset, a2=a2, rotation=rotation)
+        intensity = u.real * u.real + u.imag * u.imag
+        theta = 0.7 * (intensity + offset)
+        assert np.array_equal(v, u * np.exp(1j * 0.7 * (intensity + offset)))
+        # the kernel worked in the buffers it was handed
+        assert np.array_equal(a2, theta)
+        assert np.array_equal(rotation, np.exp(1j * theta))
+        assert np.array_equal(worst, np.max(intensity, axis=-1))
+        stack_max = K.nonlinear_phase(u.copy(), 0.7, offset, axis=None, a2=a2,
+                                      rotation=rotation)
+        assert np.ndim(stack_max) == 0 and stack_max == np.max(intensity)
+
     def test_modulus_preserved(self):
         rng = np.random.default_rng(6)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
