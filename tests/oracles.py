@@ -95,6 +95,53 @@ def hermite_reference(n, x, sigma=1.0):
     return math.factorial(n) * total
 
 
+def hermite_recurrence(n, x, sigma=1.0):
+    """H_n by the three-term recurrence, a fresh array for every step."""
+    h_prev = np.ones_like(x)
+    if n == 0:
+        return h_prev
+    h = x.copy()
+    for k in range(1, n):
+        h, h_prev = x * h - sigma * k * h_prev, h
+    return h
+
+
+def hypercontractivity_moments(order, dim, q, samples, seed, terms=None, batch=1 << 16):
+    """(lhs, rhs, stderr, passed) of the chaos moment check, allocating as it goes.
+
+    Batch b of the normals comes from a fresh Philox generator keyed
+    (seed, b); F, F^2, |F|^q and their squares are new arrays for every batch.
+    """
+    import math
+
+    terms = terms if terms is not None else [(1.0, (order,))]
+    s2 = s4 = sq = s2q = 0.0
+    for b, start in enumerate(range(0, samples, batch)):
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        x = gen.standard_normal((min(batch, samples - start), dim))
+        f = np.zeros(len(x))
+        for coeff, degrees in terms:
+            term = np.full(len(x), float(coeff))
+            for j, deg in enumerate(degrees):
+                if deg > 0:
+                    term *= hermite_recurrence(deg, np.ascontiguousarray(x[:, j]))
+            f += term
+        f2 = f**2
+        fq = f2 ** (q / 2.0)
+        s2 += f2.sum()
+        s4 += (f2 * f2).sum()
+        sq += fq.sum()
+        s2q += (fq * fq).sum()
+    m2 = s2 / samples
+    mq = sq / samples
+    lhs = mq ** (1.0 / q)
+    rhs = (q - 1.0) ** (order / 2.0) * math.sqrt(m2)
+    rel_lhs = math.sqrt(max(s2q / samples - mq**2, 0.0) / samples) / (q * mq) if mq > 0 else 0.0
+    rel_rhs = math.sqrt(max(s4 / samples - m2**2, 0.0) / samples) / (2 * m2) if m2 > 0 else 0.0
+    return (float(lhs), float(rhs), float(math.hypot(rel_lhs, rel_rhs)),
+            bool(lhs <= rhs * (1.0 + 3.0 * (rel_lhs + rel_rhs))))
+
+
 def gaussian_even_moment(k):
     """E[x^{2k}] for x ~ N(0,1): (2k-1)!!"""
     out = 1

@@ -183,6 +183,41 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(
             "config error: config field 'hypercontractivity[0].terms': ")
 
+    @pytest.mark.parametrize("argv, key", [
+        (["--seed", "-1"], "'seed'"),
+        # five cases: case i keys seed + i + 1, so 2**64 - 5 is one too many
+        (["--set", f"seed={2**64 - 5}"], "'seed'"),
+        (["--set", "mc_samples=0"], "'mc_samples'"),
+        (["--set", "hypercontractivity=[{order: 2, q: .nan}]"],
+         "'hypercontractivity[0].q'"),
+        (["--set", "hypercontractivity=[{order: 2, q: .inf}]"],
+         "'hypercontractivity[0].q'"),
+    ])
+    def test_wick_check_errors_name_the_field(self, tmp_path, capsys, argv, key):
+        assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),
+                   "--out", str(tmp_path / "o"), *argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config field {key}: ")
+
+    def test_wick_check_accepts_the_last_seed_that_fits(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "seed": 2**64 - 2, "mc_samples": 10_000,
+            "hypercontractivity": [{"order": 1, "dim": 1, "q": 4.0, "samples": 10_000}],
+        })
+        assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        hyp = ser.read_ndjson(tmp_path / "o" / "wick_check.ndjson")[-1]
+        assert hyp["record"] == "hypercontractivity" and hyp["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("pair, prefix", [
+        ("data.alpha=.nan", "data: alpha must be finite"),
+        ("data.gaussian_scale=.nan", "data: gaussian_scale must be finite"),
+        ("profile.samples=0", "profile: samples must be >= 1"),
+        ("profile.cutoffs=[-1, 8]", "profile: cutoffs must be >= 0"),
+    ])
+    def test_sample_errors_name_the_field(self, tmp_path, capsys, pair, prefix):
+        assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
+                   "--out", str(tmp_path / "o"), "--set", pair) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+
     def test_missing_offset_file(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1,

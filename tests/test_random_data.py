@@ -24,6 +24,20 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0, gaussian_scale=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf),
+        ("gaussian_scale", math.nan), ("gaussian_scale", math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, field, value):
+        kwargs = {"alpha": 0.0, "max_mode": 4, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            rnd.RandomDataSpec(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3"])
+    def test_rejects_non_integral_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=seed)
+
     def test_offset_band_checked(self):
         wide = fld.TorusField.single_mode(6, 1.0)
         with pytest.raises(ValueError):
@@ -200,6 +214,16 @@ class TestRegularityProfile:
             rnd.regularity_profile(spec, [0.0], [4, 32], samples=10)
         with pytest.raises(ValueError):
             rnd.regularity_profile(spec, [0.0], [8, 4], samples=10)
+
+    @pytest.mark.parametrize("cutoffs, samples, message", [
+        ([4, 8], 0, "samples must be >= 1"),
+        ([4, 8], -2, "samples must be >= 1"),
+        ([-1, 4], 10, "cutoffs must be >= 0"),
+    ])
+    def test_rejects_empty_ensemble_and_negative_cutoff(self, cutoffs, samples, message):
+        spec = rnd.RandomDataSpec(alpha=0.0, max_mode=16, seed=0)
+        with pytest.raises(ValueError, match=message):
+            rnd.regularity_profile(spec, [0.0], cutoffs, samples=samples)
 
     def test_white_noise_sqrt_growth(self):
         spec = rnd.RandomDataSpec(alpha=0.0, max_mode=256, seed=1)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from wicknls import _kernels as K
 from wicknls import field as fld
 from wicknls import wick
 
-from oracles import gaussian_even_moment, hermite_reference, rational_weight_sum
+from oracles import (gaussian_even_moment, hermite_recurrence, hermite_reference,
+                     hypercontractivity_moments, rational_weight_sum)
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,6 +43,18 @@ class TestHermite:
             wick.hermite(2, 0.0, 0.0)
         with pytest.raises(ValueError):
             wick.hermite(51, 0.0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.7, 2.5])
+    def test_work_buffers_bit_for_bit(self, sigma):
+        # one out row and one pair of work rows serve every degree in turn; a
+        # strided column of a (b, 2) batch reads as its contiguous copy
+        x = np.random.default_rng(5).standard_normal((1001, 2))
+        out, work = np.full(1001, np.nan), np.full((2, 1001), np.nan)
+        for n in range(8):
+            got = K.hermite_batch(n, x[:, 1], sigma, out=out, work=work)
+            assert got is out
+            assert got.tobytes() == hermite_recurrence(n, x[:, 1].copy(), sigma).tobytes()
+            assert K.hermite_batch(n, x[:, 1], sigma).tobytes() == got.tobytes()
 
     def test_generating_function(self):
         # |t| <= 0.5: the degree-12 partial sum of sum H_n t^n / n! tracks
@@ -197,6 +211,39 @@ class TestHypercontractivity:
         with pytest.raises(ValueError):
             wick.hypercontractivity_check(2, 0, 4.0, samples=10_000)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_rejects_non_finite_q(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            wick.hypercontractivity_check(2, 1, q, samples=10_000)
+
+    @pytest.mark.parametrize("order, terms", [
+        (51, None),
+        (60, [(1.0, (60,))]),           # a degree past the recurrence's limit
+        (60, [(1.0, (30, 30))]),
+    ])
+    def test_rejects_order_past_hermite_limit(self, order, terms):
+        dim = 1 if terms is None else len(terms[0][1])
+        with pytest.raises(ValueError, match="order > 50"):
+            wick.hypercontractivity_check(order, dim, 4.0, samples=10_000, terms=terms)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            wick.hypercontractivity_check(2, 1, 4.0, samples=10_000, seed=seed)
+
+    @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("order, dim, terms, samples", [
+        (2, 1, None, 70_001),                                   # a short second batch
+        (3, 2, [(1.0, (3,)), (-0.5, (1, 2))], 10_000),          # one short batch
+        (4, 3, [(1.0, (4,)), (0.5, (2, 2)), (2.0, (1, 0, 3))], 131_073),
+        (0, 2, [(1.5, (0, 0))], 65_536),                        # exactly one batch
+    ])
+    def test_matches_allocating_oracle(self, q, order, dim, terms, samples):
+        r = wick.hypercontractivity_check(order, dim, q, samples=samples, seed=17,
+                                          terms=terms)
+        assert (r.lhs, r.rhs, r.stderr, r.passed) == hypercontractivity_moments(
+            order, dim, q, samples, 17, terms)
+
     def test_report_record(self):
         r = wick.hypercontractivity_check(1, 1, 4.0, samples=10_000, seed=2)
         d = r.to_dict()
@@ -207,3 +254,22 @@ class TestHypercontractivity:
         a = wick.hypercontractivity_check(2, 1, 4.0, samples=50_000, seed=9)
         b = wick.hypercontractivity_check(2, 1, 4.0, samples=50_000, seed=9)
         assert a == b
+
+
+class TestGaussianBatches:
+    @pytest.mark.parametrize("dim, samples, batch", [(1, 25, 10), (3, 30, 10), (2, 7, 64)])
+    def test_buffer_matches_allocating_path(self, dim, samples, batch):
+        buffer = np.empty((batch, dim))
+        fresh = list(wick.gaussian_batches(dim, samples, 4, batch=batch))
+        reused = [x.copy() for x in wick.gaussian_batches(dim, samples, 4, batch=batch,
+                                                          out=buffer)]
+        assert [len(x) for x in fresh] == [len(x) for x in reused]
+        assert sum(len(x) for x in fresh) == samples
+        for b, (a, c) in enumerate(zip(fresh, reused)):
+            gen = np.random.Generator(np.random.Philox(key=np.array([4, b], dtype=np.uint64)))
+            assert a.tobytes() == c.tobytes() == gen.standard_normal((len(a), dim)).tobytes()
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_rejects_empty_batches(self, batch):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            next(wick.gaussian_batches(1, 10, 0, batch=batch))
