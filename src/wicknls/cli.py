@@ -3,10 +3,10 @@
 Commands: ``simulate | weak-limit | wick-check | sample | norms | order-study``.
 Configs are YAML (schema documented in the README); any scalar field can be
 overridden on the command line with ``--set dotted.path=value`` (the flag
-wins). Series outputs are newline-delimited JSON records, summaries CSV; every
-output embeds the fully resolved config and the tool version, so re-running
-from an embedded config reproduces outputs byte-for-byte in reproducibility
-mode (``--repro``, which forces a single worker).
+wins). Each command checks every field before it writes anything. Series
+outputs are newline-delimited JSON records, summaries CSV; every output embeds
+the config as given and the tool version, and re-running from an embedded
+config reproduces the outputs byte-for-byte.
 
 Exit codes: 0 success / verdict passed, 2 malformed config, 3 numerical
 scheme failure (partial output is still flushed), 4 scientific verdict failed.
@@ -14,6 +14,7 @@ scheme failure (partial output is still flushed), 4 scientific verdict failed.
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -86,122 +87,149 @@ def _check_schema(cfg: dict):
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    value = cfg.get(name)
+_REQUIRED = object()
+
+
+def _field(node: dict, path: str, convert, default=_REQUIRED):
+    """Field ``path`` (its last key, looked up in ``node``) through ``convert``.
+
+    A missing or null field takes ``default``, or is an error if there is
+    none; a value ``convert`` rejects is reported against ``path``.
+    """
+    value = node.get(path.split(".")[-1])
     if value is None:
-        if required:
-            raise ConfigError(f"missing config section {name!r}")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config field {name!r} must be a mapping")
-    return value
-
-
-def _get(section: dict, path: str, cast, default=None, required: bool = False):
-    name = path.split(".")[-1]
-    if name not in section or section[name] is None:
-        if required:
+        if default is _REQUIRED:
             raise ConfigError(f"missing config field {path!r}")
         return default
     try:
-        return cast(section[name])
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {path!r}: {exc}") from exc
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its range-check ValueError reported against ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _integral(value) -> int:
+    """An integer, an integral float or an integer string; never a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (numbers.Real, str))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"must be an integer (got {value!r})")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A real number or numeric string (YAML reads ``1e-3`` as one); never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError(f"must be a real number (got {value!r})")
+    return float(value)
+
+
+def _complex(value) -> complex:
+    """A real number or ``[re, im]``."""
+    if isinstance(value, list):
         if len(value) != 2:
             raise ValueError("complex values are [re, im]")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
+        return complex(_real(value[0]), _real(value[1]))
+    return complex(_real(value), 0.0)
+
+
+def _instance_of(kind: type, what: str):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"must be {what} (got {value!r})")
+        return value
+    return convert
+
+
+_str = _instance_of(str, "a string")
+_mapping = _instance_of(dict, "a mapping")
+
+
+def _list_of(convert):
+    """A converter for a list whose items all pass ``convert``."""
+    def convert_list(value) -> list:
+        return [convert(item) for item in _instance_of(list, "a list")(value)]
+    return convert_list
 
 
 def _chaos_terms(value) -> list:
     """Chaos terms [[coefficient, [degree, ...]], ...] as (float, int tuple) pairs."""
-    return [(float(coeff), tuple(int(d) for d in degrees)) for coeff, degrees in value]
+    return [(_real(coeff), tuple(_list_of(_integral)(degrees)))
+            for coeff, degrees in value]
+
+
+def _mode_amplitudes(value) -> dict:
+    """A mapping mode -> amplitude as {int: complex}."""
+    return {_integral(n): _complex(a) for n, a in _mapping(value).items()}
+
+
+def _field_file(value) -> fld.TorusField:
+    if not Path(_str(value)).exists():
+        raise ValueError(f"field file not found: {value}")
+    return ser.load_field(value)
 
 
 def _build_field(section: dict, path: str) -> fld.TorusField:
-    kind = _get(section, f"{path}.kind", str, required=True)
-    try:
-        if kind == "plane_wave":
-            mode = _get(section, f"{path}.mode", int, default=1)
-            amp = _as_complex(section.get("amplitude", 1.0))
-            max_mode = _get(section, f"{path}.max_mode", int, default=None)
-            return fld.TorusField.single_mode(mode, amp, max_mode=max_mode)
-        if kind == "modes":
-            amplitudes = section.get("amplitudes")
-            if not isinstance(amplitudes, dict):
-                raise ConfigError(f"{path}.amplitudes must map mode -> [re, im]")
-            parsed = {int(n): _as_complex(a) for n, a in amplitudes.items()}
-            max_mode = _get(section, f"{path}.max_mode", int, default=None)
-            return fld.TorusField.from_modes(parsed, max_mode)
-        if kind == "random":
-            spec = _build_random_spec(section, path)
-            return rnd.sample(spec, _get(section, f"{path}.index", int, default=0))
-        if kind == "file":
-            fpath = _get(section, f"{path}.path", str, required=True)
-            if not Path(fpath).exists():
-                raise ConfigError(f"{path}.path: field file not found: {fpath}")
-            return ser.load_field(fpath)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    kind = _field(section, f"{path}.kind", _str)
+    if kind == "random":
+        return _checked(path, rnd.sample, _build_random_spec(section, path),
+                        _field(section, f"{path}.index", _integral, 0))
+    if kind == "file":
+        return _field(section, f"{path}.path", _field_file)
+    max_mode = _field(section, f"{path}.max_mode", _integral, None)
+    if kind == "plane_wave":
+        return _checked(path, fld.TorusField.single_mode,
+                        _field(section, f"{path}.mode", _integral, 1),
+                        _field(section, f"{path}.amplitude", _complex, 1.0 + 0.0j),
+                        max_mode=max_mode)
+    if kind == "modes":
+        return _checked(path, fld.TorusField.from_modes,
+                        _field(section, f"{path}.amplitudes", _mode_amplitudes), max_mode)
     raise ConfigError(f"{path}.kind must be plane_wave | modes | random | file")
 
 
 def _build_random_spec(section: dict, path: str) -> rnd.RandomDataSpec:
-    offset = None
-    offset_file = _get(section, f"{path}.offset_file", str, default=None)
-    if offset_file is not None:
-        if not Path(offset_file).exists():
-            raise ConfigError(f"{path}.offset_file not found: {offset_file}")
-        offset = ser.load_field(offset_file)
-    try:
-        return rnd.RandomDataSpec(
-            alpha=_get(section, f"{path}.alpha", float, default=0.0),
-            max_mode=_get(section, f"{path}.max_mode", int, required=True),
-            seed=_get(section, f"{path}.seed", int, default=0),
-            offset=offset,
-            gaussian_scale=_get(section, f"{path}.gaussian_scale", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _checked(
+        path, rnd.RandomDataSpec,
+        alpha=_field(section, f"{path}.alpha", _real, 0.0),
+        max_mode=_field(section, f"{path}.max_mode", _integral),
+        seed=_field(section, f"{path}.seed", _integral, 0),
+        offset=_field(section, f"{path}.offset_file", _field_file, None),
+        gaussian_scale=_field(section, f"{path}.gaussian_scale", _real, 1.0))
 
 
 def _build_equation(cfg: dict) -> EquationSpec:
-    section = _section(cfg, "equation")
-    try:
-        return EquationSpec(
-            variant=_get(section, "equation.variant", str, default="wnls"),
-            sign=_get(section, "equation.sign", int, default=1),
-            truncation=_get(section, "equation.truncation", int, default=None),
-            alpha=_get(section, "equation.alpha", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"equation: {exc}") from exc
+    section = _field(cfg, "equation", _mapping)
+    return _checked(
+        "equation", EquationSpec,
+        variant=_field(section, "equation.variant", _str, "wnls"),
+        sign=_field(section, "equation.sign", _integral, 1),
+        truncation=_field(section, "equation.truncation", _integral, None),
+        alpha=_field(section, "equation.alpha", _real, 1.0))
 
 
 def _build_integrator(cfg: dict, t_end: float | None = None) -> IntegratorSpec:
-    section = _section(cfg, "integrator")
-    try:
-        spec = IntegratorSpec(
-            scheme=_get(section, "integrator.scheme", str, default="strang"),
-            dt=_get(section, "integrator.dt", float, required=True),
-            t_end=t_end if t_end is not None
-            else _get(section, "integrator.t_end", float, required=True),
-            snapshot_stride=_get(section, "integrator.snapshot_stride", int, default=1),
-        )
-        spec.step_count()  # validates divisibility early
-        return spec
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+    section = _field(cfg, "integrator", _mapping)
+    spec = _checked(
+        "integrator", IntegratorSpec,
+        scheme=_field(section, "integrator.scheme", _str, "strang"),
+        dt=_field(section, "integrator.dt", _real),
+        t_end=t_end if t_end is not None else _field(section, "integrator.t_end", _real),
+        snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1))
+    _checked("integrator", spec.step_count)  # validates divisibility early
+    return spec
 
 
 def _out_dir(args, cfg: dict) -> Path:
-    out = args.out or _section(cfg, "output", required=False).get("directory") \
-        or os.environ.get("WICKNLS_OUT") or "."
-    path = Path(out)
+    output = _field(cfg, "output", _mapping, {})
+    path = Path(args.out or _field(output, "output.directory", _str, None)
+                or os.environ.get("WICKNLS_OUT") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -217,40 +245,41 @@ def _apply_seed_override(cfg: dict, seed: int | None):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each parses ``cfg`` and returns ``run(out_dir) -> exit code``
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args, cfg: dict) -> int:
+def cmd_simulate(cfg: dict):
     eq = _build_equation(cfg)
     integ = _build_integrator(cfg)
-    data = _section(cfg, "data")
-    u0 = _build_field(data, "data")
-    cap = _get(cfg, "amplitude_cap", _amplitude_cap, default=1e6)
-    out = _out_dir(args, cfg)
-    write_snapshots = bool(_section(cfg, "output", required=False).get("snapshots", False))
+    u0 = _build_field(_field(cfg, "data", _mapping), "data")
+    cap = _field(cfg, "amplitude_cap", lambda v: _amplitude_cap(_real(v)), 1e6)
+    write_snapshots = _field(_field(cfg, "output", _mapping, {}), "output.snapshots",
+                             _instance_of(bool, "true or false"), False)
 
-    diverged = None
-    try:
-        traj = evolve(u0, eq, integ, amplitude_cap=cap)
-    except IntegrationDivergedError as exc:
-        diverged = exc
-        traj = exc.trajectory
+    def run(out: Path) -> int:
+        diverged = None
+        try:
+            traj = evolve(u0, eq, integ, amplitude_cap=cap)
+        except IntegrationDivergedError as exc:
+            diverged = exc
+            traj = exc.trajectory
 
-    meta = ser.meta_record(cfg, command="simulate",
-                           diverged=diverged is not None,
-                           last_valid_time=None if diverged is None
-                           else diverged.last_valid_time)
-    records = [meta] + ser.trajectory_records(traj)
-    ser.write_ndjson(out / "trajectory.ndjson", records)
-    if write_snapshots:
-        snap_dir = out / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        for i, u in enumerate(traj.snapshots):
-            ser.save_field(u, snap_dir / f"snapshot_{i:06d}.json")
-    if diverged is not None:
-        print(diverged, file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+        meta = ser.meta_record(cfg, command="simulate",
+                               diverged=diverged is not None,
+                               last_valid_time=None if diverged is None
+                               else diverged.last_valid_time)
+        records = [meta] + ser.trajectory_records(traj)
+        ser.write_ndjson(out / "trajectory.ndjson", records)
+        if write_snapshots:
+            snap_dir = out / "snapshots"
+            snap_dir.mkdir(exist_ok=True)
+            for i, u in enumerate(traj.snapshots):
+                ser.save_field(u, snap_dir / f"snapshot_{i:06d}.json")
+        if diverged is not None:
+            print(diverged, file=sys.stderr)
+            return EXIT_DIVERGED
+        return EXIT_OK
+    return run
 
 
 # the config key behind each WeakSequenceSpec field
@@ -258,53 +287,44 @@ _WEAK_SPEC_KEYS = {"mode_list": "modes", "horizon": "horizon", "probe": "probe",
                    "working_band": "working_band", "eq": "equation.truncation"}
 
 
-def cmd_weak_limit(args, cfg: dict) -> int:
-    exp = _section(cfg, "experiment", required=False)
-    kind = exp.get("kind", "weak-continuity")
-    verdict_mode = exp.get("verdict", "auto")
+def cmd_weak_limit(cfg: dict):
+    exp = _field(cfg, "experiment", _mapping, {})
+    kind = _field(exp, "experiment.kind", _str, "weak-continuity")
+    if kind not in ("weak-continuity", "phase-defect-contrast"):
+        raise ConfigError("experiment.kind must be weak-continuity | phase-defect-contrast")
+    verdict_mode = _field(exp, "experiment.verdict", _str, "auto")
     if verdict_mode not in ("auto", "decay", "plateau"):
         raise ConfigError("experiment.verdict must be auto | decay | plateau")
 
-    eq = _build_equation(cfg)
-    horizon = _get(cfg, "horizon", float, default=1.0)
-    integ = _build_integrator(cfg, t_end=horizon)
-    base = _build_field(_section(cfg, "base"), "base")
-    probe = _build_field(_section(cfg, "probe"), "probe")
-    bump = _get(_section(cfg, "bump", required=False), "bump.amplitude", _as_complex,
-                default=1.0 + 0.0j)
-    modes = cfg.get("modes")
-    if not isinstance(modes, list) or not modes:
-        raise ConfigError("config field 'modes' must be a non-empty list")
-    try:
-        mode_list = tuple(int(n) for n in modes)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'modes': {exc}") from exc
+    horizon = _field(cfg, "horizon", _real, 1.0)
     try:
         spec = xp.WeakSequenceSpec(
-            base=base, bump_amplitude=bump, mode_list=mode_list,
-            probe=probe, horizon=horizon, eq=eq, integrator=integ,
-            working_band=_get(cfg, "working_band", int, default=None),
+            base=_build_field(_field(cfg, "base", _mapping), "base"),
+            bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "bump.amplitude",
+                                  _complex, 1.0 + 0.0j),
+            mode_list=tuple(_field(cfg, "modes", _list_of(_integral))),
+            probe=_build_field(_field(cfg, "probe", _mapping), "probe"),
+            horizon=horizon, eq=_build_equation(cfg),
+            integrator=_build_integrator(cfg, t_end=horizon),
+            working_band=_field(cfg, "working_band", _integral, None),
         )
     except xp.SpecFieldError as exc:
         raise ConfigError(f"config field {_WEAK_SPEC_KEYS[exc.field]!r}: {exc}") from exc
 
-    if kind == "weak-continuity":
-        report = xp.weak_continuity_run(spec, threads=args.threads,
-                                        verdict_mode=verdict_mode)
-    elif kind == "phase-defect-contrast":
-        report = xp.phase_defect_contrast_run(spec, threads=args.threads)
-    else:
-        raise ConfigError("experiment.kind must be weak-continuity | phase-defect-contrast")
-
-    out = _out_dir(args, cfg)
-    ser.write_ndjson(out / "weak_limit.ndjson",
-                     [ser.meta_record(cfg, command="weak-limit")] + report.to_records())
-    ser.write_csv(out / "weak_limit_summary.csv",
-                  ("series", "index_name", "index", "value", "unit"),
-                  report.summary_rows(), meta=cfg)
-    for name, ok in report.verdicts.items():
-        print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
-    return EXIT_OK if report.verdict else EXIT_VERDICT
+    def run(out: Path) -> int:
+        if kind == "weak-continuity":
+            report = xp.weak_continuity_run(spec, verdict_mode=verdict_mode)
+        else:
+            report = xp.phase_defect_contrast_run(spec)
+        ser.write_ndjson(out / "weak_limit.ndjson",
+                         [ser.meta_record(cfg, command="weak-limit")] + report.to_records())
+        ser.write_csv(out / "weak_limit_summary.csv",
+                      ("series", "index_name", "index", "value", "unit"),
+                      report.summary_rows(), meta=cfg)
+        for name, ok in report.verdicts.items():
+            print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
+        return EXIT_OK if report.verdict else EXIT_VERDICT
+    return run
 
 
 def _wick_identity_checks() -> list[tuple[str, bool]]:
@@ -326,162 +346,143 @@ def _wick_identity_checks() -> list[tuple[str, bool]]:
     return checks
 
 
-def cmd_wick_check(args, cfg: dict) -> int:
-    hyp_cases = cfg.get("hypercontractivity", [])
-    if not isinstance(hyp_cases, list):
-        raise ConfigError("hypercontractivity must be a list of case mappings")
-    seed = _get(cfg, "seed", int, default=0)
+def cmd_wick_check(cfg: dict):
+    hyp_cases = _field(cfg, "hypercontractivity", _list_of(_mapping), [])
+    seed = _field(cfg, "seed", _integral, 0)
     # case i draws from the key seed + i + 1, which must fit in 64 bits too
     if not 0 <= seed < 2**64 - len(hyp_cases):
         raise ConfigError(f"config field 'seed': must lie in [0, 2**64 - {len(hyp_cases)}) "
                           f"so that every case key seed + i + 1 fits in 64 bits (got {seed})")
-    mc_samples = _get(cfg, "mc_samples", int, default=200_000)
+    mc_samples = _field(cfg, "mc_samples", _integral, 200_000)
     if not mc_samples >= 2:
         raise ConfigError("config field 'mc_samples': a standard error needs "
                           f">= 2 samples (got {mc_samples})")
-    variance = _get(cfg, "wick_variance", float, default=2.0)
+    variance = _field(cfg, "wick_variance", _real, 2.0)
+    if not (variance > 0 and math.isfinite(variance)):
+        raise ConfigError("config field 'wick_variance': must be finite and > 0 "
+                          f"(got {variance})")
     parsed_cases = []
     for i, case in enumerate(hyp_cases):
-        if not isinstance(case, dict):
-            raise ConfigError(f"hypercontractivity[{i}] must be a mapping")
-        q = _get(case, f"hypercontractivity[{i}].q", float, required=True)
+        path = f"hypercontractivity[{i}]"
+        q = _field(case, f"{path}.q", _real)
         if not (q >= 2.0 and math.isfinite(q)):
-            raise ConfigError(f"config field 'hypercontractivity[{i}].q': "
+            raise ConfigError(f"config field '{path}.q': "
                               f"must be finite and >= 2 (got {q})")
-        parsed_cases.append({
-            "order": _get(case, f"hypercontractivity[{i}].order", int, required=True),
-            "dim": _get(case, f"hypercontractivity[{i}].dim", int, default=1),
-            "q": q,
-            "samples": _get(case, f"hypercontractivity[{i}].samples", int,
-                            default=200_000),
-            "terms": _get(case, f"hypercontractivity[{i}].terms", _chaos_terms),
-        })
+        parsed_cases.append(dict(
+            order=_field(case, f"{path}.order", _integral),
+            dim=_field(case, f"{path}.dim", _integral, 1), q=q,
+            samples=_field(case, f"{path}.samples", _integral, 200_000),
+            terms=_field(case, f"{path}.terms", _chaos_terms, None)))
 
-    records = [ser.meta_record(cfg, command="wick-check")]
-    all_ok = True
+    def run(out: Path) -> int:
+        records = [ser.meta_record(cfg, command="wick-check")]
+        all_ok = True
 
-    for name, ok in _wick_identity_checks():
-        records.append({"record": "check", "name": name, "pass": bool(ok)})
-        all_ok &= ok
+        for name, ok in _wick_identity_checks():
+            records.append({"record": "check", "name": name, "pass": bool(ok)})
+            all_ok &= ok
 
-    # Monte-Carlo means of the Wick powers under the standard complex
-    # Gaussian (true variance 2). A corrupted wick_variance makes these fail.
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    z = gen.standard_normal((mc_samples, 2))
-    g = z[:, 0] + 1j * z[:, 1]
-    for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
-                         ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):
-        mean = float(np.mean(values))
-        stderr = float(np.std(values) / math.sqrt(mc_samples))
-        ok = abs(mean) <= 3.0 * stderr
-        records.append({"record": "check", "name": name, "pass": bool(ok),
-                        "mean": mean, "stderr": stderr, "variance": variance})
-        all_ok &= ok
+        # Monte-Carlo means of the Wick powers under the standard complex
+        # Gaussian (true variance 2). A corrupted wick_variance makes these fail.
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        z = gen.standard_normal((mc_samples, 2))
+        g = z[:, 0] + 1j * z[:, 1]
+        for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
+                             ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):
+            mean = float(np.mean(values))
+            stderr = float(np.std(values) / math.sqrt(mc_samples))
+            ok = abs(mean) <= 3.0 * stderr
+            records.append({"record": "check", "name": name, "pass": bool(ok),
+                            "mean": mean, "stderr": stderr, "variance": variance})
+            all_ok &= ok
 
-    for i, case in enumerate(parsed_cases):
-        try:
-            report = wick.hypercontractivity_check(
-                case["order"], case["dim"], case["q"], samples=case["samples"],
-                seed=seed + i + 1, terms=case["terms"])
-        except ValueError as exc:
-            raise ConfigError(f"hypercontractivity[{i}]: {exc}") from exc
-        rec = report.to_dict()
-        rec["record"] = "hypercontractivity"
-        records.append(rec)
-        all_ok &= report.passed
+        for i, case in enumerate(parsed_cases):
+            report = _checked(f"hypercontractivity[{i}]", wick.hypercontractivity_check,
+                              seed=seed + i + 1, **case)
+            rec = report.to_dict()
+            rec["record"] = "hypercontractivity"
+            records.append(rec)
+            all_ok &= report.passed
 
-    out = _out_dir(args, cfg)
-    ser.write_ndjson(out / "wick_check.ndjson", records)
-    for rec in records[1:]:
-        label = rec.get("name") or f"hyp(n={rec.get('n')},d={rec.get('d')},q={rec.get('q')})"
-        print(f"check {label}: {'pass' if rec.get('pass') else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_VERDICT
+        ser.write_ndjson(out / "wick_check.ndjson", records)
+        for rec in records[1:]:
+            label = rec.get("name") or f"hyp(n={rec.get('n')},d={rec.get('d')},q={rec.get('q')})"
+            print(f"check {label}: {'pass' if rec.get('pass') else 'FAIL'}")
+        return EXIT_OK if all_ok else EXIT_VERDICT
+    return run
 
 
-def cmd_sample(args, cfg: dict) -> int:
-    data = _section(cfg, "data")
-    spec = _build_random_spec(data, "data")
-    count = _get(cfg, "count", int, default=1)
-    out = _out_dir(args, cfg)
+def cmd_sample(cfg: dict):
+    spec = _build_random_spec(_field(cfg, "data", _mapping), "data")
+    count = _field(cfg, "count", _integral, 1)
+    profile = _field(cfg, "profile", _mapping, {})
+    s_values = _field(profile, "profile.s_values", _list_of(_real), [0.0])
+    cutoffs = _field(profile, "profile.cutoffs", _list_of(_integral), [])
+    samples = _field(profile, "profile.samples", _integral, 1000)
 
-    records = [ser.meta_record(cfg, command="sample")]
-    for k, coeffs in enumerate(rnd.sample_block(spec, range(count))):
-        u = fld.TorusField(coeffs, spec.max_mode)
-        fname = f"sample_{k:03d}.json"
-        ser.save_field(u, out / fname)
-        records.append({"record": "sample", "index": k, "file": fname,
-                        "mean_intensity": fld.mean_intensity(u)})
-    records.append({"record": "expected_mean_intensity",
-                    "value": rnd.expected_mean_intensity(spec)})
-
-    profile = _section(cfg, "profile", required=False)
-    if profile:
-        try:
-            rows = rnd.regularity_profile(
-                spec,
-                s_values=[float(s) for s in profile.get("s_values", [0.0])],
-                mode_cutoffs=[int(m) for m in profile.get("cutoffs", [])],
-                samples=_get(profile, "profile.samples", int, default=1000),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"profile: {exc}") from exc
-        ser.write_csv(out / "profile.csv",
-                      ("s", "M", "median_norm", "q25", "q75", "samples"),
-                      [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"],
-                        r["samples"]) for r in rows], meta=cfg)
-    ser.write_ndjson(out / "sample.ndjson", records)
-    return EXIT_OK
+    def run(out: Path) -> int:
+        # the profile's own checks run before the first sample is written
+        rows = _checked("profile", rnd.regularity_profile, spec, s_values, cutoffs,
+                        samples) if profile else []
+        records = [ser.meta_record(cfg, command="sample")]
+        for k, coeffs in enumerate(rnd.sample_block(spec, range(count))):
+            u = fld.TorusField(coeffs, spec.max_mode)
+            fname = f"sample_{k:03d}.json"
+            ser.save_field(u, out / fname)
+            records.append({"record": "sample", "index": k, "file": fname,
+                            "mean_intensity": fld.mean_intensity(u)})
+        records.append({"record": "expected_mean_intensity",
+                        "value": rnd.expected_mean_intensity(spec)})
+        if profile:
+            ser.write_csv(out / "profile.csv",
+                          ("s", "M", "median_norm", "q25", "q75", "samples"),
+                          [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"],
+                            r["samples"]) for r in rows], meta=cfg)
+        ser.write_ndjson(out / "sample.ndjson", records)
+        return EXIT_OK
+    return run
 
 
-def cmd_norms(args, cfg: dict) -> int:
-    path = _get(cfg, "field_file", str, required=True)
-    if not Path(path).exists():
-        raise ConfigError(f"field_file not found: {path}")
-    u = ser.load_field(path)
-    specs = cfg.get("norms")
-    if not isinstance(specs, list) or not specs:
+def cmd_norms(cfg: dict):
+    u = _field(cfg, "field_file", _field_file)
+    items = _field(cfg, "norms", _list_of(_mapping))
+    if not items:
         raise ConfigError("config field 'norms' must be a non-empty list")
-    rows = []
-    for i, item in enumerate(specs):
-        if not isinstance(item, dict):
-            raise ConfigError(f"norms[{i}] must be a mapping")
-        kind = _get(item, f"norms[{i}].kind", str, required=True)
-        try:
-            spec = fld.NormSpec(kind, s=float(item.get("s", 0.0)),
-                                p=float(item.get("p", 2.0)))
-        except ValueError as exc:
-            raise ConfigError(f"norms[{i}]: {exc}") from exc
-        value = fld.norm(u, spec)
-        rows.append((kind, spec.s, spec.p, value))
-        print(f"{kind}(s={spec.s:g}, p={spec.p:g}) = {value!r}")
-    out = _out_dir(args, cfg)
-    ser.write_csv(out / "norms.csv", ("kind", "s", "p", "value"), rows, meta=cfg)
-    return EXIT_OK
+    specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", _str),
+                      s=_field(item, f"norms[{i}].s", _real, 0.0),
+                      p=_field(item, f"norms[{i}].p", _real, 2.0))
+             for i, item in enumerate(items)]
+
+    def run(out: Path) -> int:
+        rows = []
+        for spec in specs:
+            value = fld.norm(u, spec)
+            rows.append((spec.kind, spec.s, spec.p, value))
+            print(f"{spec.kind}(s={spec.s:g}, p={spec.p:g}) = {value!r}")
+        ser.write_csv(out / "norms.csv", ("kind", "s", "p", "value"), rows, meta=cfg)
+        return EXIT_OK
+    return run
 
 
-def cmd_order_study(args, cfg: dict) -> int:
+def cmd_order_study(cfg: dict):
     eq = _build_equation(cfg)
-    data = _section(cfg, "data")
-    u0 = _build_field(data, "data")
-    dts = cfg.get("dts")
-    if not isinstance(dts, list) or len(dts) < 3:
-        raise ConfigError("config field 'dts' must list >= 3 decreasing steps")
-    scheme = _get(cfg, "scheme", str, default="strang")
-    try:
-        report = xp.integrator_order_study(u0, eq, [float(d) for d in dts],
-                                           scheme=scheme,
-                                           t_end=_get(cfg, "t_end", float, default=1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = _out_dir(args, cfg)
-    ser.write_ndjson(out / "order_study.ndjson",
-                     [ser.meta_record(cfg, command="order-study")] + report.to_records())
-    ser.write_csv(out / "order_study.csv",
-                  ("series", "index_name", "index", "value", "unit"),
-                  report.summary_rows(), meta=cfg)
-    fitted = report.details.get("fitted_order")
-    print(f"fitted order: {fitted if fitted is not None else 'exact to roundoff'}")
-    return EXIT_OK if report.verdict else EXIT_VERDICT
+    u0 = _build_field(_field(cfg, "data", _mapping), "data")
+    dts = _field(cfg, "dts", _list_of(_real))
+    scheme = _field(cfg, "scheme", _str, "strang")
+    t_end = _field(cfg, "t_end", _real, 1.0)
+
+    def run(out: Path) -> int:
+        report = _checked("order-study", xp.integrator_order_study, u0, eq, dts,
+                          scheme=scheme, t_end=t_end)
+        ser.write_ndjson(out / "order_study.ndjson",
+                         [ser.meta_record(cfg, command="order-study")] + report.to_records())
+        ser.write_csv(out / "order_study.csv",
+                      ("series", "index_name", "index", "value", "unit"),
+                      report.summary_rows(), meta=cfg)
+        fitted = report.details.get("fitted_order")
+        print(f"fitted order: {fitted if fitted is not None else 'exact to roundoff'}")
+        return EXIT_OK if report.verdict else EXIT_VERDICT
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +510,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", help="output directory (default: $WICKNLS_OUT or .)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; the bump family runs as one batch")
         p.add_argument("--repro", action="store_true",
-                       help="reproducibility mode: force --threads 1")
+                       help="reproducibility mode; every run is deterministic, so "
+                            "outputs are byte-identical with or without it")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY.PATH=VALUE",
                        help="override any scalar config field (repeatable)")
@@ -521,14 +521,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.repro:
-        args.threads = 1
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.overrides)
         _apply_seed_override(cfg, args.seed)
         _check_schema(cfg)
-        return _COMMANDS[args.command](args, cfg)
+        run = _COMMANDS[args.command](cfg)
+        return run(_out_dir(args, cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

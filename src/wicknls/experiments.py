@@ -276,7 +276,7 @@ def _weak_series(run: _WeakRun, tag: str = "") -> list:
     ]
 
 
-def weak_continuity_run(spec: WeakSequenceSpec, threads: int = 1,
+def weak_continuity_run(spec: WeakSequenceSpec,
                         verdict_mode: str = "auto") -> ExperimentReport:
     """Gap series G(n) for the bump family, with decay or plateau verdicts.
 
@@ -284,7 +284,7 @@ def weak_continuity_run(spec: WeakSequenceSpec, threads: int = 1,
     are checked for a decaying-gap trend and the plain variants for a
     persistent plateau; pass ``"decay"`` or ``"plateau"`` to force one (e.g.
     applying the decay verdict to the plain equation exhibits its failure).
-    ``threads`` is accepted but unused: the bump family runs as one batch.
+    The bump family runs as one batched evolution per time direction.
     """
     run = _weak_run(spec)
     verdicts, details = _weak_verdicts(run, verdict_mode)

@@ -26,7 +26,7 @@ def hermite(n: int, x, sigma: float = 1.0):
         raise ValueError("degree must be >= 0")
     if n > MAX_HERMITE_DEGREE:
         raise ValueError(f"degree > {MAX_HERMITE_DEGREE} rejected (recurrence accuracy)")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN-safe
         raise ValueError("variance parameter sigma must be positive")
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = hermite_batch(n, arr, float(sigma))

@@ -147,6 +147,7 @@ class TestConfigErrors:
         (["probe.amplitude=0"], "'probe'"),
         (["equation.variant=truncated-wnls-gauged", "equation.truncation=16"],
          "'equation.truncation'"),
+        (["modes=[4.5, 8]"], "'modes'"),
     ])
     def test_weak_spec_errors_name_the_field(self, tmp_path, capsys, overrides, key):
         argv = ["weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
@@ -192,6 +193,11 @@ class TestConfigErrors:
          "'hypercontractivity[0].q'"),
         (["--set", "hypercontractivity=[{order: 2, q: .inf}]"],
          "'hypercontractivity[0].q'"),
+        (["--set", "seed=1.5"], "'seed'"),
+        (["--set", "wick_variance=.nan"], "'wick_variance'"),
+        (["--set", "wick_variance=.inf"], "'wick_variance'"),
+        (["--set", "wick_variance=0"], "'wick_variance'"),
+        (["--set", "wick_variance=-2"], "'wick_variance'"),
     ])
     def test_wick_check_errors_name_the_field(self, tmp_path, capsys, argv, key):
         assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),
@@ -212,11 +218,55 @@ class TestConfigErrors:
         ("data.gaussian_scale=.nan", "data: gaussian_scale must be finite"),
         ("profile.samples=0", "profile: samples must be >= 1"),
         ("profile.cutoffs=[-1, 8]", "profile: cutoffs must be >= 0"),
+        ("data.seed=1.5", "config field 'data.seed': "),
+        ("profile.s_values=5", "config field 'profile.s_values': "),
     ])
     def test_sample_errors_name_the_field(self, tmp_path, capsys, pair, prefix):
         assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
                    "--out", str(tmp_path / "o"), "--set", pair) == 2
         assert capsys.readouterr().err.startswith(f"config error: {prefix}")
+
+    @pytest.mark.parametrize("pair", ["profile.samples=0", "profile.cutoffs=[-1, 8]"])
+    def test_profile_error_writes_no_file(self, tmp_path, pair):
+        out = tmp_path / "o"
+        assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
+                   "--out", str(out), "--set", pair) == 2
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, config, pair, key", [
+        ("simulate", "simulate_plane_wave.yaml", "equation.sign=1.5", "'equation.sign'"),
+        ("simulate", "simulate_plane_wave.yaml", "equation.sign=true", "'equation.sign'"),
+        ("simulate", "simulate_plane_wave.yaml", "data.mode=2.9", "'data.mode'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[[1],[2],[3]]", "'dts'"),
+    ])
+    def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
+                                         key):
+        out = tmp_path / "o"
+        assert run(command, "--config", str(CONFIG_DIR / config), "--out", str(out),
+                   "--set", pair) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config field {key}: ")
+        assert not out.exists()
+
+    def test_malformed_norm_names_the_field(self, tmp_path, capsys):
+        from wicknls.field import TorusField
+
+        ser.save_field(TorusField.single_mode(2, 1.0), tmp_path / "f.json")
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "field_file": str(tmp_path / "f.json"),
+            "norms": [{"kind": "sobolev", "s": [1]}],
+        })
+        assert run("norms", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config field 'norms[0].s': ")
+
+    def test_yaml_string_real_is_accepted(self, tmp_path):
+        # PyYAML reads 1e-3 (no decimal point) as the string "1e-3"
+        cfg = write_yaml(tmp_path / "c.yaml", small_simulate_cfg())
+        assert run("simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--set", "integrator.dt=1e-3") == 0
+        records = ser.read_ndjson(tmp_path / "o" / "trajectory.ndjson")
+        assert records[0]["config"]["integrator"]["dt"] == "1e-3"
+        assert len(records) == 1 + 200 // 5 + 1
 
     def test_missing_offset_file(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
@@ -228,11 +278,28 @@ class TestConfigErrors:
         assert run("sample", "--config", cfg, "--out", str(tmp_path / "o")) == 2
 
 
+# the command that runs each shipped config
+SHIPPED_COMMANDS = {
+    "order_study_rk4": "order-study", "phase_defect_contrast": "weak-limit",
+    "sample_white_noise": "sample", "simulate_plane_wave": "simulate",
+    "weak_limit_nls": "weak-limit", "weak_limit_wnls": "weak-limit",
+    "wick_check": "wick-check", "wick_check_corrupted": "wick-check",
+}
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
+                             ids=lambda p: p.stem)
+    def test_parse_step_accepts(self, path):
+        cfg = cli._load_config(str(path))
+        cli._check_schema(cfg)
+        assert callable(cli._COMMANDS[SHIPPED_COMMANDS[path.stem]](cfg))
+
+
 class TestWeakLimit:
     def test_wick_fixture_passes(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", small_weak_cfg())
-        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--threads", "2") == 0
+        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "o")) == 0
         records = ser.read_ndjson(tmp_path / "o" / "weak_limit.ndjson")
         kinds = {r["record"] for r in records}
         assert {"meta", "report", "series"} <= kinds
@@ -242,8 +309,7 @@ class TestWeakLimit:
         cfg = write_yaml(tmp_path / "c.yaml", small_weak_cfg(
             equation={"variant": "nls", "sign": 1},
             experiment={"kind": "weak-continuity", "verdict": "decay"}))
-        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "o"),
-                   "--threads", "2") == 4
+        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "o")) == 4
 
     def test_zero_bump_passes_with_zero_gaps(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml",
@@ -271,15 +337,12 @@ class TestModuleEntryPoint:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_output(self, tmp_path):
+    def test_weak_limit_reruns_are_byte_identical(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", small_weak_cfg())
-        run("weak-limit", "--config", cfg, "--out", str(tmp_path / "a"),
-            "--threads", "1")
-        run("weak-limit", "--config", cfg, "--out", str(tmp_path / "b"),
-            "--threads", "4")
-        a = (tmp_path / "a" / "weak_limit.ndjson").read_bytes()
-        b = (tmp_path / "b" / "weak_limit.ndjson").read_bytes()
-        assert a == b
+        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+        assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "b")) == 0
+        for name in ("weak_limit.ndjson", "weak_limit_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("WICKNLS_OUT", str(tmp_path / "envout"))

@@ -59,20 +59,19 @@ class TestWeakContinuityRun:
         assert report.verdict
 
     def test_wick_gaps_decay(self):
-        report = xp.weak_continuity_run(small_spec(), threads=2)
+        report = xp.weak_continuity_run(small_spec())
         gaps = report.get_series("gap_sup").values
         assert gaps[1] < 0.2 * gaps[0]
         assert report.verdicts["gap_decay_trend"] and report.verdicts["gap_decay_ratio"]
 
     def test_plain_equation_plateau(self):
-        report = xp.weak_continuity_run(small_spec(eq=EquationSpec("nls", sign=1)),
-                                        threads=2)
+        report = xp.weak_continuity_run(small_spec(eq=EquationSpec("nls", sign=1)))
         assert set(report.verdicts) == {"gap_plateau"}
         assert report.verdicts["gap_plateau"]
 
     def test_forced_decay_verdict_fails_for_plain(self):
         report = xp.weak_continuity_run(small_spec(eq=EquationSpec("nls", sign=1)),
-                                        threads=2, verdict_mode="decay")
+                                        verdict_mode="decay")
         assert not report.verdict
 
     def test_mode_order_irrelevant(self):

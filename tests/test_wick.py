@@ -42,6 +42,8 @@ class TestHermite:
         with pytest.raises(ValueError):
             wick.hermite(2, 0.0, 0.0)
         with pytest.raises(ValueError):
+            wick.hermite(2, 1.0, math.nan)
+        with pytest.raises(ValueError):
             wick.hermite(51, 0.0)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7, 2.5])
