@@ -3,9 +3,9 @@ on the torus — exact spectral representation, split-step / RK4 evolution,
 Gaussian random data, Wick-ordering algebra and weak-continuity experiments.
 """
 
-from .field import (NormSpec, TorusField, analyze, field_allclose, mean_intensity,
-                    norm, pairing, project, quartic_integral, spacetime_l4_norm,
-                    spacetime_lp_norm, synthesize)
+from .field import (NormSpec, TorusField, analyze, mean_intensity, norm, pairing,
+                    project, quartic_integral, spacetime_l4_norm, spacetime_lp_norm,
+                    synthesize)
 from .wick import (HypercontractivityReport, hermite, hypercontractivity_check,
                    intensity_fluctuation, renormalization_constant,
                    wick_abs_fourth, wick_abs_square, wick_hamiltonian)
@@ -28,7 +28,7 @@ __all__ = [
     "IntegrationDivergedError", "IntegratorSpec", "NormSpec", "RandomDataSpec",
     "Series", "Trajectory", "TorusField", "Variant", "WeakSequenceSpec",
     "__version__", "analyze", "apriori_growth_probe", "conserved", "evolve",
-    "evolve_batch", "expected_mean_intensity", "field_allclose", "free_flow_l4_norm",
+    "evolve_batch", "expected_mean_intensity", "free_flow_l4_norm",
     "galilean_boost", "gauge_transform", "hermite", "hypercontractivity_check",
     "integrator_order_study", "intensity_fluctuation", "linear_propagator",
     "mean_intensity", "nonlinearity", "norm", "pairing",

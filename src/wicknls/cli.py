@@ -415,6 +415,8 @@ def cmd_wick_check(cfg: dict):
 def cmd_sample(cfg: dict):
     spec = _build_random_spec(_field(cfg, "data", _mapping), "data")
     count = _field(cfg, "count", _integral, 1)
+    if count < 0:
+        raise ConfigError(f"config field 'count': must be >= 0 (got {count})")
     profile = _field(cfg, "profile", _mapping, {})
     s_values = _field(profile, "profile.s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "profile.cutoffs", _list_of(_integral), [])

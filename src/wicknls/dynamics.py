@@ -42,6 +42,7 @@ RK4) drifts in mass has met a failure of the scheme, reported as
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -136,10 +137,14 @@ class IntegratorSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots plus a conserved-quantity ledger (one row per snapshot)."""
+    """Snapshots as one read-only (S, 2K+1) block ``coeffs``, plus a ledger.
+
+    Row k holds modes -K..K at ``times[k]``; ``snapshots`` and ``final`` are
+    ``TorusField`` views of the rows. Each ledger column has one entry per row.
+    """
 
     times: np.ndarray
-    snapshots: tuple
+    coeffs: np.ndarray
     ledger: dict
     eq: EquationSpec
     integrator: IntegratorSpec
@@ -148,17 +153,24 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        if len(t) != len(self.snapshots):
-            raise ValueError("one snapshot per time required")
+        c = np.asarray(self.coeffs, dtype=np.complex128).view()
+        if c.ndim != 2 or len(c) != len(t) or c.shape[1] % 2 == 0:
+            raise ValueError(f"coeffs must hold one 2K+1 row per time, got shape {c.shape}")
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        bands = {f.max_mode for f in self.snapshots}
-        if len(bands) > 1:
-            raise ValueError("snapshot band limits must all be equal")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         for key, col in self.ledger.items():
             if len(col) != len(t):
                 raise ValueError(f"ledger column {key!r} has wrong length")
+        c.setflags(write=False)
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "coeffs", c)
+
+    @cached_property
+    def snapshots(self) -> tuple:
+        band = (self.coeffs.shape[1] - 1) // 2
+        return tuple(fld.TorusField._trusted(row, band) for row in self.coeffs)
 
     @property
     def final(self) -> fld.TorusField:
@@ -316,19 +328,20 @@ class _Recorder:
 
     A state handed to it is a (B, m) stack whose row r holds modes
     -band..band of run r in columns 0..2 band, i.e. the spectrum of
-    e^{i band x} u; columns past 2 band are not read. The constructor records
-    the pairings and the snapshot of the initial state.
+    e^{i band x} u; columns past 2 band are not read. Snapshots go into one
+    (B, S, 2 band + 1) block, like the pairings; ``build`` computes the ledger
+    of all its rows in one call. The constructor records the pairings and the
+    snapshot of the initial state.
     """
 
     def __init__(self, eq, integ, dt, band, probes, state, n_steps):
         self.eq, self.integ, self.dt = eq, integ, dt
-        self.band, self.width = band, 2 * band + 1
+        self.width = 2 * band + 1
         self.renorm = eq.renorm_constant() if eq.renorm_shifted else None
         self.names = tuple(probes)
-        rows = len(state)
-        self.times = []
-        self.snaps = [[] for _ in range(rows)]
-        self.ledgers = []  # one dict of (B,) columns per snapshot
+        rows, n_snaps = len(state), n_steps // integ.snapshot_stride + 1
+        self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
+        self.taken = 0
         # pairing at step k of row r against probe j (without the 2 pi)
         self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
         self.recorded = 0
@@ -337,7 +350,7 @@ class _Recorder:
             self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
             self.paired = np.conj(p[:, self.support])
             self.probe(state, self.paired)
-        self.snapshot(0.0, state)
+        self.snapshot(state)
 
     def probe(self, state, vectors):
         """Record each row's pairing with each row of ``vectors`` on the probe support."""
@@ -345,40 +358,32 @@ class _Recorder:
         self.pairings[self.recorded] = np.einsum("ij,kj->ik", state[:, self.support], vectors)
         self.recorded += 1
 
-    def snapshot(self, t, state):
-        block = state[:, :self.width]
-        self.times.append(t)
-        self.ledgers.append(_ledger(block, self.eq.sign, self.renorm))
-        for r, c in enumerate(block):
-            self.snaps[r].append(fld.TorusField(c, self.band))
+    def snapshot(self, state):
+        self.snaps[:, self.taken] = state[:, :self.width]
+        self.taken += 1
 
     def fail(self, row, message, step):
         """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory."""
         raise IntegrationDivergedError(
             f"numerical scheme failure: {message} during step to t={(step + 1) * self.dt:g}",
-            last_valid_time=step * self.dt, trajectory=self.build(row))
+            last_valid_time=step * self.dt, trajectory=self.build(slice(row, row + 1))[0])
 
-    def build(self, r) -> Trajectory:
-        dt = self.dt
-        ledger = {k: np.array([entry[k][r] for entry in self.ledgers])
-                  for k in self.ledgers[0]}
-        times = np.asarray(self.times)
-        snaps = tuple(self.snaps[r])
-        ptimes, probes = None, {}
-        if self.names:
-            ptimes = np.arange(self.recorded) * dt
-            ptimes[0] = 0.0  # not -0.0 on a backward run
-            probes = {name: fld.TWO_PI * self.pairings[:self.recorded, r, j]
-                      for j, name in enumerate(self.names)}
-        if dt < 0:
-            times = times[::-1].copy()
-            snaps = snaps[::-1]
-            ledger = {k: v[::-1].copy() for k, v in ledger.items()}
-            if ptimes is not None:
-                ptimes = ptimes[::-1].copy()
-                probes = {k: v[::-1].copy() for k, v in probes.items()}
-        return Trajectory(times=times, snapshots=snaps, ledger=ledger, eq=self.eq,
-                          integrator=self.integ, probe_times=ptimes, probes=probes)
+    def build(self, rows=slice(None)) -> list[Trajectory]:
+        """The trajectories of the rows in the slice ``rows``, from what is recorded so far."""
+        block = self.snaps[rows, :self.taken]
+        flat = _ledger(block.reshape(-1, self.width), self.eq.sign, self.renorm)
+        ledger = {k: v.reshape(block.shape[:2]) for k, v in flat.items()}
+        order = slice(None, None, -1 if self.dt < 0 else 1)  # ascending times
+        # step k + 1 ends at (k + 1) * dt, rounded as a float product
+        times = np.arange(self.taken) * self.integ.snapshot_stride * self.dt
+        ptimes = np.arange(self.recorded) * self.dt
+        times[:1] = ptimes[:1] = 0.0  # not -0.0 on a backward run
+        pairings = fld.TWO_PI * self.pairings[:self.recorded, rows][order]
+        return [Trajectory(times[order].copy(), coeffs[order],
+                           {k: v[i, order] for k, v in ledger.items()}, self.eq, self.integ,
+                           ptimes[order].copy() if self.names else None,
+                           {name: pairings[:, i, j] for j, name in enumerate(self.names)})
+                for i, coeffs in enumerate(block)]
 
 
 def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
@@ -425,11 +430,12 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
             raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
         work_band = bands.pop()
     core = _evolve_strang if integ.scheme == "strang" else _evolve_lawson
-    return core(u0s, eq, integ, n_steps, dt, work_band, probes, cap)
+    # the core's work arrays are freed before the trajectories are built
+    return core(u0s, eq, integ, n_steps, dt, work_band, probes, cap).build()
 
 
 def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
-    """Strang splitting of a (B, m) stack, with adjacent half-steps fused.
+    """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its recorder.
 
     The grid is odd with m >= 3 (2N+1) points. Row r holds modes -K..K in
     columns 0..2K, the spectrum of e^{iKx} u, with K the grid band (m = 2K+1)
@@ -503,7 +509,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
             s *= half
             if truncated:
                 s[:, width:] = 0.0
-            rec.snapshot((k + 1) * dt, s)
+            rec.snapshot(s)
             s *= half
         else:
             s *= full
@@ -512,11 +518,11 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         if truncated:
             target = np.einsum("ij,ij->i", s_real, s_real)
             offset = mean_offset()
-    return [rec.build(r) for r in range(len(u0s))]
+    return rec
 
 
 def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
-    """Integrating-factor (Lawson) RK4 of a (B, m) stack.
+    """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its recorder.
 
     With ``E = exp(i(n^2 - shift) dt/2)`` applied exactly and ``K(v)`` the
     nonlinear term times dt, a step is
@@ -613,8 +619,8 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         if probes:
             rec.probe(c, rec.paired)
         if snap:
-            rec.snapshot((k + 1) * dt, c)
-    return [rec.build(r) for r in range(rows)]
+            rec.snapshot(c)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -623,13 +629,9 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
 
 def _phase_transformed(traj: Trajectory, rate: float, eq: EquationSpec) -> Trajectory:
     """Multiply snapshot k by exp(i * rate * t_k); ledger is phase-invariant."""
-    snaps = tuple(fld.TorusField(u.coeffs * np.exp(1j * rate * t), u.max_mode)
-                  for t, u in zip(traj.times, traj.snapshots))
-    probes = traj.probes
-    if traj.probe_times is not None:
-        factor = np.exp(1j * rate * traj.probe_times)
-        probes = {k: v * factor for k, v in probes.items()}
-    return Trajectory(times=traj.times.copy(), snapshots=snaps,
+    coeffs = traj.coeffs * np.exp(1j * rate * traj.times)[:, None]
+    probes = {k: v * np.exp(1j * rate * traj.probe_times) for k, v in traj.probes.items()}
+    return Trajectory(times=traj.times.copy(), coeffs=coeffs,
                       ledger={k: v.copy() for k, v in traj.ledger.items()},
                       eq=eq, integrator=traj.integrator,
                       probe_times=traj.probe_times, probes=probes)

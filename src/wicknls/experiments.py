@@ -166,11 +166,7 @@ class WeakSequenceSpec:
         }
 
 
-class _WeakRun(SimpleNamespace):
-    pass
-
-
-def _weak_run(spec: WeakSequenceSpec) -> _WeakRun:
+def _weak_run(spec: WeakSequenceSpec) -> SimpleNamespace:
     eq = spec.eq
     t_hor = float(spec.horizon)
     data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
@@ -192,19 +188,13 @@ def _weak_run(spec: WeakSequenceSpec) -> _WeakRun:
         d = np.concatenate([run_b.probes["phi"], run_f.probes["phi"][1:]]) - ref_p
         gaps.append(float(np.max(np.abs(d))))
         weak_proxy.append(float(abs(np.sum(d * window) * dt_fine)))
-        p4 = p6 = 0.0
-        for run, ref in ((run_b, ref_b), (run_f, ref_f)):
-            diff = SimpleNamespace(
-                times=run.times,
-                snapshots=[a - b for a, b in zip(run.snapshots, ref.snapshots)])
-            s4, s6 = fld._lp_sums(diff, (4.0, 6.0))
-            p4 += s4
-            p6 += s6
-        l4_gap.append(p4**0.25)
-        l6_gap.append(p6 ** (1.0 / 6.0))
+        b4, b6 = fld._lp_sums(run_b.times, run_b.coeffs - ref_b.coeffs, (4.0, 6.0))
+        f4, f6 = fld._lp_sums(run_f.times, run_f.coeffs - ref_f.coeffs, (4.0, 6.0))
+        l4_gap.append((b4 + f4) ** 0.25)
+        l6_gap.append((b6 + f6) ** (1.0 / 6.0))
         defects.append(fld.mean_intensity(run_f.snapshots[0]) - mu_ref)
 
-    return _WeakRun(spec=spec, modes=spec.mode_list, gaps=np.array(gaps),
+    return SimpleNamespace(spec=spec, modes=spec.mode_list, gaps=np.array(gaps),
                     weak_proxy=np.array(weak_proxy), l4_gap=np.array(l4_gap),
                     l6_gap=np.array(l6_gap), defects=np.array(defects),
                     times=times, ref_probe=ref_p)
@@ -232,7 +222,7 @@ def _spearman_rho(x, y) -> float:
     return float(np.dot(rx, ry)) / denom if denom > 0.0 else math.nan
 
 
-def _weak_verdicts(run: _WeakRun, mode: str = "auto") -> tuple[dict, dict]:
+def _weak_verdicts(run: SimpleNamespace, mode: str = "auto") -> tuple[dict, dict]:
     if mode not in ("auto", "decay", "plateau"):
         raise ValueError("verdict mode must be auto, decay or plateau")
     if mode == "auto":
@@ -258,7 +248,7 @@ def _weak_verdicts(run: _WeakRun, mode: str = "auto") -> tuple[dict, dict]:
     return {"gap_plateau": bool(plateau_ok)}, details
 
 
-def _weak_series(run: _WeakRun, tag: str = "") -> list:
+def _weak_series(run: SimpleNamespace, tag: str = "") -> list:
     h = spec_hash(run.spec.to_dict())
     modes = list(run.modes)
     name = lambda base: f"{tag}{base}"
@@ -294,7 +284,7 @@ def weak_continuity_run(spec: WeakSequenceSpec,
                             details=details)
 
 
-def _plateau_prediction(run_wnls: _WeakRun, sign: int) -> float:
+def _plateau_prediction(run_wnls: SimpleNamespace, sign: int) -> float:
     """max_t |e^{2 i s delta t} - 1| * |<u_ref(t), phi>| from the gauge identity."""
     delta = float(run_wnls.defects[-1])
     osc = np.abs(np.exp(2j * sign * delta * run_wnls.times) - 1.0)

@@ -207,22 +207,30 @@ def pairing(f: TorusField, g: TorusField) -> complex:
     return TWO_PI * complex(np.vdot(g.padded_to(n).coeffs, f.padded_to(n).coeffs))
 
 
+# grid values per pass of ``_quartic_integrals`` (at least one row): 128 KiB of
+# complex work, so that a whole batch's ledger needs no more than one snapshot's
+_QUARTIC_WORK_VALUES = 2**13
+
+
 def _quartic_integrals(block: np.ndarray) -> np.ndarray:
     """Integral of |u|^4 for each row of a (B, 2N+1) block of modes -N..N.
 
-    Row r sits in columns 0..2N of one zero-padded batched transform, which
+    Row r is zero-padded past column 2N to a batched transform, which
     samples e^{iNx} u; |u|^4 does not see that unimodular factor. A grid of
-    at least 4N+1 points integrates the band-4N polynomial exactly.
+    at least 4N+1 points integrates the band-4N polynomial exactly. The rows
+    are transformed a group at a time, so the work memory stays bounded; a
+    row's value does not depend on its group.
     """
     rows, width = block.shape
     m = fast_fft_size(2 * width)
-    u = np.zeros((rows, m), dtype=np.complex128)
-    u[:, :width] = block
-    np.fft.ifft(u, axis=-1, norm="forward", out=u)
-    a4 = np.abs(u)
-    a4 *= a4
-    a4 *= a4
-    return TWO_PI * (np.add.reduce(a4, axis=-1) / m)
+    group = max(1, _QUARTIC_WORK_VALUES // m)
+    out = np.empty(rows)
+    for start in range(0, rows, group):
+        a4 = np.abs(np.fft.ifft(block[start:start + group], n=m, axis=-1, norm="forward"))
+        a4 *= a4
+        a4 *= a4
+        out[start:start + group] = np.add.reduce(a4, axis=-1)
+    return TWO_PI * (out / m)
 
 
 def quartic_integral(field: TorusField) -> float:
@@ -230,28 +238,34 @@ def quartic_integral(field: TorusField) -> float:
     return float(_quartic_integrals(field.coeffs[None, :])[0])
 
 
-def _lp_sums(trajectory, ps) -> list[float]:
+def _lp_sums(times, block: np.ndarray, ps) -> list[float]:
     """Left rectangle-rule sums of the integral of |u|^p over space-time, one per p.
 
-    Each snapshot is synthesized once, on the grid of the largest p, which
-    integrates |u|^p exactly in space for every even p in ``ps``.
+    Row k of the (S, 2N+1) ``block`` holds modes -N..N at ``times[k]``. All
+    rows but the last are synthesized as :func:`synthesize` does, by one
+    batched FFT on the grid of the largest p, which integrates |u|^p exactly
+    in space for every even p in ``ps``; the time sum runs row by row.
     """
-    times = np.asarray(trajectory.times, dtype=np.float64)
-    snaps = list(trajectory.snapshots)
-    if len(times) < 2 or len(snaps) != len(times):
+    times = np.asarray(times, dtype=np.float64)
+    if len(times) < 2 or len(block) != len(times):
         raise ValueError("need at least two snapshots with matching times")
     dts = np.diff(times)
     dt = dts[0]
     if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("snapshot times must be uniformly spaced")
-    n_max = max(f.max_mode for f in snaps)
+    n_max = (block.shape[1] - 1) // 2
     m = fast_fft_size(max(2 * (2 * n_max + 1), int(max(ps) * n_max) + 2))
+    u = np.zeros((len(block) - 1, m), dtype=np.complex128)
+    u[:, :n_max + 1] += block[:-1, n_max:]
+    u[:, m - n_max:] += block[:-1, :n_max]
+    np.fft.ifft(u, axis=-1, out=u)
+    u *= m
+    a2 = u.real**2
+    a2 += u.imag**2
     totals = [0.0] * len(ps)
-    for f in snaps[:-1]:
-        u = synthesize(f, m)
-        a2 = u.real**2 + u.imag**2
-        for i, p in enumerate(ps):
-            totals[i] += dt * TWO_PI * float(np.mean(a2 ** (p / 2.0)))
+    for i, p in enumerate(ps):
+        for mean in np.mean(a2 ** (p / 2.0), axis=-1):
+            totals[i] += dt * TWO_PI * float(mean)
     return totals
 
 
@@ -262,16 +276,11 @@ def spacetime_lp_norm(trajectory, p: float) -> float:
     times must be uniformly spaced, with at least two snapshots. The spatial
     integral is exact for band-limited fields (2x-oversampled grid).
     """
-    return _lp_sums(trajectory, (p,))[0] ** (1.0 / p)
+    n_max = max((f.max_mode for f in trajectory.snapshots), default=0)
+    block = np.array([f.padded_to(n_max).coeffs for f in trajectory.snapshots])
+    return _lp_sums(trajectory.times, block, (p,))[0] ** (1.0 / p)
 
 
 def spacetime_l4_norm(trajectory) -> float:
     """Space-time L^4 norm of a trajectory (see :func:`spacetime_lp_norm`)."""
     return spacetime_lp_norm(trajectory, 4.0)
-
-
-def field_allclose(f: TorusField, g: TorusField, rtol: float = 1e-12,
-                   atol: float = 1e-12) -> bool:
-    n = max(f.max_mode, g.max_mode)
-    return bool(np.allclose(f.padded_to(n).coeffs, g.padded_to(n).coeffs,
-                            rtol=rtol, atol=atol))

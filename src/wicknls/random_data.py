@@ -123,11 +123,6 @@ def _gaussians(spec: RandomDataSpec, indices) -> np.ndarray:
     return g
 
 
-def gaussian_coefficients(spec: RandomDataSpec, index: int = 0) -> np.ndarray:
-    """Raw complex Gaussians g_n (E|g_n|^2 = gaussian_scale), modes -N..N."""
-    return _gaussians(spec, [index])[0]
-
-
 def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
     """Coefficients of ``sample(spec, k)`` for each ``k`` in ``indices``.
 
@@ -144,7 +139,9 @@ def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
 
 
 def sample(spec: RandomDataSpec, index: int = 0) -> fld.TorusField:
-    """One random field; ``index`` selects a member of the ensemble."""
+    """One random field; ``index`` in [0, 2**64) selects a member of the ensemble."""
+    if not 0 <= index < 2**64:
+        raise ValueError(f"index must lie in [0, 2**64) (got {index})")
     return fld.TorusField(sample_block(spec, [index])[0], spec.max_mode)
 
 

@@ -93,15 +93,12 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> None:
 _LEDGER_NORMS = {"l2": fld.NormSpec.l2(), "h1": fld.NormSpec.sobolev(1.0)}
 
 
-def trajectory_records(traj, norm_specs: dict | None = None) -> list:
+def trajectory_records(traj) -> list:
     """Per-snapshot ledger records for NDJSON export."""
-    specs = norm_specs if norm_specs is not None else _LEDGER_NORMS
     out = []
-    for i, t in enumerate(traj.times):
+    for i, (t, u) in enumerate(zip(traj.times, traj.snapshots)):
         rec = {"record": "snapshot", "t": float(t)}
-        for key, col in traj.ledger.items():
-            rec[key] = float(col[i])
-        rec["norms"] = {name: fld.norm(traj.snapshots[i], spec)
-                        for name, spec in specs.items()}
+        rec.update((key, float(col[i])) for key, col in traj.ledger.items())
+        rec["norms"] = {name: fld.norm(u, spec) for name, spec in _LEDGER_NORMS.items()}
         out.append(rec)
     return out

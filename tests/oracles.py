@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately written without the package's own fast
-paths: direct mode summation, O(N^3) triple loops, rational arithmetic.
+paths: direct mode summation, O(N^3) triple sums, rational arithmetic.
 """
 
 from fractions import Fraction
@@ -21,28 +21,29 @@ def direct_samples(coeffs, max_mode, grid_points):
 def triple_sum_cubic(coeffs, max_mode):
     """out(n) = sum_{n1 - n2 + n3 = n} c(n1) conj(c(n2)) c(n3), band 3N."""
     c = np.asarray(coeffs)
+    width = 2 * max_mode + 1
     out = np.zeros(6 * max_mode + 1, dtype=complex)
-    rng = range(-max_mode, max_mode + 1)
-    for i1, n1 in enumerate(rng):
-        for i2, n2 in enumerate(rng):
-            for i3, n3 in enumerate(rng):
-                out[n1 - n2 + n3 + 3 * max_mode] += c[i1] * np.conj(c[i2]) * c[i3]
+    for i1 in range(width):
+        for i2 in range(width):
+            # n3 runs over the band: n1 - n2 + n3 + 3N = i1 - i2 + i3 + 2N
+            lo = i1 - i2 + 2 * max_mode
+            out[lo:lo + width] += c[i1] * np.conj(c[i2]) * c
     return out
 
 
 def triple_sum_nonresonant(coeffs, max_mode):
     """Same sum restricted to n2 != n1 and n2 != n3."""
     c = np.asarray(coeffs)
+    width = 2 * max_mode + 1
     out = np.zeros(6 * max_mode + 1, dtype=complex)
-    rng = range(-max_mode, max_mode + 1)
-    for i1, n1 in enumerate(rng):
-        for i2, n2 in enumerate(rng):
-            if n2 == n1:
+    for i1 in range(width):
+        for i2 in range(width):
+            if i2 == i1:
                 continue
-            for i3, n3 in enumerate(rng):
-                if n2 == n3:
-                    continue
-                out[n1 - n2 + n3 + 3 * max_mode] += c[i1] * np.conj(c[i2]) * c[i3]
+            lo = i1 - i2 + 2 * max_mode
+            # n3 runs over the band except n3 = n2
+            out[lo:lo + i2] += c[i1] * np.conj(c[i2]) * c[:i2]
+            out[lo + i2 + 1:lo + width] += c[i1] * np.conj(c[i2]) * c[i2 + 1:]
     return out
 
 

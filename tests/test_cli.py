@@ -233,6 +233,24 @@ class TestConfigErrors:
                    "--out", str(out), "--set", pair) == 2
         assert list(out.iterdir()) == []
 
+    def test_negative_count_is_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
+                   "--out", str(out), "--set", "count=-1") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config field 'count': must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    def test_random_field_index_outside_64_bits(self, tmp_path, capsys, index):
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(CONFIG_DIR / "simulate_plane_wave.yaml"),
+                   "--out", str(out), "--set", "data.kind=random",
+                   "--set", "data.max_mode=4", "--set", f"data.index={index}") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: data: index must lie in [0, 2**64)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, config, pair, key", [
         ("simulate", "simulate_plane_wave.yaml", "equation.sign=1.5", "'equation.sign'"),
         ("simulate", "simulate_plane_wave.yaml", "equation.sign=true", "'equation.sign'"),

@@ -634,6 +634,55 @@ def assert_same_trajectory(a, b):
     assert all(np.array_equal(a.probes[k], b.probes[k]) for k in a.probes)
 
 
+class TestTrajectoryBlock:
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    @pytest.mark.parametrize("t_end", [0.2, -0.2])
+    def test_snapshots_are_rows_of_a_read_only_block(self, scheme, t_end):
+        # a plane wave keeps one mode at A e^{i w t}, which pins each row to its time
+        amp = 0.8 - 0.3j
+        eq = dyn.EquationSpec("wnls", sign=1)
+        rows = [fld.TorusField.single_mode(2, amp, max_mode=6), fld.TorusField.zeros(6)]
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=t_end, snapshot_stride=5)
+        for traj in dyn.evolve_batch(rows, eq, integ):
+            band = traj.final.max_mode
+            assert traj.coeffs.shape == (5, 2 * band + 1)
+            assert not traj.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                traj.coeffs[0, 0] = 1.0
+            assert len(traj.snapshots) == len(traj.times) == 5
+            for row, u in zip(traj.coeffs, traj.snapshots):
+                assert u.max_mode == band
+                assert np.array_equal(u.coeffs, row)
+                assert not u.coeffs.flags.writeable
+            if traj.ledger["mass"][0] > 0.0:
+                w = dyn.plane_wave_frequency(2, amp, eq)
+                assert np.max(np.abs(traj.coeffs[:, band + 2]
+                                     - amp * np.exp(1j * w * traj.times))) < 1e-9
+
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    @pytest.mark.parametrize("t_end", [10.0, -10.0])
+    def test_divergence_keeps_exactly_the_recorded_prefix(self, scheme, t_end):
+        # the uncapped run takes the same steps, so its snapshots up to the
+        # failing step are the partial trajectory, bit for bit
+        eq = dyn.EquationSpec("nls", sign=-1)
+        rows = [fld.TorusField.single_mode(0, 0.3, max_mode=4),
+                fld.TorusField.from_modes({0: 1.0, 1: 0.05, -1: 0.05}, max_mode=4)]
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=t_end, snapshot_stride=10)
+        with pytest.raises(dyn.IntegrationDivergedError) as info:
+            dyn.evolve_batch(rows, eq, integ, amplitude_cap=1.5)
+        partial = info.value.trajectory
+        steps = round(abs(info.value.last_valid_time) / integ.dt)
+        n = steps // integ.snapshot_stride + 1
+        assert 1 < n < 101 and partial.coeffs.shape[0] == n
+        full = dyn.evolve_batch(rows, eq, integ, amplitude_cap=math.inf)[1]
+        prefix = slice(None, n) if t_end > 0 else slice(-n, None)
+        assert np.array_equal(partial.times, full.times[prefix])
+        assert np.array_equal(partial.coeffs, full.coeffs[prefix])
+        ledger = dyn._ledger(partial.coeffs, eq.sign)
+        assert partial.ledger.keys() == ledger.keys()
+        assert all(np.array_equal(partial.ledger[k], ledger[k]) for k in ledger)
+
+
 class TestEvolveBatch:
     @pytest.mark.parametrize("eq", [
         dyn.EquationSpec("nls", sign=1),

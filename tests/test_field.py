@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wicknls import field as fld
+from wicknls._kernels import fast_fft_size
 
 from oracles import dense_quartic_integral, direct_samples
 
@@ -202,6 +203,13 @@ class TestQuadrature:
         assert fld.quartic_integral(f) == pytest.approx(
             dense_quartic_integral(f.coeffs, 6), rel=1e-10)
 
+    def test_rows_do_not_depend_on_their_group(self):
+        # twelve band-400 rows pass through the work memory in several groups
+        block = np.array([random_field(400, seed=s).coeffs for s in range(12)])
+        assert fld._QUARTIC_WORK_VALUES // fast_fft_size(2 * 801) < 12
+        want = [fld.quartic_integral(fld.TorusField(c, 400)) for c in block]
+        assert fld._quartic_integrals(block).tolist() == want
+
 
 class _Traj:
     def __init__(self, times, snapshots):
@@ -235,9 +243,26 @@ class TestSpacetimeL4:
         # one pass on the p=6 grid gives every sum the one-exponent norm gives
         snaps = [random_field(5, seed=s) for s in range(4)]
         traj = _Traj(np.linspace(0, 0.3, 4), snaps)
-        s4, s6 = fld._lp_sums(traj, (4.0, 6.0))
+        s4, s6 = fld._lp_sums(traj.times, np.array([f.coeffs for f in snaps]), (4.0, 6.0))
         assert s4 == pytest.approx(fld.spacetime_lp_norm(traj, 4.0) ** 4, rel=1e-12)
         assert s6 == pytest.approx(fld.spacetime_lp_norm(traj, 6.0) ** 6, rel=1e-12)
+
+    @pytest.mark.parametrize("band, ps", [(0, (4.0,)), (5, (4.0, 6.0)),
+                                          (12, (2.0, 4.0, 6.0))])
+    def test_block_sums_match_per_snapshot_loop_bit_for_bit(self, band, ps):
+        times = np.linspace(0.0, 0.6, 7)
+        block = np.array([random_field(band, seed=s).coeffs for s in range(7)])
+        # oracle: synthesize each snapshot but the last on the grid of the
+        # largest p and add its spatial means in time order
+        dt = np.diff(times)[0]
+        m = fast_fft_size(max(2 * (2 * band + 1), int(max(ps) * band) + 2))
+        want = [0.0] * len(ps)
+        for c in block[:-1]:
+            u = fld.synthesize(fld.TorusField(c, band), m)
+            a2 = u.real**2 + u.imag**2
+            for i, p in enumerate(ps):
+                want[i] += dt * TWO_PI * float(np.mean(a2 ** (p / 2.0)))
+        assert fld._lp_sums(times, block, ps) == want
 
     def test_nonuniform_times_rejected(self):
         f = random_field(2)

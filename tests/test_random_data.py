@@ -110,6 +110,14 @@ class TestSampleBlock:
             with pytest.raises(OverflowError):
                 rnd.sample_block(spec, indices)
 
+    def test_sample_rejects_index_outside_64_bits(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"index must lie in \[0, 2\*\*64\)"):
+                rnd.sample(spec, index)
+        last = rnd.sample(spec, 2**64 - 1)
+        assert np.array_equal(last.coeffs, rnd.sample_block(spec, [2**64 - 1])[0])
+
     def test_ensemble_across_block_boundary(self):
         spec = rnd.RandomDataSpec(alpha=0.0, max_mode=256, seed=7)
         rows_per_block = rnd._BLOCK_NORMALS // (2 * 513)
