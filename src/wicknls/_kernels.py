@@ -1,29 +1,66 @@
-"""Hot numeric kernels, in numpy."""
+"""Hot numeric kernels, in numpy: one implementation each.
+
+The cubic term of every caller (the ``rk4`` stages, ``nonlinearity``,
+``resonant_split``) is :class:`GalerkinCubic`; ``cubic_convolution`` is its
+one-row case.
+"""
 
 import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# cubic mode convolution:  out(n) = sum_{n1 - n2 + n3 = n} c(n1) conj(c(n2)) c(n3)
-# input has modes -N..N (length 2N+1), output -3N..3N (length 6N+1)
+# Galerkin cubic:  out(n) = sum_{n1 - n2 + n3 = n} c(n1) conj(c(n2)) c(n3), |n| <= K
+# for input rows of modes -N..N; K = 3N keeps the whole band-3N product
 # ---------------------------------------------------------------------------
 
-def cubic_convolution(coeffs: np.ndarray) -> np.ndarray:
-    """Exact cubic convolution of a coefficient array (band N -> band 3N).
+class GalerkinCubic:
+    """The exact projection P_K(|u|^2 u) of each row of a (B, 2N+1) stack.
 
-    Zero-padded transform: the cubic product of a band-N field is a
-    trigonometric polynomial of band 3N, exact on >= 6N+1 points.
+    Callers write the rows, modes -N..N, into ``inputs``: columns K-N..K+N
+    of a zero (B, m) spectrum, i.e. the spectrum of e^{iKx} u, with m the
+    smallest odd 7-smooth size >= 3N+K+1. The product e^{iKx} |u|^2 u then
+    has modes in columns K-3N..K+3N, and none of them aliases into columns
+    0..2K, which hold modes -K..K. So one ifft, the pointwise |v|^2 v, one
+    fft and the drop of the columns past 2K give P_K exactly. The buffers
+    are allocated once, for a caller that evaluates many stacks of one
+    shape; a row's result does not depend on the other rows.
+    """
+
+    def __init__(self, rows: int, max_mode: int, out_band: int):
+        if out_band < max_mode:
+            raise ValueError("out_band must be >= max_mode")
+        self.width = 2 * out_band + 1
+        m = fast_fft_size(3 * max_mode + out_band + 1, odd=True)
+        self.scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
+        self._spectrum = np.zeros((rows, m), dtype=np.complex128)
+        self.inputs = self._spectrum[:, out_band - max_mode:out_band + max_mode + 1]
+        self._grid = np.empty_like(self._spectrum)
+        self.intensity = np.empty((rows, m))  # |u|^2 / m^2 on the grid, after a call
+        self._work = np.empty((rows, m))
+
+    def __call__(self, out: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+        """``out`` (B, 2K+1) <- scale * P_K(|u|^2 u) of the rows in ``inputs``."""
+        grid, a2 = self._grid, self.intensity
+        np.fft.ifft(self._spectrum, axis=-1, out=grid)
+        np.multiply(grid.real, grid.real, out=a2)
+        np.multiply(grid.imag, grid.imag, out=self._work)
+        np.add(a2, self._work, out=a2)
+        np.multiply(grid, a2, out=grid)
+        np.fft.fft(grid, axis=-1, out=grid)
+        np.multiply(grid[:, :self.width], scale * self.scale2, out=out)
+        return out
+
+
+def cubic_convolution(coeffs: np.ndarray, out_band: int | None = None) -> np.ndarray:
+    """Modes -K..K of |u|^2 u for one row of modes -N..N; K = 3N by default.
+
+    The one-row case of :class:`GalerkinCubic`.
     """
     c = np.asarray(coeffs, dtype=np.complex128)
     n_max = (len(c) - 1) // 2
-    m = fast_fft_size(6 * n_max + 1)
-    spectrum = np.zeros(m, dtype=np.complex128)
-    modes = np.arange(-n_max, n_max + 1)
-    spectrum[np.mod(modes, m)] = c
-    grid = np.fft.ifft(spectrum) * m
-    prod = np.fft.fft(grid * np.conj(grid) * grid) / m
-    out_modes = np.arange(-3 * n_max, 3 * n_max + 1)
-    return prod[np.mod(out_modes, m)]
+    cubic = GalerkinCubic(1, n_max, 3 * n_max if out_band is None else out_band)
+    cubic.inputs[0] = c
+    return cubic(np.empty((1, cubic.width), dtype=np.complex128))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,14 @@ def _real(value) -> float:
     return float(value)
 
 
+def _finite(value) -> float:
+    """A finite real number (see ``_real``)."""
+    value = _real(value)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite (got {value})")
+    return value
+
+
 def _complex(value) -> complex:
     """A real number or ``[re, im]``."""
     if isinstance(value, list):
@@ -219,8 +227,8 @@ def _build_integrator(cfg: dict, t_end: float | None = None) -> IntegratorSpec:
     spec = _checked(
         "integrator", IntegratorSpec,
         scheme=_field(section, "integrator.scheme", _str, "strang"),
-        dt=_field(section, "integrator.dt", _real),
-        t_end=t_end if t_end is not None else _field(section, "integrator.t_end", _real),
+        dt=_field(section, "integrator.dt", _finite),
+        t_end=t_end if t_end is not None else _field(section, "integrator.t_end", _finite),
         snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1))
     _checked("integrator", spec.step_count)  # validates divisibility early
     return spec
@@ -296,7 +304,8 @@ def cmd_weak_limit(cfg: dict):
     if verdict_mode not in ("auto", "decay", "plateau"):
         raise ConfigError("experiment.verdict must be auto | decay | plateau")
 
-    horizon = _field(cfg, "horizon", _real, 1.0)
+    # finite before it becomes the integrator's t_end, so its error names it
+    horizon = _field(cfg, "horizon", _finite, 1.0)
     try:
         spec = xp.WeakSequenceSpec(
             base=_build_field(_field(cfg, "base", _mapping), "base"),

@@ -28,10 +28,11 @@ the model.
 
 The ``rk4`` scheme is integrating-factor ("Lawson") RK4 on the same kind of
 (B, m) stack: the linear multiplier is applied exactly and RK4 integrates
-only the cubic term, the exact Galerkin projection ``P_N(|u|^2 u)`` computed
-pointwise on an odd grid of at least 4N+1 points. With the stiff ``n^2``
-term out of RK4 the band no longer limits the step (Lawson, SIAM J. Numer.
-Anal. 4, 1967; Hochbruck & Ostermann, Acta Numerica 19, 2010).
+only the cubic term, the exact Galerkin projection ``P_N(|u|^2 u)`` of
+``_kernels.GalerkinCubic``, the one cubic kernel, which ``nonlinearity`` and
+``resonant_split`` also call. With the stiff ``n^2`` term out of RK4 the band
+no longer limits the step (Lawson, SIAM J. Numer. Anal. 4, 1967; Hochbruck &
+Ostermann, Acta Numerica 19, 2010).
 
 In 1D both signs of the cubic equation are globally well-posed and every
 variant conserves mass, so a run that blows up, turns non-finite or (under
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from . import field as fld
-from ._kernels import cubic_convolution, fast_fft_size, nonlinear_phase
+from ._kernels import GalerkinCubic, cubic_convolution, fast_fft_size, nonlinear_phase
 from .wick import intensity_fluctuation, renormalization_constant
 
 
@@ -84,6 +85,8 @@ class EquationSpec:
                 raise ValueError(f"variant {self.variant.value} requires truncation >= 0")
         elif self.truncation is not None:
             raise ValueError(f"variant {self.variant.value} does not take a truncation")
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):  # NaN-safe
+            raise ValueError(f"alpha must be finite and >= 0 (got {self.alpha})")
 
     @property
     def truncated(self) -> bool:
@@ -117,8 +120,10 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.scheme not in ("strang", "rk4"):
             raise ValueError("scheme must be 'strang' or 'rk4'")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):  # NaN-safe
+            raise ValueError(f"dt must be finite and > 0 (got {self.dt})")
+        if not math.isfinite(self.t_end):
+            raise ValueError(f"t_end must be finite (got {self.t_end})")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -210,27 +215,19 @@ def _amplitude_cap(cap) -> float:
 # right-hand side pieces
 # ---------------------------------------------------------------------------
 
-def _band_slice(conv: np.ndarray, out_band: int) -> np.ndarray:
-    """Central slice of a band-3N convolution down to |n| <= out_band."""
-    full = (len(conv) - 1) // 2
-    return conv[full - out_band:full + out_band + 1]
-
-
 def nonlinearity(u: fld.TorusField, eq: EquationSpec) -> fld.TorusField:
     """The cubic term N(u) of the chosen variant (without the sign).
 
-    Untruncated variants return the exact band-3N result of the zero-padded
-    convolution; truncated variants project onto the truncation band. The
-    renormalization shift of ``truncated-wnls-hamiltonian`` is a linear term
-    and lives in the propagator, not here.
+    Untruncated variants return the exact band-3N cubic; truncated variants
+    its Galerkin projection onto the truncation band. The renormalization
+    shift of ``truncated-wnls-hamiltonian`` is a linear term and lives in the
+    propagator, not here.
     """
     if eq.truncated:
         u = fld.project(u, eq.truncation)
-    conv = cubic_convolution(u.coeffs)
-    if eq.truncated:
-        out = fld.TorusField(_band_slice(conv, eq.truncation), eq.truncation)
+        out = fld.TorusField(cubic_convolution(u.coeffs, eq.truncation), eq.truncation)
     else:
-        out = fld.TorusField(conv, 3 * u.max_mode)
+        out = fld.TorusField(cubic_convolution(u.coeffs), 3 * u.max_mode)
     if eq.mean_shifted:
         out = out - (2.0 * fld.mean_intensity(u)) * u
     return out
@@ -243,16 +240,14 @@ def resonant_split(u: fld.TorusField) -> tuple[fld.TorusField, fld.TorusField]:
     ``n2 != n1`` and ``n2 != n3``; the resonant part is the diagonal
     ``-|c(n)|^2 c(n)``. Their sum is exactly ``(|u|^2 - 2 mu(u)) u``.
     """
-    c = u.coeffs
-    conv = cubic_convolution(c)
+    c, n = u.coeffs, u.max_mode
+    nonres = cubic_convolution(c)
     mu = fld.mean_intensity(u)
     diag = (np.abs(c) ** 2) * c
-    nonres = conv.copy()
-    center = _band_slice(nonres, u.max_mode)
+    center = nonres[2 * n:4 * n + 1]
     center -= 2.0 * mu * c
     center += diag
-    resonant = fld.TorusField(-diag, u.max_mode)
-    return fld.TorusField(nonres, 3 * u.max_mode), resonant
+    return fld.TorusField(nonres, 3 * n), fld.TorusField(-diag, n)
 
 
 def linear_propagator(u: fld.TorusField, t: float) -> fld.TorusField:
@@ -283,7 +278,7 @@ def _ledger(block: np.ndarray, sign: int, renorm: float | None = None) -> dict:
     """Conserved-quantity columns of a (B, 2K+1) block whose rows hold modes -K..K.
 
     Mass, momentum, kinetic energy and mu are mode sums, and the quartic
-    integral is one batched FFT (``field._quartic_integrals``). With the
+    integral is one grouped FFT (``field._power_means``). With the
     renormalization constant ``renorm`` = a, the Wick Hamiltonian
     ``H - sign a mass + sign pi a^2`` of ``wick.wick_hamiltonian`` is added.
     Every row's values are those of a one-row block, bit for bit.
@@ -294,7 +289,7 @@ def _ledger(block: np.ndarray, sign: int, renorm: float | None = None) -> dict:
     mass = fld.TWO_PI * mu
     momentum = fld.TWO_PI * np.add.reduce(n * a2, axis=-1)
     hamiltonian = 0.5 * fld.TWO_PI * np.add.reduce(n * n * a2, axis=-1) \
-        + sign * 0.25 * fld._quartic_integrals(block)
+        + sign * 0.25 * (fld.TWO_PI * fld._power_means(block, (4.0,))[0])
     ledger = {"mass": mass, "momentum": momentum, "hamiltonian": hamiltonian, "mu": mu}
     if renorm is not None:
         ledger["wick_hamiltonian"] = (hamiltonian - sign * renorm * mass
@@ -532,11 +527,9 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     initial value (the exact flow conserves mass), so it joins the shift;
     the scheme is then equivariant under the scalar gauge, as the flow is.
 
-    Row r holds modes -N..N in columns 0..2N, i.e. the spectrum of
-    e^{iNx} u. The cubic commutes with that unimodular factor, and on an odd
-    grid of m >= 4N+1 points the modes 0..2N of the product carry no alias,
-    so one ifft, the pointwise cubic, one fft and the drop of the columns
-    past 2N give the exact Galerkin term P_N(|u|^2 u).
+    Row r holds modes -N..N; ``K(v)`` is the exact Galerkin term
+    P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
+    stage inputs.
 
     The scheme does not conserve mass, so it can fail: each step checks the
     state it starts from against the amplitude cap (and for NaN) on the grid
@@ -544,9 +537,6 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     mass drift against ``LAWSON_MASS_RTOL``.
     """
     n, stride = work_band, integ.snapshot_stride
-    width = 2 * n + 1
-    m = fast_fft_size(4 * n + 1, odd=True)
-    rows = len(u0s)
     c = np.array([u0.padded_to(n).coeffs for u0 in u0s])
     c_real = c.view(np.float64)
     target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
@@ -558,24 +548,10 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         rate = rate - (2.0 * eq.sign) * target[:, None]
     half = np.exp(1j * rate * (dt / 2.0))
 
-    pad = np.zeros((rows, m), dtype=np.complex128)  # columns past 2N stay zero
-    stage_in = pad[:, :width]
-    grid = np.empty_like(pad)
-    a2 = np.empty((rows, m))
-    b2 = np.empty_like(a2)
+    cubic = GalerkinCubic(len(c), n, n)
+    stage_in, a2, scale2 = cubic.inputs, cubic.intensity, cubic.scale2
     eu, slope = np.empty_like(c), np.empty_like(c)  # E u, and each stage's K
-    scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
-    factor = 1j * eq.sign * dt * scale2
-
-    def cubic(out):
-        # out = dt * i sign P_N(|v|^2 v) for v = stage_in; leaves |v|^2 / m^2 in a2
-        np.fft.ifft(pad, axis=-1, out=grid)
-        np.multiply(grid.real, grid.real, out=a2)
-        np.multiply(grid.imag, grid.imag, out=b2)
-        np.add(a2, b2, out=a2)
-        np.multiply(grid, a2, out=grid)
-        np.fft.fft(grid, axis=-1, out=grid)
-        np.multiply(grid[:, :width], factor, out=out)
+    factor = 1j * eq.sign * dt  # K(v) = dt * i sign P_N(|v|^2 v)
 
     rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
 
@@ -583,7 +559,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     for k in range(n_steps):
         # c <- E (E (c + K1/6) + (K2 + K3)/3) + K4/6, accumulated in place
         stage_in[...] = c
-        cubic(slope)  # K1
+        cubic(slope, factor)  # K1; leaves |u|^2 / m^2 in a2
         if not np.maximum.reduce(a2, axis=None) * scale2 <= cap2:  # NaN-safe
             row_worst = np.maximum.reduce(a2, axis=-1)
             rec.fail(int(np.argmin(row_worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
@@ -594,18 +570,18 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         slope *= 1.0 / 6.0
         c += slope
         c *= half
-        cubic(slope)  # K2
+        cubic(slope, factor)  # K2
         np.multiply(slope, 0.5, out=stage_in)
         stage_in += eu
         slope *= 1.0 / 3.0
         c += slope
-        cubic(slope)  # K3
+        cubic(slope, factor)  # K3
         np.add(eu, slope, out=stage_in)
         stage_in *= half
         slope *= 1.0 / 3.0
         c += slope
         c *= half
-        cubic(slope)  # K4
+        cubic(slope, factor)  # K4
         slope *= 1.0 / 6.0
         c += slope
         snap = (k + 1) % stride == 0
@@ -648,23 +624,24 @@ def gauge_transform(traj: Trajectory, mu0: float, sign: int) -> Trajectory:
     return _phase_transformed(traj, -2.0 * sign * mu0, traj.eq)
 
 
-def truncation_gauge(traj: Trajectory, n_max: int, alpha: float,
-                     debug: bool = False) -> Trajectory:
+def truncation_gauge(traj: Trajectory, debug: bool = False) -> Trajectory:
     """Remove the intensity fluctuation phase from a renormalized truncated run.
 
     Multiplies snapshot k by ``exp(-2 i sign c t_k)`` where
-    ``c = mu(P_N u0) - a`` is constant along the flow (mass is conserved).
-    The result solves the ``truncated-wnls-gauged`` system. ``debug``
-    re-evaluates c on every snapshot and asserts constancy to 1e-10.
+    ``c = mu(P_N u0) - a`` is constant along the flow (mass is conserved),
+    with N and the alpha of a taken from ``traj.eq``. The result solves the
+    ``truncated-wnls-gauged`` system. ``debug`` re-evaluates c on every
+    snapshot and asserts constancy to 1e-10.
     """
-    if traj.eq.variant is not Variant.TRUNCATED_WNLS_HAMILTONIAN:
+    eq = traj.eq
+    if eq.variant is not Variant.TRUNCATED_WNLS_HAMILTONIAN:
         raise ValueError("truncation_gauge expects a truncated-wnls-hamiltonian run")
-    c0 = intensity_fluctuation(traj.snapshots[0], n_max, alpha)
+    c0 = intensity_fluctuation(traj.snapshots[0], eq.truncation, eq.alpha)
     if debug:
         for t, u in zip(traj.times, traj.snapshots):
-            ck = intensity_fluctuation(u, n_max, alpha)
+            ck = intensity_fluctuation(u, eq.truncation, eq.alpha)
             if abs(ck - c0) > 1e-10:
                 raise AssertionError(
                     f"intensity fluctuation drifted to {ck - c0:.3e} at t={t:g}")
-    gauged_eq = replace(traj.eq, variant=Variant.TRUNCATED_WNLS_GAUGED)
-    return _phase_transformed(traj, -2.0 * traj.eq.sign * c0, gauged_eq)
+    gauged_eq = replace(eq, variant=Variant.TRUNCATED_WNLS_GAUGED)
+    return _phase_transformed(traj, -2.0 * eq.sign * c0, gauged_eq)

@@ -121,8 +121,9 @@ class WeakSequenceSpec:
         if not modes or any(n <= 0 for n in modes) or len(set(modes)) != len(modes):
             raise SpecFieldError("mode_list", "mode_list must be distinct positive integers")
         object.__setattr__(self, "mode_list", modes)
-        if self.horizon <= 0:
-            raise SpecFieldError("horizon", "horizon must be positive")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):  # NaN-safe
+            raise SpecFieldError("horizon",
+                                 f"horizon must be finite and > 0 (got {self.horizon})")
         if fld.mean_intensity(self.probe) == 0.0:
             raise SpecFieldError("probe", "probe must be nonzero")
         band = self.resolved_band()

@@ -5,7 +5,9 @@ A field is stored by its Fourier coefficients on the symmetric mode range
 ``[0, 2*pi)``. Norm conventions: coefficient-space norms (Sobolev and
 Fourier-Lebesgue) carry no ``2*pi`` factor, while physical integrals (the
 ``pairing`` inner product, quartic integrals) do. The Sobolev weight is
-``<n> = 1 + |n|``.
+``<n> = 1 + |n|``. Every space integral of |u|^p (``quartic_integral``, the
+ledger's quartic term, the space-time L^p norms) is one grid kernel,
+``_power_means``.
 """
 
 import math
@@ -207,44 +209,50 @@ def pairing(f: TorusField, g: TorusField) -> complex:
     return TWO_PI * complex(np.vdot(g.padded_to(n).coeffs, f.padded_to(n).coeffs))
 
 
-# grid values per pass of ``_quartic_integrals`` (at least one row): 128 KiB of
+# grid values per group of ``_power_means`` (at least one row): 128 KiB of
 # complex work, so that a whole batch's ledger needs no more than one snapshot's
-_QUARTIC_WORK_VALUES = 2**13
+_POWER_WORK_VALUES = 2**13
 
 
-def _quartic_integrals(block: np.ndarray) -> np.ndarray:
-    """Integral of |u|^4 for each row of a (B, 2N+1) block of modes -N..N.
+def _power_means(block: np.ndarray, ps) -> np.ndarray:
+    """Spatial mean of |u|^p for each p in ``ps`` and each row of a (B, 2N+1) block.
 
-    Row r is zero-padded past column 2N to a batched transform, which
-    samples e^{iNx} u; |u|^4 does not see that unimodular factor. A grid of
-    at least 4N+1 points integrates the band-4N polynomial exactly. The rows
-    are transformed a group at a time, so the work memory stays bounded; a
-    row's value does not depend on its group.
+    Row r holds modes -N..N. The rows are synthesized as :func:`synthesize`
+    does, on the grid of the largest p, which averages |u|^p exactly for
+    every even p in ``ps``; returns a (len(ps), B) array. The rows are
+    transformed a group at a time, so the work memory stays bounded; a
+    row's values do not depend on its group.
     """
     rows, width = block.shape
-    m = fast_fft_size(2 * width)
-    group = max(1, _QUARTIC_WORK_VALUES // m)
-    out = np.empty(rows)
+    n_max = (width - 1) // 2
+    m = fast_fft_size(max(2 * width, int(max(ps) * n_max) + 2))
+    group = max(1, _POWER_WORK_VALUES // m)
+    out = np.empty((len(ps), rows))
     for start in range(0, rows, group):
-        a4 = np.abs(np.fft.ifft(block[start:start + group], n=m, axis=-1, norm="forward"))
-        a4 *= a4
-        a4 *= a4
-        out[start:start + group] = np.add.reduce(a4, axis=-1)
-    return TWO_PI * (out / m)
+        part = block[start:start + group]
+        u = np.zeros((len(part), m), dtype=np.complex128)
+        u[:, :n_max + 1] = part[:, n_max:]
+        u[:, m - n_max:] = part[:, :n_max]
+        np.fft.ifft(u, axis=-1, out=u)
+        u *= m
+        a2 = u.real**2
+        a2 += u.imag**2
+        for i, p in enumerate(ps):
+            out[i, start:start + len(part)] = np.mean(a2 ** (p / 2.0), axis=-1)
+    return out
 
 
 def quartic_integral(field: TorusField) -> float:
     """Integral of |u|^4 over the torus, exact via an oversampled grid."""
-    return float(_quartic_integrals(field.coeffs[None, :])[0])
+    return TWO_PI * float(_power_means(field.coeffs[None, :], (4.0,))[0, 0])
 
 
 def _lp_sums(times, block: np.ndarray, ps) -> list[float]:
     """Left rectangle-rule sums of the integral of |u|^p over space-time, one per p.
 
-    Row k of the (S, 2N+1) ``block`` holds modes -N..N at ``times[k]``. All
-    rows but the last are synthesized as :func:`synthesize` does, by one
-    batched FFT on the grid of the largest p, which integrates |u|^p exactly
-    in space for every even p in ``ps``; the time sum runs row by row.
+    Row k of the (S, 2N+1) ``block`` holds modes -N..N at ``times[k]``; the
+    spatial means of all rows but the last come from :func:`_power_means`,
+    and the time sum runs row by row.
     """
     times = np.asarray(times, dtype=np.float64)
     if len(times) < 2 or len(block) != len(times):
@@ -253,18 +261,9 @@ def _lp_sums(times, block: np.ndarray, ps) -> list[float]:
     dt = dts[0]
     if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
         raise ValueError("snapshot times must be uniformly spaced")
-    n_max = (block.shape[1] - 1) // 2
-    m = fast_fft_size(max(2 * (2 * n_max + 1), int(max(ps) * n_max) + 2))
-    u = np.zeros((len(block) - 1, m), dtype=np.complex128)
-    u[:, :n_max + 1] += block[:-1, n_max:]
-    u[:, m - n_max:] += block[:-1, :n_max]
-    np.fft.ifft(u, axis=-1, out=u)
-    u *= m
-    a2 = u.real**2
-    a2 += u.imag**2
     totals = [0.0] * len(ps)
-    for i, p in enumerate(ps):
-        for mean in np.mean(a2 ** (p / 2.0), axis=-1):
+    for i, means in enumerate(_power_means(block[:-1], ps)):
+        for mean in means:
             totals[i] += dt * TWO_PI * float(mean)
     return totals
 

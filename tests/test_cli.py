@@ -148,6 +148,7 @@ class TestConfigErrors:
         (["equation.variant=truncated-wnls-gauged", "equation.truncation=16"],
          "'equation.truncation'"),
         (["modes=[4.5, 8]"], "'modes'"),
+        (["horizon=.inf"], "'horizon'"),
     ])
     def test_weak_spec_errors_name_the_field(self, tmp_path, capsys, overrides, key):
         argv = ["weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
@@ -241,6 +242,16 @@ class TestConfigErrors:
             "config error: config field 'count': must be >= 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", [".nan", "-1"])
+    def test_bad_alpha_is_a_config_error(self, tmp_path, capsys, alpha):
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(CONFIG_DIR / "simulate_plane_wave.yaml"),
+                   "--out", str(out), "--set", "equation.variant=truncated-wnls-hamiltonian",
+                   "--set", "equation.truncation=4", "--set", f"equation.alpha={alpha}") == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: equation: alpha must be finite and >= 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("index", [-1, 2**64])
     def test_random_field_index_outside_64_bits(self, tmp_path, capsys, index):
         out = tmp_path / "o"
@@ -255,6 +266,9 @@ class TestConfigErrors:
         ("simulate", "simulate_plane_wave.yaml", "equation.sign=1.5", "'equation.sign'"),
         ("simulate", "simulate_plane_wave.yaml", "equation.sign=true", "'equation.sign'"),
         ("simulate", "simulate_plane_wave.yaml", "data.mode=2.9", "'data.mode'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.dt=.inf", "'integrator.dt'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.t_end=.inf",
+         "'integrator.t_end'"),
         ("order-study", "order_study_rk4.yaml", "dts=[[1],[2],[3]]", "'dts'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,

@@ -41,6 +41,11 @@ class TestEquationSpec:
         eq = dyn.EquationSpec("wnls", sign=-1)
         assert eq.variant is dyn.Variant.WNLS and eq.mean_shifted
 
+    @pytest.mark.parametrize("alpha", [math.nan, -1.0, math.inf])
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            dyn.EquationSpec("truncated-wnls-hamiltonian", truncation=4, alpha=alpha)
+
 
 class TestIntegratorSpec:
     def test_validation(self):
@@ -50,6 +55,10 @@ class TestIntegratorSpec:
             dyn.IntegratorSpec("strang", dt=-0.1, t_end=1.0)
         with pytest.raises(ValueError):
             dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=0)
+        for dt, t_end in [(math.nan, 1.0), (math.inf, 1.0), (0.1, math.inf),
+                          (0.1, -math.inf), (0.1, math.nan)]:
+            with pytest.raises(ValueError):
+                dyn.IntegratorSpec("strang", dt=dt, t_end=t_end)
 
     def test_step_divisibility(self):
         with pytest.raises(ValueError):
@@ -483,7 +492,7 @@ class TestTruncationGauge:
                                                sign=sign, truncation=16, alpha=1.0), integ)
         tr_g = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-gauged",
                                                sign=sign, truncation=16), integ)
-        gauged = dyn.truncation_gauge(tr_h, 16, 1.0, debug=True)
+        gauged = dyn.truncation_gauge(tr_h, debug=True)
         worst = max(final_distance(a, b) for a, b in zip(gauged.snapshots, tr_g.snapshots))
         assert worst < 1e-6
         assert gauged.eq.variant is dyn.Variant.TRUNCATED_WNLS_GAUGED
@@ -496,7 +505,7 @@ class TestTruncationGauge:
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-hamiltonian",
                                                sign=1, truncation=2, alpha=1.0), integ)
-        gauged = dyn.truncation_gauge(traj, 2, 1.0)
+        gauged = dyn.truncation_gauge(traj)
         assert all(final_distance(x, y) < 1e-13
                    for x, y in zip(traj.snapshots, gauged.snapshots))
 
@@ -505,7 +514,7 @@ class TestTruncationGauge:
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("wnls", sign=1), integ)
         with pytest.raises(ValueError):
-            dyn.truncation_gauge(traj, 4, 1.0)
+            dyn.truncation_gauge(traj)
 
 
 def boosted_prediction(base_final, beta, t_end, max_mode):

@@ -45,6 +45,15 @@ class TestWeakSequenceSpec:
         with pytest.raises(ValueError):
             small_spec(eq=EquationSpec("truncated-wnls-gauged", sign=1, truncation=8))
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan])
+    def test_rejects_non_finite_horizon(self, horizon):
+        with pytest.raises(xp.SpecFieldError, match="horizon must be finite"):
+            xp.WeakSequenceSpec(
+                base=fld.TorusField.single_mode(1, 1.0), bump_amplitude=1.0,
+                mode_list=(2,), probe=fld.TorusField.single_mode(1, 1.0), horizon=horizon,
+                eq=EquationSpec("wnls", sign=1),
+                integrator=IntegratorSpec("strang", dt=0.01, t_end=1.0))
+
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
             small_spec(modes=(0, 2))

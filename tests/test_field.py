@@ -204,11 +204,16 @@ class TestQuadrature:
             dense_quartic_integral(f.coeffs, 6), rel=1e-10)
 
     def test_rows_do_not_depend_on_their_group(self):
-        # twelve band-400 rows pass through the work memory in several groups
+        # twelve band-400 rows pass through the work memory in several
+        # groups, on the grid of the ledger's p = 4 and of the gaps' p = 6
         block = np.array([random_field(400, seed=s).coeffs for s in range(12)])
-        assert fld._QUARTIC_WORK_VALUES // fast_fft_size(2 * 801) < 12
-        want = [fld.quartic_integral(fld.TorusField(c, 400)) for c in block]
-        assert fld._quartic_integrals(block).tolist() == want
+        for ps in ((4.0,), (4.0, 6.0)):
+            m = fast_fft_size(max(2 * 801, int(max(ps) * 400) + 2))
+            assert fld._POWER_WORK_VALUES // m < 12
+            want = np.hstack([fld._power_means(row[None, :], ps) for row in block])
+            assert fld._power_means(block, ps).tolist() == want.tolist()
+        assert [fld.quartic_integral(fld.TorusField(c, 400)) for c in block] == (
+            TWO_PI * fld._power_means(block, (4.0,))[0]).tolist()
 
 
 class _Traj:

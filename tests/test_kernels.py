@@ -19,6 +19,27 @@ class TestCubicConvolution:
         want = triple_sum_cubic(c, max_mode)
         assert len(got) == 6 * max_mode + 1
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        # the Galerkin projections onto bands N, 2N and 3N are central slices
+        full = 3 * max_mode
+        for band in (max_mode, 2 * max_mode, full):
+            got = K.cubic_convolution(c, band)
+            part = want[full - band:full + band + 1]
+            assert np.max(np.abs(got - part)) < 1e-12 * max(1.0, np.max(np.abs(part)))
+
+    @pytest.mark.parametrize("max_mode", [0, 5])
+    def test_batched_rows_match_one_row_calls(self, max_mode):
+        block = np.array([random_coeffs(max_mode, seed=s) for s in range(4)])
+        block[2] = 0.0
+        for band in (max_mode, 3 * max_mode):
+            cubic = K.GalerkinCubic(len(block), max_mode, band)
+            cubic.inputs[...] = block
+            got = cubic(np.empty((len(block), 2 * band + 1), dtype=complex))
+            for row, c in zip(got, block):
+                assert row.tobytes() == K.cubic_convolution(c, band).tobytes()
+
+    def test_band_below_the_input_band_is_rejected(self):
+        with pytest.raises(ValueError):
+            K.cubic_convolution(random_coeffs(3), 2)
 
     def test_fft_path_matches_numpy_path(self):
         c = random_coeffs(60, seed=1)
