@@ -97,13 +97,12 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
 # u is one grid or a (B, m) stack of grids, offset a scalar or a (B, 1) column;
-# returns the max of |u|^2 over `axis` (per grid by default; None gives one
-# value for the whole stack), for the divergence guard; mutates u
+# mutates u, which keeps its modulus
 # ---------------------------------------------------------------------------
 
-def nonlinear_phase(u: np.ndarray, factor: float, offset, *, axis=-1,
+def nonlinear_phase(u: np.ndarray, factor: float, offset, *,
                     a2: np.ndarray | None = None,
-                    rotation: np.ndarray | None = None):
+                    rotation: np.ndarray | None = None) -> None:
     """Rotate u in place; ``a2`` (real) and ``rotation`` (complex), both of
     u's shape, are work buffers that a caller stepping many times allocates
     once. On return ``a2`` holds the phase and ``rotation`` its exponential.
@@ -116,7 +115,6 @@ def nonlinear_phase(u: np.ndarray, factor: float, offset, *, axis=-1,
     # the real half of the rotation is scratch until cos writes it
     np.multiply(u.imag, u.imag, out=rotation.real)
     a2 += rotation.real
-    worst = np.maximum.reduce(a2, axis=axis)
     if isinstance(offset, np.ndarray) or offset != 0.0:
         a2 += offset
     a2 *= factor
@@ -125,7 +123,6 @@ def nonlinear_phase(u: np.ndarray, factor: float, offset, *, axis=-1,
     np.cos(a2, out=rotation.real)
     np.sin(a2, out=rotation.imag)
     u *= rotation
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from . import field as fld
 from . import random_data as rnd
 from . import serialization as ser
 from . import wick
-from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec,
-                       _amplitude_cap, evolve)
+from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, evolve
 
 SCHEMA_VERSION = 1
 
@@ -81,10 +80,43 @@ def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 
 def _check_schema(cfg: dict):
-    version = cfg.get("schema_version")
+    version = _field(cfg, "schema_version", lambda v: v, None)
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+
+
+class _Section(dict):
+    """A config mapping that records the keys ``_field`` looks up in it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+
+def _tracked(value):
+    """``value`` with every mapping in it, also inside lists, a ``_Section``."""
+    if isinstance(value, dict):
+        return _Section((key, _tracked(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return [_tracked(item) for item in value]
+    return value
+
+
+def _reject_unknown_keys(value, path: str = ""):
+    """ConfigError for a key that no reader looked up, in a section that one read.
+
+    Mappings that no reader looked into, such as mode-amplitude data, pass.
+    """
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_unknown_keys(item, f"{path}[{i}]")
+    elif isinstance(value, _Section):
+        for key, item in value.items():
+            key_path = f"{path}.{key}" if path else str(key)
+            if value.read and key not in value.read:
+                raise ConfigError(f"config field {key_path!r}: unknown key")
+            _reject_unknown_keys(item, key_path)
 
 
 _REQUIRED = object()
@@ -94,9 +126,13 @@ def _field(node: dict, path: str, convert, default=_REQUIRED):
     """Field ``path`` (its last key, looked up in ``node``) through ``convert``.
 
     A missing or null field takes ``default``, or is an error if there is
-    none; a value ``convert`` rejects is reported against ``path``.
+    none; a value ``convert`` rejects is reported against ``path``. The key
+    is recorded as read when ``node`` is a ``_Section``.
     """
-    value = node.get(path.split(".")[-1])
+    key = path.split(".")[-1]
+    if isinstance(node, _Section):
+        node.read.add(key)
+    value = node.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"missing config field {path!r}")
@@ -164,6 +200,14 @@ def _list_of(convert):
     def convert_list(value) -> list:
         return [convert(item) for item in _instance_of(list, "a list")(value)]
     return convert_list
+
+
+def _dt_ladder(value) -> list:
+    """At least 3 finite step sizes > 0, strictly decreasing."""
+    dts = _list_of(_finite)(value)
+    if len(dts) < 3 or not dts[-1] > 0 or any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ValueError(f"must be >= 3 strictly decreasing values > 0 (got {dts})")
+    return dts
 
 
 def _chaos_terms(value) -> list:
@@ -235,11 +279,9 @@ def _build_integrator(cfg: dict, t_end: float | None = None) -> IntegratorSpec:
 
 
 def _out_dir(args, cfg: dict) -> Path:
-    output = _field(cfg, "output", _mapping, {})
-    path = Path(args.out or _field(output, "output.directory", _str, None)
-                or os.environ.get("WICKNLS_OUT") or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory, not yet made; ``output.directory`` is read even under --out."""
+    directory = _field(_field(cfg, "output", _mapping, {}), "output.directory", _str, None)
+    return Path(args.out or directory or os.environ.get("WICKNLS_OUT") or ".")
 
 
 def _apply_seed_override(cfg: dict, seed: int | None):
@@ -260,14 +302,13 @@ def cmd_simulate(cfg: dict):
     eq = _build_equation(cfg)
     integ = _build_integrator(cfg)
     u0 = _build_field(_field(cfg, "data", _mapping), "data")
-    cap = _field(cfg, "amplitude_cap", lambda v: _amplitude_cap(_real(v)), 1e6)
     write_snapshots = _field(_field(cfg, "output", _mapping, {}), "output.snapshots",
                              _instance_of(bool, "true or false"), False)
 
     def run(out: Path) -> int:
         diverged = None
         try:
-            traj = evolve(u0, eq, integ, amplitude_cap=cap)
+            traj = evolve(u0, eq, integ)
         except IntegrationDivergedError as exc:
             diverged = exc
             traj = exc.trajectory
@@ -292,7 +333,8 @@ def cmd_simulate(cfg: dict):
 
 # the config key behind each WeakSequenceSpec field
 _WEAK_SPEC_KEYS = {"mode_list": "modes", "horizon": "horizon", "probe": "probe",
-                   "working_band": "working_band", "eq": "equation.truncation"}
+                   "bump_amplitude": "bump.amplitude", "working_band": "working_band",
+                   "eq": "equation.truncation"}
 
 
 def cmd_weak_limit(cfg: dict):
@@ -478,9 +520,9 @@ def cmd_norms(cfg: dict):
 def cmd_order_study(cfg: dict):
     eq = _build_equation(cfg)
     u0 = _build_field(_field(cfg, "data", _mapping), "data")
-    dts = _field(cfg, "dts", _list_of(_real))
+    dts = _field(cfg, "dts", _dt_ladder)
     scheme = _field(cfg, "scheme", _str, "strang")
-    t_end = _field(cfg, "t_end", _real, 1.0)
+    t_end = _field(cfg, "t_end", _finite, 1.0)
 
     def run(out: Path) -> int:
         report = _checked("order-study", xp.integrator_order_study, u0, eq, dts,
@@ -536,9 +578,13 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.overrides)
         _apply_seed_override(cfg, args.seed)
+        cfg = _tracked(cfg)
         _check_schema(cfg)
         run = _COMMANDS[args.command](cfg)
-        return run(_out_dir(args, cfg))
+        out = _out_dir(args, cfg)
+        _reject_unknown_keys(cfg)
+        out.mkdir(parents=True, exist_ok=True)
+        return run(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,9 +35,10 @@ no longer limits the step (Lawson, SIAM J. Numer. Anal. 4, 1967; Hochbruck &
 Ostermann, Acta Numerica 19, 2010).
 
 In 1D both signs of the cubic equation are globally well-posed and every
-variant conserves mass, so a run that blows up, turns non-finite or (under
-RK4) drifts in mass has met a failure of the scheme, reported as
-``IntegrationDivergedError``.
+variant conserves mass, so a row whose mass drifts by more than ``MASS_RTOL``
+of its initial value, or turns non-finite, has met a failure of the scheme,
+reported as ``IntegrationDivergedError``. No amplitude is too large: a band-K
+field of mean intensity mu has ``|u(x)|^2 <= (2K+1) mu``.
 """
 
 import math
@@ -183,7 +184,7 @@ class Trajectory:
 
 
 class IntegrationDivergedError(RuntimeError):
-    """A numerical scheme failure: |u| past the amplitude cap, NaN, or mass drift.
+    """A numerical scheme failure: a non-finite value or a mass drift past MASS_RTOL.
 
     The equations themselves cannot blow up (see the module docstring), so
     the message says "numerical scheme failure". ``trajectory`` holds the
@@ -196,19 +197,11 @@ class IntegrationDivergedError(RuntimeError):
         self.trajectory = trajectory
 
 
-# An RK4 row whose mass moves by more than this fraction of its initial mass
-# between t = 0 and a snapshot has met a scheme failure. Well-resolved runs
-# drift by orders of magnitude less (3.4e-5 for the band-64 rough data of the
-# benchmark's growth probe).
-LAWSON_MASS_RTOL = 1e-3
-
-
-def _amplitude_cap(cap) -> float:
-    """``cap`` as a float, or ValueError unless it is > 0 (inf is allowed)."""
-    cap = float(cap)
-    if not cap > 0.0:  # NaN-safe
-        raise ValueError(f"amplitude_cap must be > 0, got {cap:g}")
-    return cap
+# A row whose mass moves by more than this fraction of its initial mass has
+# met a scheme failure. Well-resolved RK4 runs drift by orders of magnitude
+# less (3.4e-5 for the band-64 rough data of the benchmark's growth probe);
+# Strang pins the mass, so under it only a non-finite value trips the check.
+MASS_RTOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +350,19 @@ class _Recorder:
         self.snaps[:, self.taken] = state[:, :self.width]
         self.taken += 1
 
+    def check_mass(self, mass, target, step):
+        """Fail the first row whose ``mass`` is NaN or off ``target`` by more than MASS_RTOL."""
+        drift = np.abs(mass - target)
+        ok = drift <= MASS_RTOL * target  # NaN-safe; a zero row stays zero
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            self.fail(bad, f"relative mass drift {drift[bad] / target[bad]:.3g} "
+                      f"above {MASS_RTOL:g}", step)
+
     def fail(self, row, message, step):
         """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory."""
+        # pairings end at the last snapshot: untruncated Strang checks no state between
+        self.recorded = min(self.recorded, (self.taken - 1) * self.integ.snapshot_stride + 1)
         raise IntegrationDivergedError(
             f"numerical scheme failure: {message} during step to t={(step + 1) * self.dt:g}",
             last_valid_time=step * self.dt, trajectory=self.build(slice(row, row + 1))[0])
@@ -382,25 +386,22 @@ class _Recorder:
 
 
 def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
-           probes: dict | None = None, amplitude_cap: float = 1e6) -> Trajectory:
+           probes: dict | None = None) -> Trajectory:
     """Integrate the chosen equation from u0 up to integ.t_end.
 
     Negative ``t_end`` runs backward in time; the returned trajectory is
     normalized to strictly increasing times either way. ``probes`` maps names
     to test fields; the L2 pairing against each is recorded at every step
     (finer than the snapshot stride). Raises IntegrationDivergedError when
-    the grid maximum of |u| exceeds ``amplitude_cap`` or turns NaN, or when
-    an RK4 run's mass drifts by more than ``LAWSON_MASS_RTOL``; the partial
-    trajectory is attached to the exception. ``amplitude_cap`` must be > 0
-    (``inf`` checks only for NaN); anything else raises ValueError. This is
+    the mass drifts by more than ``MASS_RTOL`` of its initial value or turns
+    non-finite; the partial trajectory is attached to the exception. This is
     the one-row case of ``evolve_batch``.
     """
-    return evolve_batch([u0], eq, integ, probes=probes, amplitude_cap=amplitude_cap)[0]
+    return evolve_batch([u0], eq, integ, probes=probes)[0]
 
 
 def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
-                 probes: dict | None = None,
-                 amplitude_cap: float = 1e6) -> list[Trajectory]:
+                 probes: dict | None = None) -> list[Trajectory]:
     """``evolve`` for several initial data that share eq, integ and probes.
 
     The rows step together as one (B, m) stack under either scheme, and each
@@ -409,7 +410,6 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
     onto the truncation band first). A scheme failure in any row raises
     IntegrationDivergedError carrying that row's partial trajectory.
     """
-    cap = _amplitude_cap(amplitude_cap)
     probes = probes or {}
     n_steps = integ.step_count()
     dt = math.copysign(integ.dt, integ.t_end) if integ.t_end else integ.dt
@@ -426,10 +426,10 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
         work_band = bands.pop()
     core = _evolve_strang if integ.scheme == "strang" else _evolve_lawson
     # the core's work arrays are freed before the trajectories are built
-    return core(u0s, eq, integ, n_steps, dt, work_band, probes, cap).build()
+    return core(u0s, eq, integ, n_steps, dt, work_band, probes).build()
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
+def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its recorder.
 
     The grid is odd with m >= 3 (2N+1) points. Row r holds modes -K..K in
@@ -448,7 +448,9 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     what is recorded. Untruncated substeps are all unitary in exact
     arithmetic, so between snapshots the pin would only reset roundoff.
     Truncated runs pin after every step and measure the target again after
-    each projection, which is part of the model.
+    each projection, which is part of the model. The substeps conserve mass,
+    so the pin norms match the target to roundoff unless a value turned
+    non-finite; ``check_mass`` checks them before the step is recorded.
     """
     truncated, stride = eq.truncated, integ.snapshot_stride
     m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
@@ -471,7 +473,6 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     if probes:
         rotated = rec.paired * half[rec.support]
 
-    cap2 = cap * cap
     scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
     phase_factor = eq.sign * dt * scale2
     target = np.einsum("ij,ij->i", s_real, s_real)
@@ -486,14 +487,11 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
         np.fft.ifft(s, axis=-1, out=u)
-        worst = nonlinear_phase(u, phase_factor, offset, axis=None, a2=a2, rotation=rotation)
-        if not worst * scale2 <= cap2:  # NaN-safe
-            np.fft.ifft(s, axis=-1, out=u)  # the grid values again, before the phase
-            row_worst = np.maximum.reduce(u.real * u.real + u.imag * u.imag, axis=-1)
-            rec.fail(int(np.argmin(row_worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
+        nonlinear_phase(u, phase_factor, offset, a2=a2, rotation=rotation)
         np.fft.fft(u, axis=-1, out=s)
         if truncated or snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)
+            rec.check_mass(pin, target, k)
             pin += empty
             np.divide(target, pin, out=pin)
             np.sqrt(pin, out=pin)
@@ -516,7 +514,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     return rec
 
 
-def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
+def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
     """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its recorder.
 
     With ``E = exp(i(n^2 - shift) dt/2)`` applied exactly and ``K(v)`` the
@@ -531,10 +529,11 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
     P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
     stage inputs.
 
-    The scheme does not conserve mass, so it can fail: each step checks the
-    state it starts from against the amplitude cap (and for NaN) on the grid
-    values of its first stage, and each snapshot checks every row's relative
-    mass drift against ``LAWSON_MASS_RTOL``.
+    The scheme does not conserve mass, so it can fail. Each snapshot checks
+    every row's mass drift (``check_mass``). Each step checks the state it
+    starts from on the grid values of its first stage: a row of initial mean
+    intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
+    gained more than MASS_RTOL of its mass (or turned NaN).
     """
     n, stride = work_band, integ.snapshot_stride
     c = np.array([u0.padded_to(n).coeffs for u0 in u0s])
@@ -555,14 +554,16 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
 
     rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
 
-    cap2 = cap * cap
+    # (2N+1) mu0 (1 + MASS_RTOL) per row, in the grid units of a2
+    bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL) / scale2)
     for k in range(n_steps):
         # c <- E (E (c + K1/6) + (K2 + K3)/3) + K4/6, accumulated in place
         stage_in[...] = c
         cubic(slope, factor)  # K1; leaves |u|^2 / m^2 in a2
-        if not np.maximum.reduce(a2, axis=None) * scale2 <= cap2:  # NaN-safe
-            row_worst = np.maximum.reduce(a2, axis=-1)
-            rec.fail(int(np.argmin(row_worst * scale2 <= cap2)), f"|u| exceeded {cap:g}", k)
+        ok = np.maximum.reduce(a2, axis=-1) <= bound  # NaN-safe
+        if not ok.all():
+            rec.fail(int(np.argmin(ok)), "max |u|^2 above (2N+1) mu0 "
+                     f"(1 + {MASS_RTOL:g}): the mass grew by more than {MASS_RTOL:g}", k)
         np.multiply(slope, 0.5, out=stage_in)
         stage_in += c
         stage_in *= half
@@ -586,12 +587,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes, cap):
         c += slope
         snap = (k + 1) % stride == 0
         if snap:
-            drift = np.abs(np.einsum("ij,ij->i", c_real, c_real) - target)
-            ok = drift <= LAWSON_MASS_RTOL * target  # NaN-safe; a zero row stays zero
-            if not ok.all():
-                bad = int(np.argmin(ok))
-                rec.fail(bad, f"relative mass drift {drift[bad] / target[bad]:.3g} "
-                         f"above {LAWSON_MASS_RTOL:g}", k)
+            rec.check_mass(np.einsum("ij,ij->i", c_real, c_real), target, k)
         if probes:
             rec.probe(c, rec.paired)
         if snap:

@@ -18,6 +18,7 @@ Verdicts are trend/threshold based; the thresholds live in
 ``data/verdict_thresholds.yaml`` and are versioned.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
@@ -121,6 +122,9 @@ class WeakSequenceSpec:
         if not modes or any(n <= 0 for n in modes) or len(set(modes)) != len(modes):
             raise SpecFieldError("mode_list", "mode_list must be distinct positive integers")
         object.__setattr__(self, "mode_list", modes)
+        if not cmath.isfinite(self.bump_amplitude):
+            raise SpecFieldError("bump_amplitude", "bump_amplitude must be finite "
+                                 f"(got {self.bump_amplitude})")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):  # NaN-safe
             raise SpecFieldError("horizon",
                                  f"horizon must be finite and > 0 (got {self.horizon})")

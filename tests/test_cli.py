@@ -149,6 +149,8 @@ class TestConfigErrors:
          "'equation.truncation'"),
         (["modes=[4.5, 8]"], "'modes'"),
         (["horizon=.inf"], "'horizon'"),
+        (["bump.amplitude=.nan"], "'bump.amplitude'"),
+        (["bump.amplitude=[1,.inf]"], "'bump.amplitude'"),
     ])
     def test_weak_spec_errors_name_the_field(self, tmp_path, capsys, overrides, key):
         argv = ["weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
@@ -158,6 +160,7 @@ class TestConfigErrors:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config field {key}: ")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("pair, key", [
         ("bump=2", "'bump'"),
@@ -169,12 +172,17 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "o"), "--set", pair) == 2
         assert capsys.readouterr().err.startswith(f"config error: config field {key}")
 
-    @pytest.mark.parametrize("cap", ["-1", "0", ".nan"])
-    def test_bad_amplitude_cap_names_the_field(self, tmp_path, capsys, cap):
+    @pytest.mark.parametrize("pair, key", [
+        ("amplitude_cap=1e6", "'amplitude_cap'"),
+        ("integrator.dtt=1e-3", "'integrator.dtt'"),
+    ])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, pair, key):
+        # a key that no reader asks for would otherwise be ignored silently
+        out = tmp_path / "o"
         assert run("simulate", "--config", str(CONFIG_DIR / "simulate_plane_wave.yaml"),
-                   "--out", str(tmp_path / "o"), "--set", f"amplitude_cap={cap}") == 2
-        assert capsys.readouterr().err.startswith(
-            "config error: config field 'amplitude_cap': ")
+                   "--out", str(out), "--set", pair) == 2
+        assert capsys.readouterr().err == f"config error: config field {key}: unknown key\n"
+        assert not out.exists()
 
     def test_malformed_chaos_terms_name_the_field(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", {
@@ -270,6 +278,11 @@ class TestConfigErrors:
         ("simulate", "simulate_plane_wave.yaml", "integrator.t_end=.inf",
          "'integrator.t_end'"),
         ("order-study", "order_study_rk4.yaml", "dts=[[1],[2],[3]]", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[.nan,1e-3,5e-4]", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[1e-2,5e-3]", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[1e-2,1e-2,5e-3]", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[1e-2,5e-3,0]", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "t_end=.inf", "'t_end'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -570,33 +571,45 @@ class TestDivergenceGuard:
         assert info.value.last_valid_time >= 0.0
 
     def test_rk4_mass_check_alone_trips(self):
-        # with no amplitude cap the first step's mass jump (45.6 -> 2.6e8)
-        # is what reports the failure
+        # at stride 1 the first step's mass jump (45.6 -> 2.6e8) is caught by
+        # the snapshot's drift check before the next step's intensity bound
         u0 = fld.TorusField.from_modes({0: 2.0, 1: 1.5, -2: 1.0}, max_mode=8)
         eq = dyn.EquationSpec("truncated-nls", sign=-1, truncation=8)
         integ = dyn.IntegratorSpec("rk4", dt=0.1, t_end=2.0, snapshot_stride=1)
         with pytest.raises(dyn.IntegrationDivergedError,
                            match="numerical scheme failure: relative mass drift") as info:
-            dyn.evolve(u0, eq, integ, amplitude_cap=math.inf)
+            dyn.evolve(u0, eq, integ)
         assert info.value.last_valid_time == 0.0
         partial = info.value.trajectory
         assert partial.times.tolist() == [0.0]
         assert partial.ledger["mass"][0] == pytest.approx(45.553, rel=1e-4)
 
-    def test_amplitude_cap_strang(self):
-        u0 = fld.TorusField.single_mode(0, 2.0, max_mode=4)
-        eq = dyn.EquationSpec("nls", sign=-1)
-        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=1.0, snapshot_stride=10)
-        with pytest.raises(dyn.IntegrationDivergedError):
-            dyn.evolve(u0, eq, integ, amplitude_cap=1.5)
+    def test_rk4_step_bound_trips_between_snapshots(self):
+        # with one snapshot at the end, the first step's mass jump shows in the
+        # next step's grid values, past the certified (2N+1) mu0 bound
+        u0 = fld.TorusField.from_modes({0: 2.0, 1: 1.5, -2: 1.0}, max_mode=8)
+        eq = dyn.EquationSpec("truncated-nls", sign=-1, truncation=8)
+        integ = dyn.IntegratorSpec("rk4", dt=0.1, t_end=2.0, snapshot_stride=20)
+        with pytest.raises(dyn.IntegrationDivergedError,
+                           match=r"numerical scheme failure: max \|u\|\^2 above") as info:
+            dyn.evolve(u0, eq, integ)
+        assert info.value.last_valid_time == pytest.approx(0.1)
+        assert info.value.trajectory.times.tolist() == [0.0]
 
-    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
-    @pytest.mark.parametrize("cap", [-1.0, 0.0, math.nan])
-    def test_bad_amplitude_cap_rejected(self, scheme, cap):
-        u0 = fld.TorusField.single_mode(1, 1.0, max_mode=4)
-        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=0.1)
-        with pytest.raises(ValueError, match="amplitude_cap must be > 0"):
-            dyn.evolve(u0, dyn.EquationSpec("nls", sign=1), integ, amplitude_cap=cap)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_large_plane_wave_is_no_failure(self, sign):
+        # no amplitude is a failure in itself: a plane wave of |u| = 2e6
+        # takes its exact Strang step, a phase of 4e6 rad, to roundoff
+        amp = 2e6
+        u0 = fld.TorusField.single_mode(1, amp, max_mode=4)
+        eq = dyn.EquationSpec("nls", sign=sign)
+        integ = dyn.IntegratorSpec("strang", dt=1e-6, t_end=1e-6)
+        traj = dyn.evolve(u0, eq, integ)
+        band = traj.final.max_mode
+        exact = np.zeros(2 * band + 1, dtype=complex)
+        exact[band + 1] = amp * np.exp(1j * dyn.plane_wave_frequency(1, amp, eq) * 1e-6)
+        assert np.max(np.abs(traj.final.coeffs - exact)) < 1e-8 * amp
+        assert traj.ledger["mass"][1] == pytest.approx(traj.ledger["mass"][0], rel=1e-14)
 
 
 class TestProbes:
@@ -634,13 +647,24 @@ def assert_same_trajectory(a, b):
     assert all(x.max_mode == y.max_mode and np.array_equal(x.coeffs, y.coeffs)
                for x, y in zip(a.snapshots, b.snapshots))
     assert a.ledger.keys() == b.ledger.keys()
-    assert all(np.array_equal(a.ledger[k], b.ledger[k]) for k in a.ledger)
+    # equal_nan: a row whose mass overflowed has NaN energy columns
+    assert all(np.array_equal(a.ledger[k], b.ledger[k], equal_nan=True) for k in a.ledger)
     if a.probe_times is None:
         assert b.probe_times is None
     else:
         assert np.array_equal(a.probe_times, b.probe_times)
     assert a.probes.keys() == b.probes.keys()
     assert all(np.array_equal(a.probes[k], b.probes[k]) for k in a.probes)
+
+
+# a scheme failure of each scheme: (failing row, dt, snapshots recorded before
+# the failure at stride 10). Under RK4 a focusing plane wave with seeded
+# sidebands outruns the step and gains mass; Strang pins the mass, so only a
+# row whose mass overflows (|c|^2 = 1e310) turns non-finite.
+FAILING_ROWS = {
+    "strang": (fld.TorusField.single_mode(0, 1e155, max_mode=4), 0.01, 1),
+    "rk4": (fld.TorusField.from_modes({0: 2.0, 1: 0.05, -1: 0.05}, max_mode=4), 0.05, 3),
+}
 
 
 class TestTrajectoryBlock:
@@ -668,28 +692,32 @@ class TestTrajectoryBlock:
                 assert np.max(np.abs(traj.coeffs[:, band + 2]
                                      - amp * np.exp(1j * w * traj.times))) < 1e-9
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["strang", "rk4"])
     @pytest.mark.parametrize("t_end", [10.0, -10.0])
     def test_divergence_keeps_exactly_the_recorded_prefix(self, scheme, t_end):
-        # the uncapped run takes the same steps, so its snapshots up to the
-        # failing step are the partial trajectory, bit for bit
+        # a run to the last recorded time takes the same steps, so it is the
+        # partial trajectory, bit for bit
+        failing, dt, recorded = FAILING_ROWS[scheme]
         eq = dyn.EquationSpec("nls", sign=-1)
-        rows = [fld.TorusField.single_mode(0, 0.3, max_mode=4),
-                fld.TorusField.from_modes({0: 1.0, 1: 0.05, -1: 0.05}, max_mode=4)]
-        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=t_end, snapshot_stride=10)
+        rows = [fld.TorusField.single_mode(0, 0.3, max_mode=4), failing]
+        probes = {"phi": fld.TorusField.single_mode(1, 1.0)}
+        integ = dyn.IntegratorSpec(scheme, dt=dt, t_end=t_end, snapshot_stride=10)
         with pytest.raises(dyn.IntegrationDivergedError) as info:
-            dyn.evolve_batch(rows, eq, integ, amplitude_cap=1.5)
+            dyn.evolve_batch(rows, eq, integ, probes=probes)
         partial = info.value.trajectory
         steps = round(abs(info.value.last_valid_time) / integ.dt)
         n = steps // integ.snapshot_stride + 1
-        assert 1 < n < 101 and partial.coeffs.shape[0] == n
-        full = dyn.evolve_batch(rows, eq, integ, amplitude_cap=math.inf)[1]
-        prefix = slice(None, n) if t_end > 0 else slice(-n, None)
-        assert np.array_equal(partial.times, full.times[prefix])
-        assert np.array_equal(partial.coeffs, full.coeffs[prefix])
+        assert partial.coeffs.shape[0] == n == recorded
+        last = partial.times[-1] if t_end > 0 else partial.times[0]
+        # the probe pairings, too, end at the last snapshot
+        assert_same_trajectory(
+            partial, dyn.evolve_batch(rows, eq, replace(integ, t_end=last), probes=probes)[1])
         ledger = dyn._ledger(partial.coeffs, eq.sign)
         assert partial.ledger.keys() == ledger.keys()
-        assert all(np.array_equal(partial.ledger[k], ledger[k]) for k in ledger)
+        assert all(np.array_equal(partial.ledger[k], ledger[k], equal_nan=True)
+                   for k in ledger)
 
 
 class TestEvolveBatch:
@@ -735,19 +763,23 @@ class TestEvolveBatch:
                              dyn.EquationSpec("nls", sign=1), integ)
         assert dyn.evolve_batch([], dyn.EquationSpec("nls", sign=1), integ) == []
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
     def test_divergence_carries_the_failing_row(self):
-        # a focusing plane wave of amplitude 1 is modulationally unstable:
-        # its seeded sidebands grow past the cap while the small row stays put
+        # the failing row's partial trajectory is the same alone or batched
+        # with a calm row, which stays put
         eq = dyn.EquationSpec("nls", sign=-1)
         calm = fld.TorusField.single_mode(0, 0.3, max_mode=4)
-        unstable = fld.TorusField.from_modes({0: 1.0, 1: 0.05, -1: 0.05}, max_mode=4)
-        for scheme in ("strang", "rk4"):
-            integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=10.0, snapshot_stride=10)
+        faster = fld.TorusField.from_modes({0: 3.0, 1: 0.05, -1: 0.05}, max_mode=4)
+        for scheme, (failing, dt, recorded) in [("strang", FAILING_ROWS["strang"]),
+                                                ("rk4", (faster, 0.02, 7))]:
+            integ = dyn.IntegratorSpec(scheme, dt=dt, t_end=10.0, snapshot_stride=10)
             with pytest.raises(dyn.IntegrationDivergedError) as single:
-                dyn.evolve(unstable, eq, integ, amplitude_cap=1.5)
+                dyn.evolve(failing, eq, integ)
             with pytest.raises(dyn.IntegrationDivergedError) as batch:
-                dyn.evolve_batch([calm, unstable], eq, integ, amplitude_cap=1.5)
+                dyn.evolve_batch([calm, failing], eq, integ)
             assert batch.value.last_valid_time == single.value.last_valid_time > 0.0
             assert str(batch.value) == str(single.value)
-            assert len(batch.value.trajectory.snapshots) > 1
+            assert str(batch.value).startswith("numerical scheme failure")
+            assert len(batch.value.trajectory.snapshots) == recorded
             assert_same_trajectory(batch.value.trajectory, single.value.trajectory)

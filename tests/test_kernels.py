@@ -76,10 +76,9 @@ class TestNonlinearPhase:
     def test_numpy_path(self):
         u = np.array([1.0 + 0j, 2.0j, 0.5 - 0.5j])
         v = u.copy()
-        worst = K.nonlinear_phase(v, 0.3, -0.1)
+        K.nonlinear_phase(v, 0.3, -0.1)
         expect = u * np.exp(0.3j * (np.abs(u) ** 2 - 0.1))
         assert np.allclose(v, expect, atol=1e-15)
-        assert worst == pytest.approx(4.0)
 
     @pytest.mark.parametrize("shape, offset", [((64,), -0.4), ((3, 64), None)])
     def test_matches_exponential_form(self, shape, offset):
@@ -88,11 +87,9 @@ class TestNonlinearPhase:
         if offset is None:  # one offset per row of a stack
             offset = rng.standard_normal((shape[0], 1))
         v = u.copy()
-        worst = K.nonlinear_phase(v, 0.7, offset)
+        K.nonlinear_phase(v, 0.7, offset)
         expect = u * np.exp(1j * 0.7 * (np.abs(u) ** 2 + offset))
         assert np.allclose(v, expect, rtol=1e-14, atol=1e-14)
-        assert np.shape(worst) == shape[:-1]
-        assert np.array_equal(worst, np.max(u.real**2 + u.imag**2, axis=-1))
 
     @pytest.mark.parametrize("shape, offset", [((64,), -0.4), ((3, 64), 0.0),
                                                ((3, 64), None)])
@@ -103,17 +100,13 @@ class TestNonlinearPhase:
             offset = rng.standard_normal((shape[0], 1))
         a2, rotation = np.empty(shape), np.empty(shape, dtype=complex)
         v = u.copy()
-        worst = K.nonlinear_phase(v, 0.7, offset, a2=a2, rotation=rotation)
+        K.nonlinear_phase(v, 0.7, offset, a2=a2, rotation=rotation)
         intensity = u.real * u.real + u.imag * u.imag
         theta = 0.7 * (intensity + offset)
         assert np.array_equal(v, u * np.exp(1j * 0.7 * (intensity + offset)))
         # the kernel worked in the buffers it was handed
         assert np.array_equal(a2, theta)
         assert np.array_equal(rotation, np.exp(1j * theta))
-        assert np.array_equal(worst, np.max(intensity, axis=-1))
-        stack_max = K.nonlinear_phase(u.copy(), 0.7, offset, axis=None, a2=a2,
-                                      rotation=rotation)
-        assert np.ndim(stack_max) == 0 and stack_max == np.max(intensity)
 
     def test_modulus_preserved(self):
         rng = np.random.default_rng(6)
