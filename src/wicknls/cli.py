@@ -174,6 +174,21 @@ def _finite(value) -> float:
     return value
 
 
+def _positive(value) -> float:
+    """A finite real number > 0 (see ``_real``)."""
+    value = _finite(value)
+    if not value > 0:
+        raise ValueError(f"must be > 0 (got {value})")
+    return value
+
+
+def _scheme(value) -> str:
+    """An integrator scheme name."""
+    if value not in ("strang", "rk4"):
+        raise ValueError(f"must be 'strang' or 'rk4' (got {value!r})")
+    return value
+
+
 def _complex(value) -> complex:
     """A real number or ``[re, im]``."""
     if isinstance(value, list):
@@ -521,8 +536,14 @@ def cmd_order_study(cfg: dict):
     eq = _build_equation(cfg)
     u0 = _build_field(_field(cfg, "data", _mapping), "data")
     dts = _field(cfg, "dts", _dt_ladder)
-    scheme = _field(cfg, "scheme", _str, "strang")
-    t_end = _field(cfg, "t_end", _finite, 1.0)
+    scheme = _field(cfg, "scheme", _scheme, "strang")
+    t_end = _field(cfg, "t_end", _positive, 1.0)
+    for dt in dts:  # the runner's step counts; its reference step dts[-1] / 4 follows
+        try:
+            IntegratorSpec(scheme, dt, t_end).step_count()
+        except ValueError:
+            raise ConfigError(
+                f"config field 'dts': {dt!r} does not divide t_end = {t_end!r}") from None
 
     def run(out: Path) -> int:
         report = _checked("order-study", xp.integrator_order_study, u0, eq, dts,

@@ -24,7 +24,13 @@ and a batch of initial data steps together as one (B, m) stack
 is then unitary / unit-modulus, and each row's mass is pinned to its initial
 value at every snapshot step); truncated runs re-apply the Dirichlet
 projection after each nonlinear substep because the projection is part of
-the model.
+the model. The phase substep takes ``exp(i theta)`` in the exact Cayley form
+``(1 + i tau) / (1 - i tau)``, ``tau = tan(theta / 2)``
+(``_kernels.nonlinear_phase``): numpy 2.x vectorises float64 ``tan`` but
+calls libm once per element for ``cos`` and ``sin``, so one tangent costs
+25 us on a (6, 1575) stack where ``cos`` and ``sin`` cost 89 + 64 us, and
+the band-256 contrast of the benchmark's ``weak-contrast`` runs about 16%
+faster.
 
 The ``rk4`` scheme is integrating-factor ("Lawson") RK4 on the same kind of
 (B, m) stack: the linear multiplier is applied exactly and RK4 integrates
@@ -49,7 +55,8 @@ from functools import cached_property
 import numpy as np
 
 from . import field as fld
-from ._kernels import GalerkinCubic, cubic_convolution, fast_fft_size, nonlinear_phase
+from ._kernels import (GalerkinCubic, cayley_pair, cubic_convolution, fast_fft_size,
+                       nonlinear_phase)
 from .wick import intensity_fluctuation, renormalization_constant
 
 
@@ -467,7 +474,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
     u = np.empty_like(s)
-    a2, rotation = np.empty(s.shape), np.empty_like(s)  # phase kernel work buffers
+    a2, pair = np.empty(s.shape), cayley_pair(s.shape)  # phase kernel work buffers
 
     rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
     if probes:
@@ -487,7 +494,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
         np.fft.ifft(s, axis=-1, out=u)
-        nonlinear_phase(u, phase_factor, offset, a2=a2, rotation=rotation)
+        nonlinear_phase(u, phase_factor, offset, a2=a2, pair=pair)
         np.fft.fft(u, axis=-1, out=s)
         if truncated or snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)

@@ -283,6 +283,10 @@ class TestConfigErrors:
         ("order-study", "order_study_rk4.yaml", "dts=[1e-2,1e-2,5e-3]", "'dts'"),
         ("order-study", "order_study_rk4.yaml", "dts=[1e-2,5e-3,0]", "'dts'"),
         ("order-study", "order_study_rk4.yaml", "t_end=.inf", "'t_end'"),
+        ("order-study", "order_study_rk4.yaml", "t_end=0", "'t_end'"),
+        ("order-study", "order_study_rk4.yaml", "t_end=-1.0", "'t_end'"),
+        ("order-study", "order_study_rk4.yaml", "t_end=0.333", "'dts'"),
+        ("order-study", "order_study_rk4.yaml", "scheme=euler", "'scheme'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wicknls import _kernels as K
 
@@ -72,6 +74,14 @@ class TestHermiteBatch:
         assert got == pytest.approx(hermite_reference(4, 1.25, 2.5), rel=1e-12)
 
 
+def _near_pole(k: int, ulps: int) -> float:
+    """A phase theta whose half lies ``ulps`` ULP from (2k + 1) pi / 2, where tan ~ 1e16."""
+    half = (2 * k + 1) * np.pi / 2
+    for _ in range(abs(ulps)):
+        half = np.nextafter(half, np.copysign(np.inf, ulps))
+    return 2.0 * half
+
+
 class TestNonlinearPhase:
     def test_numpy_path(self):
         u = np.array([1.0 + 0j, 2.0j, 0.5 - 0.5j])
@@ -91,22 +101,29 @@ class TestNonlinearPhase:
         expect = u * np.exp(1j * 0.7 * (np.abs(u) ** 2 + offset))
         assert np.allclose(v, expect, rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("shape, offset", [((64,), -0.4), ((3, 64), 0.0),
-                                               ((3, 64), None)])
-    def test_work_buffers_bit_for_bit(self, shape, offset):
+    @pytest.mark.parametrize("offset", [-0.4, 0.0, None])
+    def test_cayley_contract(self, offset):
         rng = np.random.default_rng(8)
-        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        if offset is None:
-            offset = rng.standard_normal((shape[0], 1))
-        a2, rotation = np.empty(shape), np.empty(shape, dtype=complex)
+        u = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        if offset is None:  # one offset per row of a stack
+            offset = rng.standard_normal((3, 1))
+        a2, pair = np.empty(u.shape), K.cayley_pair(u.shape)
         v = u.copy()
-        K.nonlinear_phase(v, 0.7, offset, a2=a2, rotation=rotation)
-        intensity = u.real * u.real + u.imag * u.imag
-        theta = 0.7 * (intensity + offset)
-        assert np.array_equal(v, u * np.exp(1j * 0.7 * (intensity + offset)))
-        # the kernel worked in the buffers it was handed
-        assert np.array_equal(a2, theta)
-        assert np.array_equal(rotation, np.exp(1j * theta))
+        K.nonlinear_phase(v, 0.7, offset, a2=a2, pair=pair)
+        # the helper's buffers change nothing, and their real parts stay 1
+        w = u.copy()
+        K.nonlinear_phase(w, 0.7, offset)
+        assert np.array_equal(v, w)
+        assert np.array_equal(pair.real, np.ones(pair.shape))
+        # each row is rotated as it would be alone, as evolve_batch promises
+        for r in range(len(u)):
+            row = u[r:r + 1].copy()
+            K.nonlinear_phase(row, 0.7, offset[r:r + 1] if isinstance(offset, np.ndarray)
+                              else offset)
+            assert np.array_equal(v[r:r + 1], row)
+        # the Cayley form of exp(i theta) holds to roundoff
+        expect = u * np.exp(1j * 0.7 * (np.abs(u) ** 2 + offset))
+        assert np.max(np.abs(v - expect)) <= 1e-15 * np.max(np.abs(u))
 
     def test_modulus_preserved(self):
         rng = np.random.default_rng(6)
@@ -114,6 +131,38 @@ class TestNonlinearPhase:
         before = np.abs(u).copy()
         K.nonlinear_phase(u, 1.3, -0.4)
         assert np.max(np.abs(np.abs(u) - before)) < 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.one_of(st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e),
+                           st.builds(_near_pole, st.integers(0, 159_000),
+                                     st.integers(-4, 4))),
+           sign=st.sampled_from([1, -1]), exponent=st.integers(-4, 4),
+           axis=st.sampled_from([1, -1, 1j, -1j]), zero_offset=st.floats(-10.0, 10.0),
+           bad=st.sampled_from([np.inf, complex(0.0, -np.inf), np.nan, 1e200]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rotation_property(self, theta, sign, exponent, axis, zero_offset, bad, seed):
+        # element 0 of row 0 has |u|^2 = 4^exponent exactly, so its phase is
+        # exactly sign * theta; row 1 is zero, row 2 is row 0 with one
+        # non-finite intensity
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** exponent
+        factor = sign * theta / (scale * scale)
+        u = np.empty((3, 32), dtype=complex)
+        u[0] = (rng.standard_normal(32) + 1j * rng.standard_normal(32)) * (scale / 2)
+        u[0, 0] = axis * scale
+        u[1] = 0.0
+        u[2] = u[0]
+        u[2, 1] = bad
+        v = u.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # from row 2's bad value
+            K.nonlinear_phase(v, factor, np.array([[0.0], [zero_offset], [0.0]]))
+        modulus = np.abs(u[0])
+        assert np.all(np.abs(np.abs(v[0]) - modulus) <= 1e-15 * modulus)
+        expect = u[0] * np.exp(1j * factor * np.abs(u[0]) ** 2)
+        assert np.all(np.abs(v[0] - expect) <= 1e-15 * modulus)
+        assert np.array_equal(v[1], np.zeros(32))
+        assert np.isnan(v[2, 1])
+        assert np.array_equal(np.delete(v[2], 1), np.delete(v[0], 1))
 
 
 class TestFastFftSize:
