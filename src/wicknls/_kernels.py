@@ -18,36 +18,38 @@ class GalerkinCubic:
 
     Callers write the rows, modes -N..N, into ``inputs``: columns K-N..K+N
     of a zero (B, m) spectrum, i.e. the spectrum of e^{iKx} u, with m the
-    smallest odd 7-smooth size >= 3N+K+1. The product e^{iKx} |u|^2 u then
-    has modes in columns K-3N..K+3N, and none of them aliases into columns
-    0..2K, which hold modes -K..K. So one ifft, the pointwise |v|^2 v, one
-    fft and the drop of the columns past 2K give P_K exactly. The buffers
-    are allocated once, for a caller that evaluates many stacks of one
-    shape; a row's result does not depend on the other rows.
+    smallest 7-smooth size >= 3N+K+1. The product e^{iKx} |u|^2 u then has
+    modes in columns K-3N..K+3N, and none of them aliases into columns
+    0..2K, which hold modes -K..K. So one unscaled ifft (grid values are
+    field values), the pointwise |v|^2 v, one fft and the drop of the
+    columns past 2K, scaled by 1/m, give P_K exactly. The buffers are
+    allocated once, for a caller that evaluates many stacks of one shape; a
+    row's result does not depend on the other rows.
     """
 
     def __init__(self, rows: int, max_mode: int, out_band: int):
         if out_band < max_mode:
             raise ValueError("out_band must be >= max_mode")
         self.width = 2 * out_band + 1
-        m = fast_fft_size(3 * max_mode + out_band + 1, odd=True)
-        self.scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
+        m = fast_fft_size(3 * max_mode + out_band + 1)
+        self._inv_m = 1.0 / m
         self._spectrum = np.zeros((rows, m), dtype=np.complex128)
         self.inputs = self._spectrum[:, out_band - max_mode:out_band + max_mode + 1]
-        self._grid = np.empty_like(self._spectrum)
-        self.intensity = np.empty((rows, m))  # |u|^2 / m^2 on the grid, after a call
+        grid = self._grid = np.empty_like(self._spectrum)
+        self._re, self._im, self._head = grid.real, grid.imag, grid[:, :self.width]
+        self.intensity = np.empty((rows, m))  # |u|^2 on the grid, after a call
         self._work = np.empty((rows, m))
 
     def __call__(self, out: np.ndarray, scale: complex = 1.0) -> np.ndarray:
         """``out`` (B, 2K+1) <- scale * P_K(|u|^2 u) of the rows in ``inputs``."""
         grid, a2 = self._grid, self.intensity
-        np.fft.ifft(self._spectrum, axis=-1, out=grid)
-        np.multiply(grid.real, grid.real, out=a2)
-        np.multiply(grid.imag, grid.imag, out=self._work)
+        np.fft.ifft(self._spectrum, axis=-1, norm="forward", out=grid)
+        np.multiply(self._re, self._re, out=a2)
+        np.multiply(self._im, self._im, out=self._work)
         np.add(a2, self._work, out=a2)
         np.multiply(grid, a2, out=grid)
         np.fft.fft(grid, axis=-1, out=grid)
-        np.multiply(grid[:, :self.width], scale * self.scale2, out=out)
+        np.multiply(self._head, scale * self._inv_m, out=out)
         return out
 
 
@@ -96,8 +98,8 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
-# u is one grid or a (B, m) stack of grids, offset a scalar or a (B, 1) column;
-# mutates u, which keeps its modulus.
+# u is one grid or a (B, m) stack of grids, offset None, a scalar or a (B, 1)
+# column; mutates u, which keeps its modulus.
 #
 # The rotation is taken in Cayley form, exp(i theta) = (1 + i tau) / (1 - i tau)
 # with tau = tan(theta / 2), which is exact. On numpy 2.x float64 tan is a
@@ -110,35 +112,31 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 # for re^2 + im^2. A non-finite intensity gives tan = NaN and so a NaN value.
 # ---------------------------------------------------------------------------
 
-def cayley_pair(shape) -> np.ndarray:
-    """The phase kernel's complex work rows ``den`` and ``num``, one (2,) + shape block.
+def phase_work(shape) -> tuple:
+    """``(a2, den, num, den.imag, num.imag)`` for u of ``shape``, made once per run.
 
-    Their real parts are 1; ``nonlinear_phase`` writes only the imaginary
-    parts, so a caller stepping many times allocates the pair once.
+    ``den`` and ``num`` have real parts 1; the kernel writes their imaginary
+    parts through the views made here, so a call makes no view.
     """
-    pair = np.empty((2,) + tuple(shape), dtype=np.complex128)
+    den, num = pair = np.empty((2,) + tuple(shape), dtype=np.complex128)
     pair.real = 1.0
-    return pair
+    return np.empty(shape), den, num, den.imag, num.imag
 
 
 def nonlinear_phase(u: np.ndarray, factor: float, offset, *,
-                    a2: np.ndarray | None = None,
-                    pair: np.ndarray | None = None) -> None:
-    """Rotate u in place; ``a2`` (real, u's shape) and ``pair`` (from
-    ``cayley_pair(u.shape)``) are work buffers that a caller stepping many
-    times allocates once. On return ``a2`` holds -theta / 2 and the imaginary
-    parts of ``pair`` hold -tau and tau.
+                    work: tuple | None = None) -> None:
+    """Rotate u in place; ``offset`` may be None. ``work`` comes from
+    ``phase_work(u.shape)``; on return its ``a2`` holds -theta / 2 and the
+    imaginary parts of ``den`` and ``num`` hold -tau and tau.
     """
-    if a2 is None:
-        a2 = np.empty(u.shape)
-    den, num = cayley_pair(u.shape) if pair is None else pair
+    a2, den, num, den_imag, num_imag = phase_work(u.shape) if work is None else work
     np.abs(u, out=a2)
     a2 *= a2
-    if isinstance(offset, np.ndarray) or offset != 0.0:
+    if offset is not None:
         a2 += offset
     a2 *= -0.5 * factor
-    np.tan(a2, out=den.imag)  # den = 1 - i tau
-    np.negative(den.imag, out=num.imag)  # num = 1 + i tau
+    np.tan(a2, out=den_imag)  # den = 1 - i tau
+    np.negative(den_imag, out=num_imag)  # num = 1 + i tau
     u /= den
     u *= num
 

@@ -25,12 +25,11 @@ is then unitary / unit-modulus, and each row's mass is pinned to its initial
 value at every snapshot step); truncated runs re-apply the Dirichlet
 projection after each nonlinear substep because the projection is part of
 the model. The phase substep takes ``exp(i theta)`` in the exact Cayley form
-``(1 + i tau) / (1 - i tau)``, ``tau = tan(theta / 2)``
-(``_kernels.nonlinear_phase``): numpy 2.x vectorises float64 ``tan`` but
-calls libm once per element for ``cos`` and ``sin``, so one tangent costs
-25 us on a (6, 1575) stack where ``cos`` and ``sin`` cost 89 + 64 us, and
-the band-256 contrast of the benchmark's ``weak-contrast`` runs about 16%
-faster.
+of ``_kernels.nonlinear_phase``, one tangent instead of a cosine and a sine.
+
+Both schemes transform unnormalised: the inverse FFT is unscaled, so grid
+values are field values, and the 1/m of the forward FFT rides on the
+multiplier, scale or pin after it (Frigo & Johnson, Proc. IEEE 93, 2005).
 
 The ``rk4`` scheme is integrating-factor ("Lawson") RK4 on the same kind of
 (B, m) stack: the linear multiplier is applied exactly and RK4 integrates
@@ -55,8 +54,8 @@ from functools import cached_property
 import numpy as np
 
 from . import field as fld
-from ._kernels import (GalerkinCubic, cayley_pair, cubic_convolution, fast_fft_size,
-                       nonlinear_phase)
+from ._kernels import (GalerkinCubic, cubic_convolution, fast_fft_size, nonlinear_phase,
+                       phase_work)
 from .wick import intensity_fluctuation, renormalization_constant
 
 
@@ -445,6 +444,10 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     commutes with that unimodular factor. Truncated runs zero the columns
     past 2K after every linear substep.
 
+    The phase acts on field values, with factor sign dt and Wick offset -2 mu.
+    The fft leaves m times the coefficients: ``full``, ``half_m`` and the probe
+    vectors carry the 1/m, and the pin's target is m^2 times the mass.
+
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
     half instead of the state. At a snapshot step it takes the half, is
@@ -468,45 +471,44 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     freq = np.arange(m, dtype=np.float64) - band
     shift = 2.0 * eq.sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
     half = np.exp(1j * (freq**2 - shift) * (dt / 2.0))
-    full = np.exp(1j * (freq**2 - shift) * dt)
+    half_m = half / m
+    full = np.exp(1j * (freq**2 - shift) * dt) / m
 
     s = np.zeros((len(u0s), m), dtype=np.complex128)
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
     u = np.empty_like(s)
-    a2, pair = np.empty(s.shape), cayley_pair(s.shape)  # phase kernel work buffers
+    work = phase_work(s.shape)
 
     rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
     if probes:
-        rotated = rec.paired * half[rec.support]
+        rotated = rec.paired * half_m[rec.support]
 
-    scale2 = float(m) * float(m)  # ifft leaves grid values scaled by 1/m
-    phase_factor = eq.sign * dt * scale2
+    phase_factor = eq.sign * dt
     target = np.einsum("ij,ij->i", s_real, s_real)
     empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
 
-    def mean_offset():
-        # -2 mu per row in grid units: the mass is pinned, so mu is the target's
-        return (-2.0 / scale2) * target[:, None] if eq.mean_shifted else 0.0
+    def targets():  # the pin's target and the offset -2 mu: the mass is pinned
+        return float(m * m) * target, (-2.0 * target[:, None] if eq.mean_shifted else None)
 
-    offset = mean_offset()
+    pin_target, offset = targets()
     s *= half
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
-        np.fft.ifft(s, axis=-1, out=u)
-        nonlinear_phase(u, phase_factor, offset, a2=a2, pair=pair)
+        np.fft.ifft(s, axis=-1, norm="forward", out=u)
+        nonlinear_phase(u, phase_factor, offset, work=work)
         np.fft.fft(u, axis=-1, out=s)
         if truncated or snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)
-            rec.check_mass(pin, target, k)
+            rec.check_mass(pin, pin_target, k)
             pin += empty
-            np.divide(target, pin, out=pin)
+            np.divide(pin_target, pin, out=pin)
             np.sqrt(pin, out=pin)
             s *= pin[:, None]
         if probes:
             rec.probe(s, rotated)
         if snap:
-            s *= half
+            s *= half_m
             if truncated:
                 s[:, width:] = 0.0
             rec.snapshot(s)
@@ -517,7 +519,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
                 s[:, width:] = 0.0
         if truncated:
             target = np.einsum("ij,ij->i", s_real, s_real)
-            offset = mean_offset()
+            pin_target, offset = targets()
     return rec
 
 
@@ -534,11 +536,11 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
 
     Row r holds modes -N..N; ``K(v)`` is the exact Galerkin term
     P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
-    stage inputs.
+    stage inputs and whose grid values are field values.
 
     The scheme does not conserve mass, so it can fail. Each snapshot checks
     every row's mass drift (``check_mass``). Each step checks the state it
-    starts from on the grid values of its first stage: a row of initial mean
+    starts from on the |u|^2 grid of its first stage: a row of initial mean
     intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
     gained more than MASS_RTOL of its mass (or turned NaN).
     """
@@ -555,18 +557,17 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
     half = np.exp(1j * rate * (dt / 2.0))
 
     cubic = GalerkinCubic(len(c), n, n)
-    stage_in, a2, scale2 = cubic.inputs, cubic.intensity, cubic.scale2
+    stage_in, a2 = cubic.inputs, cubic.intensity
     eu, slope = np.empty_like(c), np.empty_like(c)  # E u, and each stage's K
     factor = 1j * eq.sign * dt  # K(v) = dt * i sign P_N(|v|^2 v)
 
     rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
 
-    # (2N+1) mu0 (1 + MASS_RTOL) per row, in the grid units of a2
-    bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL) / scale2)
+    bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL))  # (2N+1) mu0 (1 + MASS_RTOL)
     for k in range(n_steps):
         # c <- E (E (c + K1/6) + (K2 + K3)/3) + K4/6, accumulated in place
         stage_in[...] = c
-        cubic(slope, factor)  # K1; leaves |u|^2 / m^2 in a2
+        cubic(slope, factor)  # K1; leaves |u|^2 in a2
         ok = np.maximum.reduce(a2, axis=-1) <= bound  # NaN-safe
         if not ok.all():
             rec.fail(int(np.argmin(ok)), "max |u|^2 above (2N+1) mu0 "

@@ -19,6 +19,7 @@ Verdicts are trend/threshold based; the thresholds live in
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
@@ -34,15 +35,10 @@ from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve, evolve_bat
 from .serialization import spec_hash
 from ._kernels import fast_fft_size
 
-_thresholds_cache = None
-
-
+@functools.cache
 def verdict_thresholds() -> dict:
-    global _thresholds_cache
-    if _thresholds_cache is None:
-        text = resources.files("wicknls").joinpath("data/verdict_thresholds.yaml").read_text()
-        _thresholds_cache = yaml.safe_load(text)
-    return _thresholds_cache
+    text = resources.files("wicknls").joinpath("data/verdict_thresholds.yaml").read_text()
+    return yaml.safe_load(text)
 
 
 @dataclass(frozen=True)
@@ -85,11 +81,8 @@ class ExperimentReport:
         return [head] + [s.to_record() for s in self.series]
 
     def summary_rows(self) -> list:
-        rows = []
-        for s in self.series:
-            for i, v in zip(s.index, s.values):
-                rows.append((s.name, s.index_name, i, float(v), s.unit))
-        return rows
+        return [(s.name, s.index_name, i, float(v), s.unit)
+                for s in self.series for i, v in zip(s.index, s.values)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +468,6 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
         integ = IntegratorSpec("strang", dt=2e-3, t_end=t_horizon, snapshot_stride=10)
     else:
         integ = replace(integ, t_end=t_horizon)
-    norm_spec = fld.NormSpec.sobolev(s)
     eq = EquationSpec(Variant.WNLS, sign=sign)
 
     series = []
@@ -485,10 +477,9 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
         spec_b = replace(ensemble, max_mode=band)
         ratios = []
         for _, block in rnd._blocks(spec_b, samples):
-            data = [fld.TorusField(c, band) for c in block]
-            for u0, traj in zip(data, evolve_batch(data, eq, integ)):
-                base = fld.norm(u0, norm_spec)
-                worst = max(fld.norm(u, norm_spec) for u in traj.snapshots)
+            trajs = evolve_batch([fld.TorusField(c, band) for c in block], eq, integ)
+            for base, traj in zip(fld._sobolev_norms(block, s).tolist(), trajs):
+                worst = float(np.max(fld._sobolev_norms(traj.coeffs, s)))
                 ratios.append(worst / base if base > 0 else 1.0)
         h = spec_hash({**spec_b.to_dict(), "s": s, "t_horizon": t_horizon})
         series.append(Series(f"growth_ratio_band{band}", "dimensionless", "sample",

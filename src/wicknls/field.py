@@ -151,7 +151,7 @@ def synthesize(field: TorusField, grid_points: int) -> np.ndarray:
         raise ValueError("grid_points must be positive")
     spectrum = np.zeros(grid_points, dtype=np.complex128)
     np.add.at(spectrum, np.mod(field.modes, grid_points), field.coeffs)
-    return np.fft.ifft(spectrum) * grid_points
+    return np.fft.ifft(spectrum, norm="forward")
 
 
 def analyze(samples: np.ndarray, max_mode: int | None = None) -> TorusField:
@@ -170,7 +170,7 @@ def analyze(samples: np.ndarray, max_mode: int | None = None) -> TorusField:
         raise ValueError(
             f"{m} samples cannot resolve modes up to {max_mode} (need {2 * max_mode + 1})"
         )
-    spectrum = np.fft.fft(samples) / m
+    spectrum = np.fft.fft(samples, norm="forward")
     modes = np.arange(-max_mode, max_mode + 1)
     return TorusField(spectrum[np.mod(modes, m)], max_mode)
 
@@ -185,13 +185,19 @@ def project(field: TorusField, n_max: int) -> TorusField:
     return TorusField(field.coeffs[k:-k], n_max)
 
 
+def _sobolev_norms(block: np.ndarray, s: float) -> np.ndarray:
+    """Sobolev-s norms of the rows of a (..., 2N+1) block of modes -N..N, in one reduction."""
+    n_max = (block.shape[-1] - 1) // 2
+    w = 1.0 + np.abs(np.arange(-n_max, n_max + 1))
+    return np.sqrt(np.sum(w ** (2.0 * s) * np.abs(block) ** 2, axis=-1))
+
+
 def norm(field: TorusField, spec: NormSpec) -> float:
     """Coefficient-space norm per NormSpec (no 2*pi factor)."""
+    if spec.kind in ("sobolev", "l2"):
+        return float(_sobolev_norms(field.coeffs, spec.s if spec.kind == "sobolev" else 0.0))
     a = np.abs(field.coeffs)
     w = 1.0 + np.abs(field.modes)
-    if spec.kind in ("sobolev", "l2"):
-        s = spec.s if spec.kind == "sobolev" else 0.0
-        return float(np.sqrt(np.sum(w ** (2.0 * s) * a**2)))
     if math.isinf(spec.p):
         return float(np.max(w**spec.s * a))
     return float(np.sum(w ** (spec.s * spec.p) * a**spec.p) ** (1.0 / spec.p))
@@ -199,8 +205,8 @@ def norm(field: TorusField, spec: NormSpec) -> float:
 
 def mean_intensity(field: TorusField) -> float:
     """Average of |u|^2 over the torus: sum of squared coefficient moduli."""
-    a = field.coeffs
-    return float(np.add.reduce(a.real * a.real + a.imag * a.imag))
+    x = field.coeffs.view(np.float64)  # re, im interleaved
+    return float(np.add.reduce(x * x))
 
 
 def pairing(f: TorusField, g: TorusField) -> complex:
@@ -218,7 +224,8 @@ def _power_means(block: np.ndarray, ps) -> np.ndarray:
     """Spatial mean of |u|^p for each p in ``ps`` and each row of a (B, 2N+1) block.
 
     Row r holds modes -N..N. The rows are synthesized as :func:`synthesize`
-    does, on the grid of the largest p, which averages |u|^p exactly for
+    does, by one unscaled inverse transform whose grid values are field
+    values, on the grid of the largest p, which averages |u|^p exactly for
     every even p in ``ps``; returns a (len(ps), B) array. The rows are
     transformed a group at a time, so the work memory stays bounded; a
     row's values do not depend on its group.
@@ -233,8 +240,7 @@ def _power_means(block: np.ndarray, ps) -> np.ndarray:
         u = np.zeros((len(part), m), dtype=np.complex128)
         u[:, :n_max + 1] = part[:, n_max:]
         u[:, m - n_max:] = part[:, :n_max]
-        np.fft.ifft(u, axis=-1, out=u)
-        u *= m
+        np.fft.ifft(u, axis=-1, norm="forward", out=u)
         a2 = u.real**2
         a2 += u.imag**2
         for i, p in enumerate(ps):

@@ -59,6 +59,9 @@ class RandomDataSpec:
         return d
 
 
+# the types of a valid index: bool and np.bool_ are neither
+_INDEX_TYPES = frozenset([int] + [np.dtype(c).type for c in np.typecodes["AllInteger"]])
+
 # Normals drawn per block by ``sample_ensemble`` and ``regularity_profile``:
 # 512 KiB of float64 at any band, so that an ensemble costs a bounded amount of
 # memory over a single sample, while a block is large enough to amortise the
@@ -127,10 +130,18 @@ def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
     """Coefficients of ``sample(spec, k)`` for each ``k`` in ``indices``.
 
     ``indices`` is a sequence of ints in [0, 2**64): any order, gaps and
-    repeats allowed. Returns a C-contiguous complex array of shape
-    ``(len(indices), 2 * max_mode + 1)`` whose row r is bit-identical to
-    ``sample(spec, indices[r]).coeffs``. No ``TorusField`` is built.
+    repeats allowed. Anything else raises a ValueError that names the first
+    bad index, found from the ends of a ``range`` or else from one pass in C
+    each over the element types, the min and the max. Returns a C-contiguous
+    complex array of shape ``(len(indices), 2 * max_mode + 1)`` whose row r
+    is bit-identical to ``sample(spec, indices[r]).coeffs``. No
+    ``TorusField`` is built.
     """
+    ends = [indices[0], indices[-1]] if isinstance(indices, range) and indices else indices
+    if not (isinstance(indices, range) or set(map(type, indices)) <= _INDEX_TYPES) \
+            or len(ends) and not (min(ends) >= 0 and max(ends) < 2**64):
+        bad = next(k for k in indices if type(k) not in _INDEX_TYPES or not 0 <= k < 2**64)
+        raise ValueError(f"index must lie in [0, 2**64) and be an integer (got {bad!r})")
     coeffs = _gaussians(spec, indices)
     coeffs *= covariance_weights(spec.alpha, spec.max_mode)
     if spec.offset is not None:
@@ -140,8 +151,6 @@ def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
 
 def sample(spec: RandomDataSpec, index: int = 0) -> fld.TorusField:
     """One random field; ``index`` in [0, 2**64) selects a member of the ensemble."""
-    if not 0 <= index < 2**64:
-        raise ValueError(f"index must lie in [0, 2**64) (got {index})")
     return fld.TorusField(sample_block(spec, [index])[0], spec.max_mode)
 
 

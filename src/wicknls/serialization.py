@@ -90,15 +90,10 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> None:
         fh.write(csv_text(columns, rows, meta))
 
 
-_LEDGER_NORMS = {"l2": fld.NormSpec.l2(), "h1": fld.NormSpec.sobolev(1.0)}
-
-
 def trajectory_records(traj) -> list:
-    """Per-snapshot ledger records for NDJSON export."""
-    out = []
-    for i, (t, u) in enumerate(zip(traj.times, traj.snapshots)):
-        rec = {"record": "snapshot", "t": float(t)}
-        rec.update((key, float(col[i])) for key, col in traj.ledger.items())
-        rec["norms"] = {name: fld.norm(u, spec) for name, spec in _LEDGER_NORMS.items()}
-        out.append(rec)
-    return out
+    """Per-snapshot ledger records for NDJSON export, with each snapshot's L2 and H1 norm."""
+    norms = {name: fld._sobolev_norms(traj.coeffs, s) for name, s in (("l2", 0.0), ("h1", 1.0))}
+    return [{"record": "snapshot", "t": float(t),
+             **{key: float(col[i]) for key, col in traj.ledger.items()},
+             "norms": {name: float(col[i]) for name, col in norms.items()}}
+            for i, t in enumerate(traj.times)]

@@ -31,6 +31,23 @@ def triple_sum_cubic(coeffs, max_mode):
     return out
 
 
+def strang_step(coeffs, grid_points, sign, dt, offset):
+    """One Strang step of i u_t - u_xx + sign (|u|^2 + offset) u = 0 for modes -K..K.
+
+    Half a linear step, the exact phase u exp(i sign dt (|u|^2 + offset)) on
+    the grid, and the other half; the modes -K..K of the grid product are
+    kept. Written with numpy's default transform scaling and np.exp.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    modes = np.arange(-(len(c) // 2), len(c) // 2 + 1)
+    half = np.exp(1j * modes**2 * (dt / 2.0))
+    spectrum = np.zeros(grid_points, dtype=complex)
+    spectrum[np.mod(modes, grid_points)] = half * c
+    u = np.fft.ifft(spectrum) * grid_points
+    u = u * np.exp(1j * sign * dt * (np.abs(u) ** 2 + offset))
+    return half * (np.fft.fft(u) / grid_points)[np.mod(modes, grid_points)]
+
+
 def triple_sum_nonresonant(coeffs, max_mode):
     """Same sum restricted to n2 != n1 and n2 != n3."""
     c = np.asarray(coeffs)

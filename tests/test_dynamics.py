@@ -11,7 +11,7 @@ from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.wick import renormalization_constant, wick_hamiltonian
 
-from oracles import (dense_quartic_integral, galerkin_rk4, triple_sum_cubic,
+from oracles import (dense_quartic_integral, galerkin_rk4, strang_step, triple_sum_cubic,
                      triple_sum_nonresonant)
 
 TWO_PI = 2.0 * np.pi
@@ -286,6 +286,24 @@ class TestLawsonRK4:
         got = dyn.evolve(u0, eq, integ).final
         assert got.max_mode == 4
         assert np.max(np.abs(got.coeffs - want)) <= 1e-6
+
+
+class TestStrangStep:
+    @pytest.mark.parametrize("variant,sign,truncation", [
+        ("nls", 1, None), ("wnls", -1, None), ("truncated-nls", 1, 4)])
+    def test_one_step_matches_the_reference_step(self, variant, sign, truncation):
+        # band-4 data on the odd 27-point grid (>= 3 * 9): untruncated runs
+        # keep the grid band 13, the truncated run its truncation 4
+        rng = np.random.default_rng(31)
+        u0 = fld.TorusField(0.8 * (rng.standard_normal(9) + 1j * rng.standard_normal(9)), 4)
+        eq = dyn.EquationSpec(variant, sign=sign, truncation=truncation)
+        dt = 0.05
+        got = dyn.evolve(u0, eq, dyn.IntegratorSpec("strang", dt=dt, t_end=dt)).final
+        band = 4 if eq.truncated else 13
+        offset = -2.0 * fld.mean_intensity(u0) if eq.mean_shifted else 0.0
+        want = strang_step(u0.padded_to(band).coeffs, 27, sign, dt, offset)
+        assert got.max_mode == band
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestConservation:

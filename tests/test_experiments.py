@@ -10,7 +10,8 @@ from scipy import stats
 from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
-from wicknls.dynamics import EquationSpec, IntegratorSpec, evolve, linear_propagator
+from wicknls.dynamics import (EquationSpec, IntegratorSpec, evolve, evolve_batch,
+                              linear_propagator)
 
 from oracles import quadruple_sum_free_l4
 
@@ -281,6 +282,24 @@ class TestAprioriGrowth:
                 worst = max(fld.norm(u, norm_spec) for u in evolve(u0, eq, integ).snapshots)
                 loop.append(worst / fld.norm(u0, norm_spec))
             assert report.get_series(f"growth_ratio_band{band}").values == tuple(loop)
+
+    @pytest.mark.parametrize("scheme, dt, stride", [("strang", 2e-3, 5), ("rk4", 5e-4, 10)])
+    def test_block_norms_match_per_snapshot_norms(self, scheme, dt, stride):
+        # each snapshot's H^s norm as one 1-D sum, as field.norm once took it
+        def h_s(c, s):
+            w = 1.0 + np.abs(np.arange(-(len(c) // 2), len(c) // 2 + 1))
+            return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(c) ** 2)))
+
+        ens = rnd.RandomDataSpec(alpha=0.5, max_mode=32, seed=5)
+        integ = IntegratorSpec(scheme, dt=dt, t_end=0.05, snapshot_stride=stride)
+        report = xp.apriori_growth_probe(ens, -0.25, 0.05, samples=12, integ=integ)
+        for band in (32, 64):
+            block = rnd.sample_block(replace(ens, max_mode=band), range(12))
+            trajs = evolve_batch([fld.TorusField(c, band) for c in block],
+                                 EquationSpec("wnls"), integ)
+            want = tuple(max(h_s(c, -0.25) for c in traj.coeffs) / h_s(c0, -0.25)
+                         for c0, traj in zip(block, trajs))
+            assert report.get_series(f"growth_ratio_band{band}").values == want
 
     def test_validation(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)

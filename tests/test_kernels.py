@@ -39,6 +39,18 @@ class TestCubicConvolution:
             for row, c in zip(got, block):
                 assert row.tobytes() == K.cubic_convolution(c, band).tobytes()
 
+    def test_even_grid_matches_triple_sum(self):
+        # band 64 needs 3N + K + 1 = 257 points: the 7-smooth 270, not the odd 315
+        c = random_coeffs(64, seed=64)
+        cubic = K.GalerkinCubic(2, 64, 64)
+        assert cubic.intensity.shape == (2, 270)
+        cubic.inputs[...] = [c, 0.5j * c]
+        got = cubic(np.empty((2, 129), dtype=complex), -2.0)
+        want = -2.0 * triple_sum_cubic(c, 64)[128:257]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[0] - want)) < 1e-12 * scale
+        assert np.max(np.abs(got[1] - 0.125j * want)) < 1e-12 * scale
+
     def test_band_below_the_input_band_is_rejected(self):
         with pytest.raises(ValueError):
             K.cubic_convolution(random_coeffs(3), 2)
@@ -107,14 +119,19 @@ class TestNonlinearPhase:
         u = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
         if offset is None:  # one offset per row of a stack
             offset = rng.standard_normal((3, 1))
-        a2, pair = np.empty(u.shape), K.cayley_pair(u.shape)
-        v = u.copy()
-        K.nonlinear_phase(v, 0.7, offset, a2=a2, pair=pair)
-        # the helper's buffers change nothing, and their real parts stay 1
+        work = K.phase_work(u.shape)
+        for _ in range(2):  # the prebuilt views serve every call
+            v = u.copy()
+            K.nonlinear_phase(v, 0.7, offset, work=work)
+        # the prebuilt buffers and views change nothing, and den, num keep real parts 1
         w = u.copy()
         K.nonlinear_phase(w, 0.7, offset)
-        assert np.array_equal(v, w)
-        assert np.array_equal(pair.real, np.ones(pair.shape))
+        assert v.tobytes() == w.tobytes()
+        a2, den, num, den_imag, num_imag = work
+        assert np.shares_memory(den, den_imag) and np.shares_memory(num, num_imag)
+        assert np.array_equal(den.real, np.ones(u.shape))
+        assert np.array_equal(num.real, np.ones(u.shape))
+        assert np.array_equal(num_imag, -den_imag) and np.array_equal(np.tan(a2), den_imag)
         # each row is rotated as it would be alone, as evolve_batch promises
         for r in range(len(u)):
             row = u[r:r + 1].copy()

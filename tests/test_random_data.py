@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,9 +107,32 @@ class TestSampleBlock:
 
     def test_rejects_index_outside_64_bits(self):
         spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
-        for indices in ([-1], [0, -1], [2**64], [3, 2**64]):
-            with pytest.raises(OverflowError):
+        for indices in ([-1], [0, -1], [2**64], [3, 2**64], range(-1, 3),
+                        range(2**64 - 2, 2**64 + 1), np.array([4, -2])):
+            bad = min(indices) if min(indices) < 0 else max(indices)
+            with pytest.raises(ValueError, match=r"index must lie in \[0, 2\*\*64\) and be "
+                               rf"an integer \(got {re.escape(repr(bad))}\)"):
                 rnd.sample_block(spec, indices)
+
+    @pytest.mark.parametrize("indices", [[0, 1.5], [True], [2, np.True_], [3.0],
+                                         np.array([0.5]), ["1"]])
+    def test_rejects_non_integral_index(self, indices):
+        # a float or bool index once drew the member it rounds or casts to
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        pattern = rf"\(got {re.escape(repr(indices[-1]))}\)"
+        with pytest.raises(ValueError, match=pattern):
+            rnd.sample_block(spec, indices)
+        with pytest.raises(ValueError, match=pattern):
+            rnd.sample(spec, indices[-1])
+
+    def test_accepts_numpy_and_mixed_width_integers(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        indices = [np.uint64(2**64 - 1), 0, np.int32(3), 2**63]
+        block = rnd.sample_block(spec, indices)
+        for row, k in zip(block, indices):
+            assert row.tobytes() == rnd.sample(spec, int(k)).coeffs.tobytes()
+        assert rnd.sample_block(spec, np.arange(3)).tobytes() == \
+            rnd.sample_block(spec, range(3)).tobytes()
 
     def test_sample_rejects_index_outside_64_bits(self):
         spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
