@@ -21,6 +21,7 @@ Verdicts are trend/threshold based; the thresholds live in
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from types import SimpleNamespace
@@ -338,9 +339,11 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float) -> float:
 
 
 # Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB). The
-# row count of a group follows from this and the band alone, so a field's
-# integral does not depend on which other fields share its block.
+# row count of a group follows from this, the band and the lag class alone,
+# so a field's integral does not depend on which other fields share its block.
 _L4_WORK_VALUES = 2**14
+# Lag classes of ``_free_flow_l4_exact``, each transformed at its own length.
+_L4_LAG_CLASSES = 8
 
 
 def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
@@ -352,45 +355,64 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
     Toeplitz kernel K_m(d) = 2T sinc(2mdT) in the lag d. So the integral is
     2 pi [2T mass^2 + 2 sum_{m>=1} sum_d K_m(d) R_m(d)], where R_m is the
     autocorrelation of a_m (m < 0 mirrors m > 0, m = 0 is the mass term).
-    Each sum over d is (1/L) sum_k Khat_m(k) |ahat_m(k)|^2 on L >= 4N+1
-    points, enough that the circular correlation of a_m does not wrap.
+    With n = 2N+1, a_m has n-m entries, so each sum over d is
+    (1/L) sum_k Khat_m(k) |ahat_m(k)|^2 on any L >= 2(n-m)-1 points, enough
+    that the circular correlation of a_m does not wrap.
 
-    The kernel spectrum Khat is built once per call. The rows are processed
-    in groups through one complex and one real work buffer of
-    ``_L4_WORK_VALUES`` values (at least one row), so the work memory is
-    bounded and reused whatever the block size.
+    The lags m = 1..n-1 fall into ``_L4_LAG_CLASSES`` classes [lo, hi) of
+    nearly equal count (edges 1 + (n-1) q // classes, duplicates dropped), and
+    a class works at the length its longest sequence needs,
+    L = fast_fft_size(2(n-lo)-1), with its own kernel spectrum Khat. That
+    transforms about 1.1 n^2 points per row where one length for all lags
+    would take 2 n^2. The rows go through one complex and one real work
+    buffer of ``_L4_WORK_VALUES`` values (at least one row of a class), viewed
+    as (rows, lags, L) per class, so the work memory is bounded and reused
+    whatever the block size.
     """
+    if not (t_horizon >= 0 and math.isfinite(t_horizon)):  # NaN-safe
+        raise ValueError(f"t_horizon must be finite and >= 0 (got {t_horizon!r})")
     c = np.asarray(block, dtype=np.complex128)
     k, n = c.shape
-    size = fast_fft_size(2 * n - 1)
-    shift = np.arange(1, n)[:, None]
-    # K_m is real and even in d: hfft takes its lags 0..size//2 and returns
-    # its whole (real) spectrum
-    lag = np.arange(size // 2 + 1)
-    kernel = 2.0 * t_horizon * np.sinc(2.0 * t_horizon / math.pi * shift * lag)
-    kernel_hat = np.fft.hfft(kernel, n=size, axis=-1)
-
+    edges = sorted({1 + (n - 1) * q // _L4_LAG_CLASSES for q in range(_L4_LAG_CLASSES + 1)})
+    classes = []
+    for lo, hi in zip(edges, edges[1:]):
+        size = fast_fft_size(2 * (n - lo) - 1)
+        rows = min(k, max(1, _L4_WORK_VALUES // ((hi - lo) * size)))
+        classes.append((lo, hi, size, rows))
+    work = max([rows * (hi - lo) * size for lo, hi, size, rows in classes], default=0)
     padded = np.zeros((k, 2 * n), dtype=np.complex128)
     padded[:, :n] = c
     # shifted[r, m-1, j] = c_r(j+m), zero past the band
     shifted = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], n, axis=-1)[:, :n - 1]
     conj = np.conj(c)[:, None, :]
-    rows = max(1, _L4_WORK_VALUES // max(1, (n - 1) * size))
-    buf = np.empty((min(rows, k), n - 1, size), dtype=np.complex128)
-    power = np.empty(buf.shape)
-    cross = np.empty(k)
-    for start in range(0, k, rows):
-        stop = min(start + rows, k)
-        a, p = buf[:stop - start], power[:stop - start]
-        np.multiply(shifted[start:stop], conj[start:stop], out=a[..., :n])  # a_m
-        a[..., n:] = 0.0
-        np.fft.fft(a, axis=-1, out=a)
-        np.abs(a, out=p)
-        np.square(p, out=p)
-        p *= kernel_hat
-        # one pairwise sum per row over its flattened values, as np.sum
-        np.add.reduce(p.reshape(len(p), -1), axis=1, out=cross[start:stop])
-    cross /= size
+    buf = np.empty(work, dtype=np.complex128)
+    power = np.empty(work)
+    part = np.empty(k)
+    cross = np.zeros(k)
+    for lo, hi, size, rows in classes:
+        width = n - lo  # entries of a_lo, the longest sequence of the class
+        # K_m is real and even in d: hfft takes its lags 0..size//2 and
+        # returns its whole (real) spectrum
+        shift = np.arange(lo, hi)[:, None]
+        lag = np.arange(size // 2 + 1)
+        kernel = 2.0 * t_horizon * np.sinc(2.0 * t_horizon / math.pi * shift * lag)
+        kernel_hat = np.fft.hfft(kernel, n=size, axis=-1)
+        for start in range(0, k, rows):
+            stop = min(start + rows, k)
+            shape = (stop - start, hi - lo, size)
+            a = buf[:math.prod(shape)].reshape(shape)
+            p = power[:a.size].reshape(shape)
+            np.multiply(shifted[start:stop, lo - 1:hi - 1, :width],
+                        conj[start:stop, :, :width], out=a[..., :width])  # a_m
+            a[..., width:] = 0.0
+            np.fft.fft(a, axis=-1, out=a)
+            np.abs(a, out=p)
+            np.square(p, out=p)
+            p *= kernel_hat
+            # one pairwise sum per row over its flattened values, as np.sum
+            np.add.reduce(p.reshape(len(p), -1), axis=1, out=part[start:stop])
+        part /= size
+        cross += part
     mass = np.add.reduce(c.real**2 + c.imag**2, axis=1)
     return fld.TWO_PI * (2.0 * t_horizon * mass * mass + 2.0 * cross)
 
@@ -407,10 +429,10 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     of a loop of ``free_flow_l4_norm`` over ``sample(spec, k)`` bit for bit.
     ``threads`` is accepted but unused.
     """
-    if t_horizon > 1.0 or t_horizon <= 0:
-        raise ValueError("t_horizon must lie in (0, 1]")
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    if not 0.0 < t_horizon <= 1.0:  # NaN-safe
+        raise ValueError(f"t_horizon must lie in (0, 1] (got {t_horizon!r})")
+    if not (isinstance(samples, numbers.Integral) and samples >= 100):
+        raise ValueError(f"need an integral count of at least 100 samples (got {samples!r})")
 
     bands = [ensemble.max_mode] + ([2 * ensemble.max_mode] if doubling else [])
     series = []

@@ -74,22 +74,23 @@ def quadruple_sum_free_l4(coeffs, max_mode, horizon):
     """int_{-T}^{T} int_T |S(t)f|^4 dx dt as the direct sum over resonances.
 
     2 pi sum_{n1 - n2 + n3 - n4 = 0} c1 conj(c2) c3 conj(c4) 2T sinc(W T)
-    with W = n1^2 - n2^2 + n3^2 - n4^2 and sinc(x) = sin(x) / x.
+    with W = n1^2 - n2^2 + n3^2 - n4^2 and sinc(x) = sin(x) / x. For each n1
+    the terms over all (n2, n3) are summed as one array.
     """
-    import math
-
-    c = np.asarray(coeffs)
+    c = np.asarray(coeffs, dtype=complex)
+    modes = np.arange(-max_mode, max_mode + 1)
+    n2, n3 = modes[:, None], modes[None, :]
     total = 0j
-    for n1 in range(-max_mode, max_mode + 1):
-        for n2 in range(-max_mode, max_mode + 1):
-            for n3 in range(-max_mode, max_mode + 1):
-                n4 = n1 - n2 + n3
-                if abs(n4) > max_mode:
-                    continue
-                w = (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4) * horizon
-                kernel = 2.0 * horizon * (math.sin(w) / w if w else 1.0)
-                total += kernel * (c[n1 + max_mode] * np.conj(c[n2 + max_mode])
-                                   * c[n3 + max_mode] * np.conj(c[n4 + max_mode]))
+    for n1 in modes:
+        n4 = n1 - n2 + n3
+        inside = np.abs(n4) <= max_mode
+        w = (n1 * n1 - n2 * n2 + n3 * n3 - n4 * n4) * horizon
+        resonant = w == 0
+        safe = np.where(resonant, 1.0, w)
+        kernel = 2.0 * horizon * np.where(resonant, 1.0, np.sin(safe) / safe)
+        c4 = c[np.clip(n4, -max_mode, max_mode) + max_mode]
+        terms = c[n1 + max_mode] * np.conj(c[n2 + max_mode]) * c[n3 + max_mode] * np.conj(c4)
+        total += np.sum(kernel * terms, where=inside)
     return TWO_PI * total.real
 
 

@@ -188,6 +188,38 @@ class TestStrichartzProbe:
             expected = quadruple_sum_free_l4(source[k], band, t_hor)
             assert value[0] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("t_hor", [1e-6, 0.3, 1.0])
+    @pytest.mark.parametrize("band", [0, 1, 2, 3, 8, 16, 32, 64])
+    def test_lag_classes_match_quadruple_sum(self, band, t_hor):
+        # bands 0-3 leave fewer than eight lags (none at band 0), so some or
+        # all lag classes are empty; from band 8 on all eight are in use
+        rng = np.random.default_rng(band)
+        n = 2 * band + 1
+        block = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        got = xp._free_flow_l4_exact(block, t_hor)
+        for row, value in zip(block, got):
+            assert value == pytest.approx(quadruple_sum_free_l4(row, band, t_hor), rel=1e-12)
+
+    @pytest.mark.parametrize("t_hor", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_norm_rejects_bad_horizon(self, t_hor):
+        f = fld.TorusField.single_mode(1, 1.0)
+        with pytest.raises(ValueError, match=repr(t_hor)):
+            xp.free_flow_l4_norm(f, t_hor)
+
+    def test_zero_horizon_gives_zero(self):
+        f = fld.TorusField.from_modes({0: 0.5, 2: 1.0j, -1: 0.25})
+        assert xp.free_flow_l4_norm(f, 0.0) == 0.0
+
+    def test_probe_rejects_nan_horizon(self):
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
+        with pytest.raises(ValueError, match="nan"):
+            xp.strichartz_ratio_probe(ens, float("nan"), 100)
+
+    def test_probe_rejects_non_integral_samples(self):
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
+        with pytest.raises(ValueError, match="100.5"):
+            xp.strichartz_ratio_probe(ens, 0.5, 100.5)
+
     def test_periodic_preapplication_invariance(self):
         # S(2 pi) is the identity (integer frequencies), so pre-applying it
         # cannot change the ratio
