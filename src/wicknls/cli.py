@@ -80,26 +80,24 @@ def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 
 def _check_schema(cfg: dict):
-    version = _field(cfg, "schema_version", lambda v: v, None)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    _field(cfg, "schema_version", _one_of(SCHEMA_VERSION))
 
 
 class _Section(dict):
     """A config mapping that records the keys ``_field`` looks up in it."""
 
-    def __init__(self, items):
+    def __init__(self, items, seed):
         super().__init__(items)
         self.read = set()
+        self.seed = seed  # the --seed value, or None
 
 
-def _tracked(value):
+def _tracked(value, seed):
     """``value`` with every mapping in it, also inside lists, a ``_Section``."""
     if isinstance(value, dict):
-        return _Section((key, _tracked(item)) for key, item in value.items())
+        return _Section(((key, _tracked(item, seed)) for key, item in value.items()), seed)
     if isinstance(value, list):
-        return [_tracked(item) for item in value]
+        return [_tracked(item, seed) for item in value]
     return value
 
 
@@ -127,11 +125,15 @@ def _field(node: dict, path: str, convert, default=_REQUIRED):
 
     A missing or null field takes ``default``, or is an error if there is
     none; a value ``convert`` rejects is reported against ``path``. The key
-    is recorded as read when ``node`` is a ``_Section``.
+    is recorded as read when ``node`` is a ``_Section``, and a ``seed`` key
+    read there is first set to the section's ``--seed`` value, if any, so the
+    embedded config shows it.
     """
     key = path.split(".")[-1]
     if isinstance(node, _Section):
         node.read.add(key)
+        if key == "seed" and node.seed is not None:
+            node[key] = node.seed
     value = node.get(key)
     if value is None:
         if default is _REQUIRED:
@@ -182,11 +184,23 @@ def _positive(value) -> float:
     return value
 
 
-def _scheme(value) -> str:
-    """An integrator scheme name."""
-    if value not in ("strang", "rk4"):
-        raise ValueError(f"must be 'strang' or 'rk4' (got {value!r})")
-    return value
+def _one_of(*choices):
+    """A converter for a value equal to one of ``choices``; never a bool."""
+    def convert(value):
+        if isinstance(value, bool) or value not in choices:
+            raise ValueError(f"must be {' | '.join(map(repr, choices))} (got {value!r})")
+        return value
+    return convert
+
+
+def _at_least(low, convert):
+    """A converter for a value of ``convert`` that is >= ``low``."""
+    def check(value):
+        value = convert(value)
+        if not value >= low:
+            raise ValueError(f"must be >= {low} (got {value})")
+        return value
+    return check
 
 
 def _complex(value) -> complex:
@@ -217,6 +231,16 @@ def _list_of(convert):
     return convert_list
 
 
+def _non_empty(convert):
+    """A converter for a value of ``convert`` that is not empty."""
+    def check(value):
+        value = convert(value)
+        if not value:
+            raise ValueError("must not be empty")
+        return value
+    return check
+
+
 def _dt_ladder(value) -> list:
     """At least 3 finite step sizes > 0, strictly decreasing."""
     dts = _list_of(_finite)(value)
@@ -243,7 +267,7 @@ def _field_file(value) -> fld.TorusField:
 
 
 def _build_field(section: dict, path: str) -> fld.TorusField:
-    kind = _field(section, f"{path}.kind", _str)
+    kind = _field(section, f"{path}.kind", _one_of("plane_wave", "modes", "random", "file"))
     if kind == "random":
         return _checked(path, rnd.sample, _build_random_spec(section, path),
                         _field(section, f"{path}.index", _integral, 0))
@@ -255,10 +279,8 @@ def _build_field(section: dict, path: str) -> fld.TorusField:
                         _field(section, f"{path}.mode", _integral, 1),
                         _field(section, f"{path}.amplitude", _complex, 1.0 + 0.0j),
                         max_mode=max_mode)
-    if kind == "modes":
-        return _checked(path, fld.TorusField.from_modes,
-                        _field(section, f"{path}.amplitudes", _mode_amplitudes), max_mode)
-    raise ConfigError(f"{path}.kind must be plane_wave | modes | random | file")
+    return _checked(path, fld.TorusField.from_modes,
+                    _field(section, f"{path}.amplitudes", _mode_amplitudes), max_mode)
 
 
 def _build_random_spec(section: dict, path: str) -> rnd.RandomDataSpec:
@@ -285,7 +307,7 @@ def _build_integrator(cfg: dict, t_end: float | None = None) -> IntegratorSpec:
     section = _field(cfg, "integrator", _mapping)
     spec = _checked(
         "integrator", IntegratorSpec,
-        scheme=_field(section, "integrator.scheme", _str, "strang"),
+        scheme=_field(section, "integrator.scheme", _one_of("strang", "rk4"), "strang"),
         dt=_field(section, "integrator.dt", _finite),
         t_end=t_end if t_end is not None else _field(section, "integrator.t_end", _finite),
         snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1))
@@ -297,16 +319,6 @@ def _out_dir(args, cfg: dict) -> Path:
     """The output directory, not yet made; ``output.directory`` is read even under --out."""
     directory = _field(_field(cfg, "output", _mapping, {}), "output.directory", _str, None)
     return Path(args.out or directory or os.environ.get("WICKNLS_OUT") or ".")
-
-
-def _apply_seed_override(cfg: dict, seed: int | None):
-    if seed is None:
-        return
-    if "seed" in cfg:
-        cfg["seed"] = seed
-    for key in ("data", "ensemble"):
-        if isinstance(cfg.get(key), dict) and cfg[key].get("kind", "random") == "random":
-            cfg[key]["seed"] = seed
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +366,10 @@ _WEAK_SPEC_KEYS = {"mode_list": "modes", "horizon": "horizon", "probe": "probe",
 
 def cmd_weak_limit(cfg: dict):
     exp = _field(cfg, "experiment", _mapping, {})
-    kind = _field(exp, "experiment.kind", _str, "weak-continuity")
-    if kind not in ("weak-continuity", "phase-defect-contrast"):
-        raise ConfigError("experiment.kind must be weak-continuity | phase-defect-contrast")
-    verdict_mode = _field(exp, "experiment.verdict", _str, "auto")
-    if verdict_mode not in ("auto", "decay", "plateau"):
-        raise ConfigError("experiment.verdict must be auto | decay | plateau")
+    kind = _field(exp, "experiment.kind",
+                  _one_of("weak-continuity", "phase-defect-contrast"), "weak-continuity")
+    verdict_mode = _field(exp, "experiment.verdict", _one_of("auto", "decay", "plateau"),
+                          "auto")
 
     # finite before it becomes the integrator's t_end, so its error names it
     horizon = _field(cfg, "horizon", _finite, 1.0)
@@ -419,24 +429,15 @@ def cmd_wick_check(cfg: dict):
     if not 0 <= seed < 2**64 - len(hyp_cases):
         raise ConfigError(f"config field 'seed': must lie in [0, 2**64 - {len(hyp_cases)}) "
                           f"so that every case key seed + i + 1 fits in 64 bits (got {seed})")
-    mc_samples = _field(cfg, "mc_samples", _integral, 200_000)
-    if not mc_samples >= 2:
-        raise ConfigError("config field 'mc_samples': a standard error needs "
-                          f">= 2 samples (got {mc_samples})")
-    variance = _field(cfg, "wick_variance", _real, 2.0)
-    if not (variance > 0 and math.isfinite(variance)):
-        raise ConfigError("config field 'wick_variance': must be finite and > 0 "
-                          f"(got {variance})")
+    mc_samples = _field(cfg, "mc_samples", _at_least(2, _integral), 200_000)  # for a stderr
+    variance = _field(cfg, "wick_variance", _positive, 2.0)
     parsed_cases = []
     for i, case in enumerate(hyp_cases):
         path = f"hypercontractivity[{i}]"
-        q = _field(case, f"{path}.q", _real)
-        if not (q >= 2.0 and math.isfinite(q)):
-            raise ConfigError(f"config field '{path}.q': "
-                              f"must be finite and >= 2 (got {q})")
         parsed_cases.append(dict(
+            q=_field(case, f"{path}.q", _at_least(2, _finite)),
             order=_field(case, f"{path}.order", _integral),
-            dim=_field(case, f"{path}.dim", _integral, 1), q=q,
+            dim=_field(case, f"{path}.dim", _integral, 1),
             samples=_field(case, f"{path}.samples", _integral, 200_000),
             terms=_field(case, f"{path}.terms", _chaos_terms, None)))
 
@@ -480,9 +481,7 @@ def cmd_wick_check(cfg: dict):
 
 def cmd_sample(cfg: dict):
     spec = _build_random_spec(_field(cfg, "data", _mapping), "data")
-    count = _field(cfg, "count", _integral, 1)
-    if count < 0:
-        raise ConfigError(f"config field 'count': must be >= 0 (got {count})")
+    count = _field(cfg, "count", _at_least(0, _integral), 1)
     profile = _field(cfg, "profile", _mapping, {})
     s_values = _field(profile, "profile.s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "profile.cutoffs", _list_of(_integral), [])
@@ -513,9 +512,7 @@ def cmd_sample(cfg: dict):
 
 def cmd_norms(cfg: dict):
     u = _field(cfg, "field_file", _field_file)
-    items = _field(cfg, "norms", _list_of(_mapping))
-    if not items:
-        raise ConfigError("config field 'norms' must be a non-empty list")
+    items = _field(cfg, "norms", _non_empty(_list_of(_mapping)))
     specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", _str),
                       s=_field(item, f"norms[{i}].s", _real, 0.0),
                       p=_field(item, f"norms[{i}].p", _real, 2.0))
@@ -536,7 +533,7 @@ def cmd_order_study(cfg: dict):
     eq = _build_equation(cfg)
     u0 = _build_field(_field(cfg, "data", _mapping), "data")
     dts = _field(cfg, "dts", _dt_ladder)
-    scheme = _field(cfg, "scheme", _scheme, "strang")
+    scheme = _field(cfg, "scheme", _one_of("strang", "rk4"), "strang")
     t_end = _field(cfg, "t_end", _positive, 1.0)
     for dt in dts:  # the runner's step counts; its reference step dts[-1] / 4 follows
         try:
@@ -583,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--out", help="output directory (default: $WICKNLS_OUT or .)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=int, help="set every seed the command reads")
         p.add_argument("--repro", action="store_true",
                        help="reproducibility mode; every run is deterministic, so "
                             "outputs are byte-identical with or without it")
@@ -598,8 +595,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _apply_overrides(cfg, args.overrides)
-        _apply_seed_override(cfg, args.seed)
-        cfg = _tracked(cfg)
+        cfg = _tracked(cfg, args.seed)
         _check_schema(cfg)
         run = _COMMANDS[args.command](cfg)
         out = _out_dir(args, cfg)

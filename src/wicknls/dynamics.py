@@ -441,8 +441,8 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     The grid is odd with m >= 3 (2N+1) points. Row r holds modes -K..K in
     columns 0..2K, the spectrum of e^{iKx} u, with K the grid band (m = 2K+1)
     for untruncated runs and the truncation otherwise; the pointwise phase
-    commutes with that unimodular factor. Truncated runs zero the columns
-    past 2K after every linear substep.
+    commutes with that unimodular factor. A truncated run's multipliers are
+    zero past column 2K, so every linear substep is also the projection.
 
     The phase acts on field values, with factor sign dt and Wick offset -2 mu.
     The fft leaves m times the coefficients: ``full``, ``half_m`` and the probe
@@ -466,13 +466,14 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
     band = work_band if truncated else (m - 1) // 2
     width = 2 * band + 1
-    # the mode of each column; columns past 2K are zeroed right after each
-    # multiplier, so any unimodular value serves there
+    # the mode of each column; past column 2K, which only truncated runs
+    # have, the multipliers are zero, so each linear substep projects
     freq = np.arange(m, dtype=np.float64) - band
     shift = 2.0 * eq.sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
     half = np.exp(1j * (freq**2 - shift) * (dt / 2.0))
-    half_m = half / m
     full = np.exp(1j * (freq**2 - shift) * dt) / m
+    half[width:] = full[width:] = 0.0
+    half_m = half / m
 
     s = np.zeros((len(u0s), m), dtype=np.complex128)
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
@@ -509,14 +510,10 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
             rec.probe(s, rotated)
         if snap:
             s *= half_m
-            if truncated:
-                s[:, width:] = 0.0
             rec.snapshot(s)
             s *= half
         else:
             s *= full
-            if truncated:
-                s[:, width:] = 0.0
         if truncated:
             target = np.einsum("ij,ij->i", s_real, s_real)
             pin_target, offset = targets()

@@ -486,6 +486,8 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
     """
     if not (-0.5 <= s <= 0.0):
         raise ValueError("s must lie in [-1/2, 0]")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"need an integral count of at least 1 sample (got {samples!r})")
     if integ is None:
         integ = IntegratorSpec("strang", dt=2e-3, t_end=t_horizon, snapshot_stride=10)
     else:
@@ -534,11 +536,20 @@ def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
     the reference is a run at a quarter of the smallest dt. When all errors
     sit at the roundoff floor the verdict reports exactness instead of an
     order (the split-step substeps commute on single-mode data, so Strang is
-    exact there).
+    exact there). Every run's integrator, the reference's included, is
+    checked before the first run.
     """
     dts = [float(dt) for dt in dts]
     if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
         raise ValueError("need >= 3 strictly decreasing dt values")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and > 0 (got {t_end!r})")
+    # one snapshot per run, at t_end; the last spec is the reference's
+    integs = [IntegratorSpec(scheme, dt=dt, t_end=t_end,
+                             snapshot_stride=max(1, round(t_end / dt)))
+              for dt in dts + [dts[-1] / 4.0]]
+    for integ in integs:
+        integ.step_count()
 
     nz = np.flatnonzero(np.abs(u0.coeffs) > 0)
     if len(nz) == 1:
@@ -548,14 +559,10 @@ def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
         reference = fld.TorusField.single_mode(
             mode, amp * np.exp(1j * w * t_end), max_mode=u0.max_mode)
     else:
-        fine = IntegratorSpec(scheme, dt=dts[-1] / 4.0, t_end=t_end,
-                              snapshot_stride=round(t_end / (dts[-1] / 4.0)))
-        reference = evolve(u0, eq, fine).final
+        reference = evolve(u0, eq, integs[-1]).final
 
     errors = []
-    for dt in dts:
-        integ = IntegratorSpec(scheme, dt=dt, t_end=t_end,
-                               snapshot_stride=round(t_end / dt))
+    for integ in integs[:-1]:
         final = evolve(u0, eq, integ).final
         diff = final - reference.padded_to(final.max_mode)
         errors.append(fld.norm(diff, fld.NormSpec.l2()))

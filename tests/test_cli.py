@@ -287,6 +287,13 @@ class TestConfigErrors:
         ("order-study", "order_study_rk4.yaml", "t_end=-1.0", "'t_end'"),
         ("order-study", "order_study_rk4.yaml", "t_end=0.333", "'dts'"),
         ("order-study", "order_study_rk4.yaml", "scheme=euler", "'scheme'"),
+        ("simulate", "simulate_plane_wave.yaml", "schema_version=true", "'schema_version'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.scheme=euler",
+         "'integrator.scheme'"),
+        ("weak-limit", "weak_limit_wnls.yaml", "experiment.kind=weak", "'experiment.kind'"),
+        ("weak-limit", "weak_limit_wnls.yaml", "experiment.verdict=maybe",
+         "'experiment.verdict'"),
+        ("weak-limit", "weak_limit_wnls.yaml", "base.kind=gaussian", "'base.kind'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
@@ -307,6 +314,16 @@ class TestConfigErrors:
         assert run("norms", "--config", cfg, "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith(
             "config error: config field 'norms[0].s': ")
+
+    def test_empty_norms_list_names_the_field(self, tmp_path, capsys):
+        from wicknls.field import TorusField
+
+        ser.save_field(TorusField.single_mode(2, 1.0), tmp_path / "f.json")
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "field_file": str(tmp_path / "f.json"), "norms": []})
+        assert run("norms", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("config error: config field 'norms': ")
+        assert not (tmp_path / "o").exists()
 
     def test_yaml_string_real_is_accepted(self, tmp_path):
         # PyYAML reads 1e-3 (no decimal point) as the string "1e-3"
@@ -359,6 +376,18 @@ class TestWeakLimit:
             equation={"variant": "nls", "sign": 1},
             experiment={"kind": "weak-continuity", "verdict": "decay"}))
         assert run("weak-limit", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+
+    def test_seed_flag_reaches_random_base_and_probe(self, tmp_path):
+        # the base states its seed, the probe takes the default; --seed sets both
+        cfg = write_yaml(tmp_path / "c.yaml", small_weak_cfg(
+            base={"kind": "random", "alpha": 1.0, "max_mode": 4, "seed": 1},
+            probe={"kind": "random", "alpha": 1.0, "max_mode": 4}))
+        for name, flags in (("a", []), ("b", ["--seed", "5"])):
+            run("weak-limit", "--config", cfg, "--out", str(tmp_path / name), *flags)
+        for name in ("weak_limit.ndjson", "weak_limit_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+        embedded = ser.read_ndjson(tmp_path / "b" / "weak_limit.ndjson")[0]["config"]
+        assert embedded["base"]["seed"] == embedded["probe"]["seed"] == 5
 
     def test_zero_bump_passes_with_zero_gaps(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml",
@@ -416,6 +445,17 @@ class TestWickCheckCommand:
             "wick_variance": 3.0, "hypercontractivity": [],
         })
         assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "o")) == 4
+
+    def test_seed_flag_sets_a_missing_seed(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "mc_samples": 10_000, "hypercontractivity": []})
+        assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "a")) == 0
+        assert run("wick-check", "--config", cfg, "--out", str(tmp_path / "b"),
+                   "--seed", "99") == 0
+        a = (tmp_path / "a" / "wick_check.ndjson").read_bytes()
+        b = (tmp_path / "b" / "wick_check.ndjson").read_bytes()
+        assert a != b
+        assert ser.read_ndjson(tmp_path / "b" / "wick_check.ndjson")[0]["config"]["seed"] == 99
 
     def test_shipped_configs(self, tmp_path):
         assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),

@@ -338,6 +338,13 @@ class TestAprioriGrowth:
         with pytest.raises(ValueError):
             xp.apriori_growth_probe(ens, 0.25, 0.5, samples=4)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2.5])
+    def test_rejects_a_sample_count_below_one_or_not_integral(self, samples):
+        # 0 and -3 raised IndexError from np.percentile, 2.5 a TypeError
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
+        with pytest.raises(ValueError, match=rf"\(got {samples}\)"):
+            xp.apriori_growth_probe(ens, 0.0, 0.1, samples=samples)
+
 
 class TestOrderStudy:
     def test_strang_second_order_on_two_modes(self):
@@ -373,6 +380,21 @@ class TestOrderStudy:
             xp.integrator_order_study(u0, EquationSpec("nls", sign=1), [1e-2, 2e-2, 4e-2])
         with pytest.raises(ValueError):
             xp.integrator_order_study(u0, EquationSpec("nls", sign=1), [1e-2, 5e-3])
+
+    @pytest.mark.parametrize("dts, t_end, match", [
+        ([0.1, 0.07, 0.05], 1.0, "dt must divide t_end"),
+        ([0.1, 0.05, 0.025], 0.0, "t_end must be finite and > 0"),
+        ([0.1, 0.05, 0.025], -1.0, "t_end must be finite and > 0"),
+        ([0.1, 0.05, 0.025], math.nan, "t_end must be finite and > 0"),
+        ([0.1, 0.05, 0.025], math.inf, "t_end must be finite and > 0"),
+    ])
+    def test_validates_before_the_first_run(self, monkeypatch, dts, t_end, match):
+        calls = []
+        monkeypatch.setattr(xp, "evolve", lambda *args, **kwargs: calls.append(args))
+        u0 = fld.TorusField.from_modes({0: 0.8, 1: 0.5}, max_mode=4)  # needs a reference run
+        with pytest.raises(ValueError, match=match):
+            xp.integrator_order_study(u0, EquationSpec("wnls"), dts, t_end=t_end)
+        assert calls == []
 
 
 class TestResolutionDoubling:
