@@ -19,8 +19,8 @@ from .random_data import (RandomDataSpec, expected_mean_intensity,
 from .experiments import (ExperimentReport, Series, WeakSequenceSpec,
                           apriori_growth_probe, free_flow_l4_norm,
                           integrator_order_study, phase_defect_contrast_run,
-                          resolution_doubling_check, strichartz_ratio_probe,
-                          verdict_thresholds, weak_continuity_run)
+                          strichartz_ratio_probe, verdict_thresholds,
+                          weak_continuity_run)
 from .version import __version__
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "mean_intensity", "nonlinearity", "norm", "pairing",
     "phase_defect_contrast_run", "plane_wave_frequency", "project",
     "quartic_integral", "regularity_profile", "renormalization_constant",
-    "resolution_doubling_check", "resonant_split", "sample", "sample_block",
+    "resonant_split", "sample", "sample_block",
     "sample_ensemble", "spacetime_l4_norm", "spacetime_lp_norm",
     "strichartz_ratio_probe",
     "synthesize", "truncation_gauge", "verdict_thresholds",

@@ -27,7 +27,7 @@ from . import field as fld
 from . import random_data as rnd
 from . import serialization as ser
 from . import wick
-from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, evolve
+from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant, evolve
 
 SCHEMA_VERSION = 1
 
@@ -297,8 +297,9 @@ def _build_equation(cfg: dict) -> EquationSpec:
     section = _field(cfg, "equation", _mapping)
     return _checked(
         "equation", EquationSpec,
-        variant=_field(section, "equation.variant", _str, "wnls"),
-        sign=_field(section, "equation.sign", _integral, 1),
+        variant=_field(section, "equation.variant", _one_of(*(v.value for v in Variant)),
+                       "wnls"),
+        sign=_field(section, "equation.sign", lambda v: _one_of(1, -1)(_integral(v)), 1),
         truncation=_field(section, "equation.truncation", _integral, None),
         alpha=_field(section, "equation.alpha", _real, 1.0))
 
@@ -513,7 +514,8 @@ def cmd_sample(cfg: dict):
 def cmd_norms(cfg: dict):
     u = _field(cfg, "field_file", _field_file)
     items = _field(cfg, "norms", _non_empty(_list_of(_mapping)))
-    specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", _str),
+    kinds = _one_of("sobolev", "fourier_lebesgue", "l2")
+    specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", kinds),
                       s=_field(item, f"norms[{i}].s", _real, 0.0),
                       p=_field(item, f"norms[{i}].p", _real, 2.0))
              for i, item in enumerate(items)]

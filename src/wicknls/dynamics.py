@@ -625,24 +625,17 @@ def gauge_transform(traj: Trajectory, mu0: float, sign: int) -> Trajectory:
     return _phase_transformed(traj, -2.0 * sign * mu0, traj.eq)
 
 
-def truncation_gauge(traj: Trajectory, debug: bool = False) -> Trajectory:
+def truncation_gauge(traj: Trajectory) -> Trajectory:
     """Remove the intensity fluctuation phase from a renormalized truncated run.
 
     Multiplies snapshot k by ``exp(-2 i sign c t_k)`` where
     ``c = mu(P_N u0) - a`` is constant along the flow (mass is conserved),
     with N and the alpha of a taken from ``traj.eq``. The result solves the
-    ``truncated-wnls-gauged`` system. ``debug`` re-evaluates c on every
-    snapshot and asserts constancy to 1e-10.
+    ``truncated-wnls-gauged`` system.
     """
     eq = traj.eq
     if eq.variant is not Variant.TRUNCATED_WNLS_HAMILTONIAN:
         raise ValueError("truncation_gauge expects a truncated-wnls-hamiltonian run")
     c0 = intensity_fluctuation(traj.snapshots[0], eq.truncation, eq.alpha)
-    if debug:
-        for t, u in zip(traj.times, traj.snapshots):
-            ck = intensity_fluctuation(u, eq.truncation, eq.alpha)
-            if abs(ck - c0) > 1e-10:
-                raise AssertionError(
-                    f"intensity fluctuation drifted to {ck - c0:.3e} at t={t:g}")
     gauged_eq = replace(eq, variant=Variant.TRUNCATED_WNLS_GAUGED)
     return _phase_transformed(traj, -2.0 * eq.sign * c0, gauged_eq)

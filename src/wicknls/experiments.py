@@ -417,51 +417,61 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
     return fld.TWO_PI * (2.0 * t_horizon * mass * mass + 2.0 * cross)
 
 
+def _band_doubling(ensemble: rnd.RandomDataSpec, name: str, samples: int, values,
+                   **hashed) -> tuple[list, list]:
+    """The ``<name>_band<N>`` series of samples 0..samples-1 at bands N and 2N.
+
+    N is the ensemble's band. Each band draws the nested truncation
+    ``replace(ensemble, max_mode=band)`` in the sampler's memory-bounded
+    blocks, and ``values(band, block)`` maps a block to the values of its
+    rows (it may drop rows). Each series is hashed over the truncated spec and
+    ``hashed``. Returns the two series and the two value lists.
+    """
+    series, lists = [], []
+    for band in (ensemble.max_mode, 2 * ensemble.max_mode):
+        spec = replace(ensemble, max_mode=band)
+        got = [v for _, block in rnd._blocks(spec, samples) for v in values(band, block)]
+        series.append(Series(f"{name}_band{band}", "dimensionless", "sample",
+                             tuple(range(len(got))), tuple(got),
+                             spec_hash({**spec.to_dict(), **hashed})))
+        lists.append(got)
+    return series, lists
+
+
 def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
-                           samples: int, *, doubling: bool = True,
-                           threads: int = 1) -> ExperimentReport:
+                           samples: int, *, threads: int = 1) -> ExperimentReport:
     """Distribution of ||S(t)f||_{L4_{T,x}} / ||f||_{L2} over a random ensemble.
 
-    Zero-norm samples are skipped. With ``doubling`` the ensemble is rerun at
+    Zero-norm samples are skipped. The ensemble is run at its band and at
     twice the band; the verdict requires the max ratio to move by at most the
-    fixture tolerance. Each band's samples are drawn as one ``sample_block``
-    and integrated by one call of the block kernel; the ratios equal those
-    of a loop of ``free_flow_l4_norm`` over ``sample(spec, k)`` bit for bit.
-    ``threads`` is accepted but unused.
+    fixture tolerance. Each block of the sampler is integrated by one call of
+    the block kernel; the ratios equal those of a loop of
+    ``free_flow_l4_norm`` over ``sample(spec, k)`` bit for bit. ``threads``
+    is accepted but unused.
     """
     if not 0.0 < t_horizon <= 1.0:  # NaN-safe
         raise ValueError(f"t_horizon must lie in (0, 1] (got {t_horizon!r})")
     if not (isinstance(samples, numbers.Integral) and samples >= 100):
         raise ValueError(f"need an integral count of at least 100 samples (got {samples!r})")
 
-    bands = [ensemble.max_mode] + ([2 * ensemble.max_mode] if doubling else [])
-    series = []
-    maxima = []
-    for band in bands:
-        spec_b = replace(ensemble, max_mode=band)
-        block = rnd.sample_block(spec_b, range(samples))
+    def ratios(band, block):
         norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
-        ratios = []
-        for row, l4 in zip(block, norms):
-            denom = math.sqrt(fld.TWO_PI * np.vdot(row, row).real)  # as fld.pairing
-            if denom != 0.0:
-                ratios.append(l4 / denom)
-        h = spec_hash({**spec_b.to_dict(), "t_horizon": t_horizon})
-        series.append(Series(f"l4_ratio_band{band}", "dimensionless", "sample",
-                             tuple(range(len(ratios))), tuple(ratios), h))
-        maxima.append(max(ratios) if ratios else math.nan)
+        # the L2 norms as fld.pairing takes them
+        denoms = [math.sqrt(fld.TWO_PI * np.vdot(row, row).real) for row in block]
+        return [l4 / d for l4, d in zip(norms, denoms) if d != 0.0]
 
-    verdicts = {}
+    series, lists = _band_doubling(ensemble, "l4_ratio", samples, ratios,
+                                   t_horizon=t_horizon)
+    bands = [ensemble.max_mode, 2 * ensemble.max_mode]
+    maxima = [max(r) if r else math.nan for r in lists]
+    if all(math.isfinite(m) for m in maxima):
+        change = abs(maxima[1] / maxima[0] - 1.0)
+    else:
+        change = math.nan
+    thr = verdict_thresholds()["strichartz_doubling_rtol"]
+    verdicts = {"max_ratio_stable_under_doubling": bool(change <= thr)}
     details = {"max_ratio": {str(b): m for b, m in zip(bands, maxima)},
-               "t_horizon": t_horizon}
-    if doubling:
-        thr = verdict_thresholds()["strichartz_doubling_rtol"]
-        if all(math.isfinite(m) for m in maxima):
-            change = abs(maxima[1] / maxima[0] - 1.0)
-        else:
-            change = math.nan
-        verdicts["max_ratio_stable_under_doubling"] = bool(change <= thr)
-        details["max_ratio_change"] = change
+               "t_horizon": t_horizon, "max_ratio_change": change}
     return ExperimentReport(kind="strichartz-ratio", config={
         "ensemble": ensemble.to_dict(), "t_horizon": t_horizon,
         "samples": samples,
@@ -479,8 +489,7 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
 
     s must lie in [-1/2, 0]. The ensemble is run at its stated band and at
     twice the band; the verdict caps the 99th percentile and its relative
-    change under the doubling. Each band's samples are drawn in the
-    sampler's memory-bounded blocks and each block runs as one
+    change under the doubling. Each block of the sampler runs as one
     ``evolve_batch``; the ratios equal those of a loop of ``evolve`` over
     ``sample(spec, k)`` bit for bit. ``threads`` is accepted but unused.
     """
@@ -494,22 +503,15 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
         integ = replace(integ, t_end=t_horizon)
     eq = EquationSpec(Variant.WNLS, sign=sign)
 
-    series = []
-    p99s = []
-    bands = [ensemble.max_mode, 2 * ensemble.max_mode]
-    for band in bands:
-        spec_b = replace(ensemble, max_mode=band)
-        ratios = []
-        for _, block in rnd._blocks(spec_b, samples):
-            trajs = evolve_batch([fld.TorusField(c, band) for c in block], eq, integ)
-            for base, traj in zip(fld._sobolev_norms(block, s).tolist(), trajs):
-                worst = float(np.max(fld._sobolev_norms(traj.coeffs, s)))
-                ratios.append(worst / base if base > 0 else 1.0)
-        h = spec_hash({**spec_b.to_dict(), "s": s, "t_horizon": t_horizon})
-        series.append(Series(f"growth_ratio_band{band}", "dimensionless", "sample",
-                             tuple(range(len(ratios))), tuple(ratios), h))
-        p99s.append(float(np.percentile(ratios, 99.0)))
+    def ratios(band, block):
+        trajs = evolve_batch([fld.TorusField(c, band) for c in block], eq, integ)
+        return [float(np.max(fld._sobolev_norms(traj.coeffs, s))) / base if base > 0 else 1.0
+                for base, traj in zip(fld._sobolev_norms(block, s).tolist(), trajs)]
 
+    series, lists = _band_doubling(ensemble, "growth_ratio", samples, ratios,
+                                   s=s, t_horizon=t_horizon)
+    bands = [ensemble.max_mode, 2 * ensemble.max_mode]
+    p99s = [float(np.percentile(r, 99.0)) for r in lists]
     thr = verdict_thresholds()
     change = abs(p99s[1] / p99s[0] - 1.0)
     verdicts = {
@@ -585,17 +587,3 @@ def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
         "eq": eq.to_dict(), "scheme": scheme, "dts": dts, "t_end": t_end,
     }, series=series, verdicts=verdicts, details=details)
 
-
-def resolution_doubling_check(u0: fld.TorusField, eq: EquationSpec,
-                              integ: IntegratorSpec) -> float:
-    """L2 distance at t_end between runs at the data band and twice the band.
-
-    Convergence under band refinement is the caller's responsibility; this
-    helper quantifies it for untruncated runs.
-    """
-    if eq.truncated:
-        raise ValueError("resolution doubling applies to untruncated variants")
-    a = evolve(u0, eq, integ).final
-    b = evolve(u0.padded_to(2 * u0.max_mode), eq, integ).final
-    n = max(a.max_mode, b.max_mode)
-    return fld.norm(a.padded_to(n) - b.padded_to(n), fld.NormSpec.l2())

@@ -150,17 +150,12 @@ def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH,
         index += 1
 
 
-def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
+def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Evaluate sum_k coeff_k * prod_j H_{deg_kj}(x_j) row-wise on x (b, dim).
 
     ``out`` (b,) and ``work`` (4, b) are buffers that a caller evaluating
     many batches allocates once; neither may overlap x.
     """
-    if out is None:
-        out = np.empty(x.shape[0])
-    if work is None:
-        work = np.empty((4, x.shape[0]))
     term, factor, hermite_work = work[0], work[1], work[2:]
     out.fill(0.0)
     for coeff, degrees in terms:

@@ -294,12 +294,24 @@ class TestConfigErrors:
         ("weak-limit", "weak_limit_wnls.yaml", "experiment.verdict=maybe",
          "'experiment.verdict'"),
         ("weak-limit", "weak_limit_wnls.yaml", "base.kind=gaussian", "'base.kind'"),
+        ("simulate", "simulate_plane_wave.yaml", "equation.variant=schrodinger",
+         "'equation.variant'"),
+        ("simulate", "simulate_plane_wave.yaml", "equation.sign=2", "'equation.sign'"),
+        ("norms", None, "norms=[{kind: sobolov}]", "'norms[0].kind'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
+        from wicknls.field import TorusField
+
         out = tmp_path / "o"
-        assert run(command, "--config", str(CONFIG_DIR / config), "--out", str(out),
-                   "--set", pair) == 2
+        if config is None:  # norms reads a field file: write one, with its config
+            ser.save_field(TorusField.single_mode(2, 1.0), tmp_path / "f.json")
+            path = write_yaml(tmp_path / "c.yaml", {
+                "schema_version": 1, "field_file": str(tmp_path / "f.json"),
+                "norms": [{"kind": "l2"}]})
+        else:
+            path = str(CONFIG_DIR / config)
+        assert run(command, "--config", path, "--out", str(out), "--set", pair) == 2
         assert capsys.readouterr().err.startswith(f"config error: config field {key}: ")
         assert not out.exists()
 

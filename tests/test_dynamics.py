@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wicknls import dynamics as dyn
 from wicknls import field as fld
 from wicknls import random_data as rnd
-from wicknls.wick import renormalization_constant, wick_hamiltonian
+from wicknls.wick import intensity_fluctuation, renormalization_constant, wick_hamiltonian
 
 from oracles import (dense_quartic_integral, galerkin_rk4, strang_step, triple_sum_cubic,
                      triple_sum_nonresonant)
@@ -511,7 +511,11 @@ class TestTruncationGauge:
                                                sign=sign, truncation=16, alpha=1.0), integ)
         tr_g = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-gauged",
                                                sign=sign, truncation=16), integ)
-        gauged = dyn.truncation_gauge(tr_h, debug=True)
+        # the gauge's c = mu(P_N u) - a is constant along the flow
+        c0 = intensity_fluctuation(tr_h.snapshots[0], 16, 1.0)
+        assert all(abs(intensity_fluctuation(u, 16, 1.0) - c0) <= 1e-10
+                   for u in tr_h.snapshots)
+        gauged = dyn.truncation_gauge(tr_h)
         worst = max(final_distance(a, b) for a, b in zip(gauged.snapshots, tr_g.snapshots))
         assert worst < 1e-6
         assert gauged.eq.variant is dyn.Variant.TRUNCATED_WNLS_GAUGED

@@ -230,7 +230,7 @@ class TestStrichartzProbe:
 
     def test_probe_report(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=8, seed=4)
-        report = xp.strichartz_ratio_probe(ens, 0.5, 100, doubling=True, threads=2)
+        report = xp.strichartz_ratio_probe(ens, 0.5, 100, threads=2)
         assert "max_ratio_stable_under_doubling" in report.verdicts
         assert len(report.get_series("l4_ratio_band8").values) == 100
         assert len(report.get_series("l4_ratio_band16").values) == 100
@@ -253,9 +253,17 @@ class TestStrichartzProbe:
                 loop.append(xp.free_flow_l4_norm(f, 0.5) / math.sqrt(fld.pairing(f, f).real))
             assert report.get_series(f"l4_ratio_band{band}").values == tuple(loop)
 
+    def test_probe_matches_per_sample_loop_across_blocks(self, monkeypatch):
+        # 1000 normals a block: 29 rows at band 8, 15 at band 16
+        monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 1000)
+        for band in (8, 16):
+            spec = rnd.RandomDataSpec(alpha=0.0, max_mode=band, seed=4)
+            assert -(-100 // rnd._block_rows(spec)) >= 3
+        self.test_probe_matches_per_sample_loop()
+
     def test_zero_samples_skipped(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=5, gaussian_scale=0.0)
-        report = xp.strichartz_ratio_probe(ens, 0.5, 100, doubling=False)
+        report = xp.strichartz_ratio_probe(ens, 0.5, 100)
         assert len(report.get_series("l4_ratio_band4").values) == 0
 
     def test_validation(self):
@@ -314,6 +322,15 @@ class TestAprioriGrowth:
                 worst = max(fld.norm(u, norm_spec) for u in evolve(u0, eq, integ).snapshots)
                 loop.append(worst / fld.norm(u0, norm_spec))
             assert report.get_series(f"growth_ratio_band{band}").values == tuple(loop)
+
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    def test_probe_matches_per_sample_loop_across_blocks(self, monkeypatch, scheme):
+        # 68 normals a block: 2 rows at band 8, 1 at band 16
+        monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 68)
+        for band in (8, 16):
+            spec = rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=9)
+            assert -(-5 // rnd._block_rows(spec)) >= 3
+        self.test_probe_matches_per_sample_loop(scheme)
 
     @pytest.mark.parametrize("scheme, dt, stride", [("strang", 2e-3, 5), ("rk4", 5e-4, 10)])
     def test_block_norms_match_per_snapshot_norms(self, scheme, dt, stride):
@@ -399,17 +416,14 @@ class TestOrderStudy:
 
 class TestResolutionDoubling:
     def test_resolved_run_stable(self):
+        # the same data run at band N and at band 2N end within roundoff
         u0 = fld.TorusField.from_modes({0: 0.4, 1: 0.3}, max_mode=8)
         integ = IntegratorSpec("strang", dt=2e-3, t_end=0.5, snapshot_stride=250)
-        dist = xp.resolution_doubling_check(u0, EquationSpec("wnls", sign=1), integ)
-        assert dist < 1e-10
-
-    def test_truncated_rejected(self):
-        u0 = fld.TorusField.single_mode(1, 1.0, max_mode=4)
-        integ = IntegratorSpec("strang", dt=2e-3, t_end=0.5, snapshot_stride=250)
-        with pytest.raises(ValueError):
-            xp.resolution_doubling_check(
-                u0, EquationSpec("truncated-nls", sign=1, truncation=4), integ)
+        eq = EquationSpec("wnls", sign=1)
+        a = evolve(u0, eq, integ).final
+        b = evolve(u0.padded_to(16), eq, integ).final
+        n = max(a.max_mode, b.max_mode)
+        assert fld.norm(a.padded_to(n) - b.padded_to(n), fld.NormSpec.l2()) < 1e-10
 
 
 class TestReportPlumbing:
