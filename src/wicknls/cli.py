@@ -145,10 +145,17 @@ def _field(node: dict, path: str, convert, default=_REQUIRED):
         raise ConfigError(f"config field {path!r}: {exc}") from exc
 
 
-def _checked(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its range-check ValueError reported against ``path``."""
+def _checked(path: str, build, *args, keys: dict | None = None, **kwargs):
+    """``build(*args, **kwargs)``, its range-check ValueError reported against ``path``.
+
+    A ``SpecFieldError`` is reported against the config field behind the spec
+    field it names: ``keys[field]`` where the two differ, else ``path.field``.
+    """
     try:
         return build(*args, **kwargs)
+    except fld.SpecFieldError as exc:
+        where = (keys or {}).get(exc.field, f"{path}.{exc.field}")
+        raise ConfigError(f"config field {where!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -290,7 +297,8 @@ def _build_random_spec(section: dict, path: str) -> rnd.RandomDataSpec:
         max_mode=_field(section, f"{path}.max_mode", _integral),
         seed=_field(section, f"{path}.seed", _integral, 0),
         offset=_field(section, f"{path}.offset_file", _field_file, None),
-        gaussian_scale=_field(section, f"{path}.gaussian_scale", _real, 1.0))
+        gaussian_scale=_field(section, f"{path}.gaussian_scale", _real, 1.0),
+        keys={"offset": f"{path}.offset_file"})
 
 
 def _build_equation(cfg: dict) -> EquationSpec:
@@ -304,15 +312,18 @@ def _build_equation(cfg: dict) -> EquationSpec:
         alpha=_field(section, "equation.alpha", _real, 1.0))
 
 
-def _build_integrator(cfg: dict, t_end: float | None = None) -> IntegratorSpec:
+def _build_integrator(cfg: dict, horizon: float | None = None) -> IntegratorSpec:
+    """The integrator section; a ``horizon`` read elsewhere is its t_end."""
     section = _field(cfg, "integrator", _mapping)
+    keys = None if horizon is None else {"t_end": "horizon"}
     spec = _checked(
         "integrator", IntegratorSpec,
         scheme=_field(section, "integrator.scheme", _one_of("strang", "rk4"), "strang"),
         dt=_field(section, "integrator.dt", _finite),
-        t_end=t_end if t_end is not None else _field(section, "integrator.t_end", _finite),
-        snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1))
-    _checked("integrator", spec.step_count)  # validates divisibility early
+        t_end=horizon if horizon is not None else _field(section, "integrator.t_end", _finite),
+        snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1),
+        keys=keys)
+    _checked("integrator", spec.step_count, keys=keys)  # validates divisibility early
     return spec
 
 
@@ -374,19 +385,16 @@ def cmd_weak_limit(cfg: dict):
 
     # finite before it becomes the integrator's t_end, so its error names it
     horizon = _field(cfg, "horizon", _finite, 1.0)
-    try:
-        spec = xp.WeakSequenceSpec(
-            base=_build_field(_field(cfg, "base", _mapping), "base"),
-            bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "bump.amplitude",
-                                  _complex, 1.0 + 0.0j),
-            mode_list=tuple(_field(cfg, "modes", _list_of(_integral))),
-            probe=_build_field(_field(cfg, "probe", _mapping), "probe"),
-            horizon=horizon, eq=_build_equation(cfg),
-            integrator=_build_integrator(cfg, t_end=horizon),
-            working_band=_field(cfg, "working_band", _integral, None),
-        )
-    except xp.SpecFieldError as exc:
-        raise ConfigError(f"config field {_WEAK_SPEC_KEYS[exc.field]!r}: {exc}") from exc
+    spec = _checked(
+        "weak-limit", xp.WeakSequenceSpec, keys=_WEAK_SPEC_KEYS,
+        base=_build_field(_field(cfg, "base", _mapping), "base"),
+        bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "bump.amplitude",
+                              _complex, 1.0 + 0.0j),
+        mode_list=tuple(_field(cfg, "modes", _list_of(_integral))),
+        probe=_build_field(_field(cfg, "probe", _mapping), "probe"),
+        horizon=horizon, eq=_build_equation(cfg),
+        integrator=_build_integrator(cfg, horizon),
+        working_band=_field(cfg, "working_band", _integral, None))
 
     def run(out: Path) -> int:
         if kind == "weak-continuity":

@@ -15,17 +15,19 @@ Variants of the nonlinearity ``N(u)``:
 ``truncated-wnls-gauged``      ``P_N(|u|^2 u) - 2 mu(u) u``
 =============================  ====================================================
 
-The Strang integrator alternates the exact linear multiplier flow with the
-exact pointwise phase flow of the nonlinear substep, evaluated on an odd
-collocation grid that is in exact bijection with the retained mode range.
-Adjacent linear half-steps are fused into one full step between snapshots,
-and a batch of initial data steps together as one (B, m) stack
-(``evolve_batch``). Untruncated runs keep the full grid band (every substep
-is then unitary / unit-modulus, and each row's mass is pinned to its initial
-value at every snapshot step); truncated runs re-apply the Dirichlet
-projection after each nonlinear substep because the projection is part of
-the model. The phase substep takes ``exp(i theta)`` in the exact Cayley form
-of ``_kernels.nonlinear_phase``, one tangent instead of a cosine and a sine.
+Both schemes take one linear flow: the Fourier multiplier at each row's rate
+``n^2 - shift`` (``_linear_rate``). Every variant conserves mass, so the Wick
+term -2 mu(u) u is the linear term -2 mu0 u, mu0 the row's initial mean
+intensity, like the -2 a u of the renormalized variant; each scheme then maps
+plain runs onto Wick ones by the scalar gauge, as the flow does.
+
+The Strang integrator alternates that flow with the exact pointwise phase
+``theta = sign dt |u|^2`` of the nonlinear substep, on an odd collocation grid
+in exact bijection with the retained mode range, in the Cayley form of
+``_kernels.nonlinear_phase``. Adjacent linear half-steps are fused between
+snapshots, and a batch of initial data steps together as one (B, m) stack
+(``evolve_batch``). Untruncated substeps are unitary / unit-modulus; truncated
+runs re-apply the Dirichlet projection after each phase, as the model does.
 
 Both schemes transform unnormalised: the inverse FFT is unscaled, so grid
 values are field values, and the 1/m of the forward FFT rides on the
@@ -54,6 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import field as fld
+from .field import SpecFieldError
 from ._kernels import (GalerkinCubic, cubic_convolution, fast_fft_size, nonlinear_phase,
                        phase_work)
 from .wick import intensity_fluctuation, renormalization_constant
@@ -86,14 +89,16 @@ class EquationSpec:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 (defocusing) or -1 (focusing)")
+            raise SpecFieldError("sign", "sign must be +1 (defocusing) or -1 (focusing)")
         if self.truncated:
             if self.truncation is None or self.truncation < 0:
-                raise ValueError(f"variant {self.variant.value} requires truncation >= 0")
+                raise SpecFieldError("truncation",
+                                     f"variant {self.variant.value} requires truncation >= 0")
         elif self.truncation is not None:
-            raise ValueError(f"variant {self.variant.value} does not take a truncation")
+            raise SpecFieldError("truncation",
+                                 f"variant {self.variant.value} does not take a truncation")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):  # NaN-safe
-            raise ValueError(f"alpha must be finite and >= 0 (got {self.alpha})")
+            raise SpecFieldError("alpha", f"alpha must be finite and >= 0 (got {self.alpha})")
 
     @property
     def truncated(self) -> bool:
@@ -126,20 +131,20 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if self.scheme not in ("strang", "rk4"):
-            raise ValueError("scheme must be 'strang' or 'rk4'")
+            raise SpecFieldError("scheme", "scheme must be 'strang' or 'rk4'")
         if not (self.dt > 0 and math.isfinite(self.dt)):  # NaN-safe
-            raise ValueError(f"dt must be finite and > 0 (got {self.dt})")
+            raise SpecFieldError("dt", f"dt must be finite and > 0 (got {self.dt})")
         if not math.isfinite(self.t_end):
-            raise ValueError(f"t_end must be finite (got {self.t_end})")
+            raise SpecFieldError("t_end", f"t_end must be finite (got {self.t_end})")
         if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
+            raise SpecFieldError("snapshot_stride", "snapshot_stride must be >= 1")
 
     def step_count(self) -> int:
         n = round(abs(self.t_end) / self.dt)
         if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)):
-            raise ValueError("dt must divide t_end")
+            raise SpecFieldError("t_end", "dt must divide t_end")
         if n and n % self.snapshot_stride:
-            raise ValueError("snapshot_stride must divide the step count")
+            raise SpecFieldError("snapshot_stride", "snapshot_stride must divide the step count")
         return n
 
     def to_dict(self) -> dict:
@@ -302,15 +307,21 @@ def conserved(u: fld.TorusField, sign: int) -> tuple[float, float, float]:
     return float(row["mass"][0]), float(row["momentum"][0]), float(row["hamiltonian"][0])
 
 
+def _linear_rate(eq: EquationSpec, modes: np.ndarray, mu0: np.ndarray) -> np.ndarray:
+    """The rates ``n^2 - shift`` (B, len(modes)) of B rows of initial mean intensity mu0.
+
+    The shift is 0 (``nls``, ``truncated-nls``), ``2 sign a``
+    (``truncated-wnls-hamiltonian``) or ``2 sign mu0`` (``wnls``, ``truncated-wnls-gauged``).
+    """
+    level = mu0 if eq.mean_shifted else np.full(
+        len(mu0), eq.renorm_constant() if eq.renorm_shifted else 0.0)
+    return modes**2 - (2.0 * eq.sign) * level[:, None]
+
+
 def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> float:
-    """Exact phase rate of the single-mode solution A e^{i(n x + w t)}."""
+    """Exact phase rate ``n^2 + sign |A|^2 - shift`` of the solution A e^{i(n x + w t)}."""
     a2 = abs(amplitude) ** 2
-    w = float(mode**2)
-    if eq.variant in (Variant.NLS, Variant.TRUNCATED_NLS):
-        return w + eq.sign * a2
-    if eq.variant in (Variant.WNLS, Variant.TRUNCATED_WNLS_GAUGED):
-        return w - eq.sign * a2
-    return w + eq.sign * a2 - 2.0 * eq.sign * eq.renorm_constant()
+    return float(_linear_rate(eq, np.array([float(mode)]), np.array([a2]))[0, 0]) + eq.sign * a2
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +353,14 @@ class _Recorder:
         if self.names:
             p = np.array([q.padded_to(band).coeffs for q in probes.values()])
             self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
-            self.paired = np.conj(p[:, self.support])
+            self.paired = np.conj(p[:, self.support])[None]  # (1, P, support)
             self.probe(state, self.paired)
         self.snapshot(state)
 
     def probe(self, state, vectors):
-        """Record each row's pairing with each row of ``vectors`` on the probe support."""
+        """Record each row's pairing with its probe vectors, (B or 1, P, support)."""
         # einsum, not matmul: a row's pairing does not depend on its neighbours
-        self.pairings[self.recorded] = np.einsum("ij,kj->ik", state[:, self.support], vectors)
+        self.pairings[self.recorded] = np.einsum("ij,ikj->ik", state[:, self.support], vectors)
         self.recorded += 1
 
     def snapshot(self, state):
@@ -444,9 +455,10 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     commutes with that unimodular factor. A truncated run's multipliers are
     zero past column 2K, so every linear substep is also the projection.
 
-    The phase acts on field values, with factor sign dt and Wick offset -2 mu.
-    The fft leaves m times the coefficients: ``full``, ``half_m`` and the probe
-    vectors carry the 1/m, and the pin's target is m^2 times the mass.
+    The multipliers are (B, m), at each row's ``_linear_rate``, and the phase
+    is sign dt |u|^2 of the field values for every variant. The fft leaves m
+    times the coefficients: ``full``, ``half_m`` and the per-row probe vectors
+    carry the 1/m, and the pin's target is m^2 times the mass.
 
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
@@ -466,38 +478,32 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
     band = work_band if truncated else (m - 1) // 2
     width = 2 * band + 1
-    # the mode of each column; past column 2K, which only truncated runs
-    # have, the multipliers are zero, so each linear substep projects
-    freq = np.arange(m, dtype=np.float64) - band
-    shift = 2.0 * eq.sign * eq.renorm_constant() if eq.renorm_shifted else 0.0
-    half = np.exp(1j * (freq**2 - shift) * (dt / 2.0))
-    full = np.exp(1j * (freq**2 - shift) * dt) / m
-    half[width:] = full[width:] = 0.0
-    half_m = half / m
 
     s = np.zeros((len(u0s), m), dtype=np.complex128)
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
     u = np.empty_like(s)
     work = phase_work(s.shape)
+    target = np.einsum("ij,ij->i", s_real, s_real)  # mu0 per row
+    empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
+
+    rate = _linear_rate(eq, np.arange(m, dtype=np.float64) - band, target)  # column mode n
+    half = np.exp(1j * rate * (dt / 2.0))
+    full = np.exp(1j * rate * dt) / m
+    half[:, width:] = full[:, width:] = 0.0
+    half_m = half / m
 
     rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
     if probes:
-        rotated = rec.paired * half_m[rec.support]
+        rotated = rec.paired * half_m[:, None, rec.support]
 
     phase_factor = eq.sign * dt
-    target = np.einsum("ij,ij->i", s_real, s_real)
-    empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
-
-    def targets():  # the pin's target and the offset -2 mu: the mass is pinned
-        return float(m * m) * target, (-2.0 * target[:, None] if eq.mean_shifted else None)
-
-    pin_target, offset = targets()
+    pin_target = float(m * m) * target
     s *= half
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
         np.fft.ifft(s, axis=-1, norm="forward", out=u)
-        nonlinear_phase(u, phase_factor, offset, work=work)
+        nonlinear_phase(u, phase_factor, None, work=work)
         np.fft.fft(u, axis=-1, out=s)
         if truncated or snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)
@@ -515,21 +521,17 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
         else:
             s *= full
         if truncated:
-            target = np.einsum("ij,ij->i", s_real, s_real)
-            pin_target, offset = targets()
+            pin_target = float(m * m) * np.einsum("ij,ij->i", s_real, s_real)
     return rec
 
 
 def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
     """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its recorder.
 
-    With ``E = exp(i(n^2 - shift) dt/2)`` applied exactly and ``K(v)`` the
-    nonlinear term times dt, a step is
+    With ``E = exp(i(n^2 - shift) dt/2)`` (``_linear_rate``) applied exactly
+    and ``K(v)`` the nonlinear term times dt, a step is
     ``u+ = E^2 u + (E^2 K1 + 2E (K2 + K3) + K4) / 6`` with stage inputs
-    ``u``, ``E(u + K1/2)``, ``Eu + K2/2`` and ``E(Eu + K3)``. The -2 mu term
-    of the mean-shifted variants is linear once mu is fixed at the row's
-    initial value (the exact flow conserves mass), so it joins the shift;
-    the scheme is then equivariant under the scalar gauge, as the flow is.
+    ``u``, ``E(u + K1/2)``, ``Eu + K2/2`` and ``E(Eu + K3)``.
 
     Row r holds modes -N..N; ``K(v)`` is the exact Galerkin term
     P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
@@ -546,12 +548,8 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
     c_real = c.view(np.float64)
     target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
 
-    rate = np.arange(-n, n + 1, dtype=np.float64) ** 2
-    if eq.renorm_shifted:
-        rate = rate - 2.0 * eq.sign * eq.renorm_constant()
-    if eq.mean_shifted:
-        rate = rate - (2.0 * eq.sign) * target[:, None]
-    half = np.exp(1j * rate * (dt / 2.0))
+    half = np.exp(1j * _linear_rate(eq, np.arange(-n, n + 1, dtype=np.float64), target)
+                  * (dt / 2.0))
 
     cubic = GalerkinCubic(len(c), n, n)
     stage_in, a2 = cubic.inputs, cubic.intensity

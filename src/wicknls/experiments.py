@@ -33,6 +33,7 @@ from . import field as fld
 from . import random_data as rnd
 from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve, evolve_batch,
                        plane_wave_frequency)
+from .field import SpecFieldError  # also xp.SpecFieldError
 from .serialization import spec_hash
 from ._kernels import fast_fft_size
 
@@ -89,14 +90,6 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # weak continuity of the solution map
 # ---------------------------------------------------------------------------
-
-class SpecFieldError(ValueError):
-    """A rejected spec value; ``field`` names the spec field it came from."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
 
 @dataclass(frozen=True)
 class WeakSequenceSpec:

@@ -23,6 +23,14 @@ from ._kernels import fast_fft_size
 TWO_PI = 2.0 * math.pi
 
 
+class SpecFieldError(ValueError):
+    """A rejected spec value; ``field`` names the spec field it came from."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True, eq=False)
 class TorusField:
     """Immutable band-limited field: coefficients for modes -max_mode..max_mode."""
@@ -122,11 +130,11 @@ class NormSpec:
 
     def __post_init__(self):
         if self.kind not in ("sobolev", "fourier_lebesgue", "l2"):
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+            raise SpecFieldError("kind", f"unknown norm kind {self.kind!r}")
         if not math.isfinite(self.s):
-            raise ValueError("regularity index s must be finite")
+            raise SpecFieldError("s", "regularity index s must be finite")
         if self.p < 1:
-            raise ValueError("p must be >= 1")
+            raise SpecFieldError("p", "p must be >= 1")
 
     @classmethod
     def sobolev(cls, s: float) -> "NormSpec":

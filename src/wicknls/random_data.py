@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as fld
+from .field import SpecFieldError
 from .wick import renormalization_constant
 
 
@@ -33,18 +34,18 @@ class RandomDataSpec:
 
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0 (got {self.alpha})")
+            raise SpecFieldError("alpha", f"alpha must be finite and >= 0 (got {self.alpha})")
         if self.max_mode < 0:
-            raise ValueError("max_mode must be >= 0")
+            raise SpecFieldError("max_mode", "max_mode must be >= 0")
         if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer (got {self.seed!r})")
+            raise SpecFieldError("seed", f"seed must be an integer (got {self.seed!r})")
         if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+            raise SpecFieldError("seed", "seed must fit in 64 bits")
         if not (self.gaussian_scale >= 0 and math.isfinite(self.gaussian_scale)):
-            raise ValueError(
-                f"gaussian_scale must be finite and >= 0 (got {self.gaussian_scale})")
+            raise SpecFieldError("gaussian_scale", "gaussian_scale must be finite and >= 0 "
+                                 f"(got {self.gaussian_scale})")
         if self.offset is not None and self.offset.max_mode > self.max_mode:
-            raise ValueError("offset must be band-limited to max_mode")
+            raise SpecFieldError("offset", "offset must be band-limited to max_mode")
 
     def to_dict(self) -> dict:
         d = {
@@ -141,7 +142,8 @@ def sample_block(spec: RandomDataSpec, indices) -> np.ndarray:
     if not (isinstance(indices, range) or set(map(type, indices)) <= _INDEX_TYPES) \
             or len(ends) and not (min(ends) >= 0 and max(ends) < 2**64):
         bad = next(k for k in indices if type(k) not in _INDEX_TYPES or not 0 <= k < 2**64)
-        raise ValueError(f"index must lie in [0, 2**64) and be an integer (got {bad!r})")
+        raise SpecFieldError("index",
+                             f"index must lie in [0, 2**64) and be an integer (got {bad!r})")
     coeffs = _gaussians(spec, indices)
     coeffs *= covariance_weights(spec.alpha, spec.max_mode)
     if spec.offset is not None:
@@ -194,13 +196,13 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     """
     cutoffs = [int(m) for m in mode_cutoffs]
     if not samples >= 1:
-        raise ValueError(f"samples must be >= 1 (got {samples})")
+        raise SpecFieldError("samples", f"samples must be >= 1 (got {samples})")
     if cutoffs and cutoffs[0] < 0:
-        raise ValueError("cutoffs must be >= 0")
+        raise SpecFieldError("cutoffs", "cutoffs must be >= 0")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("mode_cutoffs must be strictly increasing")
+        raise SpecFieldError("cutoffs", "mode_cutoffs must be strictly increasing")
     if cutoffs and cutoffs[-1] > spec.max_mode:
-        raise ValueError("cutoffs cannot exceed the sampler's max_mode")
+        raise SpecFieldError("cutoffs", "cutoffs cannot exceed the sampler's max_mode")
     s_values = [float(s) for s in s_values]
     center = spec.max_mode
     bracket = 1.0 + np.abs(np.arange(-center, center + 1, dtype=np.float64))

@@ -151,6 +151,10 @@ class TestConfigErrors:
         (["horizon=.inf"], "'horizon'"),
         (["bump.amplitude=.nan"], "'bump.amplitude'"),
         (["bump.amplitude=[1,.inf]"], "'bump.amplitude'"),
+        (["equation.variant=truncated-nls", "equation.truncation=-1"],
+         "'equation.truncation'"),
+        # the integrator's t_end is the top-level horizon
+        (["horizon=0.3333"], "'horizon'"),
     ])
     def test_weak_spec_errors_name_the_field(self, tmp_path, capsys, overrides, key):
         argv = ["weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
@@ -223,10 +227,13 @@ class TestConfigErrors:
         assert hyp["record"] == "hypercontractivity" and hyp["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("pair, prefix", [
-        ("data.alpha=.nan", "data: alpha must be finite"),
-        ("data.gaussian_scale=.nan", "data: gaussian_scale must be finite"),
-        ("profile.samples=0", "profile: samples must be >= 1"),
-        ("profile.cutoffs=[-1, 8]", "profile: cutoffs must be >= 0"),
+        ("data.alpha=.nan", "config field 'data.alpha': alpha must be finite"),
+        ("data.alpha=-1", "config field 'data.alpha': alpha must be finite and >= 0"),
+        ("data.gaussian_scale=.nan",
+         "config field 'data.gaussian_scale': gaussian_scale must be finite"),
+        ("data.max_mode=-1", "config field 'data.max_mode': max_mode must be >= 0"),
+        ("profile.samples=0", "config field 'profile.samples': samples must be >= 1"),
+        ("profile.cutoffs=[-1, 8]", "config field 'profile.cutoffs': cutoffs must be >= 0"),
         ("data.seed=1.5", "config field 'data.seed': "),
         ("profile.s_values=5", "config field 'profile.s_values': "),
     ])
@@ -257,7 +264,7 @@ class TestConfigErrors:
                    "--out", str(out), "--set", "equation.variant=truncated-wnls-hamiltonian",
                    "--set", "equation.truncation=4", "--set", f"equation.alpha={alpha}") == 2
         assert capsys.readouterr().err.startswith(
-            "config error: equation: alpha must be finite and >= 0")
+            "config error: config field 'equation.alpha': alpha must be finite and >= 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("index", [-1, 2**64])
@@ -267,7 +274,7 @@ class TestConfigErrors:
                    "--out", str(out), "--set", "data.kind=random",
                    "--set", "data.max_mode=4", "--set", f"data.index={index}") == 2
         assert capsys.readouterr().err.startswith(
-            "config error: data: index must lie in [0, 2**64)")
+            "config error: config field 'data.index': index must lie in [0, 2**64)")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config, pair, key", [
@@ -298,6 +305,16 @@ class TestConfigErrors:
          "'equation.variant'"),
         ("simulate", "simulate_plane_wave.yaml", "equation.sign=2", "'equation.sign'"),
         ("norms", None, "norms=[{kind: sobolov}]", "'norms[0].kind'"),
+        ("norms", None, "norms=[{kind: fourier_lebesgue, p: 0.5}]", "'norms[0].p'"),
+        ("simulate", "simulate_plane_wave.yaml", "equation.truncation=4",
+         "'equation.truncation'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.dt=-1e-3", "'integrator.dt'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.snapshot_stride=0",
+         "'integrator.snapshot_stride'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.snapshot_stride=300",
+         "'integrator.snapshot_stride'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.t_end=0.3333",
+         "'integrator.t_end'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
@@ -314,6 +331,17 @@ class TestConfigErrors:
         assert run(command, "--config", path, "--out", str(out), "--set", pair) == 2
         assert capsys.readouterr().err.startswith(f"config error: config field {key}: ")
         assert not out.exists()
+
+    def test_offset_band_names_the_config_key(self, tmp_path, capsys):
+        from wicknls.field import TorusField
+
+        ser.save_field(TorusField.single_mode(9, 1.0), tmp_path / "f.json")
+        cfg = write_yaml(tmp_path / "c.yaml", {
+            "schema_version": 1, "count": 1,
+            "data": {"alpha": 0.0, "max_mode": 4, "offset_file": str(tmp_path / "f.json")}})
+        assert run("sample", "--config", cfg, "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: config field 'data.offset_file': offset must be band-limited")
 
     def test_malformed_norm_names_the_field(self, tmp_path, capsys):
         from wicknls.field import TorusField
