@@ -9,7 +9,10 @@ the config as given and the tool version, and re-running from an embedded
 config reproduces the outputs byte-for-byte.
 
 Exit codes: 0 success / verdict passed, 2 malformed config, 3 numerical
-scheme failure (partial output is still flushed), 4 scientific verdict failed.
+scheme failure, 4 scientific verdict failed. On exit 3, simulate, weak-limit
+and order-study write their NDJSON file alone (and simulate its snapshot
+files): the meta record, marked ``diverged`` at ``last_valid_time``, then the
+snapshot records of the failing row.
 """
 
 import argparse
@@ -60,7 +63,7 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
+def _apply_overrides(cfg: dict, pairs: list[str]):
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key.path=value, got {pair!r}")
@@ -76,7 +79,6 @@ def _apply_overrides(cfg: dict, pairs: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: {part} is not a mapping")
         node[parts[-1]] = value
-    return cfg
 
 
 def _check_schema(cfg: dict):
@@ -337,6 +339,30 @@ def _out_dir(args, cfg: dict) -> Path:
 # commands: each parses ``cfg`` and returns ``run(out_dir) -> exit code``
 # ---------------------------------------------------------------------------
 
+def _scheme_failure(out: Path, name: str, cfg: dict, command: str, exc) -> int:
+    """Exit 3 after writing ``name``: the meta record, marked ``diverged``, and the failing row."""
+    meta = ser.meta_record(cfg, command=command, diverged=True,
+                           last_valid_time=exc.last_valid_time)
+    ser.write_ndjson(out / name, [meta] + ser.trajectory_records(exc.trajectory))
+    print(exc, file=sys.stderr)
+    return EXIT_DIVERGED
+
+
+def _run_report(out: Path, cfg: dict, command: str, summary: str, experiment, lines) -> int:
+    """Run ``experiment()``, write its report files, print ``lines(report)``, exit 0 or 4."""
+    name = command.replace("-", "_") + ".ndjson"
+    try:
+        report = experiment()
+    except IntegrationDivergedError as exc:
+        return _scheme_failure(out, name, cfg, command, exc)
+    ser.write_ndjson(out / name, [ser.meta_record(cfg, command=command)] + report.to_records())
+    ser.write_csv(out / summary, ("series", "index_name", "index", "value", "unit"),
+                  report.summary_rows(), meta=cfg)
+    for line in lines(report):
+        print(line)
+    return EXIT_OK if report.verdict else EXIT_VERDICT
+
+
 def cmd_simulate(cfg: dict):
     eq = _build_equation(cfg)
     integ = _build_integrator(cfg)
@@ -344,28 +370,21 @@ def cmd_simulate(cfg: dict):
     write_snapshots = _field(_field(cfg, "output", _mapping, {}), "output.snapshots",
                              _instance_of(bool, "true or false"), False)
 
+    def save_snapshots(out: Path, traj):
+        if write_snapshots:
+            (out / "snapshots").mkdir(exist_ok=True)
+            for i, u in enumerate(traj.snapshots):
+                ser.save_field(u, out / "snapshots" / f"snapshot_{i:06d}.json")
+
     def run(out: Path) -> int:
-        diverged = None
         try:
             traj = evolve(u0, eq, integ)
         except IntegrationDivergedError as exc:
-            diverged = exc
-            traj = exc.trajectory
-
-        meta = ser.meta_record(cfg, command="simulate",
-                               diverged=diverged is not None,
-                               last_valid_time=None if diverged is None
-                               else diverged.last_valid_time)
-        records = [meta] + ser.trajectory_records(traj)
-        ser.write_ndjson(out / "trajectory.ndjson", records)
-        if write_snapshots:
-            snap_dir = out / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
-            for i, u in enumerate(traj.snapshots):
-                ser.save_field(u, snap_dir / f"snapshot_{i:06d}.json")
-        if diverged is not None:
-            print(diverged, file=sys.stderr)
-            return EXIT_DIVERGED
+            save_snapshots(out, exc.trajectory)
+            return _scheme_failure(out, "trajectory.ndjson", cfg, "simulate", exc)
+        meta = ser.meta_record(cfg, command="simulate", diverged=False, last_valid_time=None)
+        ser.write_ndjson(out / "trajectory.ndjson", [meta] + ser.trajectory_records(traj))
+        save_snapshots(out, traj)
         return EXIT_OK
     return run
 
@@ -396,39 +415,31 @@ def cmd_weak_limit(cfg: dict):
         integrator=_build_integrator(cfg, horizon),
         working_band=_field(cfg, "working_band", _integral, None))
 
-    def run(out: Path) -> int:
+    def experiment():
         if kind == "weak-continuity":
-            report = xp.weak_continuity_run(spec, verdict_mode=verdict_mode)
-        else:
-            report = xp.phase_defect_contrast_run(spec)
-        ser.write_ndjson(out / "weak_limit.ndjson",
-                         [ser.meta_record(cfg, command="weak-limit")] + report.to_records())
-        ser.write_csv(out / "weak_limit_summary.csv",
-                      ("series", "index_name", "index", "value", "unit"),
-                      report.summary_rows(), meta=cfg)
-        for name, ok in report.verdicts.items():
-            print(f"verdict {name}: {'pass' if ok else 'FAIL'}")
-        return EXIT_OK if report.verdict else EXIT_VERDICT
-    return run
+            return xp.weak_continuity_run(spec, verdict_mode=verdict_mode)
+        return xp.phase_defect_contrast_run(spec)
+
+    return lambda out: _run_report(
+        out, cfg, "weak-limit", "weak_limit_summary.csv", experiment,
+        lambda report: (f"verdict {name}: {'pass' if ok else 'FAIL'}"
+                        for name, ok in report.verdicts.items()))
 
 
-def _wick_identity_checks() -> list[tuple[str, bool]]:
-    checks = []
-    checks.append(("hermite_h2", wick.hermite(2, 2.0, 1.0) == 3.0))
-    checks.append(("hermite_h4", wick.hermite(4, 1.0, 1.0) == -2.0))
+def _wick_identity_checks():
+    """The algebraic identity checks, as (name, passed) pairs."""
+    yield "hermite_h2", wick.hermite(2, 2.0, 1.0) == 3.0
+    yield "hermite_h4", wick.hermite(4, 1.0, 1.0) == -2.0
     x = np.linspace(-3, 3, 13)
     sigma, t = 1.5, 0.4
     series = sum(wick.hermite(k, x, sigma) * t**k / math.factorial(k) for k in range(13))
     gen = np.exp(t * x - 0.5 * sigma * t * t)
-    checks.append(("hermite_generating_function",
-                   bool(np.max(np.abs(series - gen)) < 1e-8)))
+    yield "hermite_generating_function", bool(np.max(np.abs(series - gen)) < 1e-8)
     xs, ys = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
     lhs = wick.wick_abs_fourth(xs + 1j * ys, 2.0)
     rhs = (wick.hermite(4, xs) + 2.0 * wick.hermite(2, xs) * wick.hermite(2, ys)
            + wick.hermite(4, ys))
-    checks.append(("wick_fourth_chaos_expansion",
-                   bool(np.max(np.abs(lhs - rhs)) < 1e-10)))
-    return checks
+    yield "wick_fourth_chaos_expansion", bool(np.max(np.abs(lhs - rhs)) < 1e-10)
 
 
 def cmd_wick_check(cfg: dict):
@@ -452,11 +463,8 @@ def cmd_wick_check(cfg: dict):
 
     def run(out: Path) -> int:
         records = [ser.meta_record(cfg, command="wick-check")]
-        all_ok = True
-
         for name, ok in _wick_identity_checks():
             records.append({"record": "check", "name": name, "pass": bool(ok)})
-            all_ok &= ok
 
         # Monte-Carlo means of the Wick powers under the standard complex
         # Gaussian (true variance 2). A corrupted wick_variance makes these fail.
@@ -470,7 +478,6 @@ def cmd_wick_check(cfg: dict):
             ok = abs(mean) <= 3.0 * stderr
             records.append({"record": "check", "name": name, "pass": bool(ok),
                             "mean": mean, "stderr": stderr, "variance": variance})
-            all_ok &= ok
 
         for i, case in enumerate(parsed_cases):
             report = _checked(f"hypercontractivity[{i}]", wick.hypercontractivity_check,
@@ -478,13 +485,12 @@ def cmd_wick_check(cfg: dict):
             rec = report.to_dict()
             rec["record"] = "hypercontractivity"
             records.append(rec)
-            all_ok &= report.passed
 
         ser.write_ndjson(out / "wick_check.ndjson", records)
         for rec in records[1:]:
             label = rec.get("name") or f"hyp(n={rec.get('n')},d={rec.get('d')},q={rec.get('q')})"
             print(f"check {label}: {'pass' if rec.get('pass') else 'FAIL'}")
-        return EXIT_OK if all_ok else EXIT_VERDICT
+        return EXIT_OK if all(rec["pass"] for rec in records[1:]) else EXIT_VERDICT
     return run
 
 
@@ -552,18 +558,14 @@ def cmd_order_study(cfg: dict):
             raise ConfigError(
                 f"config field 'dts': {dt!r} does not divide t_end = {t_end!r}") from None
 
-    def run(out: Path) -> int:
-        report = _checked("order-study", xp.integrator_order_study, u0, eq, dts,
-                          scheme=scheme, t_end=t_end)
-        ser.write_ndjson(out / "order_study.ndjson",
-                         [ser.meta_record(cfg, command="order-study")] + report.to_records())
-        ser.write_csv(out / "order_study.csv",
-                      ("series", "index_name", "index", "value", "unit"),
-                      report.summary_rows(), meta=cfg)
+    def fitted_order(report) -> list[str]:
         fitted = report.details.get("fitted_order")
-        print(f"fitted order: {fitted if fitted is not None else 'exact to roundoff'}")
-        return EXIT_OK if report.verdict else EXIT_VERDICT
-    return run
+        return [f"fitted order: {fitted if fitted is not None else 'exact to roundoff'}"]
+
+    return lambda out: _run_report(
+        out, cfg, "order-study", "order_study.csv",
+        lambda: xp.integrator_order_study(u0, eq, dts, scheme=scheme, t_end=t_end),
+        fitted_order)
 
 
 # ---------------------------------------------------------------------------
@@ -615,9 +617,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationDivergedError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

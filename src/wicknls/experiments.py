@@ -34,7 +34,7 @@ from . import random_data as rnd
 from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve, evolve_batch,
                        plane_wave_frequency)
 from .field import SpecFieldError  # also xp.SpecFieldError
-from .serialization import spec_hash
+from .serialization import field_coeffs_dict, spec_hash
 from ._kernels import fast_fft_size
 
 @functools.cache
@@ -145,12 +145,10 @@ class WeakSequenceSpec:
     def to_dict(self) -> dict:
         c = complex(self.bump_amplitude)
         return {
-            "base": {"max_mode": self.base.max_mode,
-                     "coeffs": [[z.real, z.imag] for z in self.base.coeffs]},
+            "base": field_coeffs_dict(self.base),
             "bump_amplitude": [c.real, c.imag],
             "mode_list": list(self.mode_list),
-            "probe": {"max_mode": self.probe.max_mode,
-                      "coeffs": [[z.real, z.imag] for z in self.probe.coeffs]},
+            "probe": field_coeffs_dict(self.probe),
             "horizon": self.horizon,
             "eq": self.eq.to_dict(),
             "integrator": self.integrator.to_dict(),

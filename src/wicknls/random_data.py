@@ -21,6 +21,7 @@ import numpy as np
 
 from . import field as fld
 from .field import SpecFieldError
+from .serialization import field_coeffs_dict
 from .wick import renormalization_constant
 
 
@@ -53,10 +54,7 @@ class RandomDataSpec:
             "gaussian_scale": self.gaussian_scale,
         }
         if self.offset is not None:
-            d["offset"] = {
-                "max_mode": self.offset.max_mode,
-                "coeffs": [[z.real, z.imag] for z in self.offset.coeffs],
-            }
+            d["offset"] = field_coeffs_dict(self.offset)
         return d
 
 

@@ -19,13 +19,13 @@ from .version import __version__
 FIELD_FORMAT = "torus-field"
 
 
+def field_coeffs_dict(u: fld.TorusField) -> dict:
+    """``{"max_mode": N, "coeffs": [[re, im], ...]}``, modes ``-N..N``: a field in a spec dict."""
+    return {"max_mode": u.max_mode, "coeffs": [[z.real, z.imag] for z in u.coeffs]}
+
+
 def field_to_dict(u: fld.TorusField) -> dict:
-    return {
-        "format": FIELD_FORMAT,
-        "version": 1,
-        "max_mode": u.max_mode,
-        "coeffs": [[z.real, z.imag] for z in u.coeffs],
-    }
+    return {"format": FIELD_FORMAT, "version": 1, **field_coeffs_dict(u)}
 
 
 def field_from_dict(d: dict) -> fld.TorusField:

@@ -112,6 +112,29 @@ class TestSimulate:
         assert records[-1]["t"] == pytest.approx(0.1)
 
 
+class TestSchemeFailure:
+    # RK4 far past its step: a plane wave of amplitude 30 at dt 0.5, and a
+    # weak-limit bump of amplitude 20 at dt 0.05
+    @pytest.mark.parametrize("command, config, overrides", [
+        ("order-study", "order_study_rk4", ["data.amplitude=30", "dts=[0.5, 0.25, 0.125]"]),
+        ("weak-limit", "weak_limit_wnls", ["integrator.scheme=rk4", "integrator.dt=0.05",
+                                           "integrator.snapshot_stride=5", "bump.amplitude=20"]),
+    ], ids=["order-study", "weak-limit"])
+    def test_report_commands_flush_the_failing_row(self, tmp_path, command, config,
+                                                   overrides):
+        out = tmp_path / "o"
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        assert run(command, "--config", str(CONFIG_DIR / f"{config}.yaml"),
+                   "--out", str(out), *sets) == 3
+        name = command.replace("-", "_") + ".ndjson"
+        assert [p.name for p in out.iterdir()] == [name]  # no summary CSV
+        records = ser.read_ndjson(out / name)
+        assert records[0]["record"] == "meta" and records[0]["diverged"] is True
+        assert np.isfinite(records[0]["last_valid_time"])
+        assert len(records) > 1
+        assert all(r["record"] == "snapshot" for r in records[1:])
+
+
 class TestConfigErrors:
     def test_missing_config(self):
         assert run("simulate") == 2
@@ -393,6 +416,17 @@ SHIPPED_COMMANDS = {
 }
 
 
+# the files each command documents in the README, for the shipped configs
+DOCUMENTED_FILES = {
+    "order-study": {"order_study.ndjson", "order_study.csv"},
+    "weak-limit": {"weak_limit.ndjson", "weak_limit_summary.csv"},
+    "sample": {"sample.ndjson", "profile.csv", "sample_000.json", "sample_001.json",
+               "sample_002.json"},
+    "simulate": {"trajectory.ndjson"},
+    "wick-check": {"wick_check.ndjson"},
+}
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
                              ids=lambda p: p.stem)
@@ -400,6 +434,16 @@ class TestShippedConfigs:
         cfg = cli._load_config(str(path))
         cli._check_schema(cfg)
         assert callable(cli._COMMANDS[SHIPPED_COMMANDS[path.stem]](cfg))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
+    def test_end_to_end(self, tmp_path, name):
+        # the README table's exit codes: the two negative controls fail their verdicts
+        want = 4 if name in ("weak_limit_nls", "wick_check_corrupted") else 0
+        command = SHIPPED_COMMANDS[name]
+        out = tmp_path / "o"
+        assert run(command, "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                   "--out", str(out)) == want
+        assert {p.name for p in out.iterdir()} == DOCUMENTED_FILES[command]
 
 
 class TestWeakLimit:
@@ -496,13 +540,6 @@ class TestWickCheckCommand:
         b = (tmp_path / "b" / "wick_check.ndjson").read_bytes()
         assert a != b
         assert ser.read_ndjson(tmp_path / "b" / "wick_check.ndjson")[0]["config"]["seed"] == 99
-
-    def test_shipped_configs(self, tmp_path):
-        assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),
-                   "--out", str(tmp_path / "a")) == 0
-        assert run("wick-check",
-                   "--config", str(CONFIG_DIR / "wick_check_corrupted.yaml"),
-                   "--out", str(tmp_path / "b")) == 4
 
 
 class TestSampleCommand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wicknls import dynamics as dyn
 from wicknls import field as fld
 from wicknls import random_data as rnd
+from wicknls._kernels import fast_fft_size
 from wicknls.wick import intensity_fluctuation, renormalization_constant, wick_hamiltonian
 
 from oracles import (dense_quartic_integral, galerkin_rk4, strang_step, triple_sum_cubic,
@@ -304,6 +305,43 @@ class TestStrangStep:
         want = strang_step(u0.padded_to(band).coeffs, 27, sign, dt, offset)
         assert got.max_mode == band
         assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class TestUntruncatedModels:
+    """An untruncated run at band N is a different discrete model under each scheme."""
+
+    N = 16
+    U0 = rnd.sample(rnd.RandomDataSpec(alpha=0.5, max_mode=N, seed=3), 0)
+
+    @staticmethod
+    def run(u0, variant, sign, scheme, truncation=None):
+        integ = dyn.IntegratorSpec(scheme, dt=5e-4, t_end=0.5, snapshot_stride=100)
+        return dyn.evolve(u0, dyn.EquationSpec(variant, sign=sign, truncation=truncation), integ)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("variant, truncated", [
+        ("nls", "truncated-nls"), ("wnls", "truncated-wnls-gauged")])
+    def test_rk4_is_the_galerkin_model_at_the_data_band(self, sign, variant, truncated):
+        got = self.run(self.U0, variant, sign, "rk4")
+        want = self.run(self.U0, truncated, sign, "rk4", truncation=self.N)
+        assert got.coeffs.shape[1] == 2 * self.N + 1
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_strang_is_collocation_on_its_grid_band(self, sign):
+        # fast_fft_size(3 * 33, odd=True) = 105 points: grid band 52. RK4 on the
+        # data padded to that band agrees to 1.4e-4 and 1.8e-4 of ||u0|| (the
+        # two schemes' time-step errors); RK4 at the data band differs by 7.7e-2
+        # and 8.1e-2, the difference of the two models
+        band = (fast_fft_size(3 * (2 * self.N + 1), odd=True) - 1) // 2
+        strang = self.run(self.U0, "nls", sign, "strang").final
+        padded = self.run(self.U0.padded_to(band), "nls", sign, "rk4").final
+        galerkin = self.run(self.U0, "nls", sign, "rk4").final
+        scale = fld.norm(self.U0, fld.NormSpec.l2())
+        assert strang.max_mode == band == 52
+        assert fld.norm(strang - padded, fld.NormSpec.l2()) <= 1e-3 * scale
+        assert fld.norm(strang - galerkin.padded_to(band), fld.NormSpec.l2()) >= 5e-2 * scale
 
 
 class TestConservation:
