@@ -25,9 +25,11 @@ The Strang integrator alternates that flow with the exact pointwise phase
 ``theta = sign dt |u|^2`` of the nonlinear substep, on an odd collocation grid
 in exact bijection with the retained mode range, in the Cayley form of
 ``_kernels.nonlinear_phase``. Adjacent linear half-steps are fused between
-snapshots, and a batch of initial data steps together as one (B, m) stack
-(``evolve_batch``). Untruncated substeps are unitary / unit-modulus; truncated
-runs re-apply the Dirichlet projection after each phase, as the model does.
+snapshots, and the initial data of a batch that share a grid step together
+as one (B, m) stack (``evolve_batch``). An untruncated grid is sized from
+each row's data (``_strang_grid``). Untruncated substeps are unitary /
+unit-modulus; truncated runs re-apply the Dirichlet projection after each
+phase, as the model does.
 
 Both schemes transform unnormalised: the inverse FFT is unscaled, so grid
 values are field values, and the 1/m of the forward FFT rides on the
@@ -140,7 +142,11 @@ class IntegratorSpec:
             raise SpecFieldError("snapshot_stride", "snapshot_stride must be >= 1")
 
     def step_count(self) -> int:
-        n = round(abs(self.t_end) / self.dt)
+        steps = abs(self.t_end) / self.dt
+        if not math.isfinite(steps):  # a subnormal dt
+            raise SpecFieldError("dt", f"dt = {self.dt!r} is too small: "
+                                 "t_end / dt overflows")
+        n = round(steps)
         if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)):
             raise SpecFieldError("t_end", "dt must divide t_end")
         if n and n % self.snapshot_stride:
@@ -421,10 +427,12 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
                  probes: dict | None = None) -> list[Trajectory]:
     """``evolve`` for several initial data that share eq, integ and probes.
 
-    The rows step together as one (B, m) stack under either scheme, and each
+    The rows step together as (B, m) stacks under either scheme, and each
     returned trajectory is bit-identical to ``evolve`` of its row.
     Untruncated rows must share ``max_mode`` (truncated rows are projected
-    onto the truncation band first). A scheme failure in any row raises
+    onto the truncation band first). Untruncated Strang sizes each row's grid
+    from its data (``_strang_grid``), so rows on different grids run as
+    separate stacks, one per grid. A scheme failure in any row raises
     IntegrationDivergedError carrying that row's partial trajectory.
     """
     probes = probes or {}
@@ -441,19 +449,53 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
         if len(bands) > 1:
             raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
         work_band = bands.pop()
-    core = _evolve_strang if integ.scheme == "strang" else _evolve_lawson
     # the core's work arrays are freed before the trajectories are built
-    return core(u0s, eq, integ, n_steps, dt, work_band, probes).build()
+    if integ.scheme == "rk4":
+        return _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes).build()
+    probe_band = max((q.max_mode for q in probes.values()), default=0)
+    grids: dict = {}  # grid size -> the rows that step on it
+    for i, u0 in enumerate(u0s):
+        grids.setdefault(_strang_grid(eq, work_band, _top_mode(u0), probe_band), []).append(i)
+    out = [None] * len(u0s)
+    for m, rows in grids.items():
+        stack = _evolve_strang([u0s[i] for i in rows], eq, integ, n_steps, dt, work_band, m,
+                               probes)
+        for i, traj in zip(rows, stack.build()):
+            out[i] = traj
+    return out
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
+def _top_mode(u: fld.TorusField) -> int:
+    """The largest |n| with a nonzero coefficient; 0 for the zero field."""
+    nz = np.flatnonzero(u.coeffs)
+    return int(np.max(np.abs(nz - u.max_mode))) if len(nz) else 0
+
+
+def _strang_grid(eq: EquationSpec, band: int, top: int, probe_band: int) -> int:
+    """Strang grid points for a row carried at ``band`` with top nonzero mode ``top``.
+
+    Truncated runs take ``fast_fft_size(3 (2T+1))`` at truncation T. An
+    untruncated grid holds the band, the widest probe band and the cubic
+    of the data without aliasing: ``3 (2 top + 1)`` points. Data that fill
+    their band keep the ``3 (2N+1)`` grid; data whose cubic already fits the
+    band (top <= (N-1)/3) run on ``fast_fft_size(2N+1)``.
+    """
+    if eq.truncated:
+        return fast_fft_size(3 * (2 * eq.truncation + 1), odd=True)
+    need = max(2 * band + 1, 2 * probe_band + 1, 3 * (2 * top + 1))
+    return fast_fft_size(need, odd=True)
+
+
+def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, m, probes):
     """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its recorder.
 
-    The grid is odd with m >= 3 (2N+1) points. Row r holds modes -K..K in
-    columns 0..2K, the spectrum of e^{iKx} u, with K the grid band (m = 2K+1)
-    for untruncated runs and the truncation otherwise; the pointwise phase
-    commutes with that unimodular factor. A truncated run's multipliers are
-    zero past column 2K, so every linear substep is also the projection.
+    The grid is odd with the m points of ``_strang_grid``, which hold the
+    cubic of every row's initial data without aliasing. Row r holds modes
+    -K..K in columns 0..2K, the spectrum of e^{iKx} u, with K the grid band
+    (m = 2K+1) for untruncated runs and the truncation otherwise; the
+    pointwise phase commutes with that unimodular factor. A truncated run's
+    multipliers are zero past column 2K, so every linear substep is also the
+    projection.
 
     The multipliers are (B, m), at each row's ``_linear_rate``, and the phase
     is sign dt |u|^2 of the field values for every variant. The fft leaves m
@@ -475,7 +517,6 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, probes):
     non-finite; ``check_mass`` checks them before the step is recorded.
     """
     truncated, stride = eq.truncated, integ.snapshot_stride
-    m = fast_fft_size(3 * (2 * work_band + 1), odd=True)
     band = work_band if truncated else (m - 1) // 2
     width = 2 * band + 1
 

@@ -161,7 +161,10 @@ def _weak_run(spec: WeakSequenceSpec) -> SimpleNamespace:
     t_hor = float(spec.horizon)
     data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
     probes = {"phi": spec.probe}
-    # the base and every bump step together, once forward and once backward
+    # the base and every bump step together, once forward and once backward.
+    # They share one Strang grid: at band N >= 4 x every bump mode, a bump
+    # row's top mode is the base's or at most N/4 <= (N-1)/3, below which the
+    # grid does not depend on it
     fwd = evolve_batch(data, eq, replace(spec.integrator, t_end=t_hor), probes=probes)
     bwd = evolve_batch(data, eq, replace(spec.integrator, t_end=-t_hor), probes=probes)
     ref_f, ref_b = fwd[0], bwd[0]

@@ -338,6 +338,8 @@ class TestConfigErrors:
          "'integrator.snapshot_stride'"),
         ("simulate", "simulate_plane_wave.yaml", "integrator.t_end=0.3333",
          "'integrator.t_end'"),
+        ("simulate", "simulate_plane_wave.yaml", "integrator.dt=1e-310", "'integrator.dt'"),
+        ("order-study", "order_study_rk4.yaml", "dts=[1e-3,5e-4,1e-310]", "'dts'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -67,6 +67,9 @@ class TestIntegratorSpec:
             dyn.IntegratorSpec("strang", dt=0.3, t_end=1.0).step_count()
         with pytest.raises(ValueError):
             dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=3).step_count()
+        with pytest.raises(fld.SpecFieldError, match="too small") as subnormal:
+            dyn.IntegratorSpec("strang", dt=1e-310, t_end=1.0).step_count()
+        assert subnormal.value.field == "dt"
         assert dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0,
                                   snapshot_stride=5).step_count() == 10
 
@@ -305,6 +308,79 @@ class TestStrangStep:
         want = strang_step(u0.padded_to(band).coeffs, 27, sign, dt, offset)
         assert got.max_mode == band
         assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def seven_smooth(m):
+    for p in (2, 3, 5, 7):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestStrangGrid:
+    """Untruncated Strang's grid holds the band, the probes and the data's cubic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(band=st.integers(0, 700), data=st.data())
+    def test_grid_rule(self, band, data):
+        top = data.draw(st.integers(0, band), label="top")
+        today = fast_fft_size(3 * (2 * band + 1), odd=True)
+        # every probe band that the 3 (2N+1) grid takes
+        probe_band = data.draw(st.integers(0, (today - 1) // 2), label="probe_band")
+        m = dyn._strang_grid(dyn.EquationSpec("nls"), band, top, probe_band)
+        need = max(2 * band + 1, 2 * probe_band + 1, 3 * (2 * top + 1))
+        assert m % 2 == 1 and seven_smooth(m) and m >= need
+        assert not any(seven_smooth(k) for k in range(need, m, 2))  # need is odd
+        if top == band:
+            assert m == today
+        truncation = data.draw(st.integers(0, 700), label="truncation")
+        eq = dyn.EquationSpec("truncated-wnls-gauged", truncation=truncation)
+        got = dyn._strang_grid(eq, truncation, data.draw(st.integers(0, truncation)), probe_band)
+        assert got == fast_fft_size(3 * (2 * truncation + 1), odd=True)
+
+    def test_a_wide_probe_widens_the_grid(self):
+        # mode-1 data at band 4 alone take 9 points; the band-10 probe, which
+        # the 27-point grid of band-4 data always took, needs 21
+        u0 = fld.TorusField.single_mode(1, 0.7, max_mode=4)
+        phi = random_field(10, seed=33)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=5)
+        traj = dyn.evolve(u0, dyn.EquationSpec("nls"), integ, probes={"phi": phi})
+        assert traj.final.max_mode == 10
+        assert traj.probes["phi"][-1] == pytest.approx(fld.pairing(traj.final, phi),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("variant,sign", [("nls", 1), ("wnls", -1)])
+    @pytest.mark.parametrize("band,top", [(12, 3), (40, 13)])
+    def test_sparse_datum_steps_on_the_band_grid(self, variant, sign, band, top):
+        # top <= (N-1)/3: the cubic of the datum fits the 2N+1 grid, 25 and 81 points
+        rng = np.random.default_rng(32)
+        width = 2 * top + 1
+        u0 = fld.TorusField(0.8 * (rng.standard_normal(width)
+                                   + 1j * rng.standard_normal(width)), top).padded_to(band)
+        eq = dyn.EquationSpec(variant, sign=sign)
+        dt = 0.05
+        got = dyn.evolve(u0, eq, dyn.IntegratorSpec("strang", dt=dt, t_end=dt)).final
+        m = fast_fft_size(2 * band + 1, odd=True)
+        assert m == 2 * band + 1 and got.max_mode == band
+        offset = -2.0 * fld.mean_intensity(u0) if eq.mean_shifted else 0.0
+        want = strang_step(u0.coeffs, m, sign, dt, offset)
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("variant", ["nls", "wnls"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_weak_family_datum_matches_rk4_at_the_data_band(self, n, variant, sign):
+        # e^{ix} + e^{inx} at band 4n runs on the 8n+1 grid rounded up (35 and 75
+        # points), not on 3 (8n+1) points; measured <= 1.43e-5 of ||u0||
+        u0 = fld.TorusField.from_modes({1: 1.0, n: 1.0}, max_mode=4 * n)
+        eq = dyn.EquationSpec(variant, sign=sign)
+        strang = dyn.evolve(u0, eq, dyn.IntegratorSpec("strang", dt=1e-3, t_end=0.5,
+                                                       snapshot_stride=500)).final
+        rk4 = dyn.evolve(u0, eq, dyn.IntegratorSpec("rk4", dt=1e-3, t_end=0.5,
+                                                    snapshot_stride=500)).final
+        assert strang.max_mode == (fast_fft_size(8 * n + 1, odd=True) - 1) // 2
+        gap = fld.norm(fld.project(strang, 4 * n) - rk4, fld.NormSpec.l2())
+        assert gap <= 1e-4 * fld.norm(u0, fld.NormSpec.l2())
 
 
 class TestUntruncatedModels:
