@@ -51,11 +51,10 @@ class ConfigError(Exception):
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise ConfigError("a --config file is required")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = yaml.safe_load(p.read_text())
+        cfg = yaml.safe_load(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:  # yaml errors carry line/column info
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -270,9 +269,10 @@ def _mode_amplitudes(value) -> dict:
 
 
 def _field_file(value) -> fld.TorusField:
-    if not Path(_str(value)).exists():
-        raise ValueError(f"field file not found: {value}")
-    return ser.load_field(value)
+    try:
+        return ser.load_field(_str(value))
+    except OSError as exc:  # missing, or a directory
+        raise ValueError(f"cannot read field file: {exc}") from exc
 
 
 def _build_field(section: dict, path: str) -> fld.TorusField:
@@ -507,8 +507,7 @@ def cmd_sample(cfg: dict):
         rows = _checked("profile", rnd.regularity_profile, spec, s_values, cutoffs,
                         samples) if profile else []
         records = [ser.meta_record(cfg, command="sample")]
-        for k, coeffs in enumerate(rnd.sample_block(spec, range(count))):
-            u = fld.TorusField(coeffs, spec.max_mode)
+        for k, u in enumerate(rnd.sample_ensemble(spec, count)):
             fname = f"sample_{k:03d}.json"
             ser.save_field(u, out / fname)
             records.append({"record": "sample", "index": k, "file": fname,

@@ -341,8 +341,9 @@ class _Recorder:
     -band..band of run r in columns 0..2 band, i.e. the spectrum of
     e^{i band x} u; columns past 2 band are not read. Snapshots go into one
     (B, S, 2 band + 1) block, like the pairings; ``build`` computes the ledger
-    of all its rows in one call. The constructor records the pairings and the
-    snapshot of the initial state.
+    of all its rows in one call. Each probe is projected onto the band, past
+    which the state is zero, so no probe sizes or refuses a run. The
+    constructor records the pairings and the snapshot of the initial state.
     """
 
     def __init__(self, eq, integ, dt, band, probes, state, n_steps):
@@ -357,7 +358,7 @@ class _Recorder:
         self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
         self.recorded = 0
         if self.names:
-            p = np.array([q.padded_to(band).coeffs for q in probes.values()])
+            p = np.array([fld.project(q, band).padded_to(band).coeffs for q in probes.values()])
             self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
             self.paired = np.conj(p[:, self.support])[None]  # (1, P, support)
             self.probe(state, self.paired)
@@ -384,7 +385,7 @@ class _Recorder:
 
     def fail(self, row, message, step):
         """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory."""
-        # pairings end at the last snapshot: untruncated Strang checks no state between
+        # pairings end at the last snapshot: Strang checks no state between snapshots
         self.recorded = min(self.recorded, (self.taken - 1) * self.integ.snapshot_stride + 1)
         raise IntegrationDivergedError(
             f"numerical scheme failure: {message} during step to t={(step + 1) * self.dt:g}",
@@ -425,42 +426,33 @@ def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
 
 def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
                  probes: dict | None = None) -> list[Trajectory]:
-    """``evolve`` for several initial data that share eq, integ and probes.
+    """``evolve`` for several initial data of any band that share eq, integ and probes.
 
-    The rows step together as (B, m) stacks under either scheme, and each
-    returned trajectory is bit-identical to ``evolve`` of its row.
-    Untruncated rows must share ``max_mode`` (truncated rows are projected
-    onto the truncation band first). Untruncated Strang sizes each row's grid
-    from its data (``_strang_grid``), so rows on different grids run as
-    separate stacks, one per grid. A scheme failure in any row raises
-    IntegrationDivergedError carrying that row's partial trajectory.
+    Truncated rows are first projected and padded to the truncation band.
+    The rows are then grouped by the stack they step on: the band under RK4,
+    the grid of ``_strang_grid`` under Strang. Each group steps as one
+    (B, m) stack of its scheme's core, so each returned trajectory is
+    bit-identical to ``evolve`` of its row. A scheme failure in any row
+    raises IntegrationDivergedError carrying that row's partial trajectory.
     """
     probes = probes or {}
     n_steps = integ.step_count()
     dt = math.copysign(integ.dt, integ.t_end) if integ.t_end else integ.dt
-    u0s = list(u0s)
-    if not u0s:
-        return []
-    if eq.truncated:
-        work_band = eq.truncation
-        u0s = [fld.project(u0, work_band) for u0 in u0s]
-    else:
-        bands = {u0.max_mode for u0 in u0s}
-        if len(bands) > 1:
-            raise ValueError(f"untruncated rows must share max_mode, got {sorted(bands)}")
-        work_band = bands.pop()
-    # the core's work arrays are freed before the trajectories are built
+    u0s = [fld.project(u0, eq.truncation).padded_to(eq.truncation) if eq.truncated else u0
+           for u0 in u0s]
     if integ.scheme == "rk4":
-        return _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes).build()
-    probe_band = max((q.max_mode for q in probes.values()), default=0)
-    grids: dict = {}  # grid size -> the rows that step on it
+        core, key = _evolve_lawson, lambda u0: u0.max_mode
+    else:
+        top = (lambda u0: eq.truncation) if eq.truncated else _top_mode
+        core, key = _evolve_strang, lambda u0: _strang_grid(u0.max_mode, top(u0))
+    groups: dict = {}  # band or grid -> the rows that step on it
     for i, u0 in enumerate(u0s):
-        grids.setdefault(_strang_grid(eq, work_band, _top_mode(u0), probe_band), []).append(i)
+        groups.setdefault(key(u0), []).append(i)
     out = [None] * len(u0s)
-    for m, rows in grids.items():
-        stack = _evolve_strang([u0s[i] for i in rows], eq, integ, n_steps, dt, work_band, m,
-                               probes)
-        for i, traj in zip(rows, stack.build()):
+    for size, rows in groups.items():
+        # a core's work arrays are freed before its trajectories are built
+        rec = core([u0s[i] for i in rows], eq, integ, n_steps, dt, size, probes)
+        for i, traj in zip(rows, rec.build()):
             out[i] = traj
     return out
 
@@ -471,22 +463,20 @@ def _top_mode(u: fld.TorusField) -> int:
     return int(np.max(np.abs(nz - u.max_mode))) if len(nz) else 0
 
 
-def _strang_grid(eq: EquationSpec, band: int, top: int, probe_band: int) -> int:
-    """Strang grid points for a row carried at ``band`` with top nonzero mode ``top``.
+def _strang_grid(band: int, top: int) -> int:
+    """Strang grid points for a row carried at ``band`` whose cubic reaches 3 ``top``.
 
-    Truncated runs take ``fast_fft_size(3 (2T+1))`` at truncation T. An
-    untruncated grid holds the band, the widest probe band and the cubic
-    of the data without aliasing: ``3 (2 top + 1)`` points. Data that fill
-    their band keep the ``3 (2N+1)`` grid; data whose cubic already fits the
-    band (top <= (N-1)/3) run on ``fast_fft_size(2N+1)``.
+    The grid holds the band and the cubic of modes up to ``top`` without
+    aliasing: ``fast_fft_size(max(2N+1, 3 (2 top + 1)), odd=True)``.
+    Untruncated rows pass their top nonzero mode, so data that fill their
+    band keep the ``3 (2N+1)`` grid and data whose cubic already fits the
+    band (top <= (N-1)/3) run on ``fast_fft_size(2N+1)``. Truncated rows
+    pass top = band = T, the ``3 (2T+1)`` grid of the Galerkin cubic.
     """
-    if eq.truncated:
-        return fast_fft_size(3 * (2 * eq.truncation + 1), odd=True)
-    need = max(2 * band + 1, 2 * probe_band + 1, 3 * (2 * top + 1))
-    return fast_fft_size(need, odd=True)
+    return fast_fft_size(max(2 * band + 1, 3 * (2 * top + 1)), odd=True)
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, m, probes):
+def _evolve_strang(u0s, eq, integ, n_steps, dt, m, probes):
     """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its recorder.
 
     The grid is odd with the m points of ``_strang_grid``, which hold the
@@ -509,15 +499,15 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, m, probes):
 
     Every row's mass is pinned to its target after the nonlinear substep of
     each snapshot step, so transform roundoff cannot build up a drift in
-    what is recorded. Untruncated substeps are all unitary in exact
-    arithmetic, so between snapshots the pin would only reset roundoff.
-    Truncated runs pin after every step and measure the target again after
-    each projection, which is part of the model. The substeps conserve mass,
-    so the pin norms match the target to roundoff unless a value turned
-    non-finite; ``check_mass`` checks them before the step is recorded.
+    what is recorded; between snapshots the pin would only reset roundoff.
+    The target is the initial mass of an untruncated row, and for a
+    truncated row the mass at the top of that step, which the last
+    projection left. The substeps since the target conserve mass, so the pin
+    norms match it to roundoff unless a value turned non-finite;
+    ``check_mass`` checks them before the step is recorded.
     """
     truncated, stride = eq.truncated, integ.snapshot_stride
-    band = work_band if truncated else (m - 1) // 2
+    band = eq.truncation if truncated else (m - 1) // 2
     width = 2 * band + 1
 
     s = np.zeros((len(u0s), m), dtype=np.complex128)
@@ -543,10 +533,12 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, m, probes):
     s *= half
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
+        if truncated and snap:
+            pin_target = float(m * m) * np.einsum("ij,ij->i", s_real, s_real)
         np.fft.ifft(s, axis=-1, norm="forward", out=u)
         nonlinear_phase(u, phase_factor, None, work=work)
         np.fft.fft(u, axis=-1, out=s)
-        if truncated or snap:
+        if snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)
             rec.check_mass(pin, pin_target, k)
             pin += empty
@@ -561,12 +553,10 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, work_band, m, probes):
             s *= half
         else:
             s *= full
-        if truncated:
-            pin_target = float(m * m) * np.einsum("ij,ij->i", s_real, s_real)
     return rec
 
 
-def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
+def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
     """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its recorder.
 
     With ``E = exp(i(n^2 - shift) dt/2)`` (``_linear_rate``) applied exactly
@@ -584,8 +574,8 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, work_band, probes):
     intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
     gained more than MASS_RTOL of its mass (or turned NaN).
     """
-    n, stride = work_band, integ.snapshot_stride
-    c = np.array([u0.padded_to(n).coeffs for u0 in u0s])
+    stride = integ.snapshot_stride
+    c = np.array([u0.coeffs for u0 in u0s])
     c_real = c.view(np.float64)
     target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
 

@@ -29,10 +29,17 @@ def field_to_dict(u: fld.TorusField) -> dict:
 
 
 def field_from_dict(d: dict) -> fld.TorusField:
-    if d.get("format") != FIELD_FORMAT:
+    """The field of a torus-field record; ValueError for anything else."""
+    if not isinstance(d, dict) or d.get("format") != FIELD_FORMAT:
         raise ValueError("not a torus-field record")
-    c = np.array([complex(re, im) for re, im in d["coeffs"]], dtype=np.complex128)
-    return fld.TorusField(c, int(d["max_mode"]))
+    try:
+        c = np.array([complex(re, im) for re, im in d["coeffs"]], dtype=np.complex128)
+        max_mode = d["max_mode"]
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
+        raise ValueError(f"malformed torus-field record: {exc!r}") from exc
+    if type(max_mode) is not int:  # not a float, a bool or a string
+        raise ValueError(f"torus-field max_mode must be an integer, got {max_mode!r}")
+    return fld.TorusField(c, max_mode)
 
 
 def save_field(u: fld.TorusField, path) -> None:

@@ -9,6 +9,8 @@ import pytest
 import yaml
 
 from wicknls import cli
+from wicknls import field as fld
+from wicknls import random_data as rnd
 from wicknls import serialization as ser
 
 REPO = Path(__file__).resolve().parent.parent
@@ -399,6 +401,41 @@ class TestConfigErrors:
         assert records[0]["config"]["integrator"]["dt"] == "1e-3"
         assert len(records) == 1 + 200 // 5 + 1
 
+    @pytest.mark.parametrize("command", ["norms", "simulate"])
+    def test_unreadable_config_file(self, tmp_path, capsys, command):
+        (tmp_path / "d").mkdir()
+        (tmp_path / "latin1.yaml").write_bytes(b"schema_version: 1\n# caf\xe9\n")
+        out = tmp_path / "o"
+        for name in ("d", "latin1.yaml"):
+            assert run(command, "--config", str(tmp_path / name), "--out", str(out)) == 2
+            assert capsys.readouterr().err.startswith("config error: cannot read ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        None, "[1, 2]\n", '{"format": "torus-field", "version": 1, "max_mode": 1}\n',
+    ], ids=["directory", "list", "no-coeffs"])
+    @pytest.mark.parametrize("command, key", [
+        ("norms", "field_file"), ("simulate", "data.path"), ("sample", "data.offset_file"),
+    ])
+    def test_unreadable_field_file(self, tmp_path, capsys, command, key, content):
+        path = tmp_path / "f.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        cfg = {
+            "norms": {"schema_version": 1, "field_file": str(path),
+                      "norms": [{"kind": "l2"}]},
+            "simulate": small_simulate_cfg(data={"kind": "file", "path": str(path)}),
+            "sample": {"schema_version": 1, "count": 1,
+                       "data": {"alpha": 0.0, "max_mode": 4, "offset_file": str(path)}},
+        }[command]
+        out = tmp_path / "o"
+        assert run(command, "--config", write_yaml(tmp_path / "c.yaml", cfg),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config field '{key}': ")
+        assert not out.exists()
+
     def test_missing_offset_file(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1,
@@ -572,6 +609,21 @@ class TestSampleCommand:
         a = json.loads((tmp_path / "a" / "sample_000.json").read_text())
         b = json.loads((tmp_path / "b" / "sample_000.json").read_text())
         assert a["coeffs"] != b["coeffs"]
+
+    def test_count_spans_several_blocks(self, tmp_path, monkeypatch):
+        # 18 normals a band-4 sample: two samples a block, three blocks
+        monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 40)
+        spec = {"alpha": 0.5, "max_mode": 4, "seed": 5}
+        cfg = write_yaml(tmp_path / "c.yaml", {"schema_version": 1, "data": spec, "count": 5})
+        assert run("sample", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+        records = ser.read_ndjson(tmp_path / "o" / "sample.ndjson")
+        for k in range(5):
+            u = rnd.sample(rnd.RandomDataSpec(**spec), k)
+            ser.save_field(u, tmp_path / "want.json")
+            assert ((tmp_path / "o" / f"sample_{k:03d}.json").read_bytes()
+                    == (tmp_path / "want.json").read_bytes())
+            assert records[1 + k]["mean_intensity"] == fld.mean_intensity(u)
+        assert not (tmp_path / "o" / "sample_005.json").exists()
 
     def test_field_file_round_trip_bit_exact(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {

@@ -318,36 +318,39 @@ def seven_smooth(m):
 
 
 class TestStrangGrid:
-    """Untruncated Strang's grid holds the band, the probes and the data's cubic."""
+    """Strang's grid holds the band and the cubic of the data's top mode."""
 
     @settings(max_examples=100, deadline=None)
     @given(band=st.integers(0, 700), data=st.data())
     def test_grid_rule(self, band, data):
         top = data.draw(st.integers(0, band), label="top")
-        today = fast_fft_size(3 * (2 * band + 1), odd=True)
-        # every probe band that the 3 (2N+1) grid takes
-        probe_band = data.draw(st.integers(0, (today - 1) // 2), label="probe_band")
-        m = dyn._strang_grid(dyn.EquationSpec("nls"), band, top, probe_band)
-        need = max(2 * band + 1, 2 * probe_band + 1, 3 * (2 * top + 1))
+        m = dyn._strang_grid(band, top)
+        need = max(2 * band + 1, 3 * (2 * top + 1))
         assert m % 2 == 1 and seven_smooth(m) and m >= need
         assert not any(seven_smooth(k) for k in range(need, m, 2))  # need is odd
-        if top == band:
-            assert m == today
-        truncation = data.draw(st.integers(0, 700), label="truncation")
-        eq = dyn.EquationSpec("truncated-wnls-gauged", truncation=truncation)
-        got = dyn._strang_grid(eq, truncation, data.draw(st.integers(0, truncation)), probe_band)
-        assert got == fast_fft_size(3 * (2 * truncation + 1), odd=True)
+        if top == band:  # data that fill their band, and every truncated run
+            assert m == fast_fft_size(3 * (2 * band + 1), odd=True)
 
-    def test_a_wide_probe_widens_the_grid(self):
-        # mode-1 data at band 4 alone take 9 points; the band-10 probe, which
-        # the 27-point grid of band-4 data always took, needs 21
-        u0 = fld.TorusField.single_mode(1, 0.7, max_mode=4)
-        phi = random_field(10, seed=33)
-        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=5)
-        traj = dyn.evolve(u0, dyn.EquationSpec("nls"), integ, probes={"phi": phi})
-        assert traj.final.max_mode == 10
-        assert traj.probes["phi"][-1] == pytest.approx(fld.pairing(traj.final, phi),
-                                                       rel=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(["strang", "rk4"]),
+           eq=st.sampled_from([dyn.EquationSpec("nls", sign=1),
+                               dyn.EquationSpec("wnls", sign=-1),
+                               dyn.EquationSpec("truncated-wnls-gauged", sign=1,
+                                                truncation=4)]),
+           probe_band=st.integers(0, 20), seed=st.integers(0, 2**16))
+    def test_a_probe_never_changes_the_run(self, scheme, eq, probe_band, seed):
+        # mode-1 data at band 4 step on 9 points under Strang: a probe of any
+        # band is projected onto the run's band, and neither widens nor refuses it
+        u0 = fld.TorusField.from_modes({1: 0.7, -1: 0.2j}, max_mode=4)
+        phi = random_field(probe_band, seed=seed)
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=0.1, snapshot_stride=5)
+        plain = dyn.evolve(u0, eq, integ)
+        traj = dyn.evolve(u0, eq, integ, probes={"phi": phi})
+        assert traj.coeffs.shape == plain.coeffs.shape
+        assert np.array_equal(traj.coeffs, plain.coeffs)
+        assert all(np.array_equal(traj.ledger[k], plain.ledger[k]) for k in plain.ledger)
+        want = fld.pairing(traj.final, phi)
+        assert abs(traj.probes["phi"][-1] - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("variant,sign", [("nls", 1), ("wnls", -1)])
     @pytest.mark.parametrize("band,top", [(12, 3), (40, 13)])
@@ -857,13 +860,15 @@ class TestTrajectoryBlock:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("eq", [dyn.EquationSpec("nls", sign=-1),
+                                    dyn.EquationSpec("truncated-nls", sign=-1, truncation=4)],
+                             ids=lambda eq: eq.variant.value)
     @pytest.mark.parametrize("scheme", ["strang", "rk4"])
     @pytest.mark.parametrize("t_end", [10.0, -10.0])
-    def test_divergence_keeps_exactly_the_recorded_prefix(self, scheme, t_end):
+    def test_divergence_keeps_exactly_the_recorded_prefix(self, scheme, t_end, eq):
         # a run to the last recorded time takes the same steps, so it is the
         # partial trajectory, bit for bit
         failing, dt, recorded = FAILING_ROWS[scheme]
-        eq = dyn.EquationSpec("nls", sign=-1)
         rows = [fld.TorusField.single_mode(0, 0.3, max_mode=4), failing]
         probes = {"phi": fld.TorusField.single_mode(1, 1.0)}
         integ = dyn.IntegratorSpec(scheme, dt=dt, t_end=t_end, snapshot_stride=10)
@@ -919,12 +924,18 @@ class TestEvolveBatch:
                 for u0, traj in zip(rows, batch):
                     assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
 
-    def test_untruncated_rows_share_a_band(self):
-        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1)
-        with pytest.raises(ValueError, match="share max_mode"):
-            dyn.evolve_batch([random_field(4), random_field(5)],
-                             dyn.EquationSpec("nls", sign=1), integ)
-        assert dyn.evolve_batch([], dyn.EquationSpec("nls", sign=1), integ) == []
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    def test_rows_of_any_band(self, scheme):
+        # rows at bands 4, 5 and 4, given as a generator, step as two stacks
+        eq = dyn.EquationSpec("nls", sign=1)
+        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=0.1, snapshot_stride=5)
+        probes = {"phi": random_field(3, seed=23)}
+        rows = [random_field(4, seed=27), random_field(5, seed=28), random_field(4, seed=29)]
+        batch = dyn.evolve_batch((u0 for u0 in rows), eq, integ, probes=probes)
+        assert len(batch) == len(rows)
+        for u0, traj in zip(rows, batch):
+            assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+        assert dyn.evolve_batch([], eq, integ) == []
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -29,6 +29,23 @@ class TestFieldFiles:
         with pytest.raises(ValueError):
             ser.field_from_dict({"format": "other", "coeffs": []})
 
+    @pytest.mark.parametrize("record", [
+        [1, 2], "torus-field", None,
+        {"format": "torus-field", "max_mode": 0},
+        {"format": "torus-field", "coeffs": [[1.0, 0.0]]},
+        {"format": "torus-field", "max_mode": 0, "coeffs": [1.0]},
+        {"format": "torus-field", "max_mode": 0, "coeffs": [[1.0, "a"]]},
+        {"format": "torus-field", "max_mode": 0, "coeffs": [[1.0, 0.0, 2.0]]},
+        {"format": "torus-field", "max_mode": [0], "coeffs": [[1.0, 0.0]]},
+        {"format": "torus-field", "max_mode": 1, "coeffs": [[1.0, 0.0]]},
+        {"format": "torus-field", "max_mode": 0.7, "coeffs": [[1.0, 0.0]]},
+        {"format": "torus-field", "max_mode": True, "coeffs": [[1.0, 0.0]] * 3},
+        {"format": "torus-field", "max_mode": "1", "coeffs": [[1.0, 0.0]] * 3},
+    ])
+    def test_malformed_record_is_a_value_error(self, record):
+        with pytest.raises(ValueError):
+            ser.field_from_dict(record)
+
     def test_self_describing(self, tmp_path):
         u = fld.TorusField.single_mode(1, 0.1 + 0.2j)
         ser.save_field(u, tmp_path / "f.json")
