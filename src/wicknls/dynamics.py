@@ -93,9 +93,10 @@ class EquationSpec:
         if self.sign not in (1, -1):
             raise SpecFieldError("sign", "sign must be +1 (defocusing) or -1 (focusing)")
         if self.truncated:
-            if self.truncation is None or self.truncation < 0:
+            if self.truncation is None:
                 raise SpecFieldError("truncation",
                                      f"variant {self.variant.value} requires truncation >= 0")
+            fld.require_integer("truncation", self.truncation, 0)
         elif self.truncation is not None:
             raise SpecFieldError("truncation",
                                  f"variant {self.variant.value} does not take a truncation")
@@ -138,8 +139,12 @@ class IntegratorSpec:
             raise SpecFieldError("dt", f"dt must be finite and > 0 (got {self.dt})")
         if not math.isfinite(self.t_end):
             raise SpecFieldError("t_end", f"t_end must be finite (got {self.t_end})")
-        if self.snapshot_stride < 1:
-            raise SpecFieldError("snapshot_stride", "snapshot_stride must be >= 1")
+        fld.require_integer("snapshot_stride", self.snapshot_stride, 1)
+
+    @property
+    def signed_dt(self) -> float:
+        """The time step, negative for a backward run (``t_end < 0``)."""
+        return math.copysign(self.dt, self.t_end) if self.t_end else self.dt
 
     def step_count(self) -> int:
         steps = abs(self.t_end) / self.dt
@@ -160,35 +165,48 @@ class IntegratorSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots as one read-only (S, 2K+1) block ``coeffs``, plus a ledger.
+    """Snapshots as one read-only (S, 2K+1) block ``coeffs``, plus probe pairings.
 
     Row k holds modes -K..K at ``times[k]``; ``snapshots`` and ``final`` are
-    ``TorusField`` views of the rows. Each ledger column has one entry per row.
+    ``TorusField`` views of the rows. ``probes`` maps each name to its pairing
+    at every step, at ``probe_times``. The ledger (one entry per row) and both
+    time grids are derived from the block and the specs on first read.
     """
 
-    times: np.ndarray
     coeffs: np.ndarray
-    ledger: dict
     eq: EquationSpec
     integrator: IntegratorSpec
-    probe_times: np.ndarray | None = None
     probes: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
         c = np.asarray(self.coeffs, dtype=np.complex128).view()
-        if c.ndim != 2 or len(c) != len(t) or c.shape[1] % 2 == 0:
+        if c.ndim != 2 or c.shape[1] % 2 == 0:
             raise ValueError(f"coeffs must hold one 2K+1 row per time, got shape {c.shape}")
-        if len(t) > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("times must be strictly increasing")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        for key, col in self.ledger.items():
-            if len(col) != len(t):
-                raise ValueError(f"ledger column {key!r} has wrong length")
         c.setflags(write=False)
-        object.__setattr__(self, "times", t)
         object.__setattr__(self, "coeffs", c)
+
+    def _time_grid(self, count: int, stride: int) -> np.ndarray:
+        """Ascending times of ``count`` records ``stride`` steps apart, from t = 0."""
+        # record j ends step j * stride at j * stride * dt, rounded as a float product
+        t = np.arange(count) * stride * self.integrator.signed_dt
+        t[:1] = 0.0  # not -0.0 on a backward run
+        return t[::-1].copy() if self.integrator.signed_dt < 0 else t
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return self._time_grid(len(self.coeffs), self.integrator.snapshot_stride)
+
+    @cached_property
+    def probe_times(self) -> np.ndarray | None:
+        pairings = next(iter(self.probes.values()), None)
+        return None if pairings is None else self._time_grid(len(pairings), 1)
+
+    @cached_property
+    def ledger(self) -> dict:
+        eq = self.eq
+        return _ledger(self.coeffs, eq.sign, eq.renorm_constant() if eq.renorm_shifted else None)
 
     @cached_property
     def snapshots(self) -> tuple:
@@ -335,28 +353,26 @@ def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> flo
 # ---------------------------------------------------------------------------
 
 class _Recorder:
-    """Snapshots, ledgers and probe pairings of B runs that step together.
+    """Snapshots and probe pairings of B runs that step together.
 
     A state handed to it is a (B, m) stack whose row r holds modes
     -band..band of run r in columns 0..2 band, i.e. the spectrum of
     e^{i band x} u; columns past 2 band are not read. Snapshots go into one
-    (B, S, 2 band + 1) block, like the pairings; ``build`` computes the ledger
-    of all its rows in one call. Each probe is projected onto the band, past
+    (B, S, 2 band + 1) block, like the pairings, and ``build`` wraps each run's
+    rows as a ``Trajectory``. Each probe is projected onto the band, past
     which the state is zero, so no probe sizes or refuses a run. The
     constructor records the pairings and the snapshot of the initial state.
     """
 
-    def __init__(self, eq, integ, dt, band, probes, state, n_steps):
-        self.eq, self.integ, self.dt = eq, integ, dt
+    def __init__(self, eq, integ, band, probes, state, n_steps):
+        self.eq, self.integ, self.dt = eq, integ, integ.signed_dt
         self.width = 2 * band + 1
-        self.renorm = eq.renorm_constant() if eq.renorm_shifted else None
         self.names = tuple(probes)
         rows, n_snaps = len(state), n_steps // integ.snapshot_stride + 1
         self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
-        self.taken = 0
         # pairing at step k of row r against probe j (without the 2 pi)
         self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
-        self.recorded = 0
+        self.taken = self.recorded = 0
         if self.names:
             p = np.array([fld.project(q, band).padded_to(band).coeffs for q in probes.values()])
             self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
@@ -393,20 +409,11 @@ class _Recorder:
 
     def build(self, rows=slice(None)) -> list[Trajectory]:
         """The trajectories of the rows in the slice ``rows``, from what is recorded so far."""
-        block = self.snaps[rows, :self.taken]
-        flat = _ledger(block.reshape(-1, self.width), self.eq.sign, self.renorm)
-        ledger = {k: v.reshape(block.shape[:2]) for k, v in flat.items()}
         order = slice(None, None, -1 if self.dt < 0 else 1)  # ascending times
-        # step k + 1 ends at (k + 1) * dt, rounded as a float product
-        times = np.arange(self.taken) * self.integ.snapshot_stride * self.dt
-        ptimes = np.arange(self.recorded) * self.dt
-        times[:1] = ptimes[:1] = 0.0  # not -0.0 on a backward run
         pairings = fld.TWO_PI * self.pairings[:self.recorded, rows][order]
-        return [Trajectory(times[order].copy(), coeffs[order],
-                           {k: v[i, order] for k, v in ledger.items()}, self.eq, self.integ,
-                           ptimes[order].copy() if self.names else None,
+        return [Trajectory(coeffs[order], self.eq, self.integ,
                            {name: pairings[:, i, j] for j, name in enumerate(self.names)})
-                for i, coeffs in enumerate(block)]
+                for i, coeffs in enumerate(self.snaps[rows, :self.taken])]
 
 
 def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
@@ -437,7 +444,6 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
     """
     probes = probes or {}
     n_steps = integ.step_count()
-    dt = math.copysign(integ.dt, integ.t_end) if integ.t_end else integ.dt
     u0s = [fld.project(u0, eq.truncation).padded_to(eq.truncation) if eq.truncated else u0
            for u0 in u0s]
     if integ.scheme == "rk4":
@@ -450,9 +456,7 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
         groups.setdefault(key(u0), []).append(i)
     out = [None] * len(u0s)
     for size, rows in groups.items():
-        # a core's work arrays are freed before its trajectories are built
-        rec = core([u0s[i] for i in rows], eq, integ, n_steps, dt, size, probes)
-        for i, traj in zip(rows, rec.build()):
+        for i, traj in zip(rows, core([u0s[i] for i in rows], eq, integ, n_steps, size, probes)):
             out[i] = traj
     return out
 
@@ -476,8 +480,8 @@ def _strang_grid(band: int, top: int) -> int:
     return fast_fft_size(max(2 * band + 1, 3 * (2 * top + 1)), odd=True)
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, dt, m, probes):
-    """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its recorder.
+def _evolve_strang(u0s, eq, integ, n_steps, m, probes):
+    """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its runs.
 
     The grid is odd with the m points of ``_strang_grid``, which hold the
     cubic of every row's initial data without aliasing. Row r holds modes
@@ -497,16 +501,14 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, m, probes):
     half instead of the state. At a snapshot step it takes the half, is
     recorded, and takes the other half.
 
-    Every row's mass is pinned to its target after the nonlinear substep of
-    each snapshot step, so transform roundoff cannot build up a drift in
-    what is recorded; between snapshots the pin would only reset roundoff.
-    The target is the initial mass of an untruncated row, and for a
-    truncated row the mass at the top of that step, which the last
-    projection left. The substeps since the target conserve mass, so the pin
-    norms match it to roundoff unless a value turned non-finite;
-    ``check_mass`` checks them before the step is recorded.
+    Every row's mass is pinned after the nonlinear substep of each snapshot
+    step, so roundoff cannot build up a drift in what is recorded. The target
+    is an untruncated row's initial mass, and a truncated row's mass at the
+    top of that step, as the last projection left it. The substeps since
+    then conserve mass, so the pin norms match the target to roundoff unless
+    a value turned non-finite, which ``check_mass`` catches first.
     """
-    truncated, stride = eq.truncated, integ.snapshot_stride
+    truncated, stride, dt = eq.truncated, integ.snapshot_stride, integ.signed_dt
     band = eq.truncation if truncated else (m - 1) // 2
     width = 2 * band + 1
 
@@ -524,7 +526,7 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, m, probes):
     half[:, width:] = full[:, width:] = 0.0
     half_m = half / m
 
-    rec = _Recorder(eq, integ, dt, band, probes, s, n_steps)
+    rec = _Recorder(eq, integ, band, probes, s, n_steps)
     if probes:
         rotated = rec.paired * half_m[:, None, rec.support]
 
@@ -553,11 +555,11 @@ def _evolve_strang(u0s, eq, integ, n_steps, dt, m, probes):
             s *= half
         else:
             s *= full
-    return rec
+    return rec.build()
 
 
-def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
-    """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its recorder.
+def _evolve_lawson(u0s, eq, integ, n_steps, n, probes):
+    """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its runs.
 
     With ``E = exp(i(n^2 - shift) dt/2)`` (``_linear_rate``) applied exactly
     and ``K(v)`` the nonlinear term times dt, a step is
@@ -574,7 +576,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
     intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
     gained more than MASS_RTOL of its mass (or turned NaN).
     """
-    stride = integ.snapshot_stride
+    stride, dt = integ.snapshot_stride, integ.signed_dt
     c = np.array([u0.coeffs for u0 in u0s])
     c_real = c.view(np.float64)
     target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
@@ -587,7 +589,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
     eu, slope = np.empty_like(c), np.empty_like(c)  # E u, and each stage's K
     factor = 1j * eq.sign * dt  # K(v) = dt * i sign P_N(|v|^2 v)
 
-    rec = _Recorder(eq, integ, dt, n, probes, c, n_steps)
+    rec = _Recorder(eq, integ, n, probes, c, n_steps)
 
     bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL))  # (2N+1) mu0 (1 + MASS_RTOL)
     for k in range(n_steps):
@@ -626,7 +628,7 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
             rec.probe(c, rec.paired)
         if snap:
             rec.snapshot(c)
-    return rec
+    return rec.build()
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +636,10 @@ def _evolve_lawson(u0s, eq, integ, n_steps, dt, n, probes):
 # ---------------------------------------------------------------------------
 
 def _phase_transformed(traj: Trajectory, rate: float, eq: EquationSpec) -> Trajectory:
-    """Multiply snapshot k by exp(i * rate * t_k); ledger is phase-invariant."""
+    """Multiply the snapshot and the pairings at each t by exp(i rate t), as a run of ``eq``."""
     coeffs = traj.coeffs * np.exp(1j * rate * traj.times)[:, None]
     probes = {k: v * np.exp(1j * rate * traj.probe_times) for k, v in traj.probes.items()}
-    return Trajectory(times=traj.times.copy(), coeffs=coeffs,
-                      ledger={k: v.copy() for k, v in traj.ledger.items()},
-                      eq=eq, integrator=traj.integrator,
-                      probe_times=traj.probe_times, probes=probes)
+    return Trajectory(coeffs, eq, traj.integrator, probes)
 
 
 def gauge_transform(traj: Trajectory, mu0: float, sign: int) -> Trajectory:

@@ -21,7 +21,6 @@ Verdicts are trend/threshold based; the thresholds live in
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from types import SimpleNamespace
@@ -105,10 +104,12 @@ class WeakSequenceSpec:
     working_band: int | None = None
 
     def __post_init__(self):
-        modes = tuple(int(n) for n in self.mode_list)
+        modes = tuple(fld.require_integer("mode_list", n) for n in self.mode_list)
         if not modes or any(n <= 0 for n in modes) or len(set(modes)) != len(modes):
             raise SpecFieldError("mode_list", "mode_list must be distinct positive integers")
         object.__setattr__(self, "mode_list", modes)
+        if self.working_band is not None:
+            fld.require_integer("working_band", self.working_band)
         if not cmath.isfinite(self.bump_amplitude):
             raise SpecFieldError("bump_amplitude", "bump_amplitude must be finite "
                                  f"(got {self.bump_amplitude})")
@@ -190,7 +191,7 @@ def _weak_run(spec: WeakSequenceSpec) -> SimpleNamespace:
     return SimpleNamespace(spec=spec, modes=spec.mode_list, gaps=np.array(gaps),
                     weak_proxy=np.array(weak_proxy), l4_gap=np.array(l4_gap),
                     l6_gap=np.array(l6_gap), defects=np.array(defects),
-                    times=times, ref_probe=ref_p)
+                    t_fine=times, ref_probe=ref_p)
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -280,7 +281,7 @@ def weak_continuity_run(spec: WeakSequenceSpec,
 def _plateau_prediction(run_wnls: SimpleNamespace, sign: int) -> float:
     """max_t |e^{2 i s delta t} - 1| * |<u_ref(t), phi>| from the gauge identity."""
     delta = float(run_wnls.defects[-1])
-    osc = np.abs(np.exp(2j * sign * delta * run_wnls.times) - 1.0)
+    osc = np.abs(np.exp(2j * sign * delta * run_wnls.t_fine) - 1.0)
     return float(np.max(osc * np.abs(run_wnls.ref_probe)))
 
 
@@ -332,9 +333,12 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float) -> float:
     return float(_free_flow_l4_exact(f.coeffs[None, :], t_horizon)[0]) ** 0.25
 
 
-# Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB). The
-# row count of a group follows from this, the band and the lag class alone,
-# so a field's integral does not depend on which other fields share its block.
+# Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB, with
+# a 128 KiB real twin). The row count of a group follows from this, the band
+# and the lag class alone, so a field's integral does not depend on which
+# other fields share its block. The kernel's other transient memory is its
+# padded and conjugated copies of the block (48 bytes a coefficient) and up to
+# 384 KiB of numpy's iterator buffers for the strided a_m product.
 _L4_WORK_VALUES = 2**14
 # Lag classes of ``_free_flow_l4_exact``, each transformed at its own length.
 _L4_LAG_CLASSES = 8
@@ -360,8 +364,8 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
     transforms about 1.1 n^2 points per row where one length for all lags
     would take 2 n^2. The rows go through one complex and one real work
     buffer of ``_L4_WORK_VALUES`` values (at least one row of a class), viewed
-    as (rows, lags, L) per class, so the work memory is bounded and reused
-    whatever the block size.
+    as (rows, lags, L) per class, so the transform memory is bounded and
+    reused whatever the block size; only the copies of the block grow with it.
     """
     if not (t_horizon >= 0 and math.isfinite(t_horizon)):  # NaN-safe
         raise ValueError(f"t_horizon must be finite and >= 0 (got {t_horizon!r})")
@@ -445,8 +449,7 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     """
     if not 0.0 < t_horizon <= 1.0:  # NaN-safe
         raise ValueError(f"t_horizon must lie in (0, 1] (got {t_horizon!r})")
-    if not (isinstance(samples, numbers.Integral) and samples >= 100):
-        raise ValueError(f"need an integral count of at least 100 samples (got {samples!r})")
+    fld.require_integer("samples", samples, 100)
 
     def ratios(band, block):
         norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
@@ -489,8 +492,7 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
     """
     if not (-0.5 <= s <= 0.0):
         raise ValueError("s must lie in [-1/2, 0]")
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise ValueError(f"need an integral count of at least 1 sample (got {samples!r})")
+    fld.require_integer("samples", samples, 1)
     if integ is None:
         integ = IntegratorSpec("strang", dt=2e-3, t_end=t_horizon, snapshot_stride=10)
     else:

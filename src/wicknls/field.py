@@ -11,6 +11,7 @@ ledger's quartic term, the space-time L^p norms) is one grid kernel,
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,20 @@ class SpecFieldError(ValueError):
         self.field = field
 
 
+def require_integer(field: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; ``SpecFieldError(field)`` unless it is an integer >= ``minimum``.
+
+    An integer is a ``numbers.Integral`` other than a bool: an integral float
+    is not one, so a count or a mode index fails where it is given.
+    """
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
+        raise SpecFieldError(field, f"{field} must be an integer (got {value!r})")
+    if minimum is not None and value < minimum:
+        raise SpecFieldError(field, f"{field} must be >= {minimum} (got {value})")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class TorusField:
     """Immutable band-limited field: coefficients for modes -max_mode..max_mode."""
@@ -40,8 +55,7 @@ class TorusField:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.complex128)
-        if self.max_mode < 0:
-            raise ValueError("max_mode must be >= 0")
+        require_integer("max_mode", self.max_mode, 0)
         if c.ndim != 1 or len(c) != 2 * self.max_mode + 1:
             raise ValueError(
                 f"coefficient array must have length {2 * self.max_mode + 1}, got {c.shape}"

@@ -14,7 +14,6 @@ parallel iteration order, and truncations are nested (the same draw at
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,8 @@ class RandomDataSpec:
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise SpecFieldError("alpha", f"alpha must be finite and >= 0 (got {self.alpha})")
-        if self.max_mode < 0:
-            raise SpecFieldError("max_mode", "max_mode must be >= 0")
-        if not isinstance(self.seed, numbers.Integral):
-            raise SpecFieldError("seed", f"seed must be an integer (got {self.seed!r})")
+        fld.require_integer("max_mode", self.max_mode, 0)
+        fld.require_integer("seed", self.seed)
         if not (0 <= self.seed < 2**64):
             raise SpecFieldError("seed", "seed must fit in 64 bits")
         if not (self.gaussian_scale >= 0 and math.isfinite(self.gaussian_scale)):
@@ -192,9 +189,8 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     Returns one row per (s, M):
     {"s", "cutoff", "median", "q25", "q75", "samples"}.
     """
-    cutoffs = [int(m) for m in mode_cutoffs]
-    if not samples >= 1:
-        raise SpecFieldError("samples", f"samples must be >= 1 (got {samples})")
+    cutoffs = [fld.require_integer("cutoffs", m) for m in mode_cutoffs]
+    fld.require_integer("samples", samples, 1)
     if cutoffs and cutoffs[0] < 0:
         raise SpecFieldError("cutoffs", "cutoffs must be >= 0")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):

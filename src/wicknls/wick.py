@@ -175,6 +175,8 @@ def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_00
     of (coefficient, degree-tuple) pairs for other linear combinations. The
     check is statistical: pass means lhs <= rhs * (1 + 3 * stderr margin).
     """
+    for name, value in (("order", order), ("dim", dim), ("samples", samples), ("seed", seed)):
+        fld.require_integer(name, value)
     if not (q >= 2 and math.isfinite(q)):
         raise ValueError(f"q must be finite and >= 2 (got {q})")
     if order < 0 or dim < 1:

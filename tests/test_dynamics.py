@@ -645,6 +645,49 @@ class TestGaugeEquivalence:
             assert np.array_equal(traj.ledger[key], gauged.ledger[key])
 
 
+class TestDerivedLedger:
+    def test_read_once_on_demand(self, monkeypatch):
+        calls = []
+        ledger = dyn._ledger
+
+        def counting(*args):
+            calls.append(args)
+            return ledger(*args)
+
+        monkeypatch.setattr(dyn, "_ledger", counting)
+        rows = [random_field(4, seed=31), random_field(6, seed=32)]
+        for scheme in ("strang", "rk4"):
+            integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=0.1, snapshot_stride=5)
+            trajs = dyn.evolve_batch(rows, dyn.EquationSpec("wnls", sign=1), integ)
+            assert calls == []  # no run pays for a ledger nobody reads
+            first = [traj.ledger for traj in trajs]
+            assert len(calls) == len(trajs)  # one call per trajectory
+            assert all(traj.ledger is led for traj, led in zip(trajs, first))
+            assert len(calls) == len(trajs)  # a second read is cached
+            calls.clear()
+
+    @pytest.mark.parametrize("t_end", [0.3, -0.3])
+    def test_gauge_keeps_the_ledger_to_roundoff(self, t_end):
+        u0 = random_field(6, seed=33)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=t_end, snapshot_stride=10)
+        traj = dyn.evolve(u0, dyn.EquationSpec("nls", sign=-1), integ)
+        gauged = dyn.gauge_transform(traj, fld.mean_intensity(u0), -1)
+        assert gauged.ledger.keys() == traj.ledger.keys()
+        for key, col in traj.ledger.items():
+            assert np.max(np.abs(gauged.ledger[key] - col) / np.abs(col)) <= 1e-13
+
+    def test_truncation_gauge_takes_the_gauged_columns(self):
+        u0 = random_field(4, seed=34)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=5)
+        eq = dyn.EquationSpec("truncated-wnls-hamiltonian", sign=1, truncation=4)
+        traj = dyn.evolve(u0, eq, integ)
+        assert "wick_hamiltonian" in traj.ledger
+        gauged = dyn.truncation_gauge(traj)
+        direct = dyn.evolve(u0, replace(eq, variant="truncated-wnls-gauged"), integ)
+        assert gauged.ledger.keys() == direct.ledger.keys()
+        assert "wick_hamiltonian" not in gauged.ledger
+
+
 class TestTruncationGauge:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_two_route_equivalence(self, sign):

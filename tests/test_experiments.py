@@ -12,6 +12,7 @@ from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.dynamics import (EquationSpec, IntegratorSpec, evolve, evolve_batch,
                               linear_propagator)
+from wicknls.wick import hypercontractivity_check
 
 from oracles import quadruple_sum_free_l4
 
@@ -28,6 +29,35 @@ def small_spec(eq=None, bump=1.0, modes=(3, 9), horizon=0.5, dt=2e-3):
         eq=eq or EquationSpec("wnls", sign=1),
         integrator=IntegratorSpec("strang", dt=dt, t_end=horizon, snapshot_stride=25),
     )
+
+
+# a spec field given a bool, an integral float or a fraction where it takes
+# an integer: each must fail at once, naming the field
+@pytest.mark.parametrize("field, build", [
+    ("max_mode", lambda: fld.TorusField(np.zeros(5), 2.0)),
+    ("max_mode", lambda: fld.TorusField(np.zeros(3), True)),
+    ("mode_list", lambda: small_spec(modes=(4.5,))),
+    ("working_band", lambda: replace(small_spec(), working_band=36.5)),
+    ("snapshot_stride",
+     lambda: IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=2.5)),
+    ("snapshot_stride",
+     lambda: IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=True)),
+    ("truncation", lambda: EquationSpec("truncated-nls", truncation=4.5)),
+    ("max_mode", lambda: rnd.RandomDataSpec(alpha=1.0, max_mode=4.5, seed=0)),
+    ("samples", lambda: rnd.regularity_profile(rnd.RandomDataSpec(1.0, 8, 0), [0.0], [4],
+                                               samples=10.0)),
+    ("cutoffs", lambda: rnd.regularity_profile(rnd.RandomDataSpec(1.0, 8, 0), [0.0], [4.5],
+                                               samples=10)),
+    ("samples", lambda: hypercontractivity_check(2, 1, 4.0, samples=20000.0)),
+    ("order", lambda: hypercontractivity_check(2.0, 1, 4.0, samples=20000)),
+    ("seed", lambda: hypercontractivity_check(2, 1, 4.0, samples=20000, seed=True)),
+], ids=["torus-float", "torus-bool", "mode-list", "working-band", "stride-float",
+        "stride-bool", "truncation", "random-max-mode", "profile-samples", "profile-cutoffs",
+        "hyper-samples", "hyper-order", "hyper-seed"])
+def test_integer_fields_reject_non_integers(field, build):
+    with pytest.raises(fld.SpecFieldError, match="must be an integer") as info:
+        build()
+    assert info.value.field == field
 
 
 class TestWeakSequenceSpec:
