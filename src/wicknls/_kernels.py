@@ -98,8 +98,8 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
-# u is one grid or a (B, m) stack of grids, offset None, a scalar or a (B, 1)
-# column; mutates u, which keeps its modulus. The solver passes None, since
+# u is one grid or a (B, m) stack of grids, factor a scalar or a (B, 1)
+# column, offset None, a scalar or a (B, 1) column; mutates u, which keeps its modulus. The solver passes None, since
 # its Wick shifts are linear rates (dynamics._linear_rate); the kernel sweep
 # of perfbench/layers.py passes an offset positionally.
 #
@@ -112,35 +112,39 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 # by at most that much, also where tau nears 1e16 at theta / 2 ~ odd multiples
 # of pi / 2. |u|^2 as np.abs(u)^2 costs 21.5 us on that stack against 33 us
 # for re^2 + im^2. A non-finite intensity gives tan = NaN and so a NaN value.
+#
+# The two Cayley factors are conjugates, 1 - i tau and 1 + i tau, so one
+# buffer holds both: u is divided by the buffer, the buffer's imaginary part is
+# negated in place, and u is multiplied by the buffer, now exactly 1 + i tau.
 # ---------------------------------------------------------------------------
 
 def phase_work(shape) -> tuple:
-    """``(a2, den, num, den.imag, num.imag)`` for u of ``shape``, made once per run.
+    """``(a2, den, den.imag)`` for u of ``shape``, made once per run.
 
-    ``den`` and ``num`` have real parts 1; the kernel writes their imaginary
-    parts through the views made here, so a call makes no view.
+    ``den`` has real part 1; the kernel writes its imaginary part through the
+    view made here, so a call makes no view.
     """
-    den, num = pair = np.empty((2,) + tuple(shape), dtype=np.complex128)
-    pair.real = 1.0
-    return np.empty(shape), den, num, den.imag, num.imag
+    den = np.empty(shape, dtype=np.complex128)
+    den.real = 1.0
+    return np.empty(shape), den, den.imag
 
 
 def nonlinear_phase(u: np.ndarray, factor: float, offset, *,
                     work: tuple | None = None) -> None:
-    """Rotate u in place; ``offset`` may be None. ``work`` comes from
-    ``phase_work(u.shape)``; on return its ``a2`` holds -theta / 2 and the
-    imaginary parts of ``den`` and ``num`` hold -tau and tau.
+    """Rotate u in place; ``offset`` may be None. ``work`` comes from ``phase_work(u.shape)``; on
+    return its ``a2`` holds -theta / 2 and the imaginary part of ``den``
+    holds tau, so ``den`` is the numerator 1 + i tau.
     """
-    a2, den, num, den_imag, num_imag = phase_work(u.shape) if work is None else work
+    a2, den, den_imag = phase_work(u.shape) if work is None else work
     np.abs(u, out=a2)
     a2 *= a2
     if offset is not None:
         a2 += offset
     a2 *= -0.5 * factor
     np.tan(a2, out=den_imag)  # den = 1 - i tau
-    np.negative(den_imag, out=num_imag)  # num = 1 + i tau
     u /= den
-    u *= num
+    np.negative(den_imag, out=den_imag)  # den = 1 + i tau
+    u *= den
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,11 @@ The Strang integrator alternates that flow with the exact pointwise phase
 ``theta = sign dt |u|^2`` of the nonlinear substep, on an odd collocation grid
 in exact bijection with the retained mode range, in the Cayley form of
 ``_kernels.nonlinear_phase``. Adjacent linear half-steps are fused between
-snapshots, and the initial data of a batch that share a grid step together
-as one (B, m) stack (``evolve_batch``). An untruncated grid is sized from
-each row's data (``_strang_grid``). Untruncated substeps are unitary /
+snapshots. Runs that share a scheme, a grid, a step count, a snapshot stride
+and a truncation step together as one (B, m) stack, whatever their variant,
+sign and time direction, which are properties of each row (``_evolve_runs``,
+of which ``evolve_batch`` is the one-spec case). An untruncated grid is sized
+from each row's data (``_strang_grid``). Untruncated substeps are unitary /
 unit-modulus; truncated runs re-apply the Dirichlet projection after each
 phase, as the model does.
 
@@ -163,7 +165,7 @@ class IntegratorSpec:
                 "snapshot_stride": self.snapshot_stride}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Snapshots as one read-only (S, 2K+1) block ``coeffs``, plus probe pairings.
 
@@ -171,6 +173,7 @@ class Trajectory:
     ``TorusField`` views of the rows. ``probes`` maps each name to its pairing
     at every step, at ``probe_times``. The ledger (one entry per row) and both
     time grids are derived from the block and the specs on first read.
+    Trajectories compare and hash by identity, as ``TorusField``s do.
     """
 
     coeffs: np.ndarray
@@ -331,21 +334,33 @@ def conserved(u: fld.TorusField, sign: int) -> tuple[float, float, float]:
     return float(row["mass"][0]), float(row["momentum"][0]), float(row["hamiltonian"][0])
 
 
-def _linear_rate(eq: EquationSpec, modes: np.ndarray, mu0: np.ndarray) -> np.ndarray:
-    """The rates ``n^2 - shift`` (B, len(modes)) of B rows of initial mean intensity mu0.
+def _linear_rate(eqs, modes: np.ndarray, mu0: np.ndarray) -> np.ndarray:
+    """The rates ``n^2 - shift`` (B, len(modes)) of B rows: row r runs ``eqs[r]``
+    from initial mean intensity ``mu0[r]``.
 
     The shift is 0 (``nls``, ``truncated-nls``), ``2 sign a``
     (``truncated-wnls-hamiltonian``) or ``2 sign mu0`` (``wnls``, ``truncated-wnls-gauged``).
     """
-    level = mu0 if eq.mean_shifted else np.full(
-        len(mu0), eq.renorm_constant() if eq.renorm_shifted else 0.0)
-    return modes**2 - (2.0 * eq.sign) * level[:, None]
+    level = np.array([mu if eq.mean_shifted else eq.renorm_constant() if eq.renorm_shifted
+                      else 0.0 for eq, mu in zip(eqs, mu0)])
+    scale = np.array([2.0 * eq.sign for eq in eqs])
+    return modes**2 - (scale * level)[:, None]
+
+
+def _per_row(values):
+    """``values[0]`` when every row has that value, else the (B, 1) column of ``values``.
+
+    A step scaled by a float costs no broadcast, so a stack whose rows agree
+    steps as cheaply as one run.
+    """
+    first = values[0]
+    return first if all(v == first for v in values) else np.array(values)[:, None]
 
 
 def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> float:
     """Exact phase rate ``n^2 + sign |A|^2 - shift`` of the solution A e^{i(n x + w t)}."""
     a2 = abs(amplitude) ** 2
-    return float(_linear_rate(eq, np.array([float(mode)]), np.array([a2]))[0, 0]) + eq.sign * a2
+    return float(_linear_rate([eq], np.array([float(mode)]), np.array([a2]))[0, 0]) + eq.sign * a2
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +372,20 @@ class _Recorder:
 
     A state handed to it is a (B, m) stack whose row r holds modes
     -band..band of run r in columns 0..2 band, i.e. the spectrum of
-    e^{i band x} u; columns past 2 band are not read. Snapshots go into one
-    (B, S, 2 band + 1) block, like the pairings, and ``build`` wraps each run's
-    rows as a ``Trajectory``. Each probe is projected onto the band, past
-    which the state is zero, so no probe sizes or refuses a run. The
-    constructor records the pairings and the snapshot of the initial state.
+    e^{i band x} u; columns past 2 band are not read. Row r runs ``eqs[r]``
+    and ``integs[r]``, which share the snapshot stride. Snapshots go into one
+    (B, S, 2 band + 1) block, like the pairings, and ``build`` wraps each
+    row's records as a ``Trajectory`` in ascending time. Each probe is
+    projected onto the band, past which the state is zero, so no probe sizes
+    or refuses a run. The constructor records the pairings and the snapshot
+    of the initial state.
     """
 
-    def __init__(self, eq, integ, band, probes, state, n_steps):
-        self.eq, self.integ, self.dt = eq, integ, integ.signed_dt
+    def __init__(self, eqs, integs, band, probes, state, n_steps):
+        self.eqs, self.integs, self.stride = eqs, integs, integs[0].snapshot_stride
         self.width = 2 * band + 1
         self.names = tuple(probes)
-        rows, n_snaps = len(state), n_steps // integ.snapshot_stride + 1
+        rows, n_snaps = len(state), n_steps // self.stride + 1
         self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
         # pairing at step k of row r against probe j (without the 2 pi)
         self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
@@ -400,20 +417,31 @@ class _Recorder:
                       f"above {MASS_RTOL:g}", step)
 
     def fail(self, row, message, step):
-        """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory."""
-        # pairings end at the last snapshot: Strang checks no state between snapshots
-        self.recorded = min(self.recorded, (self.taken - 1) * self.integ.snapshot_stride + 1)
-        raise IntegrationDivergedError(
-            f"numerical scheme failure: {message} during step to t={(step + 1) * self.dt:g}",
-            last_valid_time=step * self.dt, trajectory=self.build(slice(row, row + 1))[0])
+        """Raise the scheme failure of ``row`` during ``step``, with its partial trajectory.
 
-    def build(self, rows=slice(None)) -> list[Trajectory]:
-        """The trajectories of the rows in the slice ``rows``, from what is recorded so far."""
-        order = slice(None, None, -1 if self.dt < 0 else 1)  # ascending times
-        pairings = fld.TWO_PI * self.pairings[:self.recorded, rows][order]
-        return [Trajectory(coeffs[order], self.eq, self.integ,
-                           {name: pairings[:, i, j] for j, name in enumerate(self.names)})
-                for i, coeffs in enumerate(self.snaps[rows, :self.taken])]
+        The error's ``_at`` is ``(step, row)``, by which ``_evolve_runs``
+        picks the earliest failure among its stacks.
+        """
+        # pairings end at the last snapshot: Strang checks no state between snapshots
+        self.recorded = min(self.recorded, (self.taken - 1) * self.stride + 1)
+        dt = self.integs[row].signed_dt
+        error = IntegrationDivergedError(
+            f"numerical scheme failure: {message} during step to t={(step + 1) * dt:g}",
+            last_valid_time=step * dt, trajectory=self.build([row])[0])
+        error._at = (step, row)
+        raise error
+
+    def build(self, rows=None) -> list[Trajectory]:
+        """The trajectories of ``rows`` (default: all), from what is recorded so far."""
+        pairings = fld.TWO_PI * self.pairings[:self.recorded]
+        out = []
+        for r in range(len(self.snaps)) if rows is None else rows:
+            integ = self.integs[r]
+            order = slice(None, None, -1 if integ.signed_dt < 0 else 1)  # ascending times
+            out.append(Trajectory(self.snaps[r, :self.taken][order], self.eqs[r], integ,
+                                  {name: pairings[order, r, j]
+                                   for j, name in enumerate(self.names)}))
+        return out
 
 
 def evolve(u0: fld.TorusField, eq: EquationSpec, integ: IntegratorSpec, *,
@@ -435,29 +463,53 @@ def evolve_batch(u0s, eq: EquationSpec, integ: IntegratorSpec, *,
                  probes: dict | None = None) -> list[Trajectory]:
     """``evolve`` for several initial data of any band that share eq, integ and probes.
 
+    The one-spec case of ``_evolve_runs``: rows that step on the same grid
+    step as one stack, and each returned trajectory is bit-identical to
+    ``evolve`` of its row. A scheme failure in any row raises
+    IntegrationDivergedError carrying that row's partial trajectory.
+    """
+    return _evolve_runs([(u0, eq, integ) for u0 in u0s], probes)
+
+
+def _evolve_runs(runs, probes: dict | None = None) -> list[Trajectory]:
+    """The trajectories of ``(u0, eq, integ)`` runs, each bit-identical to its own ``evolve``.
+
     Truncated rows are first projected and padded to the truncation band.
-    The rows are then grouped by the stack they step on: the band under RK4,
-    the grid of ``_strang_grid`` under Strang. Each group steps as one
-    (B, m) stack of its scheme's core, so each returned trajectory is
-    bit-identical to ``evolve`` of its row. A scheme failure in any row
-    raises IntegrationDivergedError carrying that row's partial trajectory.
+    The runs are then grouped by what their rows must share to step
+    together: the scheme, the stack size (the band under RK4, the grid of
+    ``_strang_grid`` under Strang), the step count, the snapshot stride and
+    the truncation. Variant, sign and time step are properties of each row,
+    so each group steps as one (B, m) stack of its scheme's core, and every
+    run pairs with the same ``probes``.
+
+    When rows fail, the IntegrationDivergedError raised is that of the row
+    that failed at the earliest step, the first in run order among those,
+    with its partial trajectory in ascending time.
     """
     probes = probes or {}
-    n_steps = integ.step_count()
-    u0s = [fld.project(u0, eq.truncation).padded_to(eq.truncation) if eq.truncated else u0
-           for u0 in u0s]
-    if integ.scheme == "rk4":
-        core, key = _evolve_lawson, lambda u0: u0.max_mode
-    else:
-        top = (lambda u0: eq.truncation) if eq.truncated else _top_mode
-        core, key = _evolve_strang, lambda u0: _strang_grid(u0.max_mode, top(u0))
-    groups: dict = {}  # band or grid -> the rows that step on it
-    for i, u0 in enumerate(u0s):
-        groups.setdefault(key(u0), []).append(i)
-    out = [None] * len(u0s)
-    for size, rows in groups.items():
-        for i, traj in zip(rows, core([u0s[i] for i in rows], eq, integ, n_steps, size, probes)):
+    runs = [(fld.project(u0, eq.truncation).padded_to(eq.truncation) if eq.truncated else u0,
+             eq, integ) for u0, eq, integ in runs]
+    groups: dict = {}  # what a stack shares -> the runs that step on it
+    for i, (u0, eq, integ) in enumerate(runs):
+        if integ.scheme == "rk4":
+            size = u0.max_mode
+        else:
+            size = _strang_grid(u0.max_mode, eq.truncation if eq.truncated else _top_mode(u0))
+        key = (integ.scheme, size, integ.step_count(), integ.snapshot_stride, eq.truncation)
+        groups.setdefault(key, []).append(i)
+    out, failures = [None] * len(runs), []
+    for (scheme, size, n_steps, _, _), rows in groups.items():
+        core = _evolve_lawson if scheme == "rk4" else _evolve_strang
+        try:
+            trajs = core([runs[i] for i in rows], n_steps, size, probes)
+        except IntegrationDivergedError as error:
+            step, row = error._at
+            failures.append((step, rows[row], error))
+            continue
+        for i, traj in zip(rows, trajs):
             out[i] = traj
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
     return out
 
 
@@ -480,7 +532,7 @@ def _strang_grid(band: int, top: int) -> int:
     return fast_fft_size(max(2 * band + 1, 3 * (2 * top + 1)), odd=True)
 
 
-def _evolve_strang(u0s, eq, integ, n_steps, m, probes):
+def _evolve_strang(runs, n_steps, m, probes):
     """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its runs.
 
     The grid is odd with the m points of ``_strang_grid``, which hold the
@@ -491,10 +543,12 @@ def _evolve_strang(u0s, eq, integ, n_steps, m, probes):
     multipliers are zero past column 2K, so every linear substep is also the
     projection.
 
-    The multipliers are (B, m), at each row's ``_linear_rate``, and the phase
-    is sign dt |u|^2 of the field values for every variant. The fft leaves m
-    times the coefficients: ``full``, ``half_m`` and the per-row probe vectors
-    carry the 1/m, and the pin's target is m^2 times the mass.
+    The multipliers are (B, m), at each row's ``_linear_rate`` and time
+    step, and the phase is sign dt |u|^2 of the field values for every
+    variant, with one sign dt per row when the rows differ in it. The
+    transforms run in place on the state. The fft leaves m times the
+    coefficients: ``full``, ``half_m`` and the per-row probe vectors carry
+    the 1/m, and the pin's target is m^2 times the mass.
 
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
@@ -508,38 +562,40 @@ def _evolve_strang(u0s, eq, integ, n_steps, m, probes):
     then conserve mass, so the pin norms match the target to roundoff unless
     a value turned non-finite, which ``check_mass`` catches first.
     """
-    truncated, stride, dt = eq.truncated, integ.snapshot_stride, integ.signed_dt
-    band = eq.truncation if truncated else (m - 1) // 2
+    u0s, eqs, integs = zip(*runs)
+    truncated, stride = eqs[0].truncated, integs[0].snapshot_stride
+    band = eqs[0].truncation if truncated else (m - 1) // 2
     width = 2 * band + 1
+    dt = _per_row([integ.signed_dt for integ in integs])
 
     s = np.zeros((len(u0s), m), dtype=np.complex128)
     s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
     s_real = s.view(np.float64)
-    u = np.empty_like(s)
     work = phase_work(s.shape)
     target = np.einsum("ij,ij->i", s_real, s_real)  # mu0 per row
     empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
 
-    rate = _linear_rate(eq, np.arange(m, dtype=np.float64) - band, target)  # column mode n
+    rate = _linear_rate(eqs, np.arange(m, dtype=np.float64) - band, target)  # column mode n
     half = np.exp(1j * rate * (dt / 2.0))
     full = np.exp(1j * rate * dt) / m
+    del rate
     half[:, width:] = full[:, width:] = 0.0
     half_m = half / m
 
-    rec = _Recorder(eq, integ, band, probes, s, n_steps)
+    rec = _Recorder(eqs, integs, band, probes, s, n_steps)
     if probes:
         rotated = rec.paired * half_m[:, None, rec.support]
 
-    phase_factor = eq.sign * dt
+    phase_factor = _per_row([eq.sign * integ.signed_dt for eq, integ in zip(eqs, integs)])
     pin_target = float(m * m) * target
     s *= half
     for k in range(n_steps):
         snap = (k + 1) % stride == 0
         if truncated and snap:
             pin_target = float(m * m) * np.einsum("ij,ij->i", s_real, s_real)
-        np.fft.ifft(s, axis=-1, norm="forward", out=u)
-        nonlinear_phase(u, phase_factor, None, work=work)
-        np.fft.fft(u, axis=-1, out=s)
+        np.fft.ifft(s, axis=-1, norm="forward", out=s)
+        nonlinear_phase(s, phase_factor, None, work=work)
+        np.fft.fft(s, axis=-1, out=s)
         if snap:
             pin = np.einsum("ij,ij->i", s_real, s_real)
             rec.check_mass(pin, pin_target, k)
@@ -558,13 +614,15 @@ def _evolve_strang(u0s, eq, integ, n_steps, m, probes):
     return rec.build()
 
 
-def _evolve_lawson(u0s, eq, integ, n_steps, n, probes):
+def _evolve_lawson(runs, n_steps, n, probes):
     """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its runs.
 
     With ``E = exp(i(n^2 - shift) dt/2)`` (``_linear_rate``) applied exactly
     and ``K(v)`` the nonlinear term times dt, a step is
     ``u+ = E^2 u + (E^2 K1 + 2E (K2 + K3) + K4) / 6`` with stage inputs
-    ``u``, ``E(u + K1/2)``, ``Eu + K2/2`` and ``E(Eu + K3)``.
+    ``u``, ``E(u + K1/2)``, ``Eu + K2/2`` and ``E(Eu + K3)``. E and the
+    factor ``i sign dt`` of K are per row, the factor a float when the rows
+    agree in it.
 
     Row r holds modes -N..N; ``K(v)`` is the exact Galerkin term
     P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
@@ -576,20 +634,23 @@ def _evolve_lawson(u0s, eq, integ, n_steps, n, probes):
     intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
     gained more than MASS_RTOL of its mass (or turned NaN).
     """
-    stride, dt = integ.snapshot_stride, integ.signed_dt
+    u0s, eqs, integs = zip(*runs)
+    stride = integs[0].snapshot_stride
+    dt = _per_row([integ.signed_dt for integ in integs])
     c = np.array([u0.coeffs for u0 in u0s])
     c_real = c.view(np.float64)
     target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
 
-    half = np.exp(1j * _linear_rate(eq, np.arange(-n, n + 1, dtype=np.float64), target)
+    half = np.exp(1j * _linear_rate(eqs, np.arange(-n, n + 1, dtype=np.float64), target)
                   * (dt / 2.0))
 
     cubic = GalerkinCubic(len(c), n, n)
     stage_in, a2 = cubic.inputs, cubic.intensity
     eu, slope = np.empty_like(c), np.empty_like(c)  # E u, and each stage's K
-    factor = 1j * eq.sign * dt  # K(v) = dt * i sign P_N(|v|^2 v)
+    # K(v) = dt * i sign P_N(|v|^2 v)
+    factor = _per_row([1j * eq.sign * integ.signed_dt for eq, integ in zip(eqs, integs)])
 
-    rec = _Recorder(eq, integ, n, probes, c, n_steps)
+    rec = _Recorder(eqs, integs, n, probes, c, n_steps)
 
     bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL))  # (2N+1) mu0 (1 + MASS_RTOL)
     for k in range(n_steps):

@@ -23,6 +23,7 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
+from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,8 +31,8 @@ import yaml
 
 from . import field as fld
 from . import random_data as rnd
-from .dynamics import (EquationSpec, IntegratorSpec, Variant, evolve, evolve_batch,
-                       plane_wave_frequency)
+from .dynamics import (EquationSpec, IntegratorSpec, Variant, _evolve_runs, evolve,
+                       evolve_batch, plane_wave_frequency)
 from .field import SpecFieldError  # also xp.SpecFieldError
 from .serialization import field_coeffs_dict, spec_hash
 from ._kernels import fast_fft_size
@@ -157,17 +158,35 @@ class WeakSequenceSpec:
         }
 
 
-def _weak_run(spec: WeakSequenceSpec) -> SimpleNamespace:
-    eq = spec.eq
+def _weak_run(*specs: WeakSequenceSpec) -> list:
+    """The gap statistics of each spec's bump family, one namespace per spec.
+
+    Every spec is paired with the first spec's probe, which the callers'
+    specs share. The base and every bump of every spec run once forward and
+    once backward, all in one ``_evolve_runs`` call, so rows that share a
+    grid step as one stack. Specs that differ only in the equation (the
+    contrast's plain and Wick families) share one: at band N >= 4 x every
+    bump mode, a bump row's top mode is the base's or at most
+    N/4 <= (N-1)/3, below which the grid does not depend on it.
+    """
+    runs = []
+    for spec in specs:
+        data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
+        for t_end in (float(spec.horizon), -float(spec.horizon)):
+            integ = replace(spec.integrator, t_end=t_end)
+            runs += [(u0, spec.eq, integ) for u0 in data]
+    trajs = iter(_evolve_runs(runs, {"phi": specs[0].probe}))
+    out = []
+    for spec in specs:
+        rows = len(spec.mode_list) + 1
+        fwd, bwd = list(islice(trajs, rows)), list(islice(trajs, rows))
+        out.append(_weak_gaps(spec, fwd, bwd))
+    return out
+
+
+def _weak_gaps(spec: WeakSequenceSpec, fwd: list, bwd: list) -> SimpleNamespace:
+    """The gaps of the bump runs against the base run, from each direction's trajectories."""
     t_hor = float(spec.horizon)
-    data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
-    probes = {"phi": spec.probe}
-    # the base and every bump step together, once forward and once backward.
-    # They share one Strang grid: at band N >= 4 x every bump mode, a bump
-    # row's top mode is the base's or at most N/4 <= (N-1)/3, below which the
-    # grid does not depend on it
-    fwd = evolve_batch(data, eq, replace(spec.integrator, t_end=t_hor), probes=probes)
-    bwd = evolve_batch(data, eq, replace(spec.integrator, t_end=-t_hor), probes=probes)
     ref_f, ref_b = fwd[0], bwd[0]
     # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
     times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
@@ -268,9 +287,9 @@ def weak_continuity_run(spec: WeakSequenceSpec,
     are checked for a decaying-gap trend and the plain variants for a
     persistent plateau; pass ``"decay"`` or ``"plateau"`` to force one (e.g.
     applying the decay verdict to the plain equation exhibits its failure).
-    The bump family runs as one batched evolution per time direction.
+    The bump family runs as one stack, both time directions together.
     """
-    run = _weak_run(spec)
+    run, = _weak_run(spec)
     verdicts, details = _weak_verdicts(run, verdict_mode)
     details["working_band"] = run.spec.resolved_band()
     return ExperimentReport(kind="weak-continuity", config=spec.to_dict(),
@@ -290,8 +309,10 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 
     The plain equation's gap plateau is compared against the scalar
     phase-defect prediction; the mean-shifted equation must pass its decay
-    verdicts on the same data. ``threads`` is accepted but unused: each bump
-    family runs as one batch.
+    verdicts on the same data. Both families, each run forward and backward,
+    step as one stack of one ``_evolve_runs`` call: variant and time
+    direction are properties of each row, so every row is bit-identical to
+    its own ``evolve``. ``threads`` is accepted but unused.
     """
     if spec.eq.truncated:
         plain = replace(spec.eq, variant=Variant.TRUNCATED_NLS)
@@ -300,8 +321,7 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
         plain = replace(spec.eq, variant=Variant.NLS)
         shifted = replace(spec.eq, variant=Variant.WNLS)
 
-    run_w = _weak_run(replace(spec, eq=shifted))
-    run_n = _weak_run(replace(spec, eq=plain))
+    run_w, run_n = _weak_run(replace(spec, eq=shifted), replace(spec, eq=plain))
 
     w_verdicts, w_details = _weak_verdicts(run_w)
     predicted = _plateau_prediction(run_w, shifted.sign)

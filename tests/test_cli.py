@@ -137,6 +137,20 @@ class TestSchemeFailure:
         assert all(r["record"] == "snapshot" for r in records[1:])
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_contrast_flushes_the_first_failing_row_under_strang(self, tmp_path):
+        # every bump row of the one (20, m) stack overflows its mass and fails
+        # at the first snapshot step, 49; the first of them in run order is
+        # the Wick family's forward mode-4 row
+        out = tmp_path / "o"
+        assert run("weak-limit", "--config", str(CONFIG_DIR / "phase_defect_contrast.yaml"),
+                   "--out", str(out), "--set", "bump.amplitude=1e155") == 3
+        records = ser.read_ndjson(out / "weak_limit.ndjson")
+        assert records[0]["diverged"] is True and records[0]["last_valid_time"] == 0.098
+        assert [(r["record"], r["t"]) for r in records[1:]] == [("snapshot", 0.0)]
+
+
 class TestConfigErrors:
     def test_missing_config(self):
         assert run("simulate") == 2

@@ -1000,3 +1000,139 @@ class TestEvolveBatch:
             assert str(batch.value).startswith("numerical scheme failure")
             assert len(batch.value.trajectory.snapshots) == recorded
             assert_same_trajectory(batch.value.trajectory, single.value.trajectory)
+
+
+def assert_bitwise_trajectory(a, b):
+    """Coefficients, times, probe pairings and probe times equal byte for byte."""
+    assert a.eq == b.eq and a.integrator == b.integrator
+    assert a.coeffs.shape == b.coeffs.shape and a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.probes.keys() == b.probes.keys()
+    assert all(a.probes[k].tobytes() == b.probes[k].tobytes() for k in a.probes)
+    if a.probe_times is None:
+        assert b.probe_times is None
+    else:
+        assert a.probe_times.tobytes() == b.probe_times.tobytes()
+
+
+class TestTrajectoryIdentity:
+    def test_compares_and_hashes_by_identity(self):
+        u0 = random_field(4, seed=40)
+        eq = dyn.EquationSpec("wnls", sign=1)
+        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=5)
+        a, b = dyn.evolve(u0, eq, integ), dyn.evolve(u0, eq, integ)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2
+        index = {a: "a", b: "b"}
+        assert index[a] == "a" and index[b] == "b"
+        assert hash(a) == hash(a)
+
+
+# a mixed stack draws its runs from these: every variant at one truncation,
+# both signs, both directions and two step sizes of one step count
+MIXED_VARIANTS = ["nls", "wnls", "truncated-nls", "truncated-wnls-hamiltonian",
+                  "truncated-wnls-gauged"]
+# (scaled so that RK4 drifts by at most 3e-6 of the mass at dt 0.02)
+MIXED_DATA = [random_field(6, seed=41, scale=0.25), random_field(6, seed=42, scale=0.35),
+              fld.TorusField.single_mode(2, 0.8 - 0.3j, max_mode=6), fld.TorusField.zeros(6),
+              random_field(4, seed=43, scale=0.3),
+              fld.TorusField.from_modes({1: 0.7, -1: 0.2j}, max_mode=6)]
+MIXED_RUN = st.tuples(st.sampled_from(MIXED_VARIANTS), st.sampled_from([1, -1]),
+                      st.sampled_from([0.01, 0.02]), st.sampled_from([1, -1]),
+                      st.integers(0, len(MIXED_DATA) - 1))
+
+
+class TestEvolveRuns:
+    """One stacking rule over (u0, eq, integ) runs: each run is its own ``evolve``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scheme=st.sampled_from(["strang", "rk4"]),
+           specs=st.lists(MIXED_RUN, min_size=1, max_size=7), with_probe=st.booleans())
+    def test_mixed_stacks_match_evolve(self, scheme, specs, with_probe):
+        probes = {"phi": random_field(3, seed=44)} if with_probe else None
+        runs = []
+        for variant, sign, dt, direction, datum in specs:
+            truncation = 6 if variant.startswith("truncated") else None
+            runs.append((MIXED_DATA[datum], dyn.EquationSpec(variant, sign, truncation),
+                         dyn.IntegratorSpec(scheme, dt=dt, t_end=direction * 10 * dt,
+                                            snapshot_stride=5)))
+        trajs = dyn._evolve_runs(runs, probes)
+        assert len(trajs) == len(runs)
+        for (u0, eq, integ), traj in zip(runs, trajs):
+            assert_bitwise_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+
+    def test_equation_sign_and_direction_share_one_stack(self, monkeypatch):
+        # the contrast's rows: plain and Wick, forward and backward, one Strang call
+        calls = []
+        core = dyn._evolve_strang
+        monkeypatch.setattr(dyn, "_evolve_strang",
+                            lambda runs, *args: calls.append(len(runs)) or core(runs, *args))
+        rows = [random_field(6, seed=45), random_field(6, seed=46)]
+        runs = [(u0, dyn.EquationSpec(variant, sign),
+                 dyn.IntegratorSpec("strang", dt=0.01, t_end=t_end, snapshot_stride=5))
+                for variant in ("wnls", "nls") for sign in (1, -1)
+                for t_end in (0.1, -0.1) for u0 in rows]
+        trajs = dyn._evolve_runs(runs, {"phi": fld.TorusField.single_mode(1, 1.0)})
+        assert calls == [len(runs)]
+        assert [t.integrator.t_end for t in trajs] == [r[2].t_end for r in runs]
+        assert all(np.all(np.diff(t.times) > 0) for t in trajs)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_earliest_failing_row_in_run_order(self):
+        # Strang: a 1e155 row overflows its mass and fails at its first
+        # snapshot step. The band-6 row steps on a 15-point grid, the band-4
+        # rows on 9 points, so the first failing run is in the stack that runs second
+        calm = fld.TorusField.single_mode(0, 0.3, max_mode=4)
+        narrow = fld.TorusField.single_mode(0, 1e155, max_mode=4)
+        wide = fld.TorusField.single_mode(0, 1e155, max_mode=6)
+        plain, wick = dyn.EquationSpec("nls", sign=-1), dyn.EquationSpec("wnls", sign=1)
+        fwd = dyn.IntegratorSpec("strang", dt=0.01, t_end=1.0, snapshot_stride=10)
+        bwd = replace(fwd, t_end=-1.0)
+        assert dyn._strang_grid(4, 0) == 9 and dyn._strang_grid(6, 0) == 15
+
+        def failure(runs):
+            with pytest.raises(dyn.IntegrationDivergedError) as info:
+                dyn._evolve_runs(runs, {"phi": fld.TorusField.single_mode(1, 1.0)})
+            return info.value
+
+        def alone(run):
+            return failure([run])
+
+        # all fail at step 9: the first in run order is reported
+        runs = [(calm, plain, fwd), (wide, wick, bwd), (narrow, wick, bwd), (narrow, plain, fwd)]
+        got, want = failure(runs), alone(runs[1])
+        assert str(got) == str(want) and got.last_valid_time == want.last_valid_time == -0.09
+        assert_bitwise_trajectory(got.trajectory, want.trajectory)
+
+        # a backward row of stride 5 fails at step 4, before every stride-10 row
+        early = (narrow, wick, replace(bwd, snapshot_stride=5))
+        runs = [(wide, plain, fwd), (calm, wick, bwd), (narrow, plain, fwd), early]
+        got, want = failure(runs), alone(early)
+        assert str(got) == str(want) and got.last_valid_time == -0.04
+        assert_bitwise_trajectory(got.trajectory, want.trajectory)
+        assert got.trajectory.times.tolist() == [0.0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_backward_failure_keeps_ascending_times(self):
+        # a backward RK4 row fails after three snapshots, before the Strang row
+        # of a stack that runs first
+        failing, dt, recorded = FAILING_ROWS["rk4"]
+        eq = dyn.EquationSpec("nls", sign=-1)
+        rk4 = dyn.IntegratorSpec("rk4", dt=dt, t_end=-10.0, snapshot_stride=10)
+        strang = dyn.IntegratorSpec("strang", dt=0.01, t_end=10.0, snapshot_stride=1000)
+        runs = [(FAILING_ROWS["strang"][0], eq, strang),
+                (fld.TorusField.single_mode(0, 0.3, max_mode=4), eq, rk4), (failing, eq, rk4)]
+        with pytest.raises(dyn.IntegrationDivergedError) as info:
+            dyn._evolve_runs(runs)
+        partial = info.value.trajectory
+        assert partial.integrator == rk4 and len(partial.times) == recorded
+        assert np.all(np.diff(partial.times) > 0) and partial.times[-1] == 0.0
+        assert info.value.last_valid_time <= partial.times[0] < 0.0
+        with pytest.raises(dyn.IntegrationDivergedError) as single:
+            dyn.evolve(failing, eq, rk4)
+        assert str(info.value) == str(single.value)
+        assert info.value.last_valid_time == single.value.last_valid_time
+        assert_bitwise_trajectory(partial, single.value.trajectory)

@@ -176,6 +176,29 @@ class TestPhaseDefectContrast:
         assert report.details["predicted_plateau"] == 0.0
         assert report.verdict
 
+    @pytest.mark.parametrize("eq", [EquationSpec("wnls", 1), EquationSpec("wnls", -1),
+                                    EquationSpec("truncated-wnls-gauged", 1, truncation=40)],
+                             ids=["wnls+", "wnls-", "truncated-wnls-gauged"])
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    def test_one_stack_equals_one_run_per_family(self, monkeypatch, eq, scheme):
+        # one two-spec _weak_run call against one call per spec, value for value
+        spec = small_spec(eq=eq, modes=(3, 9, 10), horizon=0.1)
+        spec = replace(spec, integrator=replace(spec.integrator, scheme=scheme, dt=1e-3))
+        one = xp.phase_defect_contrast_run(spec)
+        single = xp._weak_run
+        monkeypatch.setattr(xp, "_weak_run", lambda *specs: [r for s in specs
+                                                             for r in single(s)])
+        two = xp.phase_defect_contrast_run(spec)
+        assert one.to_records() == two.to_records()
+        assert one.details == two.details and one.verdicts == two.verdicts
+        # two families of opposite sign, too, step as one stack
+        specs = (spec, replace(spec, eq=replace(eq, sign=-eq.sign)))
+        for joint, alone in zip(single(*specs), [single(s)[0] for s in specs]):
+            assert joint.spec is alone.spec
+            for name in ("gaps", "weak_proxy", "l4_gap", "l6_gap", "defects", "t_fine",
+                         "ref_probe"):
+                assert np.array_equal(getattr(joint, name), getattr(alone, name))
+
     def test_sign_flip_same_modulus(self):
         # |e^{-i theta} - 1| = |e^{i theta} - 1|: both signs give the same
         # plateau prediction and (by symmetry of the family) the same gaps
