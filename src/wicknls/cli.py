@@ -612,7 +612,11 @@ def main(argv=None) -> int:
         out = _out_dir(args, cfg)
         _reject_unknown_keys(cfg)
         out.mkdir(parents=True, exist_ok=True)
-        return run(out)
+        # a scheme failure is reported by exit 3 and one line, and a
+        # non-finite output by the NDJSON non_finite field: numpy's own
+        # floating-point warnings would only repeat them
+        with np.errstate(all="ignore"):
+            return run(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,6 +8,11 @@
 * ``phase_defect_contrast_run``: the two runs side by side on identical data,
   with the plateau of the plain equation checked against the scalar
   phase-defect prediction built from the gauge identity.
+
+  Both run their families through one private runner, ``_weak_run``: it
+  steps every family's runs in one stack and returns each family's
+  statistics (the ``_WEAK_STATS`` series over its modes) and its plateau
+  prediction. The experiments only pick families and verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
   data, stability of the max ratio under band doubling.
 * ``apriori_growth_probe``: distribution of sup_t ||u(t)||_{H^s} / ||u0||_{H^s}
@@ -24,7 +29,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -158,16 +162,29 @@ class WeakSequenceSpec:
         }
 
 
+# the statistics of a bump family, as (series name, unit), in report order
+_WEAK_STATS = (("gap_sup", "l2-pairing"), ("weak_l4_proxy", "spacetime-pairing"),
+               ("strong_l4_gap", "spacetime-l4"), ("strong_l6_gap", "spacetime-l6"),
+               ("mu_defect", "intensity"))
+
+
 def _weak_run(*specs: WeakSequenceSpec) -> list:
-    """The gap statistics of each spec's bump family, one namespace per spec.
+    """``(stats, prediction)`` of each spec's bump family.
+
+    ``stats`` maps each ``_WEAK_STATS`` name to its values over
+    ``spec.mode_list``, each bump run measured against the base run.
+    ``prediction`` is the plateau max_t |e^{2 i s delta t} - 1| |<u_ref(t), phi>|
+    of the gauge identity, from the family's own base run and the defect
+    delta of its top mode.
 
     Every spec is paired with the first spec's probe, which the callers'
     specs share. The base and every bump of every spec run once forward and
     once backward, all in one ``_evolve_runs`` call, so rows that share a
-    grid step as one stack. Specs that differ only in the equation (the
-    contrast's plain and Wick families) share one: at band N >= 4 x every
-    bump mode, a bump row's top mode is the base's or at most
-    N/4 <= (N-1)/3, below which the grid does not depend on it.
+    grid step as one stack; this loop is the only place runs are made. Specs
+    that differ only in the equation (the contrast's plain and Wick families)
+    share one: at band N >= 4 x every bump mode, a bump row's top mode is the
+    base's or at most N/4 <= (N-1)/3, below which the grid does not depend
+    on it.
     """
     runs = []
     for spec in specs:
@@ -179,38 +196,26 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     out = []
     for spec in specs:
         rows = len(spec.mode_list) + 1
-        fwd, bwd = list(islice(trajs, rows)), list(islice(trajs, rows))
-        out.append(_weak_gaps(spec, fwd, bwd))
+        (ref_f, *fwd), (ref_b, *bwd) = list(islice(trajs, rows)), list(islice(trajs, rows))
+        # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
+        times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
+        ref_p = np.concatenate([ref_b.probes["phi"], ref_f.probes["phi"][1:]])
+        window = np.cos(np.pi * times / (2.0 * float(spec.horizon))) ** 2  # vanishes at +-T
+        mu_ref = fld.mean_intensity(ref_f.snapshots[0])
+        values = []
+        for run_f, run_b in zip(fwd, bwd):
+            d = np.concatenate([run_b.probes["phi"], run_f.probes["phi"][1:]]) - ref_p
+            b4, b6 = fld._lp_sums(run_b.times, run_b.coeffs - ref_b.coeffs, (4.0, 6.0))
+            f4, f6 = fld._lp_sums(run_f.times, run_f.coeffs - ref_f.coeffs, (4.0, 6.0))
+            values.append((float(np.max(np.abs(d))),  # in _WEAK_STATS order
+                           float(abs(np.sum(d * window) * spec.integrator.dt)),
+                           (b4 + f4) ** 0.25, (b6 + f6) ** (1.0 / 6.0),
+                           fld.mean_intensity(run_f.snapshots[0]) - mu_ref))
+        stats = {name: np.array(col) for (name, _), col in zip(_WEAK_STATS, zip(*values))}
+        delta = float(stats["mu_defect"][np.argmax(spec.mode_list)])
+        osc = np.abs(np.exp(2j * spec.eq.sign * delta * times) - 1.0)
+        out.append((stats, float(np.max(osc * np.abs(ref_p)))))
     return out
-
-
-def _weak_gaps(spec: WeakSequenceSpec, fwd: list, bwd: list) -> SimpleNamespace:
-    """The gaps of the bump runs against the base run, from each direction's trajectories."""
-    t_hor = float(spec.horizon)
-    ref_f, ref_b = fwd[0], bwd[0]
-    # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
-    times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
-    ref_p = np.concatenate([ref_b.probes["phi"], ref_f.probes["phi"][1:]])
-
-    window = np.cos(np.pi * times / (2.0 * t_hor)) ** 2  # smooth, vanishes at +-T
-    dt_fine = spec.integrator.dt
-
-    gaps, weak_proxy, l4_gap, l6_gap, defects = [], [], [], [], []
-    mu_ref = fld.mean_intensity(ref_f.snapshots[0])
-    for run_f, run_b in zip(fwd[1:], bwd[1:]):
-        d = np.concatenate([run_b.probes["phi"], run_f.probes["phi"][1:]]) - ref_p
-        gaps.append(float(np.max(np.abs(d))))
-        weak_proxy.append(float(abs(np.sum(d * window) * dt_fine)))
-        b4, b6 = fld._lp_sums(run_b.times, run_b.coeffs - ref_b.coeffs, (4.0, 6.0))
-        f4, f6 = fld._lp_sums(run_f.times, run_f.coeffs - ref_f.coeffs, (4.0, 6.0))
-        l4_gap.append((b4 + f4) ** 0.25)
-        l6_gap.append((b6 + f6) ** (1.0 / 6.0))
-        defects.append(fld.mean_intensity(run_f.snapshots[0]) - mu_ref)
-
-    return SimpleNamespace(spec=spec, modes=spec.mode_list, gaps=np.array(gaps),
-                    weak_proxy=np.array(weak_proxy), l4_gap=np.array(l4_gap),
-                    l6_gap=np.array(l6_gap), defects=np.array(defects),
-                    t_fine=times, ref_probe=ref_p)
 
 
 def _average_ranks(values) -> np.ndarray:
@@ -235,15 +240,17 @@ def _spearman_rho(x, y) -> float:
     return float(np.dot(rx, ry)) / denom if denom > 0.0 else math.nan
 
 
-def _weak_verdicts(run: SimpleNamespace, mode: str = "auto") -> tuple[dict, dict]:
+def _weak_verdicts(spec: WeakSequenceSpec, gaps: np.ndarray,
+                   mode: str = "auto") -> tuple[dict, dict]:
+    """Decay or plateau verdicts on the gaps over ``spec.mode_list``, read in ascending mode."""
     if mode not in ("auto", "decay", "plateau"):
         raise ValueError("verdict mode must be auto, decay or plateau")
     if mode == "auto":
-        mode = "decay" if run.spec.eq.mean_shifted else "plateau"
+        mode = "decay" if spec.eq.mean_shifted else "plateau"
     thr = verdict_thresholds()
-    order = np.argsort(run.modes)
-    modes = np.asarray(run.modes)[order]
-    gaps = run.gaps[order]
+    order = np.argsort(spec.mode_list)
+    modes = np.asarray(spec.mode_list)[order]
+    gaps = gaps[order]
     details = {"gap_first": float(gaps[0]), "gap_last": float(gaps[-1])}
     if np.all(gaps == 0.0):
         if mode == "decay":
@@ -261,22 +268,10 @@ def _weak_verdicts(run: SimpleNamespace, mode: str = "auto") -> tuple[dict, dict
     return {"gap_plateau": bool(plateau_ok)}, details
 
 
-def _weak_series(run: SimpleNamespace, tag: str = "") -> list:
-    h = spec_hash(run.spec.to_dict())
-    modes = list(run.modes)
-    name = lambda base: f"{tag}{base}"
-    return [
-        Series(name("gap_sup"), "l2-pairing", "mode", tuple(modes),
-               tuple(run.gaps), h),
-        Series(name("weak_l4_proxy"), "spacetime-pairing", "mode", tuple(modes),
-               tuple(run.weak_proxy), h),
-        Series(name("strong_l4_gap"), "spacetime-l4", "mode", tuple(modes),
-               tuple(run.l4_gap), h),
-        Series(name("strong_l6_gap"), "spacetime-l6", "mode", tuple(modes),
-               tuple(run.l6_gap), h),
-        Series(name("mu_defect"), "intensity", "mode", tuple(modes),
-               tuple(run.defects), h),
-    ]
+def _weak_series(spec: WeakSequenceSpec, stats: dict, tag: str = "") -> list:
+    h = spec_hash(spec.to_dict())
+    return [Series(tag + name, unit, "mode", spec.mode_list, tuple(stats[name]), h)
+            for name, unit in _WEAK_STATS]
 
 
 def weak_continuity_run(spec: WeakSequenceSpec,
@@ -289,19 +284,12 @@ def weak_continuity_run(spec: WeakSequenceSpec,
     applying the decay verdict to the plain equation exhibits its failure).
     The bump family runs as one stack, both time directions together.
     """
-    run, = _weak_run(spec)
-    verdicts, details = _weak_verdicts(run, verdict_mode)
-    details["working_band"] = run.spec.resolved_band()
+    (stats, _), = _weak_run(spec)
+    verdicts, details = _weak_verdicts(spec, stats["gap_sup"], verdict_mode)
+    details["working_band"] = spec.resolved_band()
     return ExperimentReport(kind="weak-continuity", config=spec.to_dict(),
-                            series=tuple(_weak_series(run)), verdicts=verdicts,
+                            series=tuple(_weak_series(spec, stats)), verdicts=verdicts,
                             details=details)
-
-
-def _plateau_prediction(run_wnls: SimpleNamespace, sign: int) -> float:
-    """max_t |e^{2 i s delta t} - 1| * |<u_ref(t), phi>| from the gauge identity."""
-    delta = float(run_wnls.defects[-1])
-    osc = np.abs(np.exp(2j * sign * delta * run_wnls.t_fine) - 1.0)
-    return float(np.max(osc * np.abs(run_wnls.ref_probe)))
 
 
 def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> ExperimentReport:
@@ -321,18 +309,18 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
         plain = replace(spec.eq, variant=Variant.NLS)
         shifted = replace(spec.eq, variant=Variant.WNLS)
 
-    run_w, run_n = _weak_run(replace(spec, eq=shifted), replace(spec, eq=plain))
+    spec_w, spec_n = replace(spec, eq=shifted), replace(spec, eq=plain)
+    (stats_w, predicted), (stats_n, _) = _weak_run(spec_w, spec_n)
 
-    w_verdicts, w_details = _weak_verdicts(run_w)
-    predicted = _plateau_prediction(run_w, shifted.sign)
-    measured = float(run_n.gaps[np.argmax(run_n.modes)])
+    w_verdicts, w_details = _weak_verdicts(spec_w, stats_w["gap_sup"])
+    measured = float(stats_n["gap_sup"][np.argmax(spec.mode_list)])
     thr = verdict_thresholds()
     if predicted == 0.0:
         plateau_ok = measured == 0.0
     else:
         plateau_ok = abs(measured / predicted - 1.0) <= thr["phase_defect_plateau_rtol"]
 
-    series = _weak_series(run_w, "wnls_") + _weak_series(run_n, "nls_")
+    series = _weak_series(spec_w, stats_w, "wnls_") + _weak_series(spec_n, stats_n, "nls_")
     verdicts = {f"wnls_{k}": v for k, v in w_verdicts.items()}
     verdicts["nls_plateau_matches_prediction"] = bool(plateau_ok)
     details = {"predicted_plateau": predicted, "measured_plateau": measured,

@@ -3,13 +3,16 @@
 Floats are emitted with Python's shortest round-trip repr, so every value
 reloads bit-exactly at full double precision. Series files start with a meta
 record embedding the resolved configuration and tool version; CSV files carry
-the same information in ``#``-prefixed comment lines.
+the same information in ``#``-prefixed comment lines. NDJSON is strict JSON:
+a non-finite float is written as ``null`` and its key path listed in the
+record's ``non_finite`` field.
 """
 
 import csv
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 
@@ -68,10 +71,28 @@ def meta_record(config: dict, **extra) -> dict:
     return rec
 
 
+def _finite_or_none(value, path: str, non_finite: list):
+    """``value`` with each non-finite float made None, its dotted key path appended in file order."""
+    key = lambda k: f"{path}.{k}" if path else str(k)
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v, key(k), non_finite) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v, key(i), non_finite) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append(path)
+        return None
+    return value
+
+
 def write_ndjson(path, records) -> None:
+    """One strict-JSON line per record; see the module docstring for non-finite floats."""
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(canonical_json(rec))
+            non_finite = []
+            rec = _finite_or_none(rec, "", non_finite)
+            if non_finite:
+                rec["non_finite"] = non_finite
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False))
             fh.write("\n")
 
 

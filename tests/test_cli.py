@@ -21,6 +21,13 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def strict_records(path):
+    """The records of an NDJSON file, read by a parser that refuses NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
+
+
 def write_yaml(path, data):
     path.write_text(yaml.safe_dump(data))
     return str(path)
@@ -136,19 +143,51 @@ class TestSchemeFailure:
         assert len(records) > 1
         assert all(r["record"] == "snapshot" for r in records[1:])
 
-
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_contrast_flushes_the_first_failing_row_under_strang(self, tmp_path):
         # every bump row of the one (20, m) stack overflows its mass and fails
         # at the first snapshot step, 49; the first of them in run order is
-        # the Wick family's forward mode-4 row
+        # the Wick family's forward mode-4 row. Its overflowed ledger is
+        # written as nulls, and the command raises no numpy warning.
         out = tmp_path / "o"
         assert run("weak-limit", "--config", str(CONFIG_DIR / "phase_defect_contrast.yaml"),
                    "--out", str(out), "--set", "bump.amplitude=1e155") == 3
-        records = ser.read_ndjson(out / "weak_limit.ndjson")
+        records = strict_records(out / "weak_limit.ndjson")
         assert records[0]["diverged"] is True and records[0]["last_valid_time"] == 0.098
+        assert "non_finite" not in records[0]
         assert [(r["record"], r["t"]) for r in records[1:]] == [("snapshot", 0.0)]
+        snapshot = records[1]
+        assert snapshot["non_finite"] == ["hamiltonian", "mass", "momentum", "mu",
+                                          "norms.h1", "norms.l2"]
+        assert snapshot["mass"] is None and snapshot["norms"] == {"h1": None, "l2": None}
+
+    def test_exit_3_prints_one_line(self, tmp_path):
+        # through the interpreter, where numpy's warnings would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wicknls", "weak-limit", "--config",
+             str(CONFIG_DIR / "phase_defect_contrast.yaml"), "--out", str(out),
+             "--set", "bump.amplitude=1e155"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == ("numerical scheme failure: relative mass drift nan above "
+                               "0.001 during step to t=0.1\n")
+        assert len(strict_records(out / "weak_limit.ndjson")) == 2
+
+    def test_overflowed_ledger_is_strict_json(self, tmp_path):
+        # a finite run whose Hamiltonian overflows: exit 0, the Hamiltonian
+        # written as null, every finite value as before; numpy's error state
+        # is back as it was once the command returns
+        before = np.geterr()
+        out = tmp_path / "o"
+        assert run("simulate", "--config", str(CONFIG_DIR / "simulate_plane_wave.yaml"),
+                   "--out", str(out), "--set", "data.amplitude=1e100") == 0
+        assert np.geterr() == before
+        meta, *snapshots = strict_records(out / "trajectory.ndjson")
+        assert "non_finite" not in meta and len(snapshots) == 11
+        for rec in snapshots:
+            assert rec["non_finite"] == ["hamiltonian"] and rec["hamiltonian"] is None
+            assert rec["mass"] == pytest.approx(fld.TWO_PI * 1e200, rel=1e-12)
 
 
 class TestConfigErrors:

@@ -191,13 +191,44 @@ class TestPhaseDefectContrast:
         two = xp.phase_defect_contrast_run(spec)
         assert one.to_records() == two.to_records()
         assert one.details == two.details and one.verdicts == two.verdicts
-        # two families of opposite sign, too, step as one stack
+        # two families of opposite sign, too, step as one stack; the
+        # prediction reads each family's base run over the whole time axis
         specs = (spec, replace(spec, eq=replace(eq, sign=-eq.sign)))
-        for joint, alone in zip(single(*specs), [single(s)[0] for s in specs]):
-            assert joint.spec is alone.spec
-            for name in ("gaps", "weak_proxy", "l4_gap", "l6_gap", "defects", "t_fine",
-                         "ref_probe"):
-                assert np.array_equal(getattr(joint, name), getattr(alone, name))
+        for (joint, joint_pred), (alone, alone_pred) in zip(single(*specs),
+                                                            [single(s)[0] for s in specs]):
+            assert list(joint) == list(alone) == [name for name, _ in xp._WEAK_STATS]
+            for name in joint:
+                assert np.array_equal(joint[name], alone[name])
+            assert joint_pred == alone_pred
+
+    def test_mode_order_irrelevant(self):
+        # the base holds bump mode 4, so the two bumps' defects differ and the
+        # prediction must take the top mode's, wherever it is listed
+        def report(modes):
+            spec = replace(small_spec(modes=modes, horizon=0.2, dt=1e-3),
+                           base=fld.TorusField.from_modes({1: 1.0, 4: 0.5}))
+            spec = replace(spec, integrator=replace(spec.integrator, snapshot_stride=50))
+            return xp.phase_defect_contrast_run(spec)
+
+        a, b = report((4, 8)), report((8, 4))
+        for s in a.series:
+            t = b.get_series(s.name)
+            assert dict(zip(s.index, s.values)) == dict(zip(t.index, t.values))
+        assert a.details == b.details and a.verdicts == b.verdicts
+        assert b.verdicts["nls_plateau_matches_prediction"]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("bump", [0.5, 1.0, 1.2j, 1.0 - 0.8j, 1.7])
+    def test_prediction_closed_form(self, sign, bump):
+        # base and probe e^{ix}: |<u_ref(t), phi>| = 2 pi and the defect is
+        # delta = |c|^2, so the prediction is 2 pi max_t |e^{2 i delta t} - 1|
+        # = 2 pi 2 sin(delta T) while delta T <= pi/2 (the grid holds t = +-T)
+        spec = small_spec(eq=EquationSpec("wnls", sign), bump=bump)
+        delta = abs(bump) ** 2
+        assert delta * spec.horizon <= math.pi / 2
+        predicted = xp.phase_defect_contrast_run(spec).details["predicted_plateau"]
+        assert predicted == pytest.approx(TWO_PI * 2.0 * math.sin(delta * spec.horizon),
+                                          rel=1e-12)
 
     def test_sign_flip_same_modulus(self):
         # |e^{-i theta} - 1| = |e^{i theta} - 1|: both signs give the same

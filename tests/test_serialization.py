@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,6 +89,26 @@ class TestTrajectoryRecords:
         ser.write_ndjson(path, [{"record": "meta", "v": 1}, {"record": "row", "t": 0.5}])
         back = ser.read_ndjson(path)
         assert back[0]["record"] == "meta" and back[1]["t"] == 0.5
+
+    def test_ndjson_is_strict_json(self, tmp_path):
+        # non-finite floats at any depth become null, listed by key path in
+        # file order; a finite record is written as canonical_json writes it
+        finite = {"record": "row", "t": 0.1, "v": [1.0, -0.0, 1e300], "d": {"x": 2}}
+        odd = {"record": "row", "t": math.nan, "values": [1.0, math.inf, np.float64(-np.inf)],
+               "details": {"ratio": math.inf, "rho": 0.5, "nested": {"r": [math.nan]}}}
+        path = tmp_path / "x.ndjson"
+        ser.write_ndjson(path, [finite, odd])
+        lines = path.read_text().splitlines()
+        assert lines[0] == ser.canonical_json(finite)
+
+        def refuse(token):
+            raise ValueError(token)
+        back = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert back[1]["non_finite"] == ["details.nested.r.0", "details.ratio", "t",
+                                         "values.1", "values.2"]
+        assert back[1]["values"] == [1.0, None, None] and back[1]["t"] is None
+        assert back[1]["details"] == {"ratio": None, "rho": 0.5, "nested": {"r": [None]}}
+        assert "non_finite" not in back[0]
 
 
 class TestCsv:
