@@ -105,13 +105,15 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 #
 # The rotation is taken in Cayley form, exp(i theta) = (1 + i tau) / (1 - i tau)
 # with tau = tan(theta / 2), which is exact. On numpy 2.x float64 tan is a
-# vectorised loop while cos and sin call libm once per element: over the 9,450
-# values of a (6, 1575) stack np.cos takes 89 us, np.sin 64 us and np.tan 25 us
-# (2-vCPU AVX-512 x86_64, numpy 2.4.6). The error stays at roundoff for any
-# theta: d theta = 2 d tau / (1 + tau^2), so a relative error in tau moves theta
-# by at most that much, also where tau nears 1e16 at theta / 2 ~ odd multiples
-# of pi / 2. |u|^2 as np.abs(u)^2 costs 21.5 us on that stack against 33 us
-# for re^2 + im^2. A non-finite intensity gives tan = NaN and so a NaN value.
+# vectorised loop while cos and sin call libm once per element: over the 12,600
+# values of the (24, 525) stack of the band-256 contrast np.cos takes 64 us,
+# np.sin 57 us and np.tan 20 us (2-vCPU AVX-512 x86_64, numpy 2.4.6, best of 15
+# rounds). The error stays at roundoff for any theta: d theta = 2 d tau /
+# (1 + tau^2), so a relative error in tau moves theta by at most that much, also
+# where tau nears 1e16 at theta / 2 ~ odd multiples of pi / 2. |u|^2 as
+# np.abs(u)^2 costs 26 us on that stack, within noise of the 23 us of
+# re^2 + im^2 into buffers, and needs no second buffer. A non-finite intensity
+# gives tan = NaN and so a NaN value.
 #
 # The two Cayley factors are conjugates, 1 - i tau and 1 + i tau, so one
 # buffer holds both: u is divided by the buffer, the buffer's imaginary part is
@@ -145,6 +147,45 @@ def nonlinear_phase(u: np.ndarray, factor: float, offset, *,
     u /= den
     np.negative(den_imag, out=den_imag)  # den = 1 + i tau
     u *= den
+
+
+# ---------------------------------------------------------------------------
+# keyed normal streams: (seed, index) -> the Philox stream keyed [seed, index]
+# ---------------------------------------------------------------------------
+
+def _plain_ints(state):
+    """A bit generator's state dict with every array in it a tuple of ints.
+
+    The state setter reads such a tuple in half the time it takes to read
+    the same values one scalar at a time out of a numpy array.
+    """
+    if isinstance(state, dict):
+        return {name: _plain_ints(value) for name, value in state.items()}
+    return tuple(state.tolist()) if isinstance(state, np.ndarray) else state
+
+
+def philox_streams(seed: int, indices):
+    """For each index, a Generator at the start of the Philox stream keyed [seed, index].
+
+    ``indices`` is a sequence of ints in [0, 2**64). Every draw is
+    bit-identical to one from a new ``Generator(Philox(key=[seed, index]))``,
+    but the same Generator is yielded each time, so a caller draws what an
+    index is for before it asks for the next. One generator serves all the
+    indices: it is keyed to the first, and for each later index its state is
+    reset to the fresh state of that key (counter 0, empty buffer), which
+    costs a twentieth of building a new one. The fresh state is read only
+    when a second index follows.
+    """
+    if not len(indices):
+        return
+    bits = np.random.Philox(key=np.array([seed, indices[0]], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = _plain_ints(bits.state) if len(indices) > 1 else None
+    yield gen
+    for index in indices[1:]:
+        fresh["state"]["key"] = (seed, index)
+        bits.state = fresh
+        yield gen
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from . import random_data as rnd
 from . import serialization as ser
 from . import wick
 from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant, evolve
+from ._kernels import philox_streams
 
 SCHEMA_VERSION = 1
 
@@ -468,8 +469,7 @@ def cmd_wick_check(cfg: dict):
 
         # Monte-Carlo means of the Wick powers under the standard complex
         # Gaussian (true variance 2). A corrupted wick_variance makes these fail.
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-        z = gen.standard_normal((mc_samples, 2))
+        z = next(philox_streams(seed, [0])).standard_normal((mc_samples, 2))
         g = z[:, 0] + 1j * z[:, 1]
         for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
                              ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):

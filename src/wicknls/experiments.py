@@ -31,7 +31,6 @@ from importlib import resources
 from itertools import islice
 
 import numpy as np
-import yaml
 
 from . import field as fld
 from . import random_data as rnd
@@ -43,6 +42,8 @@ from ._kernels import fast_fft_size
 
 @functools.cache
 def verdict_thresholds() -> dict:
+    import yaml  # here, so that importing the library does not load PyYAML
+
     text = resources.files("wicknls").joinpath("data/verdict_thresholds.yaml").read_text()
     return yaml.safe_load(text)
 

@@ -73,8 +73,7 @@ class TorusField:
         built ``coeffs`` themselves and guarantee those properties.
         """
         f = object.__new__(cls)
-        object.__setattr__(f, "coeffs", coeffs)
-        object.__setattr__(f, "max_mode", max_mode)
+        f.__dict__.update(coeffs=coeffs, max_mode=max_mode)  # what frozen forbids is setattr
         return f
 
     @classmethod
@@ -225,10 +224,27 @@ def norm(field: TorusField, spec: NormSpec) -> float:
     return float(np.sum(w ** (spec.s * spec.p) * a**spec.p) ** (1.0 / spec.p))
 
 
+# floats per BLAS dot of ``mean_intensity``: OpenBLAS (0.3.31) splits a dot of
+# more than 10,000 floats across its threads, which changes the order of the
+# sum, so a longer field is dotted in chunks of this length, added in order
+_DOT_CHUNK = 2**13
+
+
 def mean_intensity(field: TorusField) -> float:
-    """Average of |u|^2 over the torus: sum of squared coefficient moduli."""
+    """Average of |u|^2 over the torus: sum of squared coefficient moduli.
+
+    One BLAS dot of the interleaved re, im floats per chunk of
+    ``_DOT_CHUNK``, so the bits do not depend on the BLAS thread count; the
+    sum differs from a pairwise one by a few ulps.
+    """
     x = field.coeffs.view(np.float64)  # re, im interleaved
-    return float(np.add.reduce(x * x))
+    if len(x) <= _DOT_CHUNK:
+        return float(x.dot(x))
+    total = 0.0
+    for start in range(0, len(x), _DOT_CHUNK):
+        part = x[start:start + _DOT_CHUNK]
+        total += float(part.dot(part))
+    return total
 
 
 def pairing(f: TorusField, g: TorusField) -> complex:

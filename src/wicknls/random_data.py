@@ -20,6 +20,7 @@ import numpy as np
 
 from . import field as fld
 from .field import SpecFieldError
+from ._kernels import philox_streams
 from .serialization import field_coeffs_dict
 from .wick import renormalization_constant
 
@@ -79,34 +80,10 @@ def covariance_weights(alpha: float, max_mode: int) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + n ** (2.0 * alpha))
 
 
-def _plain_ints(state):
-    """A bit generator's state dict with every array in it a tuple of ints.
-
-    The state setter reads such a tuple in half the time it takes to read
-    the same values one scalar at a time out of a numpy array.
-    """
-    if isinstance(state, dict):
-        return {name: _plain_ints(value) for name, value in state.items()}
-    return tuple(state.tolist()) if isinstance(state, np.ndarray) else state
-
-
 def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
-    """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r]).
-
-    One generator serves the whole block: it is keyed to the first index, and
-    for each later index its state is reset to the fresh state of that key
-    (counter 0, empty buffer), which costs a twentieth of building a new one.
-    """
+    """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r])."""
     out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
-    if len(out) == 0:
-        return out
-    bits = np.random.Philox(key=np.array([spec.seed, indices[0]], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    fresh = _plain_ints(bits.state) if len(out) > 1 else None
-    gen.standard_normal(out=out[0])
-    for row, index in zip(out[1:], indices[1:]):
-        fresh["state"]["key"] = (spec.seed, index)
-        bits.state = fresh
+    for row, gen in zip(out, philox_streams(spec.seed, indices)):
         gen.standard_normal(out=row)
     return out
 
@@ -167,8 +144,14 @@ def sample_ensemble(spec: RandomDataSpec, count: int):
 
     Member k equals ``sample(spec, k)``. Its coefficients are a read-only
     view of a row of the sampler's block, not a copy, so a member kept alive
-    keeps its block (at most ``_BLOCK_NORMALS`` normals) alive too.
+    keeps its block (at most ``_BLOCK_NORMALS`` normals) alive too. A
+    ``count`` that is not an integer >= 0 raises here, not at the first
+    member.
     """
+    return _members(spec, fld.require_integer("count", count, 0))
+
+
+def _members(spec: RandomDataSpec, count: int):
     for _, block in _blocks(spec, count):
         block.setflags(write=False)
         for row in block:

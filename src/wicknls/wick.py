@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as fld
-from ._kernels import hermite_batch
+from ._kernels import hermite_batch, philox_streams
 
 MAX_HERMITE_DEGREE = 50
 _MC_BATCH = 1 << 16
@@ -138,16 +138,10 @@ def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH,
     """
     if not batch >= 1:
         raise ValueError("batch must be >= 1")
-    produced = 0
-    index = 0
-    while produced < samples:
-        take = min(batch, samples - produced)
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-        )
+    starts = range(0, samples, batch)
+    for start, gen in zip(starts, philox_streams(seed, range(len(starts)))):
+        take = min(batch, samples - start)
         yield gen.standard_normal(out=np.empty((take, dim)) if out is None else out[:take])
-        produced += take
-        index += 1
 
 
 def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -156,14 +150,15 @@ def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> n
     ``out`` (b,) and ``work`` (4, b) are buffers that a caller evaluating
     many batches allocates once; neither may overlap x.
     """
-    term, factor, hermite_work = work[0], work[1], work[2:]
-    out.fill(0.0)
-    for coeff, degrees in terms:
+    factor, hermite_work = work[1], work[2:]
+    for k, (coeff, degrees) in enumerate(terms):
+        term = out if k == 0 else work[0]  # the first term is written into out
         term.fill(coeff)
         for j, deg in enumerate(degrees):
             if deg > 0:
                 term *= hermite_batch(deg, x[:, j], 1.0, out=factor, work=hermite_work)
-        out += term
+        if k:
+            out += term
     return out
 
 
@@ -203,12 +198,14 @@ def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_00
         f2 *= f2
         np.multiply(f2, f2, out=square)
         s2 += f2.sum()
-        s4 += square.sum()
-        if half_q == 2.0:  # |F|^q is the square already
+        sum4 = square.sum()
+        s4 += sum4
+        if half_q == 2.0:  # |F|^q is the square already, and so is its sum
             fq = square
+            sq += sum4
         else:
             fq = np.power(f2, half_q, out=f2)
-        sq += fq.sum()
+            sq += fq.sum()
         fq *= fq
         s2q += fq.sum()
 

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -15,6 +21,8 @@ from wicknls.dynamics import (EquationSpec, IntegratorSpec, evolve, evolve_batch
 from wicknls.wick import hypercontractivity_check
 
 from oracles import quadruple_sum_free_l4
+
+REPO = Path(__file__).resolve().parent.parent
 
 TWO_PI = 2.0 * np.pi
 
@@ -515,6 +523,18 @@ class TestReportPlumbing:
         thr = xp.verdict_thresholds()
         assert thr["version"] == 1
         assert thr["weak_decay_ratio_max"] == 0.2
+
+    def test_import_leaves_pyyaml_unloaded(self):
+        # the thresholds load PyYAML when first read, not when wicknls is imported
+        code = ("import json, sys, wicknls\n"
+                "assert 'yaml' not in sys.modules\n"
+                "print(json.dumps(wicknls.verdict_thresholds()))")
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        shipped = yaml.safe_load(
+            (REPO / "src" / "wicknls" / "data" / "verdict_thresholds.yaml").read_text())
+        assert json.loads(proc.stdout) == shipped == xp.verdict_thresholds()
 
     def test_records_round_trip_shape(self):
         report = xp.weak_continuity_run(small_spec(bump=0.0))

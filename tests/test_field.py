@@ -1,14 +1,23 @@
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wicknls import dynamics as dyn
 from wicknls import field as fld
 from wicknls._kernels import fast_fft_size
 
 from oracles import dense_quartic_integral, direct_samples
 
 TWO_PI = 2.0 * np.pi
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_field(max_mode, seed=0, scale=1.0):
@@ -43,6 +52,17 @@ class TestTorusField:
         f = random_field(3)
         with pytest.raises(ValueError):
             f.coeffs[0] = 1.0
+
+    def test_trusted_keeps_the_given_row(self):
+        block = np.arange(10, dtype=complex).reshape(2, 5)
+        block.setflags(write=False)
+        row = block[1]
+        f = fld.TorusField._trusted(row, 2)
+        assert f.coeffs is row and f.max_mode == 2 and not f.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            f.coeffs[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.max_mode = 3
 
     def test_coeff_and_padding(self):
         f = fld.TorusField.from_modes({2: 1.5, -1: 2j})
@@ -167,6 +187,38 @@ class TestMeanIntensityPairing:
     def test_sum_of_squares(self):
         f = fld.TorusField.from_modes({0: 1.0, -1: 2.0})
         assert fld.mean_intensity(f) == pytest.approx(5.0)
+
+    # fixed examples: a BLAS dot errs by a few ulps, up to 3.9 eps on 1 of
+    # 20,000 random fields of these bands, so the bound is checked on a
+    # reproducible set
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 300), st.floats(-150.0, 150.0), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_mean_intensity_matches_exact_sum(self, band, exponent, seed, zero):
+        f = fld.TorusField.zeros(band) if zero else random_field(band, seed, 10.0**exponent)
+        exact = math.fsum(x * x for x in f.coeffs.view(np.float64))
+        integ = dyn.IntegratorSpec("strang", dt=0.1, t_end=0.1)
+        with np.errstate(over="ignore"):  # the quartic overflows past |u| ~ 1e77; mu does not
+            ledger = dyn.Trajectory(f.coeffs[None, :], dyn.EquationSpec("nls", sign=1),
+                                    integ).ledger
+        for mu in (fld.mean_intensity(f), float(ledger["mu"][0])):
+            assert abs(mu - exact) <= 4.0 * np.finfo(float).eps * exact
+
+    def test_mean_intensity_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot of more than 10,000 floats across its threads;
+        # a band-6,000 field has 24,002, so it is summed as fixed chunks. One
+        # dot of all of them moves by an ulp under 2 threads on most fields.
+        code = ("import numpy as np; from wicknls import field as fld\n"
+                "for seed in range(4):\n"
+                "    c = np.random.default_rng(seed).standard_normal((12001, 2)) @ [1, 1j]\n"
+                "    print(fld.mean_intensity(fld.TorusField(c, 6000)).hex())")
+        bits = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            bits.add(proc.stdout)
+        assert len(bits) == 1
 
     def test_pairing_same_mode(self):
         f = fld.TorusField.single_mode(1, 1.0)

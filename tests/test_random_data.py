@@ -9,6 +9,7 @@ from scipy import stats
 
 from wicknls import field as fld
 from wicknls import random_data as rnd
+from wicknls.field import SpecFieldError
 from wicknls.wick import renormalization_constant
 
 from oracles import keyed_sample_coeffs, regularity_profile_loop
@@ -104,6 +105,19 @@ class TestSampleBlock:
         spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
         assert rnd.sample_block(spec, []).shape == (0, 11)
         assert list(rnd.sample_ensemble(spec, 0)) == []
+
+    @pytest.mark.parametrize("count", [-1, True, 2.0])
+    def test_ensemble_rejects_count_when_called(self, count):
+        # no next(): the count is checked by the call itself
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        with pytest.raises(SpecFieldError, match=rf"count must be .* \(got {count!r}\)"):
+            rnd.sample_ensemble(spec, count)
+
+    def test_ensemble_accepts_numpy_count(self):
+        spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)
+        fields = list(rnd.sample_ensemble(spec, np.int64(2)))
+        assert [f.coeffs.tobytes() for f in fields] == \
+            [rnd.sample(spec, k).coeffs.tobytes() for k in range(2)]
 
     def test_rejects_index_outside_64_bits(self):
         spec = rnd.RandomDataSpec(alpha=1.0, max_mode=5, seed=0)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from wicknls import _kernels as K
+from wicknls import cli
 from wicknls import field as fld
+from wicknls import serialization as ser
 from wicknls import wick
 
 from oracles import (gaussian_even_moment, hermite_recurrence, hermite_reference,
@@ -258,18 +260,46 @@ class TestHypercontractivity:
         assert a == b
 
 
+def fresh_normals(seed, index, shape):
+    """Normals of a new generator keyed [seed, index]: the stream every draw must equal."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal(shape)
+
+
 class TestGaussianBatches:
-    @pytest.mark.parametrize("dim, samples, batch", [(1, 25, 10), (3, 30, 10), (2, 7, 64)])
-    def test_buffer_matches_allocating_path(self, dim, samples, batch):
+    @pytest.mark.parametrize("dim, samples, seed, batch", [
+        (1, 25, 4, 10), (3, 30, 4, 10), (2, 7, 4, 64), (2, 41, 2**64 - 1, 8)])
+    def test_buffer_matches_allocating_path(self, dim, samples, seed, batch):
         buffer = np.empty((batch, dim))
-        fresh = list(wick.gaussian_batches(dim, samples, 4, batch=batch))
-        reused = [x.copy() for x in wick.gaussian_batches(dim, samples, 4, batch=batch,
+        fresh = list(wick.gaussian_batches(dim, samples, seed, batch=batch))
+        reused = [x.copy() for x in wick.gaussian_batches(dim, samples, seed, batch=batch,
                                                           out=buffer)]
         assert [len(x) for x in fresh] == [len(x) for x in reused]
         assert sum(len(x) for x in fresh) == samples
         for b, (a, c) in enumerate(zip(fresh, reused)):
-            gen = np.random.Generator(np.random.Philox(key=np.array([4, b], dtype=np.uint64)))
-            assert a.tobytes() == c.tobytes() == gen.standard_normal((len(a), dim)).tobytes()
+            assert a.tobytes() == c.tobytes() == fresh_normals(seed, b, (len(a), dim)).tobytes()
+
+    def test_wick_check_draw_is_the_fresh_stream(self, tmp_path):
+        # the Monte-Carlo means of the wick-check command come from the
+        # stream keyed [seed, 0], the same rule as every batch above
+        seed, samples, variance = 2**64 - 1, 5_000, 2.0
+        cfg = {"schema_version": 1, "seed": seed, "mc_samples": samples,
+               "wick_variance": variance}
+        assert cli.cmd_wick_check(cfg)(tmp_path) == cli.EXIT_OK
+        records = {r.get("name"): r for r in ser.read_ndjson(tmp_path / "wick_check.ndjson")}
+        z = fresh_normals(seed, 0, (samples, 2))
+        g = z[:, 0] + 1j * z[:, 1]
+        for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
+                             ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):
+            assert records[name]["mean"] == float(np.mean(values))
+            assert records[name]["stderr"] == float(np.std(values) / math.sqrt(samples))
+
+    def test_keyed_streams_reset_to_each_fresh_key(self):
+        indices = [3, 0, 2**64 - 1, 3]
+        draws = [gen.standard_normal(5) for gen in K.philox_streams(7, indices)]
+        assert [d.tobytes() for d in draws] == \
+            [fresh_normals(7, k, 5).tobytes() for k in indices]
+        assert list(K.philox_streams(7, [])) == []
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_rejects_empty_batches(self, batch):
