@@ -277,6 +277,16 @@ def _field_file(value) -> fld.TorusField:
 
 
 def _build_field(section: dict, path: str) -> fld.TorusField:
+    """The field of config section ``path``; its mass 2*pi*mu must be finite."""
+    u = _section_field(section, path)
+    with np.errstate(over="ignore"):  # the error below reports it
+        mass = fld.TWO_PI * fld.mean_intensity(u)
+    if not math.isfinite(mass):
+        raise ConfigError(f"config field {path!r}: mass 2*pi*mu must be finite (got {mass})")
+    return u
+
+
+def _section_field(section: dict, path: str) -> fld.TorusField:
     kind = _field(section, f"{path}.kind", _one_of("plane_wave", "modes", "random", "file"))
     if kind == "random":
         return _checked(path, rnd.sample, _build_random_spec(section, path),

@@ -133,6 +133,20 @@ class WeakSequenceSpec:
                 "eq" if self.eq.truncated else "working_band",
                 f"working band {band} too small for bump modes (need >= {need} "
                 "to keep cubic harmonics resolved)")
+        # a datum of infinite mass fails any scheme at its first check, so it
+        # is refused here rather than stepped and reported as a scheme failure
+        with np.errstate(over="ignore"):  # the errors below report it
+            mass = fld.TWO_PI * fld.mean_intensity(self.base)
+            if not math.isfinite(mass):
+                raise SpecFieldError("base", f"mass 2*pi*mu of the base must be finite "
+                                             f"(got {mass})")
+            # the mode-m bump turns |b_m|^2 into |b_m + c|^2
+            b = np.array([self.base.coeff(m) for m in modes])
+            bumped = mass + fld.TWO_PI * (np.abs(b + self.bump_amplitude) ** 2 - np.abs(b) ** 2)
+        for m, value in zip(modes, bumped.tolist()):
+            if not math.isfinite(value):
+                raise SpecFieldError("bump_amplitude", f"mass 2*pi*mu of the mode-{m} bump "
+                                                       f"datum must be finite (got {value})")
 
     def resolved_band(self) -> int:
         if self.eq.truncated:
@@ -428,20 +442,25 @@ def _band_doubling(ensemble: rnd.RandomDataSpec, name: str, samples: int, values
                    **hashed) -> tuple[list, list]:
     """The ``<name>_band<N>`` series of samples 0..samples-1 at bands N and 2N.
 
-    N is the ensemble's band. Each band draws the nested truncation
-    ``replace(ensemble, max_mode=band)`` in the sampler's memory-bounded
-    blocks, and ``values(band, block)`` maps a block to the values of its
-    rows (it may drop rows). Each series is hashed over the truncated spec and
-    ``hashed``. Returns the two series and the two value lists.
+    N is the ensemble's band. Each sample is drawn once, at band 2N, in the
+    sampler's memory-bounded blocks: by the nested-truncation rule the
+    centre columns ``block[:, N:3N+1]`` of a band-2N block are, bit for bit,
+    the band-N block of the same indices. ``values(band, block)`` maps a
+    block to the values of its rows (it may drop rows) and must not depend on
+    how the rows are split into blocks. Each series is hashed over the
+    truncated spec ``replace(ensemble, max_mode=band)`` and ``hashed``.
+    Returns the two series and the two value lists.
     """
-    series, lists = [], []
-    for band in (ensemble.max_mode, 2 * ensemble.max_mode):
-        spec = replace(ensemble, max_mode=band)
-        got = [v for _, block in rnd._blocks(spec, samples) for v in values(band, block)]
-        series.append(Series(f"{name}_band{band}", "dimensionless", "sample",
-                             tuple(range(len(got))), tuple(got),
-                             spec_hash({**spec.to_dict(), **hashed})))
-        lists.append(got)
+    band = ensemble.max_mode
+    specs = (ensemble, replace(ensemble, max_mode=2 * band))
+    lists = [[], []]
+    for _, block in rnd._blocks(specs[1], samples):
+        lists[0].extend(values(band, block[:, band:3 * band + 1]))
+        lists[1].extend(values(2 * band, block))
+    series = [Series(f"{name}_band{spec.max_mode}", "dimensionless", "sample",
+                     tuple(range(len(got))), tuple(got),
+                     spec_hash({**spec.to_dict(), **hashed}))
+              for spec, got in zip(specs, lists)]
     return series, lists
 
 

@@ -21,6 +21,13 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def run_module(*argv):
+    """``python -m wicknls *argv`` in a child interpreter, where numpy's warnings reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-m", "wicknls", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def strict_records(path):
     """The records of an NDJSON file, read by a parser that refuses NaN and Infinity."""
     def refuse(token):
@@ -144,35 +151,45 @@ class TestSchemeFailure:
         assert all(r["record"] == "snapshot" for r in records[1:])
 
     def test_contrast_flushes_the_first_failing_row_under_strang(self, tmp_path):
-        # every bump row of the one (20, m) stack overflows its mass and fails
-        # at the first snapshot step, 49; the first of them in run order is
-        # the Wick family's forward mode-4 row. Its overflowed ledger is
-        # written as nulls, and the command raises no numpy warning.
+        # a 1e152 bump has a finite mass (6.28e304), so it is stepped; the
+        # unnormalised pin target m^2 mu of every bump row of the one (20, m)
+        # stack overflows at the first snapshot step, 49, and the first of
+        # them in run order is the Wick family's forward mode-4 row. Its t = 0
+        # Hamiltonian overflows and is written as null, and the command raises
+        # no numpy warning.
         out = tmp_path / "o"
         assert run("weak-limit", "--config", str(CONFIG_DIR / "phase_defect_contrast.yaml"),
-                   "--out", str(out), "--set", "bump.amplitude=1e155") == 3
+                   "--out", str(out), "--set", "bump.amplitude=1e152") == 3
         records = strict_records(out / "weak_limit.ndjson")
         assert records[0]["diverged"] is True and records[0]["last_valid_time"] == 0.098
         assert "non_finite" not in records[0]
         assert [(r["record"], r["t"]) for r in records[1:]] == [("snapshot", 0.0)]
         snapshot = records[1]
-        assert snapshot["non_finite"] == ["hamiltonian", "mass", "momentum", "mu",
-                                          "norms.h1", "norms.l2"]
-        assert snapshot["mass"] is None and snapshot["norms"] == {"h1": None, "l2": None}
+        assert snapshot["non_finite"] == ["hamiltonian"] and snapshot["hamiltonian"] is None
+        assert snapshot["mass"] == pytest.approx(fld.TWO_PI * 1e304, rel=1e-12)
 
     def test_exit_3_prints_one_line(self, tmp_path):
-        # through the interpreter, where numpy's warnings would reach stderr
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
         out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, "-m", "wicknls", "weak-limit", "--config",
-             str(CONFIG_DIR / "phase_defect_contrast.yaml"), "--out", str(out),
-             "--set", "bump.amplitude=1e155"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module("weak-limit", "--config",
+                          str(CONFIG_DIR / "phase_defect_contrast.yaml"), "--out", str(out),
+                          "--set", "bump.amplitude=1e152")
         assert proc.returncode == 3
         assert proc.stderr == ("numerical scheme failure: relative mass drift nan above "
                                "0.001 during step to t=0.1\n")
         assert len(strict_records(out / "weak_limit.ndjson")) == 2
+
+    # 1e155: mu = 1e310 overflows; 1e154: mu = 1e308 is finite, 2 pi mu is not
+    @pytest.mark.parametrize("amplitude", ["1e155", "1e154"])
+    def test_infinite_mass_bump_is_a_config_error(self, tmp_path, amplitude):
+        # refused before any step, with one line and no numpy warning
+        out = tmp_path / "o"
+        proc = run_module("weak-limit", "--config",
+                          str(CONFIG_DIR / "phase_defect_contrast.yaml"), "--out", str(out),
+                          "--set", f"bump.amplitude={amplitude}")
+        assert proc.returncode == 2
+        assert proc.stderr == ("config error: config field 'bump.amplitude': mass 2*pi*mu "
+                               "of the mode-4 bump datum must be finite (got inf)\n")
+        assert not out.exists()
 
     def test_overflowed_ledger_is_strict_json(self, tmp_path):
         # a finite run whose Hamiltonian overflows: exit 0, the Hamiltonian
@@ -229,6 +246,8 @@ class TestConfigErrors:
         (["horizon=.inf"], "'horizon'"),
         (["bump.amplitude=.nan"], "'bump.amplitude'"),
         (["bump.amplitude=[1,.inf]"], "'bump.amplitude'"),
+        (["base.amplitude=1e155"], "'base'"),
+        (["probe.amplitude=1e154"], "'probe'"),
         (["equation.variant=truncated-nls", "equation.truncation=-1"],
          "'equation.truncation'"),
         # the integrator's t_end is the top-level horizon
@@ -395,6 +414,9 @@ class TestConfigErrors:
          "'integrator.t_end'"),
         ("simulate", "simulate_plane_wave.yaml", "integrator.dt=1e-310", "'integrator.dt'"),
         ("order-study", "order_study_rk4.yaml", "dts=[1e-3,5e-4,1e-310]", "'dts'"),
+        # a field whose mass 2 pi mu is infinite
+        ("simulate", "simulate_plane_wave.yaml", "data.amplitude=1e155", "'data'"),
+        ("order-study", "order_study_rk4.yaml", "data.amplitude=1e154", "'data'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -99,6 +99,23 @@ class TestWeakSequenceSpec:
         with pytest.raises(ValueError):
             small_spec(modes=(2, 2))
 
+    # 1e155: mu = 1e310 overflows; 1e154: mu = 1e308 is finite, 2 pi mu is
+    # not. The error alone reports the overflow: it raises no RuntimeWarning.
+    @pytest.mark.parametrize("bump", [1e155, 1e154, 1e154j])
+    def test_rejects_a_bump_of_infinite_mass(self, bump):
+        with pytest.raises(xp.SpecFieldError, match=r"mode-3 bump .*\(got inf\)") as info:
+            small_spec(bump=bump)
+        assert info.value.field == "bump_amplitude"
+
+    def test_rejects_a_base_of_infinite_mass(self):
+        with pytest.raises(xp.SpecFieldError, match="base") as info:
+            replace(small_spec(), base=fld.TorusField.single_mode(1, 1e154))
+        assert info.value.field == "base"
+
+    def test_accepts_a_finite_mass_near_the_limit(self):
+        # 2 pi (1 + 1e304) is finite: such a datum is stepped, not refused
+        assert small_spec(bump=1e152).bump_amplitude == 1e152
+
 
 class TestWeakContinuityRun:
     def test_zero_bump_zero_gaps(self):
@@ -346,11 +363,10 @@ class TestStrichartzProbe:
             assert report.get_series(f"l4_ratio_band{band}").values == tuple(loop)
 
     def test_probe_matches_per_sample_loop_across_blocks(self, monkeypatch):
-        # 1000 normals a block: 29 rows at band 8, 15 at band 16
+        # 1000 normals a block: 15 rows at band 16, in 7 blocks; band 8 reads
+        # the centre columns of the same blocks
         monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 1000)
-        for band in (8, 16):
-            spec = rnd.RandomDataSpec(alpha=0.0, max_mode=band, seed=4)
-            assert -(-100 // rnd._block_rows(spec)) >= 3
+        assert rnd._block_rows(rnd.RandomDataSpec(alpha=0.0, max_mode=16, seed=4)) == 15
         self.test_probe_matches_per_sample_loop()
 
     def test_zero_samples_skipped(self):
@@ -364,6 +380,27 @@ class TestStrichartzProbe:
             xp.strichartz_ratio_probe(ens, 1.5, 100)
         with pytest.raises(ValueError):
             xp.strichartz_ratio_probe(ens, 0.5, 10)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda ens: xp.strichartz_ratio_probe(ens, 0.5, 100),
+    lambda ens: xp.apriori_growth_probe(ens, -0.25, 0.1, 100),
+], ids=["strichartz", "growth"])
+def test_band_doubling_draws_each_sample_once(monkeypatch, probe):
+    # one draw at band 16, in blocks of 15 rows; the band-8 rows are the
+    # centre columns of those blocks, not a second draw
+    draws = []
+
+    def counted(spec, indices):
+        draws.append((spec.max_mode, list(indices)))
+        return sample_block(spec, indices)
+    sample_block = rnd.sample_block
+    monkeypatch.setattr(rnd, "sample_block", counted)
+    monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 1000)
+    report = probe(rnd.RandomDataSpec(alpha=0.5, max_mode=8, seed=3))
+    assert [band for band, _ in draws] == [16] * 7
+    assert [k for _, rows in draws for k in rows] == list(range(100))
+    assert [len(s.values) for s in report.series] == [100, 100]
 
 
 class TestSpearman:
@@ -417,11 +454,10 @@ class TestAprioriGrowth:
 
     @pytest.mark.parametrize("scheme", ["strang", "rk4"])
     def test_probe_matches_per_sample_loop_across_blocks(self, monkeypatch, scheme):
-        # 68 normals a block: 2 rows at band 8, 1 at band 16
-        monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 68)
-        for band in (8, 16):
-            spec = rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=9)
-            assert -(-5 // rnd._block_rows(spec)) >= 3
+        # 132 normals a block: 2 rows at band 16, in 3 blocks; band 8 reads
+        # the centre columns of the same blocks
+        monkeypatch.setattr(rnd, "_BLOCK_NORMALS", 132)
+        assert rnd._block_rows(rnd.RandomDataSpec(alpha=0.5, max_mode=16, seed=9)) == 2
         self.test_probe_matches_per_sample_loop(scheme)
 
     @pytest.mark.parametrize("scheme, dt, stride", [("strang", 2e-3, 5), ("rk4", 5e-4, 10)])

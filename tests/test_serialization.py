@@ -6,7 +6,7 @@ import pytest
 
 from wicknls import field as fld
 from wicknls import serialization as ser
-from wicknls.dynamics import EquationSpec, IntegratorSpec, evolve
+from wicknls.dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, evolve
 
 
 class TestFieldFiles:
@@ -109,6 +109,28 @@ class TestTrajectoryRecords:
         assert back[1]["values"] == [1.0, None, None] and back[1]["t"] is None
         assert back[1]["details"] == {"ratio": None, "rho": 0.5, "nested": {"r": [None]}}
         assert "non_finite" not in back[0]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowed_snapshot_is_strict_json(self, tmp_path):
+        # |c|^2 = 1e310: the t = 0 snapshot of the failing run has no finite
+        # ledger value or norm, and each is written as null
+        u0 = fld.TorusField.single_mode(0, 1e155, max_mode=4)
+        integ = IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
+        with pytest.raises(IntegrationDivergedError) as info:
+            evolve(u0, EquationSpec("wnls"), integ)
+        path = tmp_path / "x.ndjson"
+        ser.write_ndjson(path, ser.trajectory_records(info.value.trajectory))
+
+        def refuse(token):
+            raise ValueError(token)
+        (snapshot,) = [json.loads(line, parse_constant=refuse)
+                       for line in path.read_text().splitlines()]
+        assert snapshot["t"] == 0.0
+        assert snapshot["non_finite"] == ["hamiltonian", "mass", "momentum", "mu",
+                                          "norms.h1", "norms.l2"]
+        assert all(snapshot[key] is None for key in ("hamiltonian", "mass", "momentum", "mu"))
+        assert snapshot["norms"] == {"h1": None, "l2": None}
 
 
 class TestCsv:
