@@ -93,7 +93,8 @@ class EquationSpec:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         if self.sign not in (1, -1):
-            raise SpecFieldError("sign", "sign must be +1 (defocusing) or -1 (focusing)")
+            raise SpecFieldError("sign", "sign must be +1 (defocusing) or -1 (focusing) "
+                                 f"(got {self.sign!r})")
         if self.truncated:
             if self.truncation is None:
                 raise SpecFieldError("truncation",
@@ -129,6 +130,14 @@ class EquationSpec:
 
 @dataclass(frozen=True)
 class IntegratorSpec:
+    """``step_count()`` steps of ``dt`` from 0 to ``t_end`` (< 0: a backward run).
+
+    The time grid is checked when the spec is built: ``dt`` is finite, > 0,
+    not so small that ``t_end / dt`` overflows, and divides ``t_end`` (to 1e-9
+    relative); ``snapshot_stride`` divides the step count. A rejected value
+    raises ``SpecFieldError`` naming its field.
+    """
+
     scheme: str
     dt: float
     t_end: float
@@ -136,12 +145,24 @@ class IntegratorSpec:
 
     def __post_init__(self):
         if self.scheme not in ("strang", "rk4"):
-            raise SpecFieldError("scheme", "scheme must be 'strang' or 'rk4'")
+            raise SpecFieldError("scheme",
+                                 f"scheme must be 'strang' or 'rk4' (got {self.scheme!r})")
         if not (self.dt > 0 and math.isfinite(self.dt)):  # NaN-safe
             raise SpecFieldError("dt", f"dt must be finite and > 0 (got {self.dt})")
         if not math.isfinite(self.t_end):
             raise SpecFieldError("t_end", f"t_end must be finite (got {self.t_end})")
         fld.require_integer("snapshot_stride", self.snapshot_stride, 1)
+        steps = abs(self.t_end) / self.dt
+        if not math.isfinite(steps):  # a subnormal dt
+            raise SpecFieldError("dt", f"dt = {self.dt!r} is too small: "
+                                 "t_end / dt overflows")
+        n = round(steps)
+        if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)):
+            raise SpecFieldError("t_end", f"dt must divide t_end (dt = {self.dt!r}, "
+                                          f"t_end = {self.t_end!r})")
+        if n % self.snapshot_stride:
+            raise SpecFieldError("snapshot_stride", "snapshot_stride must divide the step "
+                                 f"count (got {self.snapshot_stride} for {n} steps)")
 
     @property
     def signed_dt(self) -> float:
@@ -149,16 +170,7 @@ class IntegratorSpec:
         return math.copysign(self.dt, self.t_end) if self.t_end else self.dt
 
     def step_count(self) -> int:
-        steps = abs(self.t_end) / self.dt
-        if not math.isfinite(steps):  # a subnormal dt
-            raise SpecFieldError("dt", f"dt = {self.dt!r} is too small: "
-                                 "t_end / dt overflows")
-        n = round(steps)
-        if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)):
-            raise SpecFieldError("t_end", "dt must divide t_end")
-        if n and n % self.snapshot_stride:
-            raise SpecFieldError("snapshot_stride", "snapshot_stride must divide the step count")
-        return n
+        return round(abs(self.t_end) / self.dt)
 
     def to_dict(self) -> dict:
         return {"scheme": self.scheme, "dt": self.dt, "t_end": self.t_end,

@@ -92,13 +92,26 @@ class ExperimentReport:
                 for s in self.series for i, v in zip(s.index, s.values)]
 
 
+def _run_to(integ: IntegratorSpec, t_end: float, name: str) -> IntegratorSpec:
+    """``integ`` run to ``t_end``; a time grid that misses it raises ``SpecFieldError(name)``."""
+    try:
+        return replace(integ, t_end=t_end)
+    except SpecFieldError as exc:
+        raise SpecFieldError(name, str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # weak continuity of the solution map
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeakSequenceSpec:
-    """Bump family u_{0,n} = base + c e^{inx} probed against phi over |t| <= T."""
+    """Bump family u_{0,n} = base + c e^{inx} probed against phi over |t| <= T.
+
+    The spec's integrator runs to the horizon: its ``t_end`` is set to
+    ``horizon`` when the spec is built, and a time grid that does not fit the
+    horizon raises ``SpecFieldError`` naming ``horizon``.
+    """
 
     base: fld.TorusField
     bump_amplitude: complex
@@ -122,6 +135,8 @@ class WeakSequenceSpec:
         if not (self.horizon > 0 and math.isfinite(self.horizon)):  # NaN-safe
             raise SpecFieldError("horizon",
                                  f"horizon must be finite and > 0 (got {self.horizon})")
+        object.__setattr__(self, "integrator",
+                           _run_to(self.integrator, float(self.horizon), "horizon"))
         if fld.mean_intensity(self.probe) == 0.0:
             raise SpecFieldError("probe", "probe must be nonzero")
         band = self.resolved_band()
@@ -204,8 +219,7 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     runs = []
     for spec in specs:
         data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
-        for t_end in (float(spec.horizon), -float(spec.horizon)):
-            integ = replace(spec.integrator, t_end=t_end)
+        for integ in (spec.integrator, replace(spec.integrator, t_end=-spec.integrator.t_end)):
             runs += [(u0, spec.eq, integ) for u0 in data]
     trajs = iter(_evolve_runs(runs, {"phi": specs[0].probe}))
     out = []
@@ -255,11 +269,13 @@ def _spearman_rho(x, y) -> float:
     return float(np.dot(rx, ry)) / denom if denom > 0.0 else math.nan
 
 
+# the verdict modes of weak_continuity_run
+_VERDICT_MODES = ("auto", "decay", "plateau")
+
+
 def _weak_verdicts(spec: WeakSequenceSpec, gaps: np.ndarray,
                    mode: str = "auto") -> tuple[dict, dict]:
     """Decay or plateau verdicts on the gaps over ``spec.mode_list``, read in ascending mode."""
-    if mode not in ("auto", "decay", "plateau"):
-        raise ValueError("verdict mode must be auto, decay or plateau")
     if mode == "auto":
         mode = "decay" if spec.eq.mean_shifted else "plateau"
     thr = verdict_thresholds()
@@ -297,8 +313,12 @@ def weak_continuity_run(spec: WeakSequenceSpec,
     are checked for a decaying-gap trend and the plain variants for a
     persistent plateau; pass ``"decay"`` or ``"plateau"`` to force one (e.g.
     applying the decay verdict to the plain equation exhibits its failure).
-    The bump family runs as one stack, both time directions together.
+    The bump family runs as one stack, both time directions together; an
+    unknown mode is refused before it steps.
     """
+    if verdict_mode not in _VERDICT_MODES:
+        raise ValueError(f"verdict mode must be one of {', '.join(_VERDICT_MODES)} "
+                         f"(got {verdict_mode!r})")
     (stats, _), = _weak_run(spec)
     verdicts, details = _weak_verdicts(spec, stats["gap_sup"], verdict_mode)
     details["working_band"] = spec.resolved_band()
@@ -517,14 +537,19 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
     change under the doubling. Each block of the sampler runs as one
     ``evolve_batch``; the ratios equal those of a loop of ``evolve`` over
     ``sample(spec, k)`` bit for bit. ``threads`` is accepted but unused.
+
+    ``integ`` runs to ``t_horizon``. By default it is Strang at dt = 2e-3
+    with a snapshot every gcd(10, steps) steps. A ``t_horizon`` that the
+    time grid does not fit raises ``SpecFieldError`` naming ``t_horizon``.
     """
     if not (-0.5 <= s <= 0.0):
         raise ValueError("s must lie in [-1/2, 0]")
     fld.require_integer("samples", samples, 1)
     if integ is None:
-        integ = IntegratorSpec("strang", dt=2e-3, t_end=t_horizon, snapshot_stride=10)
+        integ = _run_to(IntegratorSpec("strang", dt=2e-3, t_end=0.0), t_horizon, "t_horizon")
+        integ = replace(integ, snapshot_stride=math.gcd(10, integ.step_count()))
     else:
-        integ = replace(integ, t_end=t_horizon)
+        integ = _run_to(integ, t_horizon, "t_horizon")
     eq = EquationSpec(Variant.WNLS, sign=sign)
 
     def ratios(band, block):
@@ -554,6 +579,27 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
 # integrator order study
 # ---------------------------------------------------------------------------
 
+def _order_ladder(dts: list, scheme: str, t_end: float) -> list:
+    """The integrators of an order study: one per dt of ``dts``, then the reference's.
+
+    ``dts`` holds at least 3 finite, strictly decreasing values > 0 and
+    ``t_end`` is finite and > 0; each dt, and the reference step
+    ``dts[-1] / 4``, must divide ``t_end``. Each run takes one snapshot, at
+    ``t_end``. A rejected value raises ``SpecFieldError`` naming ``dts``,
+    ``t_end`` or ``scheme``.
+    """
+    if (len(dts) < 3 or not (math.isfinite(dts[0]) and dts[-1] > 0)
+            or any(not b < a for a, b in zip(dts, dts[1:]))):  # NaN-safe
+        raise SpecFieldError("dts", "dts must hold >= 3 finite, strictly decreasing values "
+                                    f"> 0 (got {dts})")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise SpecFieldError("t_end", f"t_end must be finite and > 0 (got {t_end!r})")
+    # each dt is checked (with the scheme) before its step count is taken
+    integs = [_run_to(IntegratorSpec(scheme, dt=dt, t_end=0.0), t_end, "dts")
+              for dt in dts + [dts[-1] / 4.0]]
+    return [replace(integ, snapshot_stride=max(1, integ.step_count())) for integ in integs]
+
+
 def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
                            scheme: str = "strang", t_end: float = 1.0) -> ExperimentReport:
     """Errors at t_end over a decreasing dt list, with a fitted order.
@@ -562,20 +608,12 @@ def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
     the reference is a run at a quarter of the smallest dt. When all errors
     sit at the roundoff floor the verdict reports exactness instead of an
     order (the split-step substeps commute on single-mode data, so Strang is
-    exact there). Every run's integrator, the reference's included, is
-    checked before the first run.
+    exact there). The ladder of ``_order_ladder`` (the reference's step
+    included) is checked before the first run; a rejected value raises
+    ``SpecFieldError`` naming ``dts``, ``t_end`` or ``scheme``.
     """
     dts = [float(dt) for dt in dts]
-    if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("need >= 3 strictly decreasing dt values")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and > 0 (got {t_end!r})")
-    # one snapshot per run, at t_end; the last spec is the reference's
-    integs = [IntegratorSpec(scheme, dt=dt, t_end=t_end,
-                             snapshot_stride=max(1, round(t_end / dt)))
-              for dt in dts + [dts[-1] / 4.0]]
-    for integ in integs:
-        integ.step_count()
+    integs = _order_ladder(dts, scheme, t_end)
 
     nz = np.flatnonzero(np.abs(u0.coeffs) > 0)
     if len(nz) == 1:

@@ -63,12 +63,15 @@ class TestIntegratorSpec:
                 dyn.IntegratorSpec("strang", dt=dt, t_end=t_end)
 
     def test_step_divisibility(self):
-        with pytest.raises(ValueError):
-            dyn.IntegratorSpec("strang", dt=0.3, t_end=1.0).step_count()
-        with pytest.raises(ValueError):
-            dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=3).step_count()
+        # construction itself checks the time grid, so no spec with a bad one exists
+        with pytest.raises(fld.SpecFieldError, match="dt must divide t_end") as inexact:
+            dyn.IntegratorSpec("strang", dt=0.3, t_end=1.0)
+        assert inexact.value.field == "t_end"
+        with pytest.raises(fld.SpecFieldError, match="must divide the step count") as stride:
+            dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0, snapshot_stride=3)
+        assert stride.value.field == "snapshot_stride"
         with pytest.raises(fld.SpecFieldError, match="too small") as subnormal:
-            dyn.IntegratorSpec("strang", dt=1e-310, t_end=1.0).step_count()
+            dyn.IntegratorSpec("strang", dt=1e-310, t_end=1.0)
         assert subnormal.value.field == "dt"
         assert dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0,
                                   snapshot_stride=5).step_count() == 10

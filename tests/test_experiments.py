@@ -18,6 +18,7 @@ from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.dynamics import (EquationSpec, IntegratorSpec, evolve, evolve_batch,
                               linear_propagator)
+from wicknls.serialization import spec_hash
 from wicknls.wick import hypercontractivity_check
 
 from oracles import quadruple_sum_free_l4
@@ -112,6 +113,18 @@ class TestWeakSequenceSpec:
             replace(small_spec(), base=fld.TorusField.single_mode(1, 1e154))
         assert info.value.field == "base"
 
+    def test_integrator_runs_to_the_horizon(self):
+        # the spec's integrator takes t_end = horizon when built, so two specs
+        # that run alike hash alike, and a grid that misses the horizon is
+        # refused at once, naming it
+        spec = small_spec()
+        longer = replace(spec, integrator=replace(spec.integrator, t_end=1.0))
+        assert longer.integrator == spec.integrator
+        assert spec_hash(longer.to_dict()) == spec_hash(spec.to_dict())
+        with pytest.raises(xp.SpecFieldError, match="dt must divide t_end") as info:
+            replace(longer, horizon=0.3333)
+        assert info.value.field == "horizon"
+
     def test_accepts_a_finite_mass_near_the_limit(self):
         # 2 pi (1 + 1e304) is finite: such a datum is stepped, not refused
         assert small_spec(bump=1e152).bump_amplitude == 1e152
@@ -138,6 +151,13 @@ class TestWeakContinuityRun:
         report = xp.weak_continuity_run(small_spec(eq=EquationSpec("nls", sign=1)),
                                         verdict_mode="decay")
         assert not report.verdict
+
+    def test_unknown_verdict_mode_is_refused_before_stepping(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(xp, "_evolve_runs", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="verdict mode must be one of"):
+            xp.weak_continuity_run(small_spec(), verdict_mode="bogus")
+        assert calls == []
 
     def test_mode_order_irrelevant(self):
         a = xp.weak_continuity_run(small_spec(modes=(3, 9)))
@@ -483,6 +503,20 @@ class TestAprioriGrowth:
         with pytest.raises(ValueError):
             xp.apriori_growth_probe(ens, 0.25, 0.5, samples=4)
 
+    def test_default_integrator_fits_any_horizon_on_its_grid(self):
+        # 25 steps of 2e-3: the default snapshot stride is gcd(10, 25) = 5
+        ens = rnd.RandomDataSpec(alpha=0.3, max_mode=5, seed=1)
+        report = xp.apriori_growth_probe(ens, -0.4, 0.05, 30)
+        assert report.config["integrator"]["snapshot_stride"] == 5
+        assert len(report.get_series("growth_ratio_band10").values) == 30
+
+    @pytest.mark.parametrize("integ", [None, IntegratorSpec("rk4", dt=1e-3, t_end=0.1)])
+    def test_horizon_off_the_time_grid_names_it(self, integ):
+        ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
+        with pytest.raises(xp.SpecFieldError, match="dt must divide t_end") as info:
+            xp.apriori_growth_probe(ens, 0.0, 0.0503, samples=2, integ=integ)
+        assert info.value.field == "t_horizon"
+
     @pytest.mark.parametrize("samples", [0, -3, 2.5])
     def test_rejects_a_sample_count_below_one_or_not_integral(self, samples):
         # 0 and -3 raised IndexError from np.percentile, 2.5 a TypeError
@@ -526,19 +560,23 @@ class TestOrderStudy:
         with pytest.raises(ValueError):
             xp.integrator_order_study(u0, EquationSpec("nls", sign=1), [1e-2, 5e-3])
 
-    @pytest.mark.parametrize("dts, t_end, match", [
-        ([0.1, 0.07, 0.05], 1.0, "dt must divide t_end"),
-        ([0.1, 0.05, 0.025], 0.0, "t_end must be finite and > 0"),
-        ([0.1, 0.05, 0.025], -1.0, "t_end must be finite and > 0"),
-        ([0.1, 0.05, 0.025], math.nan, "t_end must be finite and > 0"),
-        ([0.1, 0.05, 0.025], math.inf, "t_end must be finite and > 0"),
+    @pytest.mark.parametrize("dts, t_end, match, field", [
+        ([0.1, 0.07, 0.05], 1.0, "dt must divide t_end", "dts"),
+        ([0.1, 0.05, 0.025], 0.0, "t_end must be finite and > 0", "t_end"),
+        ([0.1, 0.05, 0.025], -1.0, "t_end must be finite and > 0", "t_end"),
+        ([0.1, 0.05, 0.025], math.nan, "t_end must be finite and > 0", "t_end"),
+        ([0.1, 0.05, 0.025], math.inf, "t_end must be finite and > 0", "t_end"),
+        # a subnormal or NaN step: no OverflowError or NaN-to-int ValueError
+        ([1e-3, 5e-4, 1e-310], 1.0, "too small", "dts"),
+        ([1e-3, math.nan, 5e-4], 1.0, "strictly decreasing", "dts"),
     ])
-    def test_validates_before_the_first_run(self, monkeypatch, dts, t_end, match):
+    def test_validates_before_the_first_run(self, monkeypatch, dts, t_end, match, field):
         calls = []
         monkeypatch.setattr(xp, "evolve", lambda *args, **kwargs: calls.append(args))
         u0 = fld.TorusField.from_modes({0: 0.8, 1: 0.5}, max_mode=4)  # needs a reference run
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(xp.SpecFieldError, match=match) as info:
             xp.integrator_order_study(u0, EquationSpec("wnls"), dts, t_end=t_end)
+        assert info.value.field == field
         assert calls == []
 
 
