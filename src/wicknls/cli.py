@@ -30,7 +30,7 @@ from . import field as fld
 from . import random_data as rnd
 from . import serialization as ser
 from . import wick
-from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant, evolve
+from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, evolve
 from ._kernels import philox_streams
 
 SCHEMA_VERSION = 1
@@ -148,18 +148,13 @@ def _field(node: dict, path: str, convert, default=_REQUIRED):
 
 
 def _checked(path: str, build, *args, keys: dict | None = None, **kwargs):
-    """``build(*args, **kwargs)``, its range-check ValueError reported against ``path``.
-
-    A ``SpecFieldError`` is reported against the config field behind the spec
-    field it names: ``keys[field]`` where the two differ, else ``path.field``.
-    """
+    """``build(*args, **kwargs)``; a ``SpecFieldError`` naming ``field`` is reported against
+    config field ``keys[field]``, else ``path.field`` (``field`` when ``path`` is "")."""
     try:
         return build(*args, **kwargs)
     except fld.SpecFieldError as exc:
-        where = (keys or {}).get(exc.field, f"{path}.{exc.field}")
+        where = (keys or {}).get(exc.field, f"{path}.{exc.field}" if path else exc.field)
         raise ConfigError(f"config field {where!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _integral(value) -> int:
@@ -177,19 +172,11 @@ def _real(value) -> float:
     return float(value)
 
 
-def _finite(value) -> float:
-    """A finite real number (see ``_real``)."""
-    value = _real(value)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite (got {value})")
-    return value
-
-
 def _positive(value) -> float:
     """A finite real number > 0 (see ``_real``)."""
-    value = _finite(value)
-    if not value > 0:
-        raise ValueError(f"must be > 0 (got {value})")
+    value = _real(value)
+    if not (value > 0 and math.isfinite(value)):  # NaN-safe
+        raise ValueError(f"must be finite and > 0 (got {value})")
     return value
 
 
@@ -233,21 +220,13 @@ _str = _instance_of(str, "a string")
 _mapping = _instance_of(dict, "a mapping")
 
 
-def _list_of(convert):
-    """A converter for a list whose items all pass ``convert``."""
+def _list_of(convert, non_empty: bool = False):
+    """A converter for a list whose items all pass ``convert``; not empty if ``non_empty``."""
     def convert_list(value) -> list:
+        if non_empty and value == []:
+            raise ValueError("must not be empty")
         return [convert(item) for item in _instance_of(list, "a list")(value)]
     return convert_list
-
-
-def _non_empty(convert):
-    """A converter for a value of ``convert`` that is not empty."""
-    def check(value):
-        value = convert(value)
-        if not value:
-            raise ValueError("must not be empty")
-        return value
-    return check
 
 
 def _chaos_terms(value) -> list:
@@ -270,29 +249,25 @@ def _field_file(value) -> fld.TorusField:
 
 def _build_field(section: dict, path: str) -> fld.TorusField:
     """The field of config section ``path``; its mass 2*pi*mu must be finite."""
-    u = _section_field(section, path)
-    with np.errstate(over="ignore"):  # the error below reports it
-        mass = fld.TWO_PI * fld.mean_intensity(u)
-    if not math.isfinite(mass):
-        raise ConfigError(f"config field {path!r}: mass 2*pi*mu must be finite (got {mass})")
-    return u
-
-
-def _section_field(section: dict, path: str) -> fld.TorusField:
     kind = _field(section, f"{path}.kind", _one_of("plane_wave", "modes", "random", "file"))
     if kind == "random":
-        return _checked(path, rnd.sample, _build_random_spec(section, path),
-                        _field(section, f"{path}.index", _integral, 0))
-    if kind == "file":
-        return _field(section, f"{path}.path", _field_file)
-    max_mode = _field(section, f"{path}.max_mode", _integral, None)
-    if kind == "plane_wave":
-        return _checked(path, fld.TorusField.single_mode,
-                        _field(section, f"{path}.mode", _integral, 1),
-                        _field(section, f"{path}.amplitude", _complex, 1.0 + 0.0j),
-                        max_mode=max_mode)
-    return _checked(path, fld.TorusField.from_modes,
-                    _field(section, f"{path}.amplitudes", _mode_amplitudes), max_mode)
+        u = _checked(path, rnd.sample, _build_random_spec(section, path),
+                     _field(section, f"{path}.index", _integral, 0))
+    elif kind == "file":
+        u = _field(section, f"{path}.path", _field_file)
+    elif kind == "plane_wave":
+        u = _checked(path, fld.TorusField.single_mode,
+                     _field(section, f"{path}.mode", _integral, 1),
+                     _field(section, f"{path}.amplitude", _complex, 1.0 + 0.0j),
+                     max_mode=_field(section, f"{path}.max_mode", _integral, None),
+                     keys={"amplitudes": f"{path}.mode", "coeffs": f"{path}.amplitude"})
+    else:
+        u = _checked(path, fld.TorusField.from_modes,
+                     _field(section, f"{path}.amplitudes", _mode_amplitudes),
+                     _field(section, f"{path}.max_mode", _integral, None),
+                     keys={"coeffs": f"{path}.amplitudes"})
+    _checked("", fld.require_finite_mass, path, u)
+    return u
 
 
 def _build_random_spec(section: dict, path: str) -> rnd.RandomDataSpec:
@@ -310,8 +285,7 @@ def _build_equation(cfg: dict) -> EquationSpec:
     section = _field(cfg, "equation", _mapping)
     return _checked(
         "equation", EquationSpec,
-        variant=_field(section, "equation.variant", _one_of(*(v.value for v in Variant)),
-                       "wnls"),
+        variant=_field(section, "equation.variant", _str, "wnls"),
         sign=_field(section, "equation.sign", _integral, 1),
         truncation=_field(section, "equation.truncation", _integral, None),
         alpha=_field(section, "equation.alpha", _real, 1.0))
@@ -389,22 +363,14 @@ def cmd_simulate(cfg: dict):
     return run
 
 
-# the config key behind each WeakSequenceSpec field
-_WEAK_SPEC_KEYS = {"mode_list": "modes", "horizon": "horizon", "probe": "probe",
-                   "bump_amplitude": "bump.amplitude", "working_band": "working_band",
-                   "eq": "equation.truncation"}
-
-
 def cmd_weak_limit(cfg: dict):
     exp = _field(cfg, "experiment", _mapping, {})
     kind = _field(exp, "experiment.kind",
                   _one_of("weak-continuity", "phase-defect-contrast"), "weak-continuity")
     verdict_mode = _field(exp, "experiment.verdict", _one_of(*xp._VERDICT_MODES), "auto")
-
-    # finite before it becomes the integrator's t_end, so its error names it
-    horizon = _field(cfg, "horizon", _finite, 1.0)
+    horizon = _field(cfg, "horizon", _real, 1.0)
     spec = _checked(
-        "weak-limit", xp.WeakSequenceSpec, keys=_WEAK_SPEC_KEYS,
+        "", xp.WeakSequenceSpec,
         base=_build_field(_field(cfg, "base", _mapping), "base"),
         bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "bump.amplitude",
                               _complex, 1.0 + 0.0j),
@@ -412,7 +378,9 @@ def cmd_weak_limit(cfg: dict):
         probe=_build_field(_field(cfg, "probe", _mapping), "probe"),
         horizon=horizon, eq=_build_equation(cfg),
         integrator=_build_integrator(cfg, horizon),
-        working_band=_field(cfg, "working_band", _integral, None))
+        working_band=_field(cfg, "working_band", _integral, None),
+        keys={"mode_list": "modes", "bump_amplitude": "bump.amplitude",
+              "eq": "equation.truncation"})
 
     def experiment():
         if kind == "weak-continuity":
@@ -454,11 +422,13 @@ def cmd_wick_check(cfg: dict):
     for i, case in enumerate(hyp_cases):
         path = f"hypercontractivity[{i}]"
         parsed_cases.append(dict(
-            q=_field(case, f"{path}.q", _at_least(2, _finite)),
+            q=_field(case, f"{path}.q", _real),
             order=_field(case, f"{path}.order", _integral),
             dim=_field(case, f"{path}.dim", _integral, 1),
             samples=_field(case, f"{path}.samples", _integral, 200_000),
+            seed=seed + i + 1,
             terms=_field(case, f"{path}.terms", _chaos_terms, None)))
+        _checked(path, wick._case_terms, **parsed_cases[-1])
 
     def run(out: Path) -> int:
         records = [ser.meta_record(cfg, command="wick-check")]
@@ -477,10 +447,8 @@ def cmd_wick_check(cfg: dict):
             records.append({"record": "check", "name": name, "pass": bool(ok),
                             "mean": mean, "stderr": stderr, "variance": variance})
 
-        for i, case in enumerate(parsed_cases):
-            report = _checked(f"hypercontractivity[{i}]", wick.hypercontractivity_check,
-                              seed=seed + i + 1, **case)
-            rec = report.to_dict()
+        for case in parsed_cases:
+            rec = wick.hypercontractivity_check(**case).to_dict()
             rec["record"] = "hypercontractivity"
             records.append(rec)
 
@@ -499,11 +467,9 @@ def cmd_sample(cfg: dict):
     s_values = _field(profile, "profile.s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "profile.cutoffs", _list_of(_integral), [])
     samples = _field(profile, "profile.samples", _integral, 1000)
+    _checked("profile", rnd._profile_cutoffs, spec, cutoffs, samples)
 
     def run(out: Path) -> int:
-        # the profile's own checks run before the first sample is written
-        rows = _checked("profile", rnd.regularity_profile, spec, s_values, cutoffs,
-                        samples) if profile else []
         records = [ser.meta_record(cfg, command="sample")]
         for k, u in enumerate(rnd.sample_ensemble(spec, count)):
             fname = f"sample_{k:03d}.json"
@@ -515,8 +481,9 @@ def cmd_sample(cfg: dict):
         if profile:
             ser.write_csv(out / "profile.csv",
                           ("s", "M", "median_norm", "q25", "q75", "samples"),
-                          [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"],
-                            r["samples"]) for r in rows], meta=cfg)
+                          [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"], r["samples"])
+                           for r in rnd.regularity_profile(spec, s_values, cutoffs, samples)],
+                          meta=cfg)
         ser.write_ndjson(out / "sample.ndjson", records)
         return EXIT_OK
     return run
@@ -524,7 +491,7 @@ def cmd_sample(cfg: dict):
 
 def cmd_norms(cfg: dict):
     u = _field(cfg, "field_file", _field_file)
-    items = _field(cfg, "norms", _non_empty(_list_of(_mapping)))
+    items = _field(cfg, "norms", _list_of(_mapping, non_empty=True))
     specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", _str),
                       s=_field(item, f"norms[{i}].s", _real, 0.0),
                       p=_field(item, f"norms[{i}].p", _real, 2.0))
@@ -547,8 +514,7 @@ def cmd_order_study(cfg: dict):
     dts = _field(cfg, "dts", _list_of(_real))
     scheme = _field(cfg, "scheme", _str, "strang")
     t_end = _field(cfg, "t_end", _real, 1.0)
-    _checked("order-study", xp._order_ladder, dts, scheme, t_end,
-             keys={"dts": "dts", "t_end": "t_end", "scheme": "scheme"})
+    _checked("", xp._order_ladder, dts, scheme, t_end)
 
     def fitted_order(report) -> list[str]:
         fitted = report.details.get("fitted_order")

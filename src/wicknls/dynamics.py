@@ -85,13 +85,20 @@ _MEAN_SHIFTED = {Variant.WNLS, Variant.TRUNCATED_WNLS_GAUGED}
 
 @dataclass(frozen=True)
 class EquationSpec:
+    """The equation; a rejected value, such as a ``variant`` that is not a
+    ``Variant`` or its value, raises ``SpecFieldError`` naming its field."""
+
     variant: Variant
     sign: int = 1
     truncation: int | None = None
     alpha: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise SpecFieldError("variant", "variant must be " + " | ".join(
+                repr(v.value) for v in Variant) + f" (got {self.variant!r})") from None
         if self.sign not in (1, -1):
             raise SpecFieldError("sign", "sign must be +1 (defocusing) or -1 (focusing) "
                                  f"(got {self.sign!r})")
@@ -134,8 +141,8 @@ class IntegratorSpec:
 
     The time grid is checked when the spec is built: ``dt`` is finite, > 0,
     not so small that ``t_end / dt`` overflows, and divides ``t_end`` (to 1e-9
-    relative); ``snapshot_stride`` divides the step count. A rejected value
-    raises ``SpecFieldError`` naming its field.
+    relative) in at least one step unless it is 0; ``snapshot_stride`` divides
+    the step count. A rejected value raises ``SpecFieldError`` naming its field.
     """
 
     scheme: str
@@ -157,7 +164,8 @@ class IntegratorSpec:
             raise SpecFieldError("dt", f"dt = {self.dt!r} is too small: "
                                  "t_end / dt overflows")
         n = round(steps)
-        if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)):
+        if abs(n * self.dt - abs(self.t_end)) > 1e-9 * max(1.0, abs(self.t_end)) \
+                or n == 0 and self.t_end:  # a nonzero t_end below the 1e-9 floor
             raise SpecFieldError("t_end", f"dt must divide t_end (dt = {self.dt!r}, "
                                           f"t_end = {self.t_end!r})")
         if n % self.snapshot_stride:

@@ -148,15 +148,10 @@ class WeakSequenceSpec:
                 "eq" if self.eq.truncated else "working_band",
                 f"working band {band} too small for bump modes (need >= {need} "
                 "to keep cubic harmonics resolved)")
-        # a datum of infinite mass fails any scheme at its first check, so it
-        # is refused here rather than stepped and reported as a scheme failure
-        with np.errstate(over="ignore"):  # the errors below report it
-            mass = fld.TWO_PI * fld.mean_intensity(self.base)
-            if not math.isfinite(mass):
-                raise SpecFieldError("base", f"mass 2*pi*mu of the base must be finite "
-                                             f"(got {mass})")
-            # the mode-m bump turns |b_m|^2 into |b_m + c|^2
-            b = np.array([self.base.coeff(m) for m in modes])
+        mass = fld.require_finite_mass("base", self.base)
+        # the mode-m bump turns |b_m|^2 into |b_m + c|^2
+        b = np.array([self.base.coeff(m) for m in modes])
+        with np.errstate(over="ignore"):  # the error below reports it
             bumped = mass + fld.TWO_PI * (np.abs(b + self.bump_amplitude) ** 2 - np.abs(b) ** 2)
         for m, value in zip(modes, bumped.tolist()):
             if not math.isfinite(value):
@@ -604,16 +599,19 @@ def integrator_order_study(u0: fld.TorusField, eq: EquationSpec, dts,
                            scheme: str = "strang", t_end: float = 1.0) -> ExperimentReport:
     """Errors at t_end over a decreasing dt list, with a fitted order.
 
-    Single-mode data is compared to the exact plane-wave solution; otherwise
-    the reference is a run at a quarter of the smallest dt. When all errors
-    sit at the roundoff floor the verdict reports exactness instead of an
-    order (the split-step substeps commute on single-mode data, so Strang is
-    exact there). The ladder of ``_order_ladder`` (the reference's step
-    included) is checked before the first run; a rejected value raises
-    ``SpecFieldError`` naming ``dts``, ``t_end`` or ``scheme``.
+    A truncated equation runs u0's projection. Single-mode data is compared
+    to the exact plane wave; otherwise the reference is a run at a quarter of
+    the smallest dt. When all errors sit at the roundoff floor the verdict
+    reports exactness instead of an order (the split-step substeps commute
+    on single-mode data, so Strang is exact there). The ladder of
+    ``_order_ladder`` (the reference's step included) is checked before the
+    first run; a rejected value raises ``SpecFieldError`` naming ``dts``,
+    ``t_end`` or ``scheme``.
     """
     dts = [float(dt) for dt in dts]
     integs = _order_ladder(dts, scheme, t_end)
+    if eq.truncated:  # the runs evolve the projection, and so does the reference
+        u0 = fld.project(u0, eq.truncation)
 
     nz = np.flatnonzero(np.abs(u0.coeffs) > 0)
     if len(nz) == 1:

@@ -57,11 +57,10 @@ class TorusField:
         c = np.array(self.coeffs, dtype=np.complex128)
         require_integer("max_mode", self.max_mode, 0)
         if c.ndim != 1 or len(c) != 2 * self.max_mode + 1:
-            raise ValueError(
-                f"coefficient array must have length {2 * self.max_mode + 1}, got {c.shape}"
-            )
+            raise SpecFieldError("coeffs", "coefficient array must have length "
+                                           f"{2 * self.max_mode + 1}, got {c.shape}")
         if not np.isfinite(c).all():
-            raise ValueError("coefficients must be finite")
+            raise SpecFieldError("coeffs", "coefficients must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -82,13 +81,18 @@ class TorusField:
 
     @classmethod
     def from_modes(cls, amplitudes: dict, max_mode: int | None = None) -> "TorusField":
-        """Build a field from a {mode: amplitude} mapping."""
+        """Build a field from a {mode: amplitude} mapping of modes within the band."""
+        field = "amplitudes" if max_mode is None else "max_mode"  # what sets the band
         if max_mode is None:
             max_mode = max((abs(int(n)) for n in amplitudes), default=0)
-        c = np.zeros(2 * max_mode + 1, dtype=np.complex128)
+        max_mode = require_integer("max_mode", max_mode, 0)
+        try:  # numpy refuses a band past its limits, or cannot allocate it
+            c = np.zeros(2 * max_mode + 1, dtype=np.complex128)
+        except (ValueError, MemoryError) as exc:
+            raise SpecFieldError(field, f"max_mode {max_mode} is too large ({exc})") from None
         for n, a in amplitudes.items():
             if abs(int(n)) > max_mode:
-                raise ValueError(f"mode {n} outside band {max_mode}")
+                raise SpecFieldError("amplitudes", f"mode {n} outside band {max_mode}")
             c[int(n) + max_mode] = a
         return cls(c, max_mode)
 
@@ -146,7 +150,7 @@ class NormSpec:
             raise SpecFieldError("kind", f"unknown norm kind {self.kind!r}")
         if not math.isfinite(self.s):
             raise SpecFieldError("s", "regularity index s must be finite")
-        if self.p < 1:
+        if not self.p >= 1:  # NaN-safe
             raise SpecFieldError("p", "p must be >= 1")
 
     @classmethod
@@ -245,6 +249,16 @@ def mean_intensity(field: TorusField) -> float:
         part = x[start:start + _DOT_CHUNK]
         total += float(part.dot(part))
     return total
+
+
+def require_finite_mass(field: str, u: TorusField) -> float:
+    """The mass 2*pi*mu of ``u``; ``SpecFieldError(field)`` unless it is finite, since
+    a datum of infinite mass would fail any scheme at its first check."""
+    with np.errstate(over="ignore"):  # the error below reports it
+        mass = TWO_PI * mean_intensity(u)
+    if not math.isfinite(mass):
+        raise SpecFieldError(field, f"mass 2*pi*mu of the {field} must be finite (got {mass})")
+    return mass
 
 
 def pairing(f: TorusField, g: TorusField) -> complex:

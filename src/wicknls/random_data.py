@@ -36,7 +36,9 @@ class RandomDataSpec:
     def __post_init__(self):
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise SpecFieldError("alpha", f"alpha must be finite and >= 0 (got {self.alpha})")
-        fld.require_integer("max_mode", self.max_mode, 0)
+        # from 2**58 on, the 4 max_mode + 2 normals of a sample pass numpy's largest array
+        if fld.require_integer("max_mode", self.max_mode, 0) >= 2**58:
+            raise SpecFieldError("max_mode", f"max_mode {self.max_mode} is too large")
         fld.require_integer("seed", self.seed)
         if not (0 <= self.seed < 2**64):
             raise SpecFieldError("seed", "seed must fit in 64 bits")
@@ -166,12 +168,8 @@ def expected_mean_intensity(spec: RandomDataSpec) -> float:
     return total
 
 
-def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: int):
-    """Median Sobolev-s norms of mode-M projections across the ensemble.
-
-    Returns one row per (s, M):
-    {"s", "cutoff", "median", "q25", "q75", "samples"}.
-    """
+def _profile_cutoffs(spec: RandomDataSpec, mode_cutoffs, samples: int) -> list:
+    """The cutoffs as ints; ``SpecFieldError`` naming ``cutoffs`` or ``samples`` if rejected."""
     cutoffs = [fld.require_integer("cutoffs", m) for m in mode_cutoffs]
     fld.require_integer("samples", samples, 1)
     if cutoffs and cutoffs[0] < 0:
@@ -180,6 +178,17 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
         raise SpecFieldError("cutoffs", "mode_cutoffs must be strictly increasing")
     if cutoffs and cutoffs[-1] > spec.max_mode:
         raise SpecFieldError("cutoffs", "cutoffs cannot exceed the sampler's max_mode")
+    return cutoffs
+
+
+def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: int):
+    """Median Sobolev-s norms of mode-M projections across the ensemble.
+
+    Returns one row per (s, M):
+    {"s", "cutoff", "median", "q25", "q75", "samples"}. A rejected cutoff
+    or ``samples`` raises ``SpecFieldError`` naming it, before any draw.
+    """
+    cutoffs = _profile_cutoffs(spec, mode_cutoffs, samples)
     s_values = [float(s) for s in s_values]
     center = spec.max_mode
     bracket = 1.0 + np.abs(np.arange(-center, center + 1, dtype=np.float64))

@@ -40,9 +40,7 @@ def field_from_dict(d: dict) -> fld.TorusField:
         max_mode = d["max_mode"]
     except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
         raise ValueError(f"malformed torus-field record: {exc!r}") from exc
-    if type(max_mode) is not int:  # not a float, a bool or a string
-        raise ValueError(f"torus-field max_mode must be an integer, got {max_mode!r}")
-    return fld.TorusField(c, max_mode)
+    return fld.TorusField(c, max_mode)  # which refuses a max_mode that is not an integer
 
 
 def save_field(u: fld.TorusField, path) -> None:

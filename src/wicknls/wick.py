@@ -111,22 +111,6 @@ class HypercontractivityReport:
         }
 
 
-def _validate_terms(terms, order, dim):
-    cleaned = []
-    for coeff, degrees in terms:
-        degrees = tuple(int(d) for d in degrees)
-        if len(degrees) > dim:
-            raise ValueError("chaos term uses more coordinates than dim")
-        if any(d < 0 for d in degrees):
-            raise ValueError("chaos degrees must be >= 0")
-        if sum(degrees) != order:
-            raise ValueError(f"chaos term degrees {degrees} do not sum to order {order}")
-        cleaned.append((float(coeff), degrees))
-    if not cleaned:
-        raise ValueError("need at least one chaos term")
-    return cleaned
-
-
 def gaussian_batches(dim: int, samples: int, seed: int, batch: int = _MC_BATCH,
                      out: np.ndarray | None = None):
     """Deterministic i.i.d. N(0,1) batches, shape (b, dim), keyed Philox streams.
@@ -162,6 +146,40 @@ def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> n
     return out
 
 
+def _case_terms(order, dim, q, samples, seed, terms=None) -> list:
+    """The chaos terms of a ``hypercontractivity_check`` case, as (float, int tuple)
+    pairs; a rejected argument raises ``SpecFieldError`` naming it."""
+    for name, value in (("order", order), ("dim", dim), ("samples", samples), ("seed", seed)):
+        fld.require_integer(name, value)
+    if not (q >= 2 and math.isfinite(q)):
+        raise fld.SpecFieldError("q", f"q must be finite and >= 2 (got {q})")
+    if order < 0 or dim < 1:
+        raise fld.SpecFieldError("order" if order < 0 else "dim",
+                                 "order must be >= 0 and dim >= 1")
+    if order > MAX_HERMITE_DEGREE:
+        # chaos degrees sum to the order, so this bounds each of them too
+        raise fld.SpecFieldError("order", f"order > {MAX_HERMITE_DEGREE} rejected "
+                                          "(recurrence accuracy)")
+    if samples < 10_000:
+        raise fld.SpecFieldError("samples", "need at least 1e4 samples")
+    if not 0 <= seed < 2**64:
+        raise fld.SpecFieldError("seed", f"seed must lie in [0, 2**64) (got {seed})")
+    cleaned = []
+    for coeff, degrees in terms if terms is not None else [(1.0, (order,))]:
+        degrees = tuple(int(d) for d in degrees)
+        if len(degrees) > dim:
+            raise fld.SpecFieldError("terms", "chaos term uses more coordinates than dim")
+        if any(d < 0 for d in degrees):
+            raise fld.SpecFieldError("terms", "chaos degrees must be >= 0")
+        if sum(degrees) != order:
+            raise fld.SpecFieldError("terms", f"chaos term degrees {degrees} do not sum "
+                                              f"to order {order}")
+        cleaned.append((float(coeff), degrees))
+    if not cleaned:
+        raise fld.SpecFieldError("terms", "need at least one chaos term")
+    return cleaned
+
+
 def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_000_000,
                              seed: int = 0, terms=None) -> HypercontractivityReport:
     """Monte-Carlo check of the chaos moment bound ||F||_q <= (q-1)^{n/2} ||F||_2.
@@ -169,21 +187,9 @@ def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_00
     F defaults to the single chaos H_order(x_1); pass ``terms`` as a sequence
     of (coefficient, degree-tuple) pairs for other linear combinations. The
     check is statistical: pass means lhs <= rhs * (1 + 3 * stderr margin).
+    A rejected argument raises ``SpecFieldError`` naming it, before any draw.
     """
-    for name, value in (("order", order), ("dim", dim), ("samples", samples), ("seed", seed)):
-        fld.require_integer(name, value)
-    if not (q >= 2 and math.isfinite(q)):
-        raise ValueError(f"q must be finite and >= 2 (got {q})")
-    if order < 0 or dim < 1:
-        raise ValueError("order must be >= 0 and dim >= 1")
-    if order > MAX_HERMITE_DEGREE:
-        # chaos degrees sum to the order, so this bounds each of them too
-        raise ValueError(f"order > {MAX_HERMITE_DEGREE} rejected (recurrence accuracy)")
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64) (got {seed})")
-    terms = _validate_terms(terms if terms is not None else [(1.0, (order,))], order, dim)
+    terms = _case_terms(order, dim, q, samples, seed, terms)
 
     # one set of buffers serves every batch: the normals, F (then F^2, then
     # |F|^q), its square, and evaluate_chaos's work rows

@@ -39,6 +39,11 @@ class TestEquationSpec:
         with pytest.raises(ValueError):
             dyn.EquationSpec("nls", sign=2)
 
+    def test_unknown_variant_names_the_field(self):
+        with pytest.raises(fld.SpecFieldError, match=r"variant must be 'nls' \| ") as bogus:
+            dyn.EquationSpec("bogus")
+        assert bogus.value.field == "variant"
+
     def test_variant_coercion(self):
         eq = dyn.EquationSpec("wnls", sign=-1)
         assert eq.variant is dyn.Variant.WNLS and eq.mean_shifted
@@ -73,6 +78,11 @@ class TestIntegratorSpec:
         with pytest.raises(fld.SpecFieldError, match="too small") as subnormal:
             dyn.IntegratorSpec("strang", dt=1e-310, t_end=1.0)
         assert subnormal.value.field == "dt"
+        # below the 1e-9 floor of the tolerance, a grid of no step would pass
+        with pytest.raises(fld.SpecFieldError, match="dt must divide t_end") as no_step:
+            dyn.IntegratorSpec("strang", dt=0.1, t_end=5e-10)
+        assert no_step.value.field == "t_end"
+        assert dyn.IntegratorSpec("strang", dt=0.1, t_end=0.0).step_count() == 0
         assert dyn.IntegratorSpec("strang", dt=0.1, t_end=1.0,
                                   snapshot_stride=5).step_count() == 10
 

@@ -533,6 +533,17 @@ class TestOrderStudy:
         assert 1.8 <= report.details["fitted_order"] <= 2.2
         assert report.verdict
 
+    def test_truncated_study_compares_the_projected_data(self):
+        # a plane wave on a band wider than the truncation runs, and is
+        # compared, as its projection: the study equals the one on that data
+        eq = EquationSpec("truncated-wnls-hamiltonian", truncation=4)
+        dts = [1e-2, 5e-3, 2.5e-3]
+        wide = xp.integrator_order_study(fld.TorusField.single_mode(1, 1.0, max_mode=8), eq,
+                                         dts, scheme="rk4")
+        narrow = xp.integrator_order_study(fld.TorusField.single_mode(1, 1.0, max_mode=4), eq,
+                                           dts, scheme="rk4")
+        assert wide.details == narrow.details and wide.verdict
+
     def test_strang_exact_on_plane_wave(self):
         u0 = fld.TorusField.single_mode(1, 1.0)
         report = xp.integrator_order_study(u0, EquationSpec("nls", sign=1),
@@ -569,6 +580,8 @@ class TestOrderStudy:
         # a subnormal or NaN step: no OverflowError or NaN-to-int ValueError
         ([1e-3, 5e-4, 1e-310], 1.0, "too small", "dts"),
         ([1e-3, math.nan, 5e-4], 1.0, "strictly decreasing", "dts"),
+        # a t_end below every step: a grid of no step, once reported as exact
+        ([1e-3, 5e-4, 2.5e-4], 5e-10, "dt must divide t_end", "dts"),
     ])
     def test_validates_before_the_first_run(self, monkeypatch, dts, t_end, match, field):
         calls = []
