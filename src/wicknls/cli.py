@@ -16,7 +16,6 @@ snapshot records of the failing row.
 """
 
 import argparse
-import math
 import numbers
 import os
 import sys
@@ -31,7 +30,6 @@ from . import random_data as rnd
 from . import serialization as ser
 from . import wick
 from .dynamics import EquationSpec, IntegrationDivergedError, IntegratorSpec, evolve
-from ._kernels import philox_streams
 
 SCHEMA_VERSION = 1
 
@@ -85,75 +83,78 @@ def _check_schema(cfg: dict):
     _field(cfg, "schema_version", _one_of(SCHEMA_VERSION))
 
 
-class _Section(dict):
-    """A config mapping that records the keys ``_field`` looks up in it."""
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
-    def __init__(self, items, seed):
+
+class _Section(dict):
+    """A config mapping at ``path`` ("" at the top) that records the keys ``_field`` reads."""
+
+    def __init__(self, items, seed, path: str):
         super().__init__(items)
         self.read = set()
         self.seed = seed  # the --seed value, or None
+        self.path = path
 
 
-def _tracked(value, seed):
-    """``value`` with every mapping in it, also inside lists, a ``_Section``."""
+def _tracked(value, seed, path: str = ""):
+    """``value`` with each mapping in it a ``_Section`` at its path (list items at ``name[i]``)."""
     if isinstance(value, dict):
-        return _Section(((key, _tracked(item, seed)) for key, item in value.items()), seed)
+        return _Section({key: _tracked(item, seed, _join(path, key))
+                         for key, item in value.items()}, seed, path)
     if isinstance(value, list):
-        return [_tracked(item, seed) for item in value]
+        return [_tracked(item, seed, f"{path}[{i}]") for i, item in enumerate(value)]
     return value
 
 
-def _reject_unknown_keys(value, path: str = ""):
+def _reject_unknown_keys(value):
     """ConfigError for a key that no reader looked up, in a section that one read.
 
     Mappings that no reader looked into, such as mode-amplitude data, pass.
     """
     if isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_unknown_keys(item, f"{path}[{i}]")
+        for item in value:
+            _reject_unknown_keys(item)
     elif isinstance(value, _Section):
         for key, item in value.items():
-            key_path = f"{path}.{key}" if path else str(key)
             if value.read and key not in value.read:
-                raise ConfigError(f"config field {key_path!r}: unknown key")
-            _reject_unknown_keys(item, key_path)
+                raise ConfigError(f"config field {_join(value.path, key)!r}: unknown key")
+            _reject_unknown_keys(item)
 
 
 _REQUIRED = object()
 
 
-def _field(node: dict, path: str, convert, default=_REQUIRED):
-    """Field ``path`` (its last key, looked up in ``node``) through ``convert``.
+def _field(section: _Section, key: str, convert, default=_REQUIRED):
+    """Field ``key`` of ``section`` through ``convert``, recorded as read.
 
-    A missing or null field takes ``default``, or is an error if there is
-    none; a value ``convert`` rejects is reported against ``path``. The key
-    is recorded as read when ``node`` is a ``_Section``, and a ``seed`` key
-    read there is first set to the section's ``--seed`` value, if any, so the
-    embedded config shows it.
+    A missing or null field takes ``default`` (a mapping default becomes the
+    empty section at its path), or is an error if there is none. A ``seed``
+    key is first set to the ``--seed`` value, if any, so the embedded config
+    shows it.
     """
-    key = path.split(".")[-1]
-    if isinstance(node, _Section):
-        node.read.add(key)
-        if key == "seed" and node.seed is not None:
-            node[key] = node.seed
-    value = node.get(key)
+    path = _join(section.path, key)
+    section.read.add(key)
+    if key == "seed" and section.seed is not None:
+        section[key] = section.seed
+    value = section.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"missing config field {path!r}")
-        return default
+        return _tracked(default, section.seed, path)
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field {path!r}: {exc}") from exc
 
 
-def _checked(path: str, build, *args, keys: dict | None = None, **kwargs):
+def _checked(section: _Section, build, *args, keys: dict | None = None, **kwargs):
     """``build(*args, **kwargs)``; a ``SpecFieldError`` naming ``field`` is reported against
-    config field ``keys[field]``, else ``path.field`` (``field`` when ``path`` is "")."""
+    config path ``keys[field]``, else against field ``field`` of ``section``."""
     try:
         return build(*args, **kwargs)
     except fld.SpecFieldError as exc:
-        where = (keys or {}).get(exc.field, f"{path}.{exc.field}" if path else exc.field)
+        where = (keys or {}).get(exc.field) or _join(section.path, exc.field)
         raise ConfigError(f"config field {where!r}: {exc}") from exc
 
 
@@ -172,14 +173,6 @@ def _real(value) -> float:
     return float(value)
 
 
-def _positive(value) -> float:
-    """A finite real number > 0 (see ``_real``)."""
-    value = _real(value)
-    if not (value > 0 and math.isfinite(value)):  # NaN-safe
-        raise ValueError(f"must be finite and > 0 (got {value})")
-    return value
-
-
 def _one_of(*choices):
     """A converter for a value equal to one of ``choices``; never a bool."""
     def convert(value):
@@ -187,16 +180,6 @@ def _one_of(*choices):
             raise ValueError(f"must be {' | '.join(map(repr, choices))} (got {value!r})")
         return value
     return convert
-
-
-def _at_least(low, convert):
-    """A converter for a value of ``convert`` that is >= ``low``."""
-    def check(value):
-        value = convert(value)
-        if not value >= low:
-            raise ValueError(f"must be >= {low} (got {value})")
-        return value
-    return check
 
 
 def _complex(value) -> complex:
@@ -247,65 +230,66 @@ def _field_file(value) -> fld.TorusField:
         raise ValueError(f"cannot read field file: {exc}") from exc
 
 
-def _build_field(section: dict, path: str) -> fld.TorusField:
-    """The field of config section ``path``; its mass 2*pi*mu must be finite."""
-    kind = _field(section, f"{path}.kind", _one_of("plane_wave", "modes", "random", "file"))
+def _build_field(cfg: _Section, key: str) -> fld.TorusField:
+    """The field of config section ``key``; its mass 2*pi*mu must be finite."""
+    section = _field(cfg, key, _mapping)
+    kind = _field(section, "kind", _one_of("plane_wave", "modes", "random", "file"))
     if kind == "random":
-        u = _checked(path, rnd.sample, _build_random_spec(section, path),
-                     _field(section, f"{path}.index", _integral, 0))
+        u = _checked(section, rnd.sample, _build_random_spec(section),
+                     _field(section, "index", _integral, 0))
     elif kind == "file":
-        u = _field(section, f"{path}.path", _field_file)
+        u = _field(section, "path", _field_file)
     elif kind == "plane_wave":
-        u = _checked(path, fld.TorusField.single_mode,
-                     _field(section, f"{path}.mode", _integral, 1),
-                     _field(section, f"{path}.amplitude", _complex, 1.0 + 0.0j),
-                     max_mode=_field(section, f"{path}.max_mode", _integral, None),
-                     keys={"amplitudes": f"{path}.mode", "coeffs": f"{path}.amplitude"})
+        u = _checked(section, fld.TorusField.single_mode,
+                     _field(section, "mode", _integral, 1),
+                     _field(section, "amplitude", _complex, 1.0 + 0.0j),
+                     max_mode=_field(section, "max_mode", _integral, None),
+                     keys={"amplitudes": _join(section.path, "mode"),
+                           "coeffs": _join(section.path, "amplitude")})
     else:
-        u = _checked(path, fld.TorusField.from_modes,
-                     _field(section, f"{path}.amplitudes", _mode_amplitudes),
-                     _field(section, f"{path}.max_mode", _integral, None),
-                     keys={"coeffs": f"{path}.amplitudes"})
-    _checked("", fld.require_finite_mass, path, u)
+        u = _checked(section, fld.TorusField.from_modes,
+                     _field(section, "amplitudes", _mode_amplitudes),
+                     _field(section, "max_mode", _integral, None),
+                     keys={"coeffs": _join(section.path, "amplitudes")})
+    _checked(cfg, fld.require_finite_mass, key, u)
     return u
 
 
-def _build_random_spec(section: dict, path: str) -> rnd.RandomDataSpec:
+def _build_random_spec(section: _Section) -> rnd.RandomDataSpec:
     return _checked(
-        path, rnd.RandomDataSpec,
-        alpha=_field(section, f"{path}.alpha", _real, 0.0),
-        max_mode=_field(section, f"{path}.max_mode", _integral),
-        seed=_field(section, f"{path}.seed", _integral, 0),
-        offset=_field(section, f"{path}.offset_file", _field_file, None),
-        gaussian_scale=_field(section, f"{path}.gaussian_scale", _real, 1.0),
-        keys={"offset": f"{path}.offset_file"})
+        section, rnd.RandomDataSpec,
+        alpha=_field(section, "alpha", _real, 0.0),
+        max_mode=_field(section, "max_mode", _integral),
+        seed=_field(section, "seed", _integral, 0),
+        offset=_field(section, "offset_file", _field_file, None),
+        gaussian_scale=_field(section, "gaussian_scale", _real, 1.0),
+        keys={"offset": _join(section.path, "offset_file")})
 
 
-def _build_equation(cfg: dict) -> EquationSpec:
+def _build_equation(cfg: _Section) -> EquationSpec:
     section = _field(cfg, "equation", _mapping)
     return _checked(
-        "equation", EquationSpec,
-        variant=_field(section, "equation.variant", _str, "wnls"),
-        sign=_field(section, "equation.sign", _integral, 1),
-        truncation=_field(section, "equation.truncation", _integral, None),
-        alpha=_field(section, "equation.alpha", _real, 1.0))
+        section, EquationSpec,
+        variant=_field(section, "variant", _str, "wnls"),
+        sign=_field(section, "sign", _integral, 1),
+        truncation=_field(section, "truncation", _integral, None),
+        alpha=_field(section, "alpha", _real, 1.0))
 
 
-def _build_integrator(cfg: dict, horizon: float | None = None) -> IntegratorSpec:
-    """The integrator section; a ``horizon`` read elsewhere is its t_end."""
+def _build_integrator(cfg: _Section, t_end: float | None = None) -> IntegratorSpec:
+    """The integrator section; a given ``t_end`` stands in for a ``t_end`` key it lacks."""
     section = _field(cfg, "integrator", _mapping)
     return _checked(
-        "integrator", IntegratorSpec,
-        scheme=_field(section, "integrator.scheme", _str, "strang"),
-        dt=_field(section, "integrator.dt", _real),
-        t_end=horizon if horizon is not None else _field(section, "integrator.t_end", _real),
-        snapshot_stride=_field(section, "integrator.snapshot_stride", _integral, 1),
-        keys=None if horizon is None else {"t_end": "horizon"})
+        section, IntegratorSpec,
+        scheme=_field(section, "scheme", _str, "strang"),
+        dt=_field(section, "dt", _real),
+        t_end=_field(section, "t_end", _real) if t_end is None else t_end,
+        snapshot_stride=_field(section, "snapshot_stride", _integral, 1))
 
 
-def _out_dir(args, cfg: dict) -> Path:
+def _out_dir(args, cfg: _Section) -> Path:
     """The output directory, not yet made; ``output.directory`` is read even under --out."""
-    directory = _field(_field(cfg, "output", _mapping, {}), "output.directory", _str, None)
+    directory = _field(_field(cfg, "output", _mapping, {}), "directory", _str, None)
     return Path(args.out or directory or os.environ.get("WICKNLS_OUT") or ".")
 
 
@@ -337,11 +321,11 @@ def _run_report(out: Path, cfg: dict, command: str, summary: str, experiment, li
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
-def cmd_simulate(cfg: dict):
+def cmd_simulate(cfg: _Section):
     eq = _build_equation(cfg)
     integ = _build_integrator(cfg)
-    u0 = _build_field(_field(cfg, "data", _mapping), "data")
-    write_snapshots = _field(_field(cfg, "output", _mapping, {}), "output.snapshots",
+    u0 = _build_field(cfg, "data")
+    write_snapshots = _field(_field(cfg, "output", _mapping, {}), "snapshots",
                              _instance_of(bool, "true or false"), False)
 
     def save_snapshots(out: Path, traj):
@@ -363,21 +347,20 @@ def cmd_simulate(cfg: dict):
     return run
 
 
-def cmd_weak_limit(cfg: dict):
+def cmd_weak_limit(cfg: _Section):
     exp = _field(cfg, "experiment", _mapping, {})
-    kind = _field(exp, "experiment.kind",
+    kind = _field(exp, "kind",
                   _one_of("weak-continuity", "phase-defect-contrast"), "weak-continuity")
-    verdict_mode = _field(exp, "experiment.verdict", _one_of(*xp._VERDICT_MODES), "auto")
-    horizon = _field(cfg, "horizon", _real, 1.0)
+    verdict_mode = _field(exp, "verdict", _one_of(*xp._VERDICT_MODES), "auto")
     spec = _checked(
-        "", xp.WeakSequenceSpec,
-        base=_build_field(_field(cfg, "base", _mapping), "base"),
-        bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "bump.amplitude",
+        cfg, xp.WeakSequenceSpec,
+        horizon=_field(cfg, "horizon", _real, 1.0),
+        base=_build_field(cfg, "base"),
+        bump_amplitude=_field(_field(cfg, "bump", _mapping, {}), "amplitude",
                               _complex, 1.0 + 0.0j),
         mode_list=tuple(_field(cfg, "modes", _list_of(_integral))),
-        probe=_build_field(_field(cfg, "probe", _mapping), "probe"),
-        horizon=horizon, eq=_build_equation(cfg),
-        integrator=_build_integrator(cfg, horizon),
+        probe=_build_field(cfg, "probe"), eq=_build_equation(cfg),
+        integrator=_build_integrator(cfg, t_end=0.0),  # the spec runs it to horizon
         working_band=_field(cfg, "working_band", _integral, None),
         keys={"mode_list": "modes", "bump_amplitude": "bump.amplitude",
               "eq": "equation.truncation"})
@@ -393,65 +376,27 @@ def cmd_weak_limit(cfg: dict):
                         for name, ok in report.verdicts.items()))
 
 
-def _wick_identity_checks():
-    """The algebraic identity checks, as (name, passed) pairs."""
-    yield "hermite_h2", wick.hermite(2, 2.0, 1.0) == 3.0
-    yield "hermite_h4", wick.hermite(4, 1.0, 1.0) == -2.0
-    x = np.linspace(-3, 3, 13)
-    sigma, t = 1.5, 0.4
-    series = sum(wick.hermite(k, x, sigma) * t**k / math.factorial(k) for k in range(13))
-    gen = np.exp(t * x - 0.5 * sigma * t * t)
-    yield "hermite_generating_function", bool(np.max(np.abs(series - gen)) < 1e-8)
-    xs, ys = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
-    lhs = wick.wick_abs_fourth(xs + 1j * ys, 2.0)
-    rhs = (wick.hermite(4, xs) + 2.0 * wick.hermite(2, xs) * wick.hermite(2, ys)
-           + wick.hermite(4, ys))
-    yield "wick_fourth_chaos_expansion", bool(np.max(np.abs(lhs - rhs)) < 1e-10)
-
-
-def cmd_wick_check(cfg: dict):
-    hyp_cases = _field(cfg, "hypercontractivity", _list_of(_mapping), [])
+def cmd_wick_check(cfg: _Section):
     seed = _field(cfg, "seed", _integral, 0)
-    # case i draws from the key seed + i + 1, which must fit in 64 bits too
-    if not 0 <= seed < 2**64 - len(hyp_cases):
-        raise ConfigError(f"config field 'seed': must lie in [0, 2**64 - {len(hyp_cases)}) "
-                          f"so that every case key seed + i + 1 fits in 64 bits (got {seed})")
-    mc_samples = _field(cfg, "mc_samples", _at_least(2, _integral), 200_000)  # for a stderr
-    variance = _field(cfg, "wick_variance", _positive, 2.0)
-    parsed_cases = []
-    for i, case in enumerate(hyp_cases):
-        path = f"hypercontractivity[{i}]"
-        parsed_cases.append(dict(
-            q=_field(case, f"{path}.q", _real),
-            order=_field(case, f"{path}.order", _integral),
-            dim=_field(case, f"{path}.dim", _integral, 1),
-            samples=_field(case, f"{path}.samples", _integral, 200_000),
-            seed=seed + i + 1,
-            terms=_field(case, f"{path}.terms", _chaos_terms, None)))
-        _checked(path, wick._case_terms, **parsed_cases[-1])
+    mc_samples = _field(cfg, "mc_samples", _integral, 200_000)
+    variance = _field(cfg, "wick_variance", _real, 2.0)
+    _checked(cfg, wick._power_means_args, seed, mc_samples, variance,
+             keys={"samples": "mc_samples", "variance": "wick_variance"})
+    cases = []
+    for i, case in enumerate(_field(cfg, "hypercontractivity", _list_of(_mapping), [])):
+        cases.append(dict(q=_field(case, "q", _real), order=_field(case, "order", _integral),
+                          dim=_field(case, "dim", _integral, 1), seed=seed + i + 1,
+                          samples=_field(case, "samples", _integral, 200_000),
+                          terms=_field(case, "terms", _chaos_terms, None)))
+        # a case key past 64 bits is one that the top-level seed pushed there
+        _checked(case, wick._case_terms, **cases[-1], keys={"seed": "seed"})
 
     def run(out: Path) -> int:
+        checks = wick.identity_checks() + wick.wick_power_means(seed, mc_samples, variance)
         records = [ser.meta_record(cfg, command="wick-check")]
-        for name, ok in _wick_identity_checks():
-            records.append({"record": "check", "name": name, "pass": bool(ok)})
-
-        # Monte-Carlo means of the Wick powers under the standard complex
-        # Gaussian (true variance 2). A corrupted wick_variance makes these fail.
-        z = next(philox_streams(seed, [0])).standard_normal((mc_samples, 2))
-        g = z[:, 0] + 1j * z[:, 1]
-        for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
-                             ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):
-            mean = float(np.mean(values))
-            stderr = float(np.std(values) / math.sqrt(mc_samples))
-            ok = abs(mean) <= 3.0 * stderr
-            records.append({"record": "check", "name": name, "pass": bool(ok),
-                            "mean": mean, "stderr": stderr, "variance": variance})
-
-        for case in parsed_cases:
-            rec = wick.hypercontractivity_check(**case).to_dict()
-            rec["record"] = "hypercontractivity"
-            records.append(rec)
-
+        records += [{"record": "check", **check} for check in checks]
+        records += [{**wick.hypercontractivity_check(**case).to_dict(),
+                     "record": "hypercontractivity"} for case in cases]
         ser.write_ndjson(out / "wick_check.ndjson", records)
         for rec in records[1:]:
             label = rec.get("name") or f"hyp(n={rec.get('n')},d={rec.get('d')},q={rec.get('q')})"
@@ -460,18 +405,19 @@ def cmd_wick_check(cfg: dict):
     return run
 
 
-def cmd_sample(cfg: dict):
-    spec = _build_random_spec(_field(cfg, "data", _mapping), "data")
-    count = _field(cfg, "count", _at_least(0, _integral), 1)
+def cmd_sample(cfg: _Section):
+    spec = _build_random_spec(_field(cfg, "data", _mapping))
+    # checked now, drawn as run() iterates it
+    members = _checked(cfg, rnd.sample_ensemble, spec, _field(cfg, "count", _integral, 1))
     profile = _field(cfg, "profile", _mapping, {})
-    s_values = _field(profile, "profile.s_values", _list_of(_real), [0.0])
-    cutoffs = _field(profile, "profile.cutoffs", _list_of(_integral), [])
-    samples = _field(profile, "profile.samples", _integral, 1000)
-    _checked("profile", rnd._profile_cutoffs, spec, cutoffs, samples)
+    s_values = _field(profile, "s_values", _list_of(_real), [0.0])
+    cutoffs = _field(profile, "cutoffs", _list_of(_integral), [])
+    samples = _field(profile, "samples", _integral, 1000)
+    _checked(profile, rnd._profile_cutoffs, spec, cutoffs, samples)
 
     def run(out: Path) -> int:
         records = [ser.meta_record(cfg, command="sample")]
-        for k, u in enumerate(rnd.sample_ensemble(spec, count)):
+        for k, u in enumerate(members):
             fname = f"sample_{k:03d}.json"
             ser.save_field(u, out / fname)
             records.append({"record": "sample", "index": k, "file": fname,
@@ -489,13 +435,12 @@ def cmd_sample(cfg: dict):
     return run
 
 
-def cmd_norms(cfg: dict):
+def cmd_norms(cfg: _Section):
     u = _field(cfg, "field_file", _field_file)
     items = _field(cfg, "norms", _list_of(_mapping, non_empty=True))
-    specs = [_checked(f"norms[{i}]", fld.NormSpec, _field(item, f"norms[{i}].kind", _str),
-                      s=_field(item, f"norms[{i}].s", _real, 0.0),
-                      p=_field(item, f"norms[{i}].p", _real, 2.0))
-             for i, item in enumerate(items)]
+    specs = [_checked(item, fld.NormSpec, _field(item, "kind", _str),
+                      s=_field(item, "s", _real, 0.0), p=_field(item, "p", _real, 2.0))
+             for item in items]
 
     def run(out: Path) -> int:
         rows = []
@@ -508,13 +453,13 @@ def cmd_norms(cfg: dict):
     return run
 
 
-def cmd_order_study(cfg: dict):
+def cmd_order_study(cfg: _Section):
     eq = _build_equation(cfg)
-    u0 = _build_field(_field(cfg, "data", _mapping), "data")
+    u0 = _build_field(cfg, "data")
     dts = _field(cfg, "dts", _list_of(_real))
     scheme = _field(cfg, "scheme", _str, "strang")
     t_end = _field(cfg, "t_end", _real, 1.0)
-    _checked("", xp._order_ladder, dts, scheme, t_end)
+    _checked(cfg, xp._order_ladder, dts, scheme, t_end)
 
     def fitted_order(report) -> list[str]:
         fitted = report.details.get("fitted_order")

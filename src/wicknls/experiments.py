@@ -491,7 +491,7 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     is accepted but unused.
     """
     if not 0.0 < t_horizon <= 1.0:  # NaN-safe
-        raise ValueError(f"t_horizon must lie in (0, 1] (got {t_horizon!r})")
+        raise SpecFieldError("t_horizon", f"t_horizon must lie in (0, 1] (got {t_horizon!r})")
     fld.require_integer("samples", samples, 100)
 
     def ratios(band, block):
@@ -538,7 +538,7 @@ def apriori_growth_probe(ensemble: rnd.RandomDataSpec, s: float, t_horizon: floa
     time grid does not fit raises ``SpecFieldError`` naming ``t_horizon``.
     """
     if not (-0.5 <= s <= 0.0):
-        raise ValueError("s must lie in [-1/2, 0]")
+        raise SpecFieldError("s", f"s must lie in [-1/2, 0] (got {s!r})")
     fld.require_integer("samples", samples, 1)
     if integ is None:
         integ = _run_to(IntegratorSpec("strang", dt=2e-3, t_end=0.0), t_horizon, "t_horizon")

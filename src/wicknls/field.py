@@ -46,6 +46,13 @@ def require_integer(field: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def require_seed(value) -> int:
+    """``value`` as an int; ``SpecFieldError("seed")`` unless it is an integer in [0, 2**64)."""
+    if not 0 <= require_integer("seed", value) < 2**64:
+        raise SpecFieldError("seed", f"seed must lie in [0, 2**64) (got {value})")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class TorusField:
     """Immutable band-limited field: coefficients for modes -max_mode..max_mode."""

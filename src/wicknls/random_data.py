@@ -39,9 +39,7 @@ class RandomDataSpec:
         # from 2**58 on, the 4 max_mode + 2 normals of a sample pass numpy's largest array
         if fld.require_integer("max_mode", self.max_mode, 0) >= 2**58:
             raise SpecFieldError("max_mode", f"max_mode {self.max_mode} is too large")
-        fld.require_integer("seed", self.seed)
-        if not (0 <= self.seed < 2**64):
-            raise SpecFieldError("seed", "seed must fit in 64 bits")
+        fld.require_seed(self.seed)
         if not (self.gaussian_scale >= 0 and math.isfinite(self.gaussian_scale)):
             raise SpecFieldError("gaussian_scale", "gaussian_scale must be finite and >= 0 "
                                  f"(got {self.gaussian_scale})")
@@ -84,7 +82,11 @@ def covariance_weights(alpha: float, max_mode: int) -> np.ndarray:
 
 def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
     """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r])."""
-    out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
+    try:  # numpy refuses a band past its limits, or cannot allocate it
+        out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
+    except (ValueError, MemoryError) as exc:
+        raise SpecFieldError("max_mode", f"max_mode {spec.max_mode} is too large ({exc})") \
+            from None
     for row, gen in zip(out, philox_streams(spec.seed, indices)):
         gen.standard_normal(out=row)
     return out

@@ -50,6 +50,53 @@ def wick_abs_fourth(g: complex, var: float):
     return out if g.ndim else float(out)
 
 
+def identity_checks() -> list:
+    """The Hermite and Wick-ordering identities on fixed grids, as ``{"name", "pass"}`` dicts."""
+    x = np.linspace(-3, 3, 13)
+    sigma, t = 1.5, 0.4
+    series = sum(hermite(k, x, sigma) * t**k / math.factorial(k) for k in range(13))
+    gen = np.exp(t * x - 0.5 * sigma * t * t)
+    xs, ys = np.meshgrid(np.linspace(-2, 2, 9), np.linspace(-2, 2, 9))
+    lhs = wick_abs_fourth(xs + 1j * ys, 2.0)
+    rhs = hermite(4, xs) + 2.0 * hermite(2, xs) * hermite(2, ys) + hermite(4, ys)
+    return [{"name": name, "pass": bool(ok)} for name, ok in (
+        ("hermite_h2", hermite(2, 2.0, 1.0) == 3.0),
+        ("hermite_h4", hermite(4, 1.0, 1.0) == -2.0),
+        ("hermite_generating_function", np.max(np.abs(series - gen)) < 1e-8),
+        ("wick_fourth_chaos_expansion", np.max(np.abs(lhs - rhs)) < 1e-10))]
+
+
+def _power_means_args(seed, samples, variance) -> None:
+    """``SpecFieldError`` naming a rejected argument of ``wick_power_means``."""
+    fld.require_seed(seed)
+    fld.require_integer("samples", samples, 2)  # a standard error needs two
+    if not (variance > 0 and math.isfinite(variance)):  # NaN-safe
+        raise fld.SpecFieldError("variance", f"variance must be finite and > 0 (got {variance})")
+
+
+def wick_power_means(seed: int, samples: int, variance: float) -> list:
+    """Monte-Carlo means of ``:|g|^2:`` and ``:|g|^4:``, Wick-ordered with ``variance``.
+
+    ``g`` is the standard complex Gaussian (true variance 2), ``samples``
+    draws from the Philox stream keyed ``[seed, 0]``. Each mean vanishes in
+    expectation only when ``variance`` is the true one; a check passes when
+    the mean lies within 3 standard errors of 0. Returns
+    ``{"name", "pass", "mean", "stderr", "variance"}`` dicts. A rejected
+    argument raises ``SpecFieldError`` naming it, before any draw.
+    """
+    _power_means_args(seed, samples, variance)
+    z = next(philox_streams(seed, [0])).standard_normal((samples, 2))
+    g = z[:, 0] + 1j * z[:, 1]
+    checks = []
+    for name, values in (("wick_square_mean", wick_abs_square(g, variance)),
+                         ("wick_fourth_mean", wick_abs_fourth(g, variance))):
+        mean = float(np.mean(values))
+        stderr = float(np.std(values) / math.sqrt(samples))
+        checks.append({"name": name, "pass": abs(mean) <= 3.0 * stderr, "mean": mean,
+                       "stderr": stderr, "variance": variance})
+    return checks
+
+
 def renormalization_constant(max_mode: int, alpha: float) -> float:
     """Expected mean intensity of the truncated Gaussian field.
 
@@ -149,8 +196,9 @@ def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> n
 def _case_terms(order, dim, q, samples, seed, terms=None) -> list:
     """The chaos terms of a ``hypercontractivity_check`` case, as (float, int tuple)
     pairs; a rejected argument raises ``SpecFieldError`` naming it."""
-    for name, value in (("order", order), ("dim", dim), ("samples", samples), ("seed", seed)):
+    for name, value in (("order", order), ("dim", dim), ("samples", samples)):
         fld.require_integer(name, value)
+    fld.require_seed(seed)
     if not (q >= 2 and math.isfinite(q)):
         raise fld.SpecFieldError("q", f"q must be finite and >= 2 (got {q})")
     if order < 0 or dim < 1:
@@ -162,15 +210,11 @@ def _case_terms(order, dim, q, samples, seed, terms=None) -> list:
                                           "(recurrence accuracy)")
     if samples < 10_000:
         raise fld.SpecFieldError("samples", "need at least 1e4 samples")
-    if not 0 <= seed < 2**64:
-        raise fld.SpecFieldError("seed", f"seed must lie in [0, 2**64) (got {seed})")
     cleaned = []
     for coeff, degrees in terms if terms is not None else [(1.0, (order,))]:
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(fld.require_integer("terms", d, 0) for d in degrees)
         if len(degrees) > dim:
             raise fld.SpecFieldError("terms", "chaos term uses more coordinates than dim")
-        if any(d < 0 for d in degrees):
-            raise fld.SpecFieldError("terms", "chaos degrees must be >= 0")
         if sum(degrees) != order:
             raise fld.SpecFieldError("terms", f"chaos term degrees {degrees} do not sum "
                                               f"to order {order}")

@@ -306,6 +306,7 @@ class TestConfigErrors:
         # five cases: case i keys seed + i + 1, so 2**64 - 5 is one too many
         (["--set", f"seed={2**64 - 5}"], "'seed'"),
         (["--set", "mc_samples=0"], "'mc_samples'"),
+        (["--set", "mc_samples=1"], "'mc_samples'"),
         (["--set", "hypercontractivity=[{order: 2, q: .nan}]"],
          "'hypercontractivity[0].q'"),
         (["--set", "hypercontractivity=[{order: 2, q: .inf}]"],
@@ -336,7 +337,6 @@ class TestConfigErrors:
 
         def refuse(*args):
             raise AssertionError("a normal was drawn")
-        monkeypatch.setattr(cli, "philox_streams", refuse)
         monkeypatch.setattr(wick, "philox_streams", refuse)
         assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),
                    "--out", str(tmp_path / "o"), "--set",
@@ -379,7 +379,7 @@ class TestConfigErrors:
         assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
                    "--out", str(out), "--set", "count=-1") == 2
         assert capsys.readouterr().err.startswith(
-            "config error: config field 'count': must be >= 0")
+            "config error: config field 'count': count must be >= 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha", [".nan", "-1"])
@@ -454,6 +454,9 @@ class TestConfigErrors:
         ("simulate", "simulate_plane_wave.yaml", f"data.max_mode={10**30}", "'data.max_mode'"),
         ("simulate", "simulate_plane_wave.yaml", ("data.kind=random", f"data.max_mode={10**30}"),
          "'data.max_mode'"),
+        # a band the sampler's spec admits but numpy cannot allocate
+        ("simulate", "simulate_plane_wave.yaml",
+         'data={"kind": "random", "max_mode": 144115188075855871}', "'data.max_mode'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
@@ -623,7 +626,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")),
                              ids=lambda p: p.stem)
     def test_parse_step_accepts(self, path):
-        cfg = cli._load_config(str(path))
+        cfg = cli._tracked(cli._load_config(str(path)), None)
         cli._check_schema(cfg)
         assert callable(cli._COMMANDS[SHIPPED_COMMANDS[path.stem]](cfg))
 

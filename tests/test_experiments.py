@@ -341,8 +341,9 @@ class TestStrichartzProbe:
 
     def test_probe_rejects_nan_horizon(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
-        with pytest.raises(ValueError, match="nan"):
+        with pytest.raises(ValueError, match="nan") as info:
             xp.strichartz_ratio_probe(ens, float("nan"), 100)
+        assert info.value.field == "t_horizon"
 
     def test_probe_rejects_non_integral_samples(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
@@ -396,10 +397,12 @@ class TestStrichartzProbe:
 
     def test_validation(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             xp.strichartz_ratio_probe(ens, 1.5, 100)
-        with pytest.raises(ValueError):
+        assert info.value.field == "t_horizon"
+        with pytest.raises(ValueError) as info:
             xp.strichartz_ratio_probe(ens, 0.5, 10)
+        assert info.value.field == "samples"
 
 
 @pytest.mark.parametrize("probe", [
@@ -500,8 +503,9 @@ class TestAprioriGrowth:
 
     def test_validation(self):
         ens = rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             xp.apriori_growth_probe(ens, 0.25, 0.5, samples=4)
+        assert info.value.field == "s"
 
     def test_default_integrator_fits_any_horizon_on_its_grid(self):
         # 25 steps of 2e-3: the default snapshot stride is gcd(10, 25) = 5

@@ -108,6 +108,42 @@ class TestWickPowers:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+class TestWickCheckSuite:
+    def test_identity_checks_pass(self):
+        checks = wick.identity_checks()
+        assert [c["name"] for c in checks] == [
+            "hermite_h2", "hermite_h4", "hermite_generating_function",
+            "wick_fourth_chaos_expansion"]
+        assert all(c["pass"] is True for c in checks)
+
+    def test_power_means_fail_only_under_a_wrong_variance(self):
+        for variance, passed in ((2.0, True), (3.0, False)):
+            checks = wick.wick_power_means(7, 20_000, variance)
+            assert [c["name"] for c in checks] == ["wick_square_mean", "wick_fourth_mean"]
+            assert [c["pass"] for c in checks] == [passed, passed]
+            assert all(c["variance"] == variance for c in checks)
+
+    @pytest.mark.parametrize("seed, samples, variance, field", [
+        (2**64, 1_000, 2.0, "seed"),
+        (-1, 1_000, 2.0, "seed"),
+        (1.5, 1_000, 2.0, "seed"),
+        (0, 1, 2.0, "samples"),
+        (0, 2.5, 2.0, "samples"),
+        (0, 1_000, 0.0, "variance"),
+        (0, 1_000, -2.0, "variance"),
+        (0, 1_000, math.nan, "variance"),
+        (0, 1_000, math.inf, "variance"),
+    ])
+    def test_power_means_reject_an_argument_before_any_draw(self, monkeypatch, seed, samples,
+                                                            variance, field):
+        def refuse(*args):
+            raise AssertionError("a normal was drawn")
+        monkeypatch.setattr(wick, "philox_streams", refuse)
+        with pytest.raises(fld.SpecFieldError, match=field) as info:
+            wick.wick_power_means(seed, samples, variance)
+        assert info.value.field == field
+
+
 class TestRenormalizationConstant:
     def test_zero_band(self):
         assert wick.renormalization_constant(0, 1.0) == 1.0
@@ -235,6 +271,19 @@ class TestHypercontractivity:
         with pytest.raises(ValueError, match="seed must lie in"):
             wick.hypercontractivity_check(2, 1, 4.0, samples=10_000, seed=seed)
 
+    @pytest.mark.parametrize("degree", [2.5, True])
+    def test_rejects_a_degree_that_is_not_an_integer(self, degree):
+        # int(2.5) would run it as degree 2, and True as degree 1
+        with pytest.raises(fld.SpecFieldError, match="terms must be an integer") as info:
+            wick.hypercontractivity_check(2, 1, 4.0, samples=10_000, terms=[(1.0, (degree,))])
+        assert info.value.field == "terms"
+
+    @pytest.mark.parametrize("degree", [2, np.int64(2)])
+    def test_accepts_integer_degrees(self, degree):
+        got = wick.hypercontractivity_check(2, 1, 4.0, samples=10_000, seed=3,
+                                            terms=[(1.0, (degree,))])
+        assert got == wick.hypercontractivity_check(2, 1, 4.0, samples=10_000, seed=3)
+
     @pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("order, dim, terms, samples", [
         (2, 1, None, 70_001),                                   # a short second batch
@@ -285,14 +334,16 @@ class TestGaussianBatches:
         seed, samples, variance = 2**64 - 1, 5_000, 2.0
         cfg = {"schema_version": 1, "seed": seed, "mc_samples": samples,
                "wick_variance": variance}
-        assert cli.cmd_wick_check(cfg)(tmp_path) == cli.EXIT_OK
+        assert cli.cmd_wick_check(cli._tracked(cfg, None))(tmp_path) == cli.EXIT_OK
         records = {r.get("name"): r for r in ser.read_ndjson(tmp_path / "wick_check.ndjson")}
+        library = {c["name"]: c for c in wick.wick_power_means(seed, samples, variance)}
         z = fresh_normals(seed, 0, (samples, 2))
         g = z[:, 0] + 1j * z[:, 1]
         for name, values in (("wick_square_mean", wick.wick_abs_square(g, variance)),
                              ("wick_fourth_mean", wick.wick_abs_fourth(g, variance))):
-            assert records[name]["mean"] == float(np.mean(values))
-            assert records[name]["stderr"] == float(np.std(values) / math.sqrt(samples))
+            for got in (records[name], library[name]):
+                assert got["mean"] == float(np.mean(values))
+                assert got["stderr"] == float(np.std(values) / math.sqrt(samples))
 
     def test_keyed_streams_reset_to_each_fresh_key(self):
         indices = [3, 0, 2**64 - 1, 3]
