@@ -106,7 +106,7 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 # The rotation is taken in Cayley form, exp(i theta) = (1 + i tau) / (1 - i tau)
 # with tau = tan(theta / 2), which is exact. On numpy 2.x float64 tan is a
 # vectorised loop while cos and sin call libm once per element: over the 12,600
-# values of the (24, 525) stack of the band-256 contrast np.cos takes 64 us,
+# values of a (24, 525) stack of band-256 contrast grids np.cos takes 64 us,
 # np.sin 57 us and np.tan 20 us (2-vCPU AVX-512 x86_64, numpy 2.4.6, best of 15
 # rounds). The error stays at roundoff for any theta: d theta = 2 d tau /
 # (1 + tau^2), so a relative error in tau moves theta by at most that much, also

@@ -385,11 +385,11 @@ def cmd_wick_check(cfg: _Section):
     cases = []
     for i, case in enumerate(_field(cfg, "hypercontractivity", _list_of(_mapping), [])):
         cases.append(dict(q=_field(case, "q", _real), order=_field(case, "order", _integral),
-                          dim=_field(case, "dim", _integral, 1), seed=seed + i + 1,
+                          dim=_field(case, "dim", _integral, 1),
+                          seed=_checked(cfg, wick._case_seed, seed, i),
                           samples=_field(case, "samples", _integral, 200_000),
                           terms=_field(case, "terms", _chaos_terms, None)))
-        # a case key past 64 bits is one that the top-level seed pushed there
-        _checked(case, wick._case_terms, **cases[-1], keys={"seed": "seed"})
+        _checked(case, wick._case_terms, **cases[-1])
 
     def run(out: Path) -> int:
         checks = wick.identity_checks() + wick.wick_power_means(seed, mc_samples, variance)
@@ -406,9 +406,11 @@ def cmd_wick_check(cfg: _Section):
 
 
 def cmd_sample(cfg: _Section):
-    spec = _build_random_spec(_field(cfg, "data", _mapping))
-    # checked now, drawn as run() iterates it
-    members = _checked(cfg, rnd.sample_ensemble, spec, _field(cfg, "count", _integral, 1))
+    data = _field(cfg, "data", _mapping)
+    spec = _build_random_spec(data)
+    # checked now, with its first block drawn; the rest are drawn as run() iterates it
+    members = _checked(cfg, rnd.sample_ensemble, spec, _field(cfg, "count", _integral, 1),
+                       keys={"max_mode": _join(data.path, "max_mode")})
     profile = _field(cfg, "profile", _mapping, {})
     s_values = _field(profile, "s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "cutoffs", _list_of(_integral), [])

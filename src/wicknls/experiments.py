@@ -10,9 +10,12 @@
   phase-defect prediction built from the gauge identity.
 
   Both run their families through one private runner, ``_weak_run``: it
-  steps every family's runs in one stack and returns each family's
-  statistics (the ``_WEAK_STATS`` series over its modes) and its plateau
-  prediction. The experiments only pick families and verdicts.
+  steps each family under its shift-free variant (``nls`` or
+  ``truncated-nls``), every distinct datum once and all in one stack, maps
+  the runs onto each Wick family by the discrete gauge
+  ``u -> e^{-i shift t} u``, and returns each family's statistics (the
+  ``_WEAK_STATS`` series over its modes) and its plateau prediction. The
+  experiments only pick families and verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
   data, stability of the max ratio under band doubling.
 * ``apriori_growth_probe``: distribution of sup_t ||u(t)||_{H^s} / ||u0||_{H^s}
@@ -28,14 +31,14 @@ import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from importlib import resources
-from itertools import islice
 
 import numpy as np
 
 from . import field as fld
 from . import random_data as rnd
-from .dynamics import (EquationSpec, IntegratorSpec, Variant, _evolve_runs, evolve,
-                       evolve_batch, plane_wave_frequency)
+from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant,
+                       _evolve_runs, _linear_rate, _phase_transformed, evolve, evolve_batch,
+                       plane_wave_frequency)
 from .field import SpecFieldError  # also xp.SpecFieldError
 from .serialization import field_coeffs_dict, spec_hash
 from ._kernels import fast_fft_size
@@ -193,6 +196,46 @@ _WEAK_STATS = (("gap_sup", "l2-pairing"), ("weak_l4_proxy", "spacetime-pairing")
                ("mu_defect", "intensity"))
 
 
+def _shift_free(eq: EquationSpec) -> EquationSpec:
+    """``eq`` without its linear Wick shift: ``nls`` or ``truncated-nls``, same sign,
+    truncation and alpha."""
+    return replace(eq, variant=Variant.TRUNCATED_NLS if eq.truncated else Variant.NLS)
+
+
+def _gauged(traj, eq: EquationSpec):
+    """The run ``traj`` of ``eq``'s shift-free variant as a run of ``eq``.
+
+    Every Wick shift is the linear term ``-shift u`` (``_linear_rate``), so
+    the run of ``eq`` is ``exp(-i shift t)`` times the shift-free one,
+    snapshots and pairings alike; both schemes keep that gauge to roundoff.
+    The shift is read at the run's t = 0 snapshot, the datum it stepped.
+    """
+    if eq == traj.eq:
+        return traj
+    start = traj.snapshots[-1 if traj.integrator.signed_dt < 0 else 0]
+    rate = _linear_rate([eq], np.zeros(1), np.array([fld.mean_intensity(start)]))[0, 0]
+    return _phase_transformed(traj, float(rate), eq)
+
+
+def _family_runs(family: WeakSequenceSpec) -> list:
+    """The ``(u0, eq, integ)`` runs of a bump family: the base, then each bump,
+    all forward, then all backward."""
+    data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
+    integ = family.integrator
+    return [(u0, family.eq, i) for i in (integ, replace(integ, t_end=-integ.t_end))
+            for u0 in data]
+
+
+def _is_run(traj, run) -> bool:
+    """Whether ``traj``, whole or partial, is the trajectory of ``run``."""
+    u0, eq, integ = run
+    if eq.truncated:
+        u0 = fld.project(u0, eq.truncation)
+    start = traj.snapshots[-1 if integ.signed_dt < 0 else 0]
+    return (traj.eq == eq and traj.integrator == integ and u0.max_mode <= start.max_mode
+            and np.array_equal(u0.padded_to(start.max_mode).coeffs, start.coeffs))
+
+
 def _weak_run(*specs: WeakSequenceSpec) -> list:
     """``(stats, prediction)`` of each spec's bump family.
 
@@ -203,24 +246,39 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     delta of its top mode.
 
     Every spec is paired with the first spec's probe, which the callers'
-    specs share. The base and every bump of every spec run once forward and
-    once backward, all in one ``_evolve_runs`` call, so rows that share a
-    grid step as one stack; this loop is the only place runs are made. Specs
-    that differ only in the equation (the contrast's plain and Wick families)
-    share one: at band N >= 4 x every bump mode, a bump row's top mode is the
-    base's or at most N/4 <= (N-1)/3, below which the grid does not depend
-    on it.
+    specs share. Each family is stepped under the shift-free variant of its
+    equation (``_shift_free``), and a Wick family's runs are the gauge of
+    those (``_gauged``); so a Wick row equals its own ``evolve`` to roundoff,
+    not bit for bit. Families that are the same once shifts are dropped (the
+    contrast's plain and Wick families) step once and share their runs. The
+    base and every bump of every stepped family run once forward and once
+    backward, all in one ``_evolve_runs`` call, so rows that share a grid
+    step as one stack; this loop is the only place runs are made. A family's
+    rows share one grid: at band N >= 4 x every bump mode, a bump row's top
+    mode is the base's or at most N/4 <= (N-1)/3, below which the grid does
+    not depend on it. A scheme failure is reported as a run of the first
+    spec that steps the failed row, through the same gauge.
     """
-    runs = []
-    for spec in specs:
-        data = [spec.initial_data(None)] + [spec.initial_data(n) for n in spec.mode_list]
-        for integ in (spec.integrator, replace(spec.integrator, t_end=-spec.integrator.t_end)):
-            runs += [(u0, spec.eq, integ) for u0 in data]
-    trajs = iter(_evolve_runs(runs, {"phi": specs[0].probe}))
+    families = [replace(spec, eq=_shift_free(spec.eq)) for spec in specs]
+    first, runs = {}, []  # each stepped family -> the index of its first run
+    for family in families:
+        if family not in first:
+            first[family] = len(runs)
+            runs += _family_runs(family)
+    try:
+        trajs = _evolve_runs(runs, {"phi": specs[0].probe})
+    except IntegrationDivergedError as error:
+        failed = error.trajectory
+        spec = next(spec for spec, family in zip(specs, families)
+                    if any(_is_run(failed, run) for run in _family_runs(family)))
+        error.trajectory = _gauged(failed, spec.eq)
+        raise
     out = []
-    for spec in specs:
+    for spec, family in zip(specs, families):
         rows = len(spec.mode_list) + 1
-        (ref_f, *fwd), (ref_b, *bwd) = list(islice(trajs, rows)), list(islice(trajs, rows))
+        start = first[family]
+        (ref_f, *fwd), (ref_b, *bwd) = [[_gauged(traj, spec.eq) for traj in trajs[i:i + rows]]
+                                        for i in (start, start + rows)]
         # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
         times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
         ref_p = np.concatenate([ref_b.probes["phi"], ref_f.probes["phi"][1:]])
@@ -327,10 +385,12 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 
     The plain equation's gap plateau is compared against the scalar
     phase-defect prediction; the mean-shifted equation must pass its decay
-    verdicts on the same data. Both families, each run forward and backward,
-    step as one stack of one ``_evolve_runs`` call: variant and time
-    direction are properties of each row, so every row is bit-identical to
-    its own ``evolve``. ``threads`` is accepted but unused.
+    verdicts on the same data. The two families share their runs: each
+    datum is stepped once forward and once backward under the plain
+    equation, in one ``_evolve_runs`` call, and the Wick rows are the gauge
+    ``e^{-2 i s mu0 t}`` of the plain ones (``_weak_run``). So every plain row
+    is bit-identical to its own ``evolve`` and every Wick row equals its own
+    to roundoff. ``threads`` is accepted but unused.
     """
     if spec.eq.truncated:
         plain = replace(spec.eq, variant=Variant.TRUNCATED_NLS)

@@ -15,6 +15,7 @@ parallel iteration order, and truncations are nested (the same draw at
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -148,15 +149,17 @@ def sample_ensemble(spec: RandomDataSpec, count: int):
 
     Member k equals ``sample(spec, k)``. Its coefficients are a read-only
     view of a row of the sampler's block, not a copy, so a member kept alive
-    keeps its block (at most ``_BLOCK_NORMALS`` normals) alive too. A
-    ``count`` that is not an integer >= 0 raises here, not at the first
+    keeps its block (at most ``_BLOCK_NORMALS`` normals) alive too. The
+    first block is drawn here, so a ``count`` that is not an integer >= 0,
+    or a band that numpy cannot allocate, raises here, not at the first
     member.
     """
-    return _members(spec, fld.require_integer("count", count, 0))
+    blocks = _blocks(spec, fld.require_integer("count", count, 0))
+    return _members(spec, chain(list(islice(blocks, 1)), blocks))
 
 
-def _members(spec: RandomDataSpec, count: int):
-    for _, block in _blocks(spec, count):
+def _members(spec: RandomDataSpec, blocks):
+    for _, block in blocks:
         block.setflags(write=False)
         for row in block:
             yield fld.TorusField._trusted(row, spec.max_mode)

@@ -224,6 +224,18 @@ def _case_terms(order, dim, q, samples, seed, terms=None) -> list:
     return cleaned
 
 
+def _case_seed(seed: int, index: int) -> int:
+    """The key ``seed + index + 1`` that case ``index`` of a wick check draws from,
+    under its top-level ``seed``; ``SpecFieldError("seed")`` naming both if the key
+    leaves [0, 2**64)."""
+    key = seed + index + 1
+    if not 0 <= key < 2**64:
+        raise fld.SpecFieldError("seed", f"the key seed + {index + 1} of hypercontractivity "
+                                         f"case {index} is {key}, outside [0, 2**64) "
+                                         f"(got seed {seed})")
+    return key
+
+
 def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_000_000,
                              seed: int = 0, terms=None) -> HypercontractivityReport:
     """Monte-Carlo check of the chaos moment bound ||F||_q <= (q-1)^{n/2} ||F||_2.

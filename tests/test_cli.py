@@ -156,6 +156,24 @@ class TestSchemeFailure:
         assert len(records) > 1
         assert all(r["record"] == "snapshot" for r in records[1:])
 
+    def test_failing_row_keeps_the_wick_hamiltonian(self, tmp_path):
+        # the Hamiltonian family steps as truncated-nls; its failing row is
+        # flushed as a run of the variant asked for, whose ledger carries the
+        # Wick Hamiltonian
+        out = tmp_path / "o"
+        proc = run_module("weak-limit", "--config", str(CONFIG_DIR / "weak_limit_wnls.yaml"),
+                          "--out", str(out), "--set", "integrator.scheme=rk4",
+                          "--set", "integrator.dt=0.05", "--set", "integrator.snapshot_stride=5",
+                          "--set", "bump.amplitude=20",
+                          "--set", "equation.variant=truncated-wnls-hamiltonian",
+                          "--set", "equation.truncation=128")
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1
+        meta, *snapshots = strict_records(out / "weak_limit.ndjson")
+        assert meta["diverged"] is True and meta["last_valid_time"] == 0.05
+        assert snapshots and all(r["record"] == "snapshot" for r in snapshots)
+        assert all("wick_hamiltonian" in r for r in snapshots)
+
     def test_contrast_flushes_the_first_failing_row_under_strang(self, tmp_path):
         # a 1e152 bump has a finite mass (6.28e304), so it is stepped; the
         # unnormalised pin target m^2 mu of every bump row of the one (20, m)
@@ -342,6 +360,16 @@ class TestConfigErrors:
                    "--out", str(tmp_path / "o"), "--set",
                    "hypercontractivity=[{order: 2, q: 4}, {order: -1, q: 4}]") == 2
 
+    def test_wick_check_seed_error_names_the_seed_and_the_case_key(self, tmp_path, capsys):
+        # five cases: case i keys seed + i + 1, so 2**64 - 5 pushes case 4 past 64 bits
+        out = tmp_path / "o"
+        assert run("wick-check", "--config", str(CONFIG_DIR / "wick_check.yaml"),
+                   "--out", str(out), "--set", "seed=18446744073709551611") == 2
+        assert capsys.readouterr().err == (
+            "config error: config field 'seed': the key seed + 5 of hypercontractivity case 4 "
+            "is 18446744073709551616, outside [0, 2**64) (got seed 18446744073709551611)\n")
+        assert not out.exists()
+
     def test_wick_check_accepts_the_last_seed_that_fits(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {
             "schema_version": 1, "seed": 2**64 - 2, "mc_samples": 10_000,
@@ -457,6 +485,8 @@ class TestConfigErrors:
         # a band the sampler's spec admits but numpy cannot allocate
         ("simulate", "simulate_plane_wave.yaml",
          'data={"kind": "random", "max_mode": 144115188075855871}', "'data.max_mode'"),
+        ("sample", "sample_white_noise.yaml",
+         ("data.max_mode=144115188075855871", "profile.cutoffs=[]"), "'data.max_mode'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wicknls import dynamics as dyn
 from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
@@ -28,7 +29,7 @@ REPO = Path(__file__).resolve().parent.parent
 TWO_PI = 2.0 * np.pi
 
 
-def small_spec(eq=None, bump=1.0, modes=(3, 9), horizon=0.5, dt=2e-3):
+def small_spec(eq=None, bump=1.0, modes=(3, 9), horizon=0.5, dt=2e-3, stride=25):
     return xp.WeakSequenceSpec(
         base=fld.TorusField.single_mode(1, 1.0),
         bump_amplitude=bump,
@@ -36,7 +37,7 @@ def small_spec(eq=None, bump=1.0, modes=(3, 9), horizon=0.5, dt=2e-3):
         probe=fld.TorusField.single_mode(1, 1.0),
         horizon=horizon,
         eq=eq or EquationSpec("wnls", sign=1),
-        integrator=IntegratorSpec("strang", dt=dt, t_end=horizon, snapshot_stride=25),
+        integrator=IntegratorSpec("strang", dt=dt, t_end=horizon, snapshot_stride=stride),
     )
 
 
@@ -245,6 +246,76 @@ class TestPhaseDefectContrast:
             for name in joint:
                 assert np.array_equal(joint[name], alone[name])
             assert joint_pred == alone_pred
+
+    @settings(max_examples=24, deadline=None)
+    @given(scheme=st.sampled_from(["strang", "rk4"]), sign=st.sampled_from([1, -1]),
+           variant=st.sampled_from(["wnls", "truncated-wnls-gauged",
+                                    "truncated-wnls-hamiltonian"]),
+           bump=st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5))
+    def test_gauged_family_equals_its_stepped_rows(self, scheme, sign, variant, bump):
+        # a Wick family derived from its shift-free runs against the same
+        # family stepped directly: with _shift_free the identity, _weak_run
+        # hands _evolve_runs the Wick rows themselves and _gauged maps nothing.
+        # The gap and the proxy are differences of pairings of size 2 pi, so
+        # their roundoff is absolute (3e-14 here): bumps of |c| >= 0.5 keep
+        # the gaps far enough above it for a relative bound. The proxy
+        # |sum_t d(t) w(t) dt| can cancel to near zero at any |c|, so its
+        # bound is taken on the scale of its terms, 2 T sup |d|
+        eq = EquationSpec(variant, sign, truncation=None if variant == "wnls" else 24)
+        spec = small_spec(eq=eq, bump=bump, modes=(2, 5, 6), horizon=0.1, dt=1e-3)
+        spec = replace(spec, integrator=replace(spec.integrator, scheme=scheme))
+        (derived, derived_pred), = xp._weak_run(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xp, "_shift_free", lambda eq: eq)
+            (stepped, stepped_pred), = xp._weak_run(spec)
+        scale = {name: np.max(np.abs(stepped[name])) for name, _ in xp._WEAK_STATS}
+        scale["weak_l4_proxy"] = 2.0 * spec.horizon * scale["gap_sup"]
+        for name, _ in xp._WEAK_STATS:
+            assert np.max(np.abs(derived[name] - stepped[name])) <= 1e-10 * scale[name], name
+        assert abs(derived_pred - stepped_pred) <= 1e-10 * stepped_pred
+
+    def test_contrast_steps_each_datum_once(self, monkeypatch):
+        # the plain and Wick families share their runs: the base and five
+        # bumps, forward and backward, are 12 plain rows, not 24
+        spec = small_spec(modes=(4, 8, 16, 32, 64), horizon=0.01, dt=1e-3, stride=5)
+        stepped = []
+        evolve_runs = xp._evolve_runs
+
+        def counted(runs, probes):
+            stepped.extend(runs)
+            return evolve_runs(runs, probes)
+
+        monkeypatch.setattr(xp, "_evolve_runs", counted)
+        report = xp.phase_defect_contrast_run(spec)
+        assert len(stepped) == 12
+        assert {eq.variant.value for _, eq, _ in stepped} == {"nls"}
+        assert len(report.get_series("wnls_gap_sup").values) == 5
+
+    def test_failed_row_is_reported_as_its_spec_run(self):
+        # RK4 past its step on the Hamiltonian family (the mass drifts by
+        # 8.2e-4 to t = 0.06, 1.08e-3 to 0.08): stepped as truncated-nls, the
+        # failed row fails at the same step as the row stepped directly, and
+        # is reported through the gauge as a run of the spec's own equation
+        eq = EquationSpec("truncated-wnls-hamiltonian", 1, truncation=128)
+        spec = small_spec(eq=eq, bump=2.0, modes=(4, 8, 16, 32), horizon=1.0, dt=0.02,
+                          stride=1)
+        spec = replace(spec, integrator=replace(spec.integrator, scheme="rk4"))
+        with pytest.raises(dyn.IntegrationDivergedError) as derived:
+            xp._weak_run(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xp, "_shift_free", lambda eq: eq)
+            with pytest.raises(dyn.IntegrationDivergedError) as stepped:
+                xp._weak_run(spec)
+        got, want = derived.value.trajectory, stepped.value.trajectory
+        assert str(derived.value) == str(stepped.value)
+        assert derived.value.last_valid_time == stepped.value.last_valid_time
+        assert got.eq == want.eq == eq and got.integrator == want.integrator
+        assert "wick_hamiltonian" in got.ledger
+        np.testing.assert_array_equal(got.times, want.times)
+        assert len(got.times) > 1  # snapshots past t = 0, where the gauge acts
+        scale = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-10 * scale
+        assert np.max(np.abs(got.probes["phi"] - want.probes["phi"])) <= 1e-10 * scale
 
     def test_mode_order_irrelevant(self):
         # the base holds bump mode 4, so the two bumps' defects differ and the

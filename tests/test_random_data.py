@@ -40,12 +40,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=seed)
 
-    def test_unallocatable_band_names_max_mode(self):
+    @pytest.mark.parametrize("draw", [rnd.sample, lambda spec: rnd.sample_ensemble(spec, 1)],
+                             ids=["sample", "ensemble-call"])
+    def test_unallocatable_band_names_max_mode(self, draw):
         # the spec admits 2**57 - 1, but numpy refuses the 4 EiB of its
-        # normals at once, before a page is touched
+        # normals at once, before a page is touched; an ensemble meets it
+        # when called, not at its first member
         spec = rnd.RandomDataSpec(alpha=0.0, max_mode=2**57 - 1, seed=0)
         with pytest.raises(SpecFieldError, match="max_mode .* is too large") as info:
-            rnd.sample(spec)
+            draw(spec)
         assert info.value.field == "max_mode"
 
     def test_offset_band_checked(self):

@@ -144,6 +144,15 @@ class TestWickCheckSuite:
         assert info.value.field == field
 
 
+    def test_case_seed_names_the_seed_and_the_key(self):
+        assert wick._case_seed(2**64 - 2, 0) == 2**64 - 1
+        with pytest.raises(fld.SpecFieldError) as info:
+            wick._case_seed(2**64 - 2, 1)
+        assert info.value.field == "seed"
+        assert str(info.value) == (f"the key seed + 2 of hypercontractivity case 1 is {2**64}, "
+                                   f"outside [0, 2**64) (got seed {2**64 - 2})")
+
+
 class TestRenormalizationConstant:
     def test_zero_band(self):
         assert wick.renormalization_constant(0, 1.0) == 1.0
