@@ -11,8 +11,8 @@ from .wick import (HypercontractivityReport, hermite, hypercontractivity_check,
                    wick_abs_fourth, wick_abs_square, wick_hamiltonian)
 from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec,
                        Trajectory, Variant, conserved, evolve, evolve_batch,
-                       galilean_boost, gauge_transform, linear_propagator, nonlinearity,
-                       plane_wave_frequency, resonant_split, truncation_gauge)
+                       galilean_boost, gauge, linear_propagator, nonlinearity,
+                       plane_wave_frequency, resonant_split)
 from .random_data import (RandomDataSpec, expected_mean_intensity,
                           regularity_profile, sample, sample_block,
                           sample_ensemble)
@@ -29,7 +29,7 @@ __all__ = [
     "Series", "Trajectory", "TorusField", "Variant", "WeakSequenceSpec",
     "__version__", "analyze", "apriori_growth_probe", "conserved", "evolve",
     "evolve_batch", "expected_mean_intensity", "free_flow_l4_norm",
-    "galilean_boost", "gauge_transform", "hermite", "hypercontractivity_check",
+    "galilean_boost", "gauge", "hermite", "hypercontractivity_check",
     "integrator_order_study", "intensity_fluctuation", "linear_propagator",
     "mean_intensity", "nonlinearity", "norm", "pairing",
     "phase_defect_contrast_run", "plane_wave_frequency", "project",
@@ -37,7 +37,7 @@ __all__ = [
     "resonant_split", "sample", "sample_block",
     "sample_ensemble", "spacetime_l4_norm", "spacetime_lp_norm",
     "strichartz_ratio_probe",
-    "synthesize", "truncation_gauge", "verdict_thresholds",
+    "synthesize", "verdict_thresholds",
     "weak_continuity_run", "wick_abs_fourth", "wick_abs_square",
     "wick_hamiltonian",
 ]

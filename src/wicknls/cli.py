@@ -408,14 +408,18 @@ def cmd_wick_check(cfg: _Section):
 def cmd_sample(cfg: _Section):
     data = _field(cfg, "data", _mapping)
     spec = _build_random_spec(data)
+    band = {"max_mode": _join(data.path, "max_mode")}
     # checked now, with its first block drawn; the rest are drawn as run() iterates it
     members = _checked(cfg, rnd.sample_ensemble, spec, _field(cfg, "count", _integral, 1),
-                       keys={"max_mode": _join(data.path, "max_mode")})
+                       keys=band)
+    expected = _checked(cfg, rnd.expected_mean_intensity, spec, keys=band)
     profile = _field(cfg, "profile", _mapping, {})
     s_values = _field(profile, "s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "cutoffs", _list_of(_integral), [])
     samples = _field(profile, "samples", _integral, 1000)
-    _checked(profile, rnd._profile_cutoffs, spec, cutoffs, samples)
+    # set up now, so that nothing band-sized is left to allocate in run()
+    profile_rows = _checked(profile, rnd._profile, spec, s_values, cutoffs, samples,
+                            keys=band) if profile else None
 
     def run(out: Path) -> int:
         records = [ser.meta_record(cfg, command="sample")]
@@ -424,13 +428,12 @@ def cmd_sample(cfg: _Section):
             ser.save_field(u, out / fname)
             records.append({"record": "sample", "index": k, "file": fname,
                             "mean_intensity": fld.mean_intensity(u)})
-        records.append({"record": "expected_mean_intensity",
-                        "value": rnd.expected_mean_intensity(spec)})
+        records.append({"record": "expected_mean_intensity", "value": expected})
         if profile:
             ser.write_csv(out / "profile.csv",
                           ("s", "M", "median_norm", "q25", "q75", "samples"),
                           [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"], r["samples"])
-                           for r in rnd.regularity_profile(spec, s_values, cutoffs, samples)],
+                           for r in profile_rows()],
                           meta=cfg)
         ser.write_ndjson(out / "sample.ndjson", records)
         return EXIT_OK

@@ -19,7 +19,8 @@ Both schemes take one linear flow: the Fourier multiplier at each row's rate
 ``n^2 - shift`` (``_linear_rate``). Every variant conserves mass, so the Wick
 term -2 mu(u) u is the linear term -2 mu0 u, mu0 the row's initial mean
 intensity, like the -2 a u of the renormalized variant; each scheme then maps
-plain runs onto Wick ones by the scalar gauge, as the flow does.
+a run onto any variant that differs from it in the shift alone by the
+scalar gauge, as the flow does (``gauge``).
 
 The Strang integrator alternates that flow with the exact pointwise phase
 ``theta = sign dt |u|^2`` of the nonlinear substep, on an odd collocation grid
@@ -63,7 +64,7 @@ from . import field as fld
 from .field import SpecFieldError
 from ._kernels import (GalerkinCubic, cubic_convolution, fast_fft_size, nonlinear_phase,
                        phase_work)
-from .wick import intensity_fluctuation, renormalization_constant
+from .wick import renormalization_constant
 
 
 class Variant(str, Enum):
@@ -246,13 +247,15 @@ class IntegrationDivergedError(RuntimeError):
 
     The equations themselves cannot blow up (see the module docstring), so
     the message says "numerical scheme failure". ``trajectory`` holds the
-    failing row's snapshots up to ``last_valid_time``.
+    failing row's snapshots up to ``last_valid_time``, and ``run_index`` its
+    position among the runs stepped (the data of ``evolve_batch``).
     """
 
     def __init__(self, message, last_valid_time, trajectory=None):
         super().__init__(message)
         self.last_valid_time = last_valid_time
         self.trajectory = trajectory
+        self.run_index = None
 
 
 # A row whose mass moves by more than this fraction of its initial mass has
@@ -365,6 +368,41 @@ def _linear_rate(eqs, modes: np.ndarray, mu0: np.ndarray) -> np.ndarray:
                       else 0.0 for eq, mu in zip(eqs, mu0)])
     scale = np.array([2.0 * eq.sign for eq in eqs])
     return modes**2 - (scale * level)[:, None]
+
+
+def _shift_free(eq: EquationSpec) -> EquationSpec:
+    """``eq`` without its linear Wick shift: ``nls`` or ``truncated-nls``, same sign,
+    truncation and alpha."""
+    return replace(eq, variant=Variant.TRUNCATED_NLS if eq.truncated else Variant.NLS)
+
+
+def gauge(traj: Trajectory, eq: EquationSpec) -> Trajectory:
+    """The run ``traj`` as a run of ``eq``, an equation that differs from ``traj.eq``
+    in its Wick shift alone.
+
+    Every shift is a linear rate (``_linear_rate``) and every variant
+    conserves mass, so the two runs differ by the scalar gauge
+    ``exp(i (rate_eq - rate_traj) t)``, the rates read at mode 0 for the mean
+    intensity mu0 of the run's t = 0 snapshot, the datum it stepped. The
+    snapshot and the pairings at each t are multiplied by it, and the result
+    is labelled ``eq``: ``gauge(nls run, wnls)`` is the gauge identity
+    ``e^{-2 i sign mu0 t}``, and ``gauge(truncated-wnls-hamiltonian run,
+    truncated-wnls-gauged)`` removes the intensity fluctuation phase
+    ``e^{-2 i sign (mu0 - a) t}``. Both schemes keep the gauge to roundoff.
+    Returns ``traj`` itself when ``eq == traj.eq``; raises ``ValueError``
+    when the two equations differ past their shift (``_shift_free``).
+    """
+    if eq == traj.eq:
+        return traj
+    if _shift_free(eq) != _shift_free(traj.eq):
+        raise ValueError(f"no gauge maps a run of {traj.eq.to_dict()} onto {eq.to_dict()}: "
+                         "they differ past their Wick shift")
+    start = traj.snapshots[-1 if traj.integrator.signed_dt < 0 else 0]
+    rates = _linear_rate([eq, traj.eq], np.zeros(1), np.full(2, fld.mean_intensity(start)))
+    rate = float(rates[0, 0] - rates[1, 0])
+    coeffs = traj.coeffs * np.exp(1j * rate * traj.times)[:, None]
+    probes = {k: v * np.exp(1j * rate * traj.probe_times) for k, v in traj.probes.items()}
+    return Trajectory(coeffs, eq, traj.integrator, probes)
 
 
 def _per_row(values):
@@ -504,7 +542,7 @@ def _evolve_runs(runs, probes: dict | None = None) -> list[Trajectory]:
 
     When rows fail, the IntegrationDivergedError raised is that of the row
     that failed at the earliest step, the first in run order among those,
-    with its partial trajectory in ascending time.
+    with its partial trajectory in ascending time and its index in ``runs``.
     """
     probes = probes or {}
     runs = [(fld.project(u0, eq.truncation).padded_to(eq.truncation) if eq.truncated else u0,
@@ -524,6 +562,7 @@ def _evolve_runs(runs, probes: dict | None = None) -> list[Trajectory]:
             trajs = core([runs[i] for i in rows], n_steps, size, probes)
         except IntegrationDivergedError as error:
             step, row = error._at
+            error.run_index = rows[row]
             failures.append((step, rows[row], error))
             continue
         for i, traj in zip(rows, trajs):
@@ -710,41 +749,3 @@ def _evolve_lawson(runs, n_steps, n, probes):
         if snap:
             rec.snapshot(c)
     return rec.build()
-
-
-# ---------------------------------------------------------------------------
-# gauge maps
-# ---------------------------------------------------------------------------
-
-def _phase_transformed(traj: Trajectory, rate: float, eq: EquationSpec) -> Trajectory:
-    """Multiply the snapshot and the pairings at each t by exp(i rate t), as a run of ``eq``."""
-    coeffs = traj.coeffs * np.exp(1j * rate * traj.times)[:, None]
-    probes = {k: v * np.exp(1j * rate * traj.probe_times) for k, v in traj.probes.items()}
-    return Trajectory(coeffs, eq, traj.integrator, probes)
-
-
-def gauge_transform(traj: Trajectory, mu0: float, sign: int) -> Trajectory:
-    """Scalar gauge e^{-2 i sign mu0 t}: maps plain solutions onto Wick ones.
-
-    With mu0 the mean intensity of the initial data, the transformed
-    trajectory of an ``nls`` run solves ``wnls`` (and conversely with -mu0).
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _phase_transformed(traj, -2.0 * sign * mu0, traj.eq)
-
-
-def truncation_gauge(traj: Trajectory) -> Trajectory:
-    """Remove the intensity fluctuation phase from a renormalized truncated run.
-
-    Multiplies snapshot k by ``exp(-2 i sign c t_k)`` where
-    ``c = mu(P_N u0) - a`` is constant along the flow (mass is conserved),
-    with N and the alpha of a taken from ``traj.eq``. The result solves the
-    ``truncated-wnls-gauged`` system.
-    """
-    eq = traj.eq
-    if eq.variant is not Variant.TRUNCATED_WNLS_HAMILTONIAN:
-        raise ValueError("truncation_gauge expects a truncated-wnls-hamiltonian run")
-    c0 = intensity_fluctuation(traj.snapshots[0], eq.truncation, eq.alpha)
-    gauged_eq = replace(eq, variant=Variant.TRUNCATED_WNLS_GAUGED)
-    return _phase_transformed(traj, -2.0 * eq.sign * c0, gauged_eq)

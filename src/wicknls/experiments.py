@@ -12,8 +12,8 @@
   Both run their families through one private runner, ``_weak_run``: it
   steps each family under its shift-free variant (``nls`` or
   ``truncated-nls``), every distinct datum once and all in one stack, maps
-  the runs onto each Wick family by the discrete gauge
-  ``u -> e^{-i shift t} u``, and returns each family's statistics (the
+  the runs onto each Wick family by the discrete gauge ``dynamics.gauge``
+  (``u -> e^{-i shift t} u``), and returns each family's statistics (the
   ``_WEAK_STATS`` series over its modes) and its plateau prediction. The
   experiments only pick families and verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
@@ -37,7 +37,7 @@ import numpy as np
 from . import field as fld
 from . import random_data as rnd
 from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant,
-                       _evolve_runs, _linear_rate, _phase_transformed, evolve, evolve_batch,
+                       _evolve_runs, _shift_free, evolve, evolve_batch, gauge,
                        plane_wave_frequency)
 from .field import SpecFieldError  # also xp.SpecFieldError
 from .serialization import field_coeffs_dict, spec_hash
@@ -196,27 +196,6 @@ _WEAK_STATS = (("gap_sup", "l2-pairing"), ("weak_l4_proxy", "spacetime-pairing")
                ("mu_defect", "intensity"))
 
 
-def _shift_free(eq: EquationSpec) -> EquationSpec:
-    """``eq`` without its linear Wick shift: ``nls`` or ``truncated-nls``, same sign,
-    truncation and alpha."""
-    return replace(eq, variant=Variant.TRUNCATED_NLS if eq.truncated else Variant.NLS)
-
-
-def _gauged(traj, eq: EquationSpec):
-    """The run ``traj`` of ``eq``'s shift-free variant as a run of ``eq``.
-
-    Every Wick shift is the linear term ``-shift u`` (``_linear_rate``), so
-    the run of ``eq`` is ``exp(-i shift t)`` times the shift-free one,
-    snapshots and pairings alike; both schemes keep that gauge to roundoff.
-    The shift is read at the run's t = 0 snapshot, the datum it stepped.
-    """
-    if eq == traj.eq:
-        return traj
-    start = traj.snapshots[-1 if traj.integrator.signed_dt < 0 else 0]
-    rate = _linear_rate([eq], np.zeros(1), np.array([fld.mean_intensity(start)]))[0, 0]
-    return _phase_transformed(traj, float(rate), eq)
-
-
 def _family_runs(family: WeakSequenceSpec) -> list:
     """The ``(u0, eq, integ)`` runs of a bump family: the base, then each bump,
     all forward, then all backward."""
@@ -224,16 +203,6 @@ def _family_runs(family: WeakSequenceSpec) -> list:
     integ = family.integrator
     return [(u0, family.eq, i) for i in (integ, replace(integ, t_end=-integ.t_end))
             for u0 in data]
-
-
-def _is_run(traj, run) -> bool:
-    """Whether ``traj``, whole or partial, is the trajectory of ``run``."""
-    u0, eq, integ = run
-    if eq.truncated:
-        u0 = fld.project(u0, eq.truncation)
-    start = traj.snapshots[-1 if integ.signed_dt < 0 else 0]
-    return (traj.eq == eq and traj.integrator == integ and u0.max_mode <= start.max_mode
-            and np.array_equal(u0.padded_to(start.max_mode).coeffs, start.coeffs))
 
 
 def _weak_run(*specs: WeakSequenceSpec) -> list:
@@ -247,8 +216,8 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
 
     Every spec is paired with the first spec's probe, which the callers'
     specs share. Each family is stepped under the shift-free variant of its
-    equation (``_shift_free``), and a Wick family's runs are the gauge of
-    those (``_gauged``); so a Wick row equals its own ``evolve`` to roundoff,
+    equation (``_shift_free``), and a Wick family's runs are the ``gauge``
+    of those; so a Wick row equals its own ``evolve`` to roundoff,
     not bit for bit. Families that are the same once shifts are dropped (the
     contrast's plain and Wick families) step once and share their runs. The
     base and every bump of every stepped family run once forward and once
@@ -257,27 +226,27 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     rows share one grid: at band N >= 4 x every bump mode, a bump row's top
     mode is the base's or at most N/4 <= (N-1)/3, below which the grid does
     not depend on it. A scheme failure is reported as a run of the first
-    spec that steps the failed row, through the same gauge.
+    spec whose family's run range holds the failed run, through the same gauge.
     """
     families = [replace(spec, eq=_shift_free(spec.eq)) for spec in specs]
-    first, runs = {}, []  # each stepped family -> the index of its first run
+    spans, runs = {}, []  # each stepped family -> the range of its runs
     for family in families:
-        if family not in first:
-            first[family] = len(runs)
-            runs += _family_runs(family)
+        if family not in spans:
+            new = _family_runs(family)
+            spans[family] = range(len(runs), len(runs) + len(new))
+            runs += new
     try:
         trajs = _evolve_runs(runs, {"phi": specs[0].probe})
     except IntegrationDivergedError as error:
-        failed = error.trajectory
         spec = next(spec for spec, family in zip(specs, families)
-                    if any(_is_run(failed, run) for run in _family_runs(family)))
-        error.trajectory = _gauged(failed, spec.eq)
+                    if error.run_index in spans[family])
+        error.trajectory = gauge(error.trajectory, spec.eq)
         raise
     out = []
     for spec, family in zip(specs, families):
         rows = len(spec.mode_list) + 1
-        start = first[family]
-        (ref_f, *fwd), (ref_b, *bwd) = [[_gauged(traj, spec.eq) for traj in trajs[i:i + rows]]
+        start = spans[family].start
+        (ref_f, *fwd), (ref_b, *bwd) = [[gauge(traj, spec.eq) for traj in trajs[i:i + rows]]
                                         for i in (start, start + rows)]
         # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
         times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
@@ -392,12 +361,9 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
     is bit-identical to its own ``evolve`` and every Wick row equals its own
     to roundoff. ``threads`` is accepted but unused.
     """
-    if spec.eq.truncated:
-        plain = replace(spec.eq, variant=Variant.TRUNCATED_NLS)
-        shifted = replace(spec.eq, variant=Variant.TRUNCATED_WNLS_GAUGED)
-    else:
-        plain = replace(spec.eq, variant=Variant.NLS)
-        shifted = replace(spec.eq, variant=Variant.WNLS)
+    plain = _shift_free(spec.eq)
+    shifted = replace(plain, variant=Variant.TRUNCATED_WNLS_GAUGED if plain.truncated
+                      else Variant.WNLS)
 
     spec_w, spec_n = replace(spec, eq=shifted), replace(spec, eq=plain)
     (stats_w, predicted), (stats_n, _) = _weak_run(spec_w, spec_n)

@@ -487,6 +487,10 @@ class TestConfigErrors:
          'data={"kind": "random", "max_mode": 144115188075855871}', "'data.max_mode'"),
         ("sample", "sample_white_noise.yaml",
          ("data.max_mode=144115188075855871", "profile.cutoffs=[]"), "'data.max_mode'"),
+        # no member drawn: the expected mean intensity and the profile are
+        # the band-sized arrays, made while the config is read
+        ("sample", "sample_white_noise.yaml",
+         ("data.max_mode=144115188075855871", "count=0"), "'data.max_mode'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):

@@ -582,7 +582,7 @@ class TestGaugeEquivalence:
         integ = dyn.IntegratorSpec("strang", dt=1e-3, t_end=1.0, snapshot_stride=200)
         tn = dyn.evolve(f, dyn.EquationSpec("nls", sign=sign), integ)
         tw = dyn.evolve(f, dyn.EquationSpec("wnls", sign=sign), integ)
-        tg = dyn.gauge_transform(tn, amp**2, sign)
+        tg = dyn.gauge(tn, dyn.EquationSpec("wnls", sign=sign))
         assert max(final_distance(a, b) for a, b in zip(tg.snapshots, tw.snapshots)) < 1e-10
 
     def test_random_data_gauge(self):
@@ -590,7 +590,7 @@ class TestGaugeEquivalence:
         integ = dyn.IntegratorSpec("strang", dt=2e-3, t_end=1.0, snapshot_stride=100)
         tn = dyn.evolve(u0, dyn.EquationSpec("nls", sign=1), integ)
         tw = dyn.evolve(u0, dyn.EquationSpec("wnls", sign=1), integ)
-        tg = dyn.gauge_transform(tn, fld.mean_intensity(u0), 1)
+        tg = dyn.gauge(tn, dyn.EquationSpec("wnls", sign=1))
         worst = max(
             fld.norm(a - b, fld.NormSpec.l2())
             for a, b in zip(tg.snapshots, tw.snapshots))
@@ -610,52 +610,46 @@ class TestGaugeEquivalence:
         wick = dyn.evolve_batch(rows, dyn.EquationSpec("wnls", sign=sign), integ)
         l2 = fld.NormSpec.l2()
         for u0, tn, tw in zip(rows, plain, wick):
-            gauged = dyn.gauge_transform(tn, fld.mean_intensity(u0), sign)
+            gauged = dyn.gauge(tn, tw.eq)
             worst = max(fld.norm(a - b, l2) for a, b in zip(gauged.snapshots, tw.snapshots))
             assert worst <= 1e-12 * fld.norm(u0, l2)
 
     @pytest.mark.parametrize("scheme", ["strang", "rk4"])
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), band=st.integers(0, 8),
-           truncation=st.integers(0, 8), sign=st.sampled_from([1, -1]))
-    def test_discrete_gauge_maps_property(self, scheme, seed, band, truncation, sign):
+           truncation=st.integers(0, 8), sign=st.sampled_from([1, -1]),
+           t_end=st.sampled_from([0.2, -0.2]))
+    def test_discrete_gauge_maps_property(self, scheme, seed, band, truncation, sign, t_end):
         # every Wick shift is a linear rate of the row, so the three gauge maps
-        # hold for the discrete flows, truncated or not, to roundoff
+        # hold for the discrete flows, truncated or not, in either time
+        # direction, to roundoff
         spec = rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=seed)
         rows = [fld.TorusField(c, band) for c in rnd.sample_block(spec, range(3))]
-        integ = dyn.IntegratorSpec(scheme, dt=2e-3, t_end=0.2, snapshot_stride=20)
+        integ = dyn.IntegratorSpec(scheme, dt=2e-3, t_end=t_end, snapshot_stride=20)
 
         def run(variant, truncated):
             eq = dyn.EquationSpec(variant, sign=sign,
                                   truncation=truncation if truncated else None)
             return dyn.evolve_batch(rows, eq, integ)
 
-        pairs = [(dyn.gauge_transform(tn, fld.mean_intensity(u0), sign), tw)
-                 for u0, tn, tw in zip(rows, run("nls", False), run("wnls", False))]
+        pairs = [(dyn.gauge(tn, tw.eq), tw)
+                 for tn, tw in zip(run("nls", False), run("wnls", False))]
         gauged = run("truncated-wnls-gauged", True)
-        pairs += [(dyn.gauge_transform(
-            tn, fld.mean_intensity(fld.project(u0, truncation)), sign), tg)
-            for u0, tn, tg in zip(rows, run("truncated-nls", True), gauged)]
-        pairs += [(dyn.truncation_gauge(th), tg)
+        pairs += [(dyn.gauge(tn, tg.eq), tg) for tn, tg in zip(run("truncated-nls", True), gauged)]
+        pairs += [(dyn.gauge(th, tg.eq), tg)
                   for th, tg in zip(run("truncated-wnls-hamiltonian", True), gauged)]
         for mapped, target in pairs:
+            assert mapped.eq == target.eq
             assert np.max(np.abs(mapped.coeffs - target.coeffs)) <= 1e-12
 
     def test_mu_zero_identity(self):
         u0 = random_field(4, seed=13)
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("nls", sign=1), integ)
-        same = dyn.gauge_transform(traj, 0.0, 1)
+        same = dyn.gauge(traj, traj.eq)
         assert all(np.array_equal(a.coeffs, b.coeffs)
                    for a, b in zip(traj.snapshots, same.snapshots))
 
-    def test_ledger_invariant(self):
-        u0 = random_field(4, seed=14)
-        integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.2, snapshot_stride=10)
-        traj = dyn.evolve(u0, dyn.EquationSpec("nls", sign=1), integ)
-        gauged = dyn.gauge_transform(traj, 1.7, 1)
-        for key in ("mass", "momentum", "mu"):
-            assert np.array_equal(traj.ledger[key], gauged.ledger[key])
 
 
 class TestDerivedLedger:
@@ -684,7 +678,7 @@ class TestDerivedLedger:
         u0 = random_field(6, seed=33)
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=t_end, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("nls", sign=-1), integ)
-        gauged = dyn.gauge_transform(traj, fld.mean_intensity(u0), -1)
+        gauged = dyn.gauge(traj, dyn.EquationSpec("wnls", sign=-1))
         assert gauged.ledger.keys() == traj.ledger.keys()
         for key, col in traj.ledger.items():
             assert np.max(np.abs(gauged.ledger[key] - col) / np.abs(col)) <= 1e-13
@@ -695,8 +689,8 @@ class TestDerivedLedger:
         eq = dyn.EquationSpec("truncated-wnls-hamiltonian", sign=1, truncation=4)
         traj = dyn.evolve(u0, eq, integ)
         assert "wick_hamiltonian" in traj.ledger
-        gauged = dyn.truncation_gauge(traj)
         direct = dyn.evolve(u0, replace(eq, variant="truncated-wnls-gauged"), integ)
+        gauged = dyn.gauge(traj, direct.eq)
         assert gauged.ledger.keys() == direct.ledger.keys()
         assert "wick_hamiltonian" not in gauged.ledger
 
@@ -715,7 +709,7 @@ class TestTruncationGauge:
         c0 = intensity_fluctuation(tr_h.snapshots[0], 16, 1.0)
         assert all(abs(intensity_fluctuation(u, 16, 1.0) - c0) <= 1e-10
                    for u in tr_h.snapshots)
-        gauged = dyn.truncation_gauge(tr_h)
+        gauged = dyn.gauge(tr_h, tr_g.eq)
         worst = max(final_distance(a, b) for a, b in zip(gauged.snapshots, tr_g.snapshots))
         assert worst <= 1e-12  # Strang takes the Wick shift as a linear rate
         assert gauged.eq.variant is dyn.Variant.TRUNCATED_WNLS_GAUGED
@@ -728,7 +722,8 @@ class TestTruncationGauge:
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-hamiltonian",
                                                sign=1, truncation=2, alpha=1.0), integ)
-        gauged = dyn.truncation_gauge(traj)
+        gauged = dyn.gauge(traj, dyn.EquationSpec("truncated-wnls-gauged", sign=1,
+                                                  truncation=2))
         assert all(final_distance(x, y) < 1e-13
                    for x, y in zip(traj.snapshots, gauged.snapshots))
 
@@ -737,7 +732,7 @@ class TestTruncationGauge:
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)
         traj = dyn.evolve(u0, dyn.EquationSpec("wnls", sign=1), integ)
         with pytest.raises(ValueError):
-            dyn.truncation_gauge(traj)
+            dyn.gauge(traj, dyn.EquationSpec("truncated-wnls-gauged", sign=1, truncation=4))
 
 
 def boosted_prediction(base_final, beta, t_end, max_mode):
@@ -1009,6 +1004,7 @@ class TestEvolveBatch:
             with pytest.raises(dyn.IntegrationDivergedError) as batch:
                 dyn.evolve_batch([calm, failing], eq, integ)
             assert batch.value.last_valid_time == single.value.last_valid_time > 0.0
+            assert (batch.value.run_index, single.value.run_index) == (1, 0)
             assert str(batch.value) == str(single.value)
             assert str(batch.value).startswith("numerical scheme failure")
             assert len(batch.value.trajectory.snapshots) == recorded
@@ -1117,6 +1113,7 @@ class TestEvolveRuns:
         runs = [(calm, plain, fwd), (wide, wick, bwd), (narrow, wick, bwd), (narrow, plain, fwd)]
         got, want = failure(runs), alone(runs[1])
         assert str(got) == str(want) and got.last_valid_time == want.last_valid_time == -0.09
+        assert (got.run_index, want.run_index) == (1, 0)
         assert_bitwise_trajectory(got.trajectory, want.trajectory)
 
         # a backward row of stride 5 fails at step 4, before every stride-10 row
@@ -1124,6 +1121,7 @@ class TestEvolveRuns:
         runs = [(wide, plain, fwd), (calm, wick, bwd), (narrow, plain, fwd), early]
         got, want = failure(runs), alone(early)
         assert str(got) == str(want) and got.last_valid_time == -0.04
+        assert got.run_index == 3
         assert_bitwise_trajectory(got.trajectory, want.trajectory)
         assert got.trajectory.times.tolist() == [0.0]
 

@@ -204,15 +204,15 @@ class TestPhaseDefectContrast:
     def test_gauge_identity_on_bump_data(self):
         # the two branches of the contrast satisfy the gauge identity per
         # bump: e^{-2 i mu_n t} u_n^{plain}(t) = u_n^{shifted}(t)
-        from wicknls.dynamics import evolve, gauge_transform
-        from wicknls.field import mean_intensity, norm, NormSpec
+        from wicknls.dynamics import evolve, gauge
+        from wicknls.field import norm, NormSpec
 
         spec = small_spec()
         u0n = spec.initial_data(3)
         integ = spec.integrator
         plain = evolve(u0n, EquationSpec("nls", sign=1), integ)
         shifted = evolve(u0n, EquationSpec("wnls", sign=1), integ)
-        gauged = gauge_transform(plain, mean_intensity(u0n), 1)
+        gauged = gauge(plain, shifted.eq)
         worst = max(norm(a - b, NormSpec.l2())
                     for a, b in zip(gauged.snapshots, shifted.snapshots))
         assert worst < 1e-10
@@ -255,7 +255,7 @@ class TestPhaseDefectContrast:
     def test_gauged_family_equals_its_stepped_rows(self, scheme, sign, variant, bump):
         # a Wick family derived from its shift-free runs against the same
         # family stepped directly: with _shift_free the identity, _weak_run
-        # hands _evolve_runs the Wick rows themselves and _gauged maps nothing.
+        # hands _evolve_runs the Wick rows themselves and gauge maps nothing.
         # The gap and the proxy are differences of pairings of size 2 pi, so
         # their roundoff is absolute (3e-14 here): bumps of |c| >= 0.5 keep
         # the gaps far enough above it for a relative bound. The proxy

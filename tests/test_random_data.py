@@ -257,6 +257,16 @@ class TestExpectedMeanIntensity:
                                   gaussian_scale=0.0)
         assert rnd.expected_mean_intensity(spec) == 1.0
 
+    def test_unallocatable_band_names_max_mode(self):
+        # the spec admits the band, numpy refuses to allocate it; so does the
+        # profile, for its weights, before any draw
+        spec = rnd.RandomDataSpec(alpha=0.0, max_mode=2**57 - 1, seed=0)
+        for call in (lambda: rnd.expected_mean_intensity(spec),
+                     lambda: rnd.regularity_profile(spec, [0.0], [8], samples=1)):
+            with pytest.raises(fld.SpecFieldError, match="too large") as exc:
+                call()
+            assert exc.value.field == "max_mode"
+
     def test_monte_carlo_agreement(self):
         spec = rnd.RandomDataSpec(alpha=1.0, max_mode=8, seed=17)
         vals = np.array([fld.mean_intensity(u) for u in rnd.sample_ensemble(spec, 100_000)])
