@@ -3,7 +3,9 @@
 Commands: ``simulate | weak-limit | wick-check | sample | norms | order-study``.
 Configs are YAML (schema documented in the README); any scalar field can be
 overridden on the command line with ``--set dotted.path=value`` (the flag
-wins). Each command checks every field before it writes anything. Series
+wins). A command parses its config and returns a ``run`` that computes its
+outputs but writes none; ``main`` writes only after ``run`` returns, so a config
+that a command refuses, while it parses or while it runs, leaves no output. Series
 outputs are newline-delimited JSON records, summaries CSV; every output embeds
 the config as given and the tool version, and re-running from an embedded
 config reproduces the outputs byte-for-byte.
@@ -294,31 +296,32 @@ def _out_dir(args, cfg: _Section) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# commands: each parses ``cfg`` and returns ``run(out_dir) -> exit code``
+# commands: each parses ``cfg`` and returns ``run() -> (exit code, files, stdout
+# lines)``, where ``files`` are (name, payload) pairs that ``main`` writes
 # ---------------------------------------------------------------------------
 
-def _scheme_failure(out: Path, name: str, cfg: dict, command: str, exc) -> int:
-    """Exit 3 after writing ``name``: the meta record, marked ``diverged``, and the failing row."""
+def _scheme_failure(name: str, cfg: dict, command: str, exc, files=()):
+    """Exit 3, one stderr line, and ``files`` then ``name``: the meta record, marked
+    ``diverged``, and the failing row."""
     meta = ser.meta_record(cfg, command=command, diverged=True,
                            last_valid_time=exc.last_valid_time)
-    ser.write_ndjson(out / name, [meta] + ser.trajectory_records(exc.trajectory))
     print(exc, file=sys.stderr)
-    return EXIT_DIVERGED
+    return EXIT_DIVERGED, [*files, (name, [meta] + ser.trajectory_records(exc.trajectory))], ()
 
 
-def _run_report(out: Path, cfg: dict, command: str, summary: str, experiment, lines) -> int:
-    """Run ``experiment()``, write its report files, print ``lines(report)``, exit 0 or 4."""
-    name = command.replace("-", "_") + ".ndjson"
-    try:
-        report = experiment()
-    except IntegrationDivergedError as exc:
-        return _scheme_failure(out, name, cfg, command, exc)
-    ser.write_ndjson(out / name, [ser.meta_record(cfg, command=command)] + report.to_records())
-    ser.write_csv(out / summary, ("series", "index_name", "index", "value", "unit"),
-                  report.summary_rows(), meta=cfg)
-    for line in lines(report):
-        print(line)
-    return EXIT_OK if report.verdict else EXIT_VERDICT
+def _run_report(cfg: dict, command: str, summary: str, experiment, lines):
+    """A ``run`` of ``experiment()``: its report files, ``lines(report)``, exit 0 or 4."""
+    def run():
+        name = command.replace("-", "_") + ".ndjson"
+        try:
+            report = experiment()
+        except IntegrationDivergedError as exc:
+            return _scheme_failure(name, cfg, command, exc)
+        files = [(name, [ser.meta_record(cfg, command=command)] + report.to_records()),
+                 (summary, (("series", "index_name", "index", "value", "unit"),
+                            report.summary_rows()))]
+        return EXIT_OK if report.verdict else EXIT_VERDICT, files, lines(report)
+    return run
 
 
 def cmd_simulate(cfg: _Section):
@@ -328,22 +331,19 @@ def cmd_simulate(cfg: _Section):
     write_snapshots = _field(_field(cfg, "output", _mapping, {}), "snapshots",
                              _instance_of(bool, "true or false"), False)
 
-    def save_snapshots(out: Path, traj):
-        if write_snapshots:
-            (out / "snapshots").mkdir(exist_ok=True)
-            for i, u in enumerate(traj.snapshots):
-                ser.save_field(u, out / "snapshots" / f"snapshot_{i:06d}.json")
+    def snapshots(traj) -> list:
+        return [(f"snapshots/snapshot_{i:06d}.json", u) for i, u in enumerate(traj.snapshots)
+                ] if write_snapshots else []
 
-    def run(out: Path) -> int:
+    def run():
         try:
             traj = evolve(u0, eq, integ)
         except IntegrationDivergedError as exc:
-            save_snapshots(out, exc.trajectory)
-            return _scheme_failure(out, "trajectory.ndjson", cfg, "simulate", exc)
+            return _scheme_failure("trajectory.ndjson", cfg, "simulate", exc,
+                                   snapshots(exc.trajectory))
         meta = ser.meta_record(cfg, command="simulate", diverged=False, last_valid_time=None)
-        ser.write_ndjson(out / "trajectory.ndjson", [meta] + ser.trajectory_records(traj))
-        save_snapshots(out, traj)
-        return EXIT_OK
+        return EXIT_OK, [("trajectory.ndjson", [meta] + ser.trajectory_records(traj)),
+                         *snapshots(traj)], ()
     return run
 
 
@@ -370,73 +370,73 @@ def cmd_weak_limit(cfg: _Section):
             return xp.weak_continuity_run(spec, verdict_mode=verdict_mode)
         return xp.phase_defect_contrast_run(spec)
 
-    return lambda out: _run_report(
-        out, cfg, "weak-limit", "weak_limit_summary.csv", experiment,
-        lambda report: (f"verdict {name}: {'pass' if ok else 'FAIL'}"
-                        for name, ok in report.verdicts.items()))
+    return _run_report(
+        cfg, "weak-limit", "weak_limit_summary.csv", experiment,
+        lambda report: [f"verdict {name}: {'pass' if ok else 'FAIL'}"
+                        for name, ok in report.verdicts.items()])
 
 
 def cmd_wick_check(cfg: _Section):
     seed = _field(cfg, "seed", _integral, 0)
     mc_samples = _field(cfg, "mc_samples", _integral, 200_000)
     variance = _field(cfg, "wick_variance", _real, 2.0)
-    _checked(cfg, wick._power_means_args, seed, mc_samples, variance,
-             keys={"samples": "mc_samples", "variance": "wick_variance"})
-    cases = []
+    cases = []  # (section, arguments) of each hypercontractivity case
     for i, case in enumerate(_field(cfg, "hypercontractivity", _list_of(_mapping), [])):
-        cases.append(dict(q=_field(case, "q", _real), order=_field(case, "order", _integral),
-                          dim=_field(case, "dim", _integral, 1),
-                          seed=_checked(cfg, wick._case_seed, seed, i),
-                          samples=_field(case, "samples", _integral, 200_000),
-                          terms=_field(case, "terms", _chaos_terms, None)))
-        _checked(case, wick._case_terms, **cases[-1])
+        args = dict(q=_field(case, "q", _real), order=_field(case, "order", _integral),
+                    dim=_field(case, "dim", _integral, 1),
+                    seed=_checked(cfg, wick._case_seed, seed, i),
+                    samples=_field(case, "samples", _integral, 200_000),
+                    terms=_field(case, "terms", _chaos_terms, None))
+        _checked(case, wick._case_terms, **args)
+        cases.append((case, args))
 
-    def run(out: Path) -> int:
-        checks = wick.identity_checks() + wick.wick_power_means(seed, mc_samples, variance)
-        records = [ser.meta_record(cfg, command="wick-check")]
-        records += [{"record": "check", **check} for check in checks]
-        records += [{**wick.hypercontractivity_check(**case).to_dict(),
-                     "record": "hypercontractivity"} for case in cases]
-        ser.write_ndjson(out / "wick_check.ndjson", records)
-        for rec in records[1:]:
-            label = rec.get("name") or f"hyp(n={rec.get('n')},d={rec.get('d')},q={rec.get('q')})"
-            print(f"check {label}: {'pass' if rec.get('pass') else 'FAIL'}")
-        return EXIT_OK if all(rec["pass"] for rec in records[1:]) else EXIT_VERDICT
+    def run():
+        checks = wick.identity_checks() + _checked(
+            cfg, wick.wick_power_means, seed, mc_samples, variance,
+            keys={"samples": "mc_samples", "variance": "wick_variance"})
+        records = [{"record": "check", **check} for check in checks]
+        records += [{**_checked(case, wick.hypercontractivity_check, **args).to_dict(),
+                     "record": "hypercontractivity"} for case, args in cases]
+        labels = [rec.get("name") or f"hyp(n={rec['n']},d={rec['d']},q={rec['q']})"
+                  for rec in records]
+        return (EXIT_OK if all(rec["pass"] for rec in records) else EXIT_VERDICT,
+                [("wick_check.ndjson", [ser.meta_record(cfg, command="wick-check")] + records)],
+                [f"check {label}: {'pass' if rec['pass'] else 'FAIL'}"
+                 for label, rec in zip(labels, records)])
     return run
 
 
 def cmd_sample(cfg: _Section):
     data = _field(cfg, "data", _mapping)
     spec = _build_random_spec(data)
-    band = {"max_mode": _join(data.path, "max_mode")}
-    # checked now, with its first block drawn; the rest are drawn as run() iterates it
-    members = _checked(cfg, rnd.sample_ensemble, spec, _field(cfg, "count", _integral, 1),
-                       keys=band)
-    expected = _checked(cfg, rnd.expected_mean_intensity, spec, keys=band)
+    count = _field(cfg, "count", _integral, 1)
     profile = _field(cfg, "profile", _mapping, {})
     s_values = _field(profile, "s_values", _list_of(_real), [0.0])
     cutoffs = _field(profile, "cutoffs", _list_of(_integral), [])
     samples = _field(profile, "samples", _integral, 1000)
-    # set up now, so that nothing band-sized is left to allocate in run()
-    profile_rows = _checked(profile, rnd._profile, spec, s_values, cutoffs, samples,
-                            keys=band) if profile else None
+    band = {"max_mode": _join(data.path, "max_mode")}
 
-    def run(out: Path) -> int:
-        records = [ser.meta_record(cfg, command="sample")]
-        for k, u in enumerate(members):
-            fname = f"sample_{k:03d}.json"
-            ser.save_field(u, out / fname)
-            records.append({"record": "sample", "index": k, "file": fname,
-                            "mean_intensity": fld.mean_intensity(u)})
-        records.append({"record": "expected_mean_intensity", "value": expected})
-        if profile:
-            ser.write_csv(out / "profile.csv",
-                          ("s", "M", "median_norm", "q25", "q75", "samples"),
-                          [(r["s"], r["cutoff"], r["median"], r["q25"], r["q75"], r["samples"])
-                           for r in profile_rows()],
-                          meta=cfg)
-        ser.write_ndjson(out / "sample.ndjson", records)
-        return EXIT_OK
+    def run():
+        # every call that can refuse is made before the first file is yielded:
+        # the members' first block is drawn here, the rest as main writes them
+        members = _checked(cfg, rnd.sample_ensemble, spec, count, keys=band)
+        expected = _checked(cfg, rnd.expected_mean_intensity, spec, keys=band)
+        rows = _checked(profile, rnd.regularity_profile, spec, s_values, cutoffs, samples,
+                        keys=band) if profile else None
+
+        def files():
+            records = [ser.meta_record(cfg, command="sample")]
+            for k, u in enumerate(members):
+                fname = f"sample_{k:03d}.json"
+                records.append({"record": "sample", "index": k, "file": fname,
+                                "mean_intensity": fld.mean_intensity(u)})
+                yield fname, u
+            records.append({"record": "expected_mean_intensity", "value": expected})
+            if profile:  # the keys of regularity_profile's rows are in column order
+                yield "profile.csv", (("s", "M", "median_norm", "q25", "q75", "samples"),
+                                      [list(r.values()) for r in rows])
+            yield "sample.ndjson", records
+        return EXIT_OK, files(), ()
     return run
 
 
@@ -447,14 +447,10 @@ def cmd_norms(cfg: _Section):
                       s=_field(item, "s", _real, 0.0), p=_field(item, "p", _real, 2.0))
              for item in items]
 
-    def run(out: Path) -> int:
-        rows = []
-        for spec in specs:
-            value = fld.norm(u, spec)
-            rows.append((spec.kind, spec.s, spec.p, value))
-            print(f"{spec.kind}(s={spec.s:g}, p={spec.p:g}) = {value!r}")
-        ser.write_csv(out / "norms.csv", ("kind", "s", "p", "value"), rows, meta=cfg)
-        return EXIT_OK
+    def run():
+        rows = [(spec.kind, spec.s, spec.p, fld.norm(u, spec)) for spec in specs]
+        return (EXIT_OK, [("norms.csv", (("kind", "s", "p", "value"), rows))],
+                [f"{kind}(s={s:g}, p={p:g}) = {value!r}" for kind, s, p, value in rows])
     return run
 
 
@@ -470,8 +466,8 @@ def cmd_order_study(cfg: _Section):
         fitted = report.details.get("fitted_order")
         return [f"fitted order: {fitted if fitted is not None else 'exact to roundoff'}"]
 
-    return lambda out: _run_report(
-        out, cfg, "order-study", "order_study.csv",
+    return _run_report(
+        cfg, "order-study", "order_study.csv",
         lambda: xp.integrator_order_study(u0, eq, dts, scheme=scheme, t_end=t_end),
         fitted_order)
 
@@ -520,12 +516,25 @@ def main(argv=None) -> int:
         run = _COMMANDS[args.command](cfg)
         out = _out_dir(args, cfg)
         _reject_unknown_keys(cfg)
-        out.mkdir(parents=True, exist_ok=True)
         # a scheme failure is reported by exit 3 and one line, and a
         # non-finite output by the NDJSON non_finite field: numpy's own
         # floating-point warnings would only repeat them
         with np.errstate(all="ignore"):
-            return run(out)
+            code, files, lines = run()
+            # the one writer: nothing is written until run() has returned
+            out.mkdir(parents=True, exist_ok=True)
+            for name, payload in files:
+                path = out / name
+                if name.endswith(".ndjson"):
+                    ser.write_ndjson(path, payload)
+                elif name.endswith(".csv"):
+                    ser.write_csv(path, *payload, meta=cfg)
+                else:  # a field, perhaps in a subdirectory
+                    path.parent.mkdir(exist_ok=True)
+                    ser.save_field(payload, path)
+        for line in lines:
+            print(line)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

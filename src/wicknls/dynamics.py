@@ -54,7 +54,7 @@ field of mean intensity mu has ``|u(x)|^2 <= (2K+1) mu``.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from functools import cached_property
 
@@ -371,9 +371,10 @@ def _linear_rate(eqs, modes: np.ndarray, mu0: np.ndarray) -> np.ndarray:
 
 
 def _shift_free(eq: EquationSpec) -> EquationSpec:
-    """``eq`` without its linear Wick shift: ``nls`` or ``truncated-nls``, same sign,
-    truncation and alpha."""
-    return replace(eq, variant=Variant.TRUNCATED_NLS if eq.truncated else Variant.NLS)
+    """``eq`` without its linear Wick shift: ``nls`` or ``truncated-nls``, same sign and
+    truncation, default alpha (which neither reads)."""
+    return EquationSpec(Variant.TRUNCATED_NLS if eq.truncated else Variant.NLS, eq.sign,
+                        eq.truncation)
 
 
 def gauge(traj: Trajectory, eq: EquationSpec) -> Trajectory:

@@ -490,9 +490,12 @@ def _band_doubling(ensemble: rnd.RandomDataSpec, name: str, samples: int, values
     block to the values of its rows (it may drop rows) and must not depend on
     how the rows are split into blocks. Each series is hashed over the
     truncated spec ``replace(ensemble, max_mode=band)`` and ``hashed``.
-    Returns the two series and the two value lists.
+    Returns the two series and the two value lists. A band below 1, which
+    doubling leaves as it is, raises ``SpecFieldError`` naming ``max_mode``.
     """
     band = ensemble.max_mode
+    if band < 1:
+        raise SpecFieldError("max_mode", f"max_mode must be >= 1 to double (got {band})")
     specs = (ensemble, replace(ensemble, max_mode=2 * band))
     lists = [[], []]
     for _, block in rnd._blocks(specs[1], samples):

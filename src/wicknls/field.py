@@ -12,6 +12,7 @@ ledger's quartic term, the space-time L^p norms) is one grid kernel,
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,16 @@ def require_seed(value) -> int:
     if not 0 <= require_integer("seed", value) < 2**64:
         raise SpecFieldError("seed", f"seed must lie in [0, 2**64) (got {value})")
     return int(value)
+
+
+@contextmanager
+def sized_by(field: str, value):
+    """Around the making of arrays whose size is set by ``value``, the value of spec field
+    ``field``: an array numpy refuses or cannot allocate raises ``SpecFieldError(field)``."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise SpecFieldError(field, f"{field} {value} is too large ({exc})") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ parallel iteration order, and truncations are nested (the same draw at
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -82,20 +81,9 @@ def covariance_weights(alpha: float, max_mode: int) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + n ** (2.0 * alpha))
 
 
-@contextmanager
-def _band_sized(spec: RandomDataSpec):
-    """Around the making of arrays the size of the band: a band numpy refuses or
-    cannot allocate raises ``SpecFieldError`` naming ``max_mode``."""
-    try:
-        yield
-    except (ValueError, MemoryError) as exc:
-        raise SpecFieldError("max_mode", f"max_mode {spec.max_mode} is too large ({exc})") \
-            from None
-
-
 def _normals(spec: RandomDataSpec, indices) -> np.ndarray:
     """Row r: the first 2(2N+1) normals of the Philox stream (seed, indices[r])."""
-    with _band_sized(spec):
+    with fld.sized_by("max_mode", spec.max_mode):
         out = np.empty((len(indices), 2 * (2 * spec.max_mode + 1)))
     for row, gen in zip(out, philox_streams(spec.seed, indices)):
         gen.standard_normal(out=row)
@@ -178,7 +166,7 @@ def _members(spec: RandomDataSpec, blocks):
 def expected_mean_intensity(spec: RandomDataSpec) -> float:
     """E[mu(u0)] = gaussian_scale * sum 1/(1+|n|^(2 alpha)) + mu(offset); a band
     numpy cannot allocate raises ``SpecFieldError`` naming ``max_mode``."""
-    with _band_sized(spec):
+    with fld.sized_by("max_mode", spec.max_mode):
         total = spec.gaussian_scale * renormalization_constant(spec.max_mode, spec.alpha)
     if spec.offset is not None:
         total += fld.mean_intensity(spec.offset)
@@ -193,16 +181,6 @@ def regularity_profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: in
     or ``samples`` raises ``SpecFieldError`` naming it, before any draw, and
     so does a band that numpy cannot allocate (naming ``max_mode``).
     """
-    return _profile(spec, s_values, mode_cutoffs, samples)()
-
-
-def _profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: int):
-    """``regularity_profile`` as a function of no arguments, called once, that returns its rows.
-
-    Everything that can be refused is done here: the arguments are checked,
-    every band-sized array is allocated and the first block is drawn. So a
-    caller can set a profile up while it reads its input and run it later.
-    """
     cutoffs = [fld.require_integer("cutoffs", m) for m in mode_cutoffs]
     fld.require_integer("samples", samples, 1)
     if cutoffs and cutoffs[0] < 0:
@@ -213,33 +191,30 @@ def _profile(spec: RandomDataSpec, s_values, mode_cutoffs, samples: int):
         raise SpecFieldError("cutoffs", "cutoffs cannot exceed the sampler's max_mode")
     s_values = [float(s) for s in s_values]
     center = spec.max_mode
-    with _band_sized(spec):
+    with fld.sized_by("max_mode", spec.max_mode):
         bracket = 1.0 + np.abs(np.arange(-center, center + 1, dtype=np.float64))
         weights = [bracket ** (2.0 * s) for s in s_values]
         # |c|^2 and its weighted copy, one block's worth, reused by every block
         a2_buffer = np.empty((min(_block_rows(spec), samples), 2 * center + 1))
         v_buffer = np.empty_like(a2_buffer)
-    blocks = _blocks(spec, samples)
-
-    def rows() -> list:
+    with fld.sized_by("samples", samples):
         norms = np.empty((len(s_values), len(cutoffs), samples))
-        for start, block in blocks:
-            a2 = np.abs(block, out=a2_buffer[:len(block)])
-            a2 *= a2
-            span = slice(start, start + len(block))
-            for i, w in enumerate(weights):
-                v = np.multiply(w, a2, out=v_buffer[:len(block)])
-                for j, m in enumerate(cutoffs):
-                    norm = norms[i, j, span]
-                    v[:, center - m:center + m + 1].sum(axis=1, out=norm)
-                    np.sqrt(norm, out=norm)
-        out = []
-        for i, s in enumerate(s_values):
+    for start, block in _blocks(spec, samples):
+        a2 = np.abs(block, out=a2_buffer[:len(block)])
+        a2 *= a2
+        span = slice(start, start + len(block))
+        for i, w in enumerate(weights):
+            v = np.multiply(w, a2, out=v_buffer[:len(block)])
             for j, m in enumerate(cutoffs):
-                q25, med, q75 = np.percentile(norms[i, j], [25.0, 50.0, 75.0])
-                out.append({
-                    "s": s, "cutoff": m, "median": float(med),
-                    "q25": float(q25), "q75": float(q75), "samples": samples,
-                })
-        return out
+                norm = norms[i, j, span]
+                v[:, center - m:center + m + 1].sum(axis=1, out=norm)
+                np.sqrt(norm, out=norm)
+    rows = []
+    for i, s in enumerate(s_values):
+        for j, m in enumerate(cutoffs):
+            q25, med, q75 = np.percentile(norms[i, j], [25.0, 50.0, 75.0])
+            rows.append({
+                "s": s, "cutoff": m, "median": float(med),
+                "q25": float(q25), "q75": float(q75), "samples": samples,
+            })
     return rows

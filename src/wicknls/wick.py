@@ -66,14 +66,6 @@ def identity_checks() -> list:
         ("wick_fourth_chaos_expansion", np.max(np.abs(lhs - rhs)) < 1e-10))]
 
 
-def _power_means_args(seed, samples, variance) -> None:
-    """``SpecFieldError`` naming a rejected argument of ``wick_power_means``."""
-    fld.require_seed(seed)
-    fld.require_integer("samples", samples, 2)  # a standard error needs two
-    if not (variance > 0 and math.isfinite(variance)):  # NaN-safe
-        raise fld.SpecFieldError("variance", f"variance must be finite and > 0 (got {variance})")
-
-
 def wick_power_means(seed: int, samples: int, variance: float) -> list:
     """Monte-Carlo means of ``:|g|^2:`` and ``:|g|^4:``, Wick-ordered with ``variance``.
 
@@ -82,18 +74,24 @@ def wick_power_means(seed: int, samples: int, variance: float) -> list:
     expectation only when ``variance`` is the true one; a check passes when
     the mean lies within 3 standard errors of 0. Returns
     ``{"name", "pass", "mean", "stderr", "variance"}`` dicts. A rejected
-    argument raises ``SpecFieldError`` naming it, before any draw.
+    argument raises ``SpecFieldError`` naming it, before any draw, and so does
+    a ``samples`` whose draw numpy cannot allocate.
     """
-    _power_means_args(seed, samples, variance)
-    z = next(philox_streams(seed, [0])).standard_normal((samples, 2))
-    g = z[:, 0] + 1j * z[:, 1]
+    fld.require_seed(seed)
+    fld.require_integer("samples", samples, 2)  # a standard error needs two
+    if not (variance > 0 and math.isfinite(variance)):  # NaN-safe
+        raise fld.SpecFieldError("variance", f"variance must be finite and > 0 (got {variance})")
     checks = []
-    for name, values in (("wick_square_mean", wick_abs_square(g, variance)),
-                         ("wick_fourth_mean", wick_abs_fourth(g, variance))):
-        mean = float(np.mean(values))
-        stderr = float(np.std(values) / math.sqrt(samples))
-        checks.append({"name": name, "pass": abs(mean) <= 3.0 * stderr, "mean": mean,
-                       "stderr": stderr, "variance": variance})
+    with fld.sized_by("samples", samples):
+        z = np.empty((samples, 2))
+        next(philox_streams(seed, [0])).standard_normal(out=z)
+        g = z[:, 0] + 1j * z[:, 1]
+        for name, values in (("wick_square_mean", wick_abs_square(g, variance)),
+                             ("wick_fourth_mean", wick_abs_fourth(g, variance))):
+            mean = float(np.mean(values))
+            stderr = float(np.std(values) / math.sqrt(samples))
+            checks.append({"name": name, "pass": abs(mean) <= 3.0 * stderr, "mean": mean,
+                           "stderr": stderr, "variance": variance})
     return checks
 
 
@@ -243,14 +241,16 @@ def hypercontractivity_check(order: int, dim: int, q: float, samples: int = 1_00
     F defaults to the single chaos H_order(x_1); pass ``terms`` as a sequence
     of (coefficient, degree-tuple) pairs for other linear combinations. The
     check is statistical: pass means lhs <= rhs * (1 + 3 * stderr margin).
-    A rejected argument raises ``SpecFieldError`` naming it, before any draw.
+    A rejected argument raises ``SpecFieldError`` naming it, before any draw,
+    and so does a ``dim`` whose batch numpy cannot allocate.
     """
     terms = _case_terms(order, dim, q, samples, seed, terms)
 
     # one set of buffers serves every batch: the normals, F (then F^2, then
     # |F|^q), its square, and evaluate_chaos's work rows
     batch = min(samples, _MC_BATCH)
-    normals = np.empty((batch, dim))
+    with fld.sized_by("dim", dim):
+        normals = np.empty((batch, dim))
     rows = np.empty((6, batch))
     s2 = s4 = sq = s2q = 0.0
     half_q = q / 2.0

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -488,9 +489,17 @@ class TestConfigErrors:
         ("sample", "sample_white_noise.yaml",
          ("data.max_mode=144115188075855871", "profile.cutoffs=[]"), "'data.max_mode'"),
         # no member drawn: the expected mean intensity and the profile are
-        # the band-sized arrays, made while the config is read
+        # the band-sized arrays, made before main writes anything
         ("sample", "sample_white_noise.yaml",
          ("data.max_mode=144115188075855871", "count=0"), "'data.max_mode'"),
+        # a Monte-Carlo draw, a profile's norm table or a chaos batch that
+        # numpy cannot allocate
+        ("wick-check", "wick_check.yaml", "mc_samples=1152921504606846976", "'mc_samples'"),
+        ("sample", "sample_white_noise.yaml", "profile.samples=1152921504606846976",
+         "'profile.samples'"),
+        ("wick-check", "wick_check.yaml",
+         "hypercontractivity=[{q: 4, order: 2, dim: 1152921504606846976}]",
+         "'hypercontractivity[0].dim'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
@@ -665,6 +674,27 @@ class TestShippedConfigs:
         assert callable(cli._COMMANDS[SHIPPED_COMMANDS[path.stem]](cfg))
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
+    def test_run_writes_nothing(self, tmp_path, capsys, monkeypatch, name):
+        # run() computes; main makes the directory and writes, after run() returns
+        command = SHIPPED_COMMANDS[name]
+        cfg = cli._tracked(cli._load_config(str(CONFIG_DIR / f"{name}.yaml")), None)
+        run_command = cli._COMMANDS[command](cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run() wrote")
+        monkeypatch.setattr(Path, "mkdir", refuse)
+        for writer in ("write_ndjson", "write_csv", "save_field"):
+            monkeypatch.setattr(ser, writer, refuse)
+        code, files, lines = run_command()
+        names, lines = [file for file, _ in files], list(lines)
+        monkeypatch.undo()
+        assert code == (4 if name in ("weak_limit_nls", "wick_check_corrupted") else 0)
+        assert set(names) == DOCUMENTED_FILES[command]
+        assert run(command, "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                   "--out", str(tmp_path / "o")) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
     def test_end_to_end(self, tmp_path, name):
         # the README table's exit codes: the two negative controls fail their verdicts
         want = 4 if name in ("weak_limit_nls", "wick_check_corrupted") else 0
@@ -814,6 +844,20 @@ class TestSampleCommand:
                     == (tmp_path / "want.json").read_bytes())
             assert records[1 + k]["mean_intensity"] == fld.mean_intensity(u)
         assert not (tmp_path / "o" / "sample_005.json").exists()
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        # 2000 band-256 members hold 15.7 MiB of coefficients; the command
+        # holds one sampler block (at most 512 KiB of normals) at a time
+        tracemalloc.start()
+        try:
+            assert run("sample", "--config", str(CONFIG_DIR / "sample_white_noise.yaml"),
+                       "--out", str(tmp_path / "o"), "--set", "data.max_mode=256",
+                       "--set", "count=2000", "--set", "profile={}") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "o" / "sample_1999.json").exists()
+        assert peak < 5 * 2**20
 
     def test_field_file_round_trip_bit_exact(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", {

@@ -642,6 +642,22 @@ class TestGaugeEquivalence:
             assert mapped.eq == target.eq
             assert np.max(np.abs(mapped.coeffs - target.coeffs)) <= 1e-12
 
+    @pytest.mark.parametrize("scheme, dt", [("strang", 1e-2), ("rk4", 1e-3)])
+    @pytest.mark.parametrize("t_end", [0.5, -0.5])
+    def test_gauge_ignores_an_alpha_the_shift_free_flow_does_not_read(self, scheme, dt,
+                                                                      t_end):
+        # a Hamiltonian run at alpha 0.5 maps onto the gauged variant at the
+        # default alpha: neither nls nor truncated-nls reads alpha
+        u0 = rnd.sample(rnd.RandomDataSpec(alpha=0.0, max_mode=8, seed=11), 0)
+        integ = dyn.IntegratorSpec(scheme, dt=dt, t_end=t_end, snapshot_stride=10)
+        th = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-hamiltonian", sign=1,
+                                             truncation=8, alpha=0.5), integ)
+        tg = dyn.evolve(u0, dyn.EquationSpec("truncated-wnls-gauged", sign=1,
+                                             truncation=8), integ)
+        mapped = dyn.gauge(th, tg.eq)
+        assert mapped.eq == tg.eq
+        assert np.max(np.abs(mapped.coeffs - tg.coeffs)) <= 1e-12 * np.max(np.abs(tg.coeffs))
+
     def test_mu_zero_identity(self):
         u0 = random_field(4, seed=13)
         integ = dyn.IntegratorSpec("strang", dt=0.01, t_end=0.1, snapshot_stride=10)

@@ -497,6 +497,21 @@ def test_band_doubling_draws_each_sample_once(monkeypatch, probe):
     assert [len(s.values) for s in report.series] == [100, 100]
 
 
+@pytest.mark.parametrize("probe", [
+    lambda ens: xp.strichartz_ratio_probe(ens, 0.5, 100),
+    lambda ens: xp.apriori_growth_probe(ens, -0.25, 0.1, 100),
+], ids=["strichartz", "growth"])
+def test_band_zero_has_no_doubling(monkeypatch, probe):
+    # doubling band 0 gives band 0 again: two series of one name, a verdict of
+    # nothing; refused before any draw
+    def refuse(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(rnd, "sample_block", refuse)
+    with pytest.raises(fld.SpecFieldError, match="max_mode must be >= 1") as info:
+        probe(rnd.RandomDataSpec(alpha=0.0, max_mode=0, seed=3))
+    assert info.value.field == "max_mode"
+
+
 class TestSpearman:
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_scipy(self, ties):

@@ -129,6 +129,7 @@ class TestWickCheckSuite:
         (1.5, 1_000, 2.0, "seed"),
         (0, 1, 2.0, "samples"),
         (0, 2.5, 2.0, "samples"),
+        (0, 2**60, 2.0, "samples"),  # a draw numpy cannot allocate
         (0, 1_000, 0.0, "variance"),
         (0, 1_000, -2.0, "variance"),
         (0, 1_000, math.nan, "variance"),
@@ -343,7 +344,9 @@ class TestGaussianBatches:
         seed, samples, variance = 2**64 - 1, 5_000, 2.0
         cfg = {"schema_version": 1, "seed": seed, "mc_samples": samples,
                "wick_variance": variance}
-        assert cli.cmd_wick_check(cli._tracked(cfg, None))(tmp_path) == cli.EXIT_OK
+        code, files, _ = cli.cmd_wick_check(cli._tracked(cfg, None))()
+        assert code == cli.EXIT_OK
+        ser.write_ndjson(tmp_path / "wick_check.ndjson", dict(files)["wick_check.ndjson"])
         records = {r.get("name"): r for r in ser.read_ndjson(tmp_path / "wick_check.ndjson")}
         library = {c["name"]: c for c in wick.wick_power_means(seed, samples, variance)}
         z = fresh_normals(seed, 0, (samples, 2))
