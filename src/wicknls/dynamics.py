@@ -54,7 +54,7 @@ field of mean intensity mu has ``|u(x)|^2 <= (2K+1) mu``.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -398,12 +398,40 @@ def gauge(traj: Trajectory, eq: EquationSpec) -> Trajectory:
     if _shift_free(eq) != _shift_free(traj.eq):
         raise ValueError(f"no gauge maps a run of {traj.eq.to_dict()} onto {eq.to_dict()}: "
                          "they differ past their Wick shift")
-    start = traj.snapshots[-1 if traj.integrator.signed_dt < 0 else 0]
-    rates = _linear_rate([eq, traj.eq], np.zeros(1), np.full(2, fld.mean_intensity(start)))
-    rate = float(rates[0, 0] - rates[1, 0])
-    coeffs = traj.coeffs * np.exp(1j * rate * traj.times)[:, None]
-    probes = {k: v * np.exp(1j * rate * traj.probe_times) for k, v in traj.probes.items()}
+    mu0 = fld.mean_intensity(traj.snapshots[-1 if traj.integrator.signed_dt < 0 else 0])
+    coeffs = traj.coeffs * _gauge_phase(eq, traj.eq, mu0, traj.times)[:, None]
+    probes = {}
+    if traj.probes:
+        phase = _gauge_phase(eq, traj.eq, mu0, traj.probe_times)
+        probes = {k: v * phase for k, v in traj.probes.items()}
     return Trajectory(coeffs, eq, traj.integrator, probes)
+
+
+def _gauge_phase(eq: EquationSpec, source: EquationSpec, mu0: float, times) -> np.ndarray:
+    """The phase ``exp(i (rate_eq - rate_source) t)`` at ``times`` by which ``gauge`` maps
+    a run of ``source`` from initial mean intensity ``mu0`` onto a run of ``eq``; the
+    rates are ``_linear_rate``'s at mode 0."""
+    rates = _linear_rate([eq, source], np.zeros(1), np.full(2, mu0))
+    return np.exp(1j * float(rates[0, 0] - rates[1, 0]) * times)
+
+
+def _time_reversed(traj: Trajectory) -> Trajectory:
+    """The run of ``traj`` under time reversal ``R u(x) = conj(u(-x))``, which acts on
+    coefficients as ``conj``.
+
+    Both schemes and every variant commute with ``R`` when ``dt`` becomes
+    ``-dt``: each substep is built from real rates and real phases, so
+    conjugating its input and negating its step conjugates its output. So
+    ``R`` of a run from u0 is the run from ``R u0`` in the other time
+    direction: its snapshot at -t is the conjugate of ``traj``'s at t, and
+    its pairing with ``R phi`` is the conjugate of ``traj``'s pairing with
+    ``phi``. For a datum and probes with real coefficients (``R u0 = u0``)
+    that is the run of u0 itself, stepped the other way, equal to it to
+    roundoff. Nothing is stepped or transformed.
+    """
+    integ = replace(traj.integrator, t_end=-traj.integrator.t_end)
+    return Trajectory(np.conj(traj.coeffs[::-1]), traj.eq, integ,
+                      {k: np.conj(v[::-1]) for k, v in traj.probes.items()})
 
 
 def _per_row(values):

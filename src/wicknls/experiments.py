@@ -11,11 +11,14 @@
 
   Both run their families through one private runner, ``_weak_run``: it
   steps each family under its shift-free variant (``nls`` or
-  ``truncated-nls``), every distinct datum once and all in one stack, maps
-  the runs onto each Wick family by the discrete gauge ``dynamics.gauge``
-  (``u -> e^{-i shift t} u``), and returns each family's statistics (the
-  ``_WEAK_STATS`` series over its modes) and its plateau prediction. The
-  experiments only pick families and verdicts.
+  ``truncated-nls``), every distinct datum once forward and, unless it and
+  the probe are real, once backward, all in one stack. A real datum's
+  backward run is the time reversal of its forward run
+  (``dynamics._time_reversed``), and each Wick family's runs are the discrete
+  gauge ``u -> e^{-i shift t} u`` of the stepped ones (``dynamics.gauge``).
+  It returns each family's statistics (the ``_WEAK_STATS`` series over its
+  modes) and its plateau prediction. The experiments only pick families and
+  verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
   data, stability of the max ratio under band doubling.
 * ``apriori_growth_probe``: distribution of sup_t ||u(t)||_{H^s} / ||u0||_{H^s}
@@ -37,8 +40,8 @@ import numpy as np
 from . import field as fld
 from . import random_data as rnd
 from .dynamics import (EquationSpec, IntegrationDivergedError, IntegratorSpec, Variant,
-                       _evolve_runs, _shift_free, evolve, evolve_batch, gauge,
-                       plane_wave_frequency)
+                       _evolve_runs, _gauge_phase, _shift_free, _time_reversed, evolve,
+                       evolve_batch, gauge, plane_wave_frequency)
 from .field import SpecFieldError  # also xp.SpecFieldError
 from .serialization import field_coeffs_dict, spec_hash
 from ._kernels import fast_fft_size
@@ -194,15 +197,38 @@ class WeakSequenceSpec:
 _WEAK_STATS = (("gap_sup", "l2-pairing"), ("weak_l4_proxy", "spacetime-pairing"),
                ("strong_l4_gap", "spacetime-l4"), ("strong_l6_gap", "spacetime-l6"),
                ("mu_defect", "intensity"))
+# the exponents p of the strong gaps, the space-time L^p norms of a bump run's
+# difference from the base run
+_GAP_POWERS = (4.0, 6.0)
 
 
-def _family_runs(family: WeakSequenceSpec) -> list:
-    """The ``(u0, eq, integ)`` runs of a bump family: the base, then each bump,
-    all forward, then all backward."""
+def _real(u: fld.TorusField) -> bool:
+    """Whether time reversal ``R u(x) = conj(u(-x))`` fixes ``u``: its coefficients are real."""
+    return not np.any(u.coeffs.imag)
+
+
+def _family_runs(family: WeakSequenceSpec, probe: fld.TorusField, start: int) -> tuple:
+    """The ``(u0, eq, integ)`` runs of a bump family, and each datum's pair of indices.
+
+    The data are the base, then each bump. Each runs forward; then each
+    datum that time reversal cannot give runs backward. Paired with a real
+    ``probe``, a real datum's backward run is ``_time_reversed`` of its
+    forward run, so it is not stepped. A pair holds the indices of the
+    datum's forward and backward runs, counted from ``start``; a backward
+    index is None when the run is derived.
+    """
     data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
     integ = family.integrator
-    return [(u0, family.eq, i) for i in (integ, replace(integ, t_end=-integ.t_end))
-            for u0 in data]
+    runs = [(u0, family.eq, integ) for u0 in data]
+    pairs = []
+    reversible = _real(probe)
+    for i, u0 in enumerate(data):
+        if reversible and _real(u0):
+            pairs.append((start + i, None))
+        else:
+            pairs.append((start + i, start + len(runs)))
+            runs.append((u0, family.eq, replace(integ, t_end=-integ.t_end)))
+    return runs, pairs
 
 
 def _weak_run(*specs: WeakSequenceSpec) -> list:
@@ -217,55 +243,120 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     Every spec is paired with the first spec's probe, which the callers'
     specs share. Each family is stepped under the shift-free variant of its
     equation (``_shift_free``), and a Wick family's runs are the ``gauge``
-    of those; so a Wick row equals its own ``evolve`` to roundoff,
-    not bit for bit. Families that are the same once shifts are dropped (the
-    contrast's plain and Wick families) step once and share their runs. The
-    base and every bump of every stepped family run once forward and once
-    backward, all in one ``_evolve_runs`` call, so rows that share a grid
-    step as one stack; this loop is the only place runs are made. A family's
+    of those. Families that are the same once shifts are dropped (the
+    contrast's plain and Wick families) step once and share their runs. Every
+    datum (the base and each bump) runs forward; it runs backward too unless
+    it and the probe are real, in which case its backward run is
+    ``_time_reversed`` of its forward run (``_family_runs``). All the stepped
+    runs of all families go into one ``_evolve_runs`` call, so rows that
+    share a grid step as one stack; this loop is the only place runs are
+    made. So a stepped row is bit-identical to its own ``evolve``, and a
+    derived row (gauged or reversed) equals its own to roundoff. A family's
     rows share one grid: at band N >= 4 x every bump mode, a bump row's top
     mode is the base's or at most N/4 <= (N-1)/3, below which the grid does
     not depend on it. A scheme failure is reported as a run of the first
     spec whose family's run range holds the failed run, through the same gauge.
+
+    The strong gaps are left rectangle sums over the snapshots of [-T, T)
+    of the spatial means of |u_n - u|^p on the ``field._power_grid``. Each
+    stepped run is synthesized once, and its grid values serve every family
+    that shares it: a Wick row's are the plain row's times the gauge phase of
+    each snapshot (``_gauge_phase``), and a derived backward run's are its
+    forward run's, mirrored (``x_j -> x_{-j}``) and conjugated. Only the grids
+    of the base and of one bump, over a chunk of snapshots, are held at a
+    time (``_family_stats``).
     """
+    probe = specs[0].probe
     families = [replace(spec, eq=_shift_free(spec.eq)) for spec in specs]
-    spans, runs = {}, []  # each stepped family -> the range of its runs
+    layout, spans, runs = {}, {}, []  # each stepped family -> its pairs, its run range
     for family in families:
-        if family not in spans:
-            new = _family_runs(family)
+        if family not in layout:
+            new, layout[family] = _family_runs(family, probe, len(runs))
             spans[family] = range(len(runs), len(runs) + len(new))
             runs += new
     try:
-        trajs = _evolve_runs(runs, {"phi": specs[0].probe})
+        trajs = _evolve_runs(runs, {"phi": probe})
     except IntegrationDivergedError as error:
         spec = next(spec for spec, family in zip(specs, families)
                     if error.run_index in spans[family])
         error.trajectory = gauge(error.trajectory, spec.eq)
         raise
+    out = [None] * len(specs)
+    for family, pairs in layout.items():
+        members = [i for i, other in enumerate(families) if other == family]
+        stats = _family_stats(family, [specs[i].eq for i in members], trajs, pairs)
+        for i, result in zip(members, stats):
+            out[i] = result
+    return out
+
+
+def _family_stats(family: WeakSequenceSpec, eqs, trajs, pairs) -> list:
+    """``(stats, prediction)`` of ``family`` under each equation of ``eqs``, each
+    ``family.eq`` or a Wick variant of it, from the runs ``trajs`` at the
+    indices ``pairs`` of ``_family_runs``.
+
+    The strong gaps sum over the snapshots t_s, s = 0..S-2, of the forward
+    runs and -t_s, s = 1..S-1, of the backward runs. They take the s in
+    chunks of at most ``field._POWER_WORK_VALUES // m`` (m the grid size), so
+    that the grids of a chunk stay small whatever S is; each snapshot of a
+    stepped run is synthesized once.
+    """
+    fwd = [trajs[f] for f, _ in pairs]
+
+    def backward(r):
+        f, b = pairs[r]
+        return _time_reversed(trajs[f]) if b is None else trajs[b]
+
+    mu0 = [fld.mean_intensity(traj.snapshots[0]) for traj in fwd]
+    # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
+    times = np.concatenate([backward(0).probe_times, fwd[0].probe_times[1:]])
+    window = np.cos(np.pi * times / (2.0 * float(family.horizon))) ** 2  # vanishes at +-T
+    pairings = [np.concatenate([backward(r).probes["phi"], traj.probes["phi"][1:]])
+                for r, traj in enumerate(fwd)]
+    gauged = [eq != family.eq for eq in eqs]
+    probes = [[p * _gauge_phase(eq, family.eq, mu, times) for p, mu in zip(pairings, mu0)]
+              if shifted else pairings for eq, shifted in zip(eqs, gauged)]
+
+    t = fwd[0].times
+    count, h = len(t), float(t[1] - t[0])
+    m = fld._power_grid(fwd[0].coeffs.shape[1], _GAP_POWERS)
+    mirror = -np.arange(m) % m
+
+    def grid(r, s):
+        """Run r's grid values at t_s and at -t_s for the snapshots ``s`` the gaps sum over."""
+        f, b = pairs[r]
+        ahead, back = s < count - 1, s > 0
+        if b is None:  # the backward run is the forward one, reversed
+            g = fld._synthesis(trajs[f].coeffs[s], m)
+            return np.concatenate([g[ahead], np.conj(g[back][:, mirror])])
+        return fld._synthesis(np.concatenate([trajs[f].coeffs[s[ahead]],
+                                              trajs[b].coeffs[count - 1 - s[back]]]), m)
+
+    chunks = -(-count // max(1, fld._POWER_WORK_VALUES // m))
+    sums = np.zeros((len(eqs), len(pairs) - 1, len(_GAP_POWERS)))
+    for s in np.array_split(np.arange(count), chunks):
+        tau = np.concatenate([t[s[s < count - 1]], -t[s[s > 0]]])
+        phases = [[_gauge_phase(eq, family.eq, mu, tau)[:, None] for mu in mu0]
+                  if shifted else None for eq, shifted in zip(eqs, gauged)]
+        base = grid(0, s)
+        bases = [base if ph is None else base * ph[0] for ph in phases]
+        for r in range(1, len(pairs)):
+            g = grid(r, s)
+            for ph, ref, total in zip(phases, bases, sums):
+                diff = g - ref if ph is None else g * ph[r] - ref
+                total[r - 1] += np.sum(fld._grid_means(diff, _GAP_POWERS), axis=-1)
     out = []
-    for spec, family in zip(specs, families):
-        rows = len(spec.mode_list) + 1
-        start = spans[family].start
-        (ref_f, *fwd), (ref_b, *bwd) = [[gauge(traj, spec.eq) for traj in trajs[i:i + rows]]
-                                        for i in (start, start + rows)]
-        # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
-        times = np.concatenate([ref_b.probe_times, ref_f.probe_times[1:]])
-        ref_p = np.concatenate([ref_b.probes["phi"], ref_f.probes["phi"][1:]])
-        window = np.cos(np.pi * times / (2.0 * float(spec.horizon))) ** 2  # vanishes at +-T
-        mu_ref = fld.mean_intensity(ref_f.snapshots[0])
+    for p, eq, total in zip(probes, eqs, sums):
         values = []
-        for run_f, run_b in zip(fwd, bwd):
-            d = np.concatenate([run_b.probes["phi"], run_f.probes["phi"][1:]]) - ref_p
-            b4, b6 = fld._lp_sums(run_b.times, run_b.coeffs - ref_b.coeffs, (4.0, 6.0))
-            f4, f6 = fld._lp_sums(run_f.times, run_f.coeffs - ref_f.coeffs, (4.0, 6.0))
+        for r, (l4, l6) in enumerate(fld.TWO_PI * h * total, start=1):
+            d = p[r] - p[0]
             values.append((float(np.max(np.abs(d))),  # in _WEAK_STATS order
-                           float(abs(np.sum(d * window) * spec.integrator.dt)),
-                           (b4 + f4) ** 0.25, (b6 + f6) ** (1.0 / 6.0),
-                           fld.mean_intensity(run_f.snapshots[0]) - mu_ref))
+                           float(abs(np.sum(d * window) * family.integrator.dt)),
+                           float(l4) ** 0.25, float(l6) ** (1.0 / 6.0), mu0[r] - mu0[0]))
         stats = {name: np.array(col) for (name, _), col in zip(_WEAK_STATS, zip(*values))}
-        delta = float(stats["mu_defect"][np.argmax(spec.mode_list)])
-        osc = np.abs(np.exp(2j * spec.eq.sign * delta * times) - 1.0)
-        out.append((stats, float(np.max(osc * np.abs(ref_p)))))
+        delta = float(stats["mu_defect"][np.argmax(family.mode_list)])
+        osc = np.abs(np.exp(2j * eq.sign * delta * times) - 1.0)
+        out.append((stats, float(np.max(osc * np.abs(p[0])))))
     return out
 
 
@@ -335,8 +426,8 @@ def weak_continuity_run(spec: WeakSequenceSpec,
     are checked for a decaying-gap trend and the plain variants for a
     persistent plateau; pass ``"decay"`` or ``"plateau"`` to force one (e.g.
     applying the decay verdict to the plain equation exhibits its failure).
-    The bump family runs as one stack, both time directions together; an
-    unknown mode is refused before it steps.
+    The bump family runs as one stack, both time directions together
+    (``_weak_run``); an unknown mode is refused before it steps.
     """
     if verdict_mode not in _VERDICT_MODES:
         raise ValueError(f"verdict mode must be one of {', '.join(_VERDICT_MODES)} "
@@ -355,11 +446,13 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
     The plain equation's gap plateau is compared against the scalar
     phase-defect prediction; the mean-shifted equation must pass its decay
     verdicts on the same data. The two families share their runs: each
-    datum is stepped once forward and once backward under the plain
-    equation, in one ``_evolve_runs`` call, and the Wick rows are the gauge
-    ``e^{-2 i s mu0 t}`` of the plain ones (``_weak_run``). So every plain row
-    is bit-identical to its own ``evolve`` and every Wick row equals its own
-    to roundoff. ``threads`` is accepted but unused.
+    datum is stepped under the plain equation, in one ``_evolve_runs`` call,
+    forward and, unless it and the probe are real, backward; the backward run
+    of a real datum is the time reversal of its forward run, and the Wick
+    rows are the gauge ``e^{-2 i s mu0 t}`` of the plain ones (``_weak_run``).
+    So every stepped plain row is bit-identical to its own ``evolve``, and
+    every other row equals its own to roundoff. ``threads`` is accepted but
+    unused.
     """
     plain = _shift_free(spec.eq)
     shifted = replace(plain, variant=Variant.TRUNCATED_WNLS_GAUGED if plain.truncated

@@ -6,8 +6,8 @@ A field is stored by its Fourier coefficients on the symmetric mode range
 Fourier-Lebesgue) carry no ``2*pi`` factor, while physical integrals (the
 ``pairing`` inner product, quartic integrals) do. The Sobolev weight is
 ``<n> = 1 + |n|``. Every space integral of |u|^p (``quartic_integral``, the
-ledger's quartic term, the space-time L^p norms) is one grid kernel,
-``_power_means``.
+ledger's quartic term, the space-time L^p norms and gaps) is one grid
+kernel: ``_synthesis`` on the ``_power_grid``, then ``_grid_means``.
 """
 
 import math
@@ -290,31 +290,48 @@ def pairing(f: TorusField, g: TorusField) -> complex:
 _POWER_WORK_VALUES = 2**13
 
 
+def _power_grid(width: int, ps) -> int:
+    """Points of the grid on which the mean of |u|^p is exact for every even p in ``ps``,
+    for rows of ``width`` = 2N+1 coefficients."""
+    return fast_fft_size(max(2 * width, int(max(ps) * ((width - 1) // 2)) + 2))
+
+
+def _synthesis(block: np.ndarray, m: int) -> np.ndarray:
+    """The (B, m) grid values of the rows of a (B, 2N+1) block of modes -N..N, m > 2N.
+
+    Row r is sampled as :func:`synthesize` samples it, by one unscaled inverse
+    transform, so grid values are field values.
+    """
+    n_max = (block.shape[1] - 1) // 2
+    u = np.zeros((len(block), m), dtype=np.complex128)
+    u[:, :n_max + 1] = block[:, n_max:]
+    u[:, m - n_max:] = block[:, :n_max]
+    np.fft.ifft(u, axis=-1, norm="forward", out=u)
+    return u
+
+
+def _grid_means(grid: np.ndarray, ps) -> np.ndarray:
+    """The (len(ps), B) means of |u|^p over each row of the (B, m) grid values ``grid``."""
+    a2 = grid.real**2
+    a2 += grid.imag**2
+    return np.array([np.mean(a2 ** (p / 2.0), axis=-1) for p in ps])
+
+
 def _power_means(block: np.ndarray, ps) -> np.ndarray:
     """Spatial mean of |u|^p for each p in ``ps`` and each row of a (B, 2N+1) block.
 
-    Row r holds modes -N..N. The rows are synthesized as :func:`synthesize`
-    does, by one unscaled inverse transform whose grid values are field
-    values, on the grid of the largest p, which averages |u|^p exactly for
+    Row r holds modes -N..N. The rows are synthesized (:func:`_synthesis`)
+    on the ``_power_grid`` of the largest p, which averages |u|^p exactly for
     every even p in ``ps``; returns a (len(ps), B) array. The rows are
     transformed a group at a time, so the work memory stays bounded; a
     row's values do not depend on its group.
     """
     rows, width = block.shape
-    n_max = (width - 1) // 2
-    m = fast_fft_size(max(2 * width, int(max(ps) * n_max) + 2))
+    m = _power_grid(width, ps)
     group = max(1, _POWER_WORK_VALUES // m)
     out = np.empty((len(ps), rows))
     for start in range(0, rows, group):
-        part = block[start:start + group]
-        u = np.zeros((len(part), m), dtype=np.complex128)
-        u[:, :n_max + 1] = part[:, n_max:]
-        u[:, m - n_max:] = part[:, :n_max]
-        np.fft.ifft(u, axis=-1, norm="forward", out=u)
-        a2 = u.real**2
-        a2 += u.imag**2
-        for i, p in enumerate(ps):
-            out[i, start:start + len(part)] = np.mean(a2 ** (p / 2.0), axis=-1)
+        out[:, start:start + group] = _grid_means(_synthesis(block[start:start + group], m), ps)
     return out
 
 

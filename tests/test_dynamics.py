@@ -668,6 +668,44 @@ class TestGaugeEquivalence:
 
 
 
+class TestTimeReversal:
+    @pytest.mark.parametrize("scheme", ["strang", "rk4"])
+    @settings(max_examples=25, deadline=None)
+    @given(variant=st.sampled_from([v.value for v in dyn.Variant]),
+           sign=st.sampled_from([1, -1]), seed=st.integers(0, 2**64 - 1),
+           band=st.integers(1, 8), rough=st.booleans(), mode=st.integers(2, 8),
+           amps=st.tuples(*[st.floats(-1.5, -0.1) | st.floats(0.1, 1.5)] * 2))
+    def test_backward_run_of_real_data_is_the_reversed_forward_run(
+            self, scheme, variant, sign, seed, band, rough, mode, amps):
+        # R u(x) = conj(u(-x)) conjugates the coefficients and commutes with
+        # every scheme and variant when dt becomes -dt, so the backward run of
+        # a real datum is the conjugated forward run in reverse time order,
+        # and so are its pairings with a real probe
+        if rough:
+            u0 = rnd.sample(rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=seed), 0)
+            u0 = fld.TorusField(u0.coeffs.real, band)
+        else:
+            u0 = fld.TorusField.from_modes({1: amps[0], mode: amps[1]})
+        probe = rnd.sample(rnd.RandomDataSpec(alpha=0.5, max_mode=band, seed=seed), 1)
+        probes = {"phi": fld.TorusField(probe.coeffs.real, band)}
+        eq = dyn.EquationSpec(variant, sign=sign,
+                              truncation=u0.max_mode if variant.startswith("truncated") else None)
+        integ = dyn.IntegratorSpec(scheme, dt=2e-3, t_end=0.2, snapshot_stride=20)
+        forward = dyn.evolve(u0, eq, integ, probes=probes)
+        backward = dyn.evolve(u0, eq, replace(integ, t_end=-0.2), probes=probes)
+        reversed_ = dyn._time_reversed(forward)
+        assert reversed_.eq == backward.eq and reversed_.integrator == backward.integrator
+        np.testing.assert_array_equal(reversed_.times, backward.times)
+        np.testing.assert_array_equal(reversed_.probe_times, backward.probe_times)
+        scale = np.max(np.abs(backward.coeffs))
+        assert np.max(np.abs(reversed_.coeffs - backward.coeffs)) <= 1e-12 * scale
+        # the pairings are bounded by 2 pi |u0| |phi| (the mass is conserved),
+        # and can cancel to roundoff when phi misses the datum's modes
+        l2 = fld.NormSpec.l2()
+        bound = TWO_PI * fld.norm(u0, l2) * fld.norm(probes["phi"], l2)
+        assert np.max(np.abs(reversed_.probes["phi"] - backward.probes["phi"])) <= 1e-12 * bound
+
+
 class TestDerivedLedger:
     def test_read_once_on_demand(self, monkeypatch):
         calls = []

@@ -255,18 +255,21 @@ class TestPhaseDefectContrast:
     def test_gauged_family_equals_its_stepped_rows(self, scheme, sign, variant, bump):
         # a Wick family derived from its shift-free runs against the same
         # family stepped directly: with _shift_free the identity, _weak_run
-        # hands _evolve_runs the Wick rows themselves and gauge maps nothing.
-        # The gap and the proxy are differences of pairings of size 2 pi, so
-        # their roundoff is absolute (3e-14 here): bumps of |c| >= 0.5 keep
-        # the gaps far enough above it for a relative bound. The proxy
-        # |sum_t d(t) w(t) dt| can cancel to near zero at any |c|, so its
-        # bound is taken on the scale of its terms, 2 T sup |d|
+        # hands _evolve_runs the Wick rows themselves and gauge maps nothing;
+        # with _real always false it steps every backward row too, where the
+        # derived side takes the real base's (and a real bump's) from time
+        # reversal. The gap and the proxy are differences of pairings of size
+        # 2 pi, so their roundoff is absolute (3e-14 here): bumps of
+        # |c| >= 0.5 keep the gaps far enough above it for a relative bound.
+        # The proxy |sum_t d(t) w(t) dt| can cancel to near zero at any |c|,
+        # so its bound is taken on the scale of its terms, 2 T sup |d|
         eq = EquationSpec(variant, sign, truncation=None if variant == "wnls" else 24)
         spec = small_spec(eq=eq, bump=bump, modes=(2, 5, 6), horizon=0.1, dt=1e-3)
         spec = replace(spec, integrator=replace(spec.integrator, scheme=scheme))
         (derived, derived_pred), = xp._weak_run(spec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(xp, "_shift_free", lambda eq: eq)
+            mp.setattr(xp, "_real", lambda u: False)
             (stepped, stepped_pred), = xp._weak_run(spec)
         scale = {name: np.max(np.abs(stepped[name])) for name, _ in xp._WEAK_STATS}
         scale["weak_l4_proxy"] = 2.0 * spec.horizon * scale["gap_sup"]
@@ -274,10 +277,14 @@ class TestPhaseDefectContrast:
             assert np.max(np.abs(derived[name] - stepped[name])) <= 1e-10 * scale[name], name
         assert abs(derived_pred - stepped_pred) <= 1e-10 * stepped_pred
 
-    def test_contrast_steps_each_datum_once(self, monkeypatch):
-        # the plain and Wick families share their runs: the base and five
-        # bumps, forward and backward, are 12 plain rows, not 24
-        spec = small_spec(modes=(4, 8, 16, 32, 64), horizon=0.01, dt=1e-3, stride=5)
+    @pytest.mark.parametrize("bump, rows", [(1.0, 6), (0.6 + 0.8j, 11)], ids=["real", "complex"])
+    def test_contrast_steps_each_datum_once(self, monkeypatch, bump, rows):
+        # the plain and Wick families share their runs, and a real datum with
+        # the real probe runs forward only: its backward run is the time
+        # reversal of its forward run. So the base and five real bumps are 6
+        # plain rows; with a complex bump, the bumps also run backward: 11
+        spec = small_spec(bump=bump, modes=(4, 8, 16, 32, 64), horizon=0.01, dt=1e-3,
+                          stride=5)
         stepped = []
         evolve_runs = xp._evolve_runs
 
@@ -287,7 +294,8 @@ class TestPhaseDefectContrast:
 
         monkeypatch.setattr(xp, "_evolve_runs", counted)
         report = xp.phase_defect_contrast_run(spec)
-        assert len(stepped) == 12
+        assert len(stepped) == rows
+        assert sum(integ.t_end < 0 for _, _, integ in stepped) == rows - 6
         assert {eq.variant.value for _, eq, _ in stepped} == {"nls"}
         assert len(report.get_series("wnls_gap_sup").values) == 5
 
