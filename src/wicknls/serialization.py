@@ -24,7 +24,7 @@ FIELD_FORMAT = "torus-field"
 
 def field_coeffs_dict(u: fld.TorusField) -> dict:
     """``{"max_mode": N, "coeffs": [[re, im], ...]}``, modes ``-N..N``: a field in a spec dict."""
-    return {"max_mode": u.max_mode, "coeffs": [[z.real, z.imag] for z in u.coeffs]}
+    return {"max_mode": u.max_mode, "coeffs": u.coeffs.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def field_to_dict(u: fld.TorusField) -> dict:

@@ -488,6 +488,8 @@ class TestConfigErrors:
          'data={"kind": "random", "max_mode": 144115188075855871}', "'data.max_mode'"),
         ("sample", "sample_white_noise.yaml",
          ("data.max_mode=144115188075855871", "profile.cutoffs=[]"), "'data.max_mode'"),
+        ("sample", "sample_white_noise.yaml", "data.max_mode=144115188075855871",
+         "'data.max_mode'"),
         # no member drawn: the expected mean intensity and the profile are
         # the band-sized arrays, made before main writes anything
         ("sample", "sample_white_noise.yaml",
@@ -696,13 +698,17 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_COMMANDS))
     def test_end_to_end(self, tmp_path, name):
-        # the README table's exit codes: the two negative controls fail their verdicts
+        # the README table's exit codes: the two negative controls fail their
+        # verdicts; --repro writes the same bytes
         want = 4 if name in ("weak_limit_nls", "wick_check_corrupted") else 0
         command = SHIPPED_COMMANDS[name]
-        out = tmp_path / "o"
-        assert run(command, "--config", str(CONFIG_DIR / f"{name}.yaml"),
-                   "--out", str(out)) == want
-        assert {p.name for p in out.iterdir()} == DOCUMENTED_FILES[command]
+        plain, repro = tmp_path / "plain", tmp_path / "repro"
+        for out, flags in ((plain, []), (repro, ["--repro"])):
+            assert run(command, "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                       "--out", str(out), *flags) == want
+            assert {p.name for p in out.iterdir()} == DOCUMENTED_FILES[command]
+        for file in DOCUMENTED_FILES[command]:
+            assert (plain / file).read_bytes() == (repro / file).read_bytes(), file
 
 
 class TestWeakLimit:
@@ -741,19 +747,30 @@ class TestWeakLimit:
                     if r["record"] == "series" and r["name"] == "gap_sup")
         assert all(v == 0.0 for v in gaps["values"])
 
+    def test_complex_bump_prints_the_real_bumps_verdicts(self, tmp_path, capsys):
+        # the shipped bump and probe are real, so each backward run is the
+        # time reversal of a forward run; a complex bump steps its backward runs
+        stdout = []
+        for name, sets in (("real", []), ("complex", ["--set", "bump.amplitude=[0.6,0.8]"])):
+            assert run("weak-limit", "--config", str(CONFIG_DIR / "phase_defect_contrast.yaml"),
+                       "--out", str(tmp_path / name), *sets) == 0
+            stdout.append(capsys.readouterr().out.splitlines())
+        assert stdout[0] == stdout[1]
+        assert sum(line.startswith("verdict ") and line.endswith(": pass")
+                   for line in stdout[1]) == 3
+
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    # exits 0 and 4 through the child interpreter; TestSchemeFailure runs 2 and 3
+    @pytest.mark.parametrize("name, want", [("simulate_plane_wave", 0), ("weak_limit_nls", 4)])
+    def test_python_dash_m(self, tmp_path, name, want):
+        command = SHIPPED_COMMANDS[name]
         out = tmp_path / "o"
-        proc = subprocess.run(
-            [sys.executable, "-m", "wicknls", "simulate", "--config",
-             str(CONFIG_DIR / "simulate_plane_wave.yaml"), "--out", str(out), "--repro"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert any(out.iterdir())
-        bad = subprocess.run([sys.executable, "-m", "wicknls", "simulate"],
-                             env=env, capture_output=True, text=True, timeout=120)
+        proc = run_module(command, "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                          "--out", str(out), "--repro")
+        assert (proc.returncode, proc.stderr) == (want, "")
+        assert {p.name for p in out.iterdir()} == DOCUMENTED_FILES[command]
+        bad = run_module(command)
         assert bad.returncode == 2 and "config error" in bad.stderr
 
 
