@@ -491,13 +491,17 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float) -> float:
 
 
 # Complex values in the work buffer of ``_free_flow_l4_exact`` (256 KiB, with
-# a 128 KiB real twin). The row count of a group follows from this, the band
-# and the lag class alone, so a field's integral does not depend on which
-# other fields share its block. The kernel's other transient memory is its
-# padded and conjugated copies of the block (48 bytes a coefficient) and up to
-# 384 KiB of numpy's iterator buffers for the strided a_m product.
+# a 128 KiB real twin), at every band and block size unless one row of a class
+# needs more, so that each call asks the allocator for the same two blocks.
+# The row count of a group follows from this, the band and the lag class
+# alone, so a field's integral does not depend on which other fields share
+# its block. The kernel's other transient memory is its padded and conjugated
+# copies of the block (48 bytes a coefficient) and up to 384 KiB of numpy's
+# iterator buffers for the strided a_m product; the |c|^2 of the d = 0 terms
+# is freed before any of them is made.
 _L4_WORK_VALUES = 2**14
-# Lag classes of ``_free_flow_l4_exact``, each transformed at its own length.
+# Lag classes of ``_free_flow_l4_exact`` over the lags 1..N, each transformed
+# at its own length; bands below 8 have one class a lag.
 _L4_LAG_CLASSES = 8
 
 
@@ -510,15 +514,22 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
     Toeplitz kernel K_m(d) = 2T sinc(2mdT) in the lag d. So the integral is
     2 pi [2T mass^2 + 2 sum_{m>=1} sum_d K_m(d) R_m(d)], where R_m is the
     autocorrelation of a_m (m < 0 mirrors m > 0, m = 0 is the mass term).
-    With n = 2N+1, a_m has n-m entries, so each sum over d is
-    (1/L) sum_k Khat_m(k) |ahat_m(k)|^2 on any L >= 2(n-m)-1 points, enough
-    that the circular correlation of a_m does not wrap.
 
-    The lags m = 1..n-1 fall into ``_L4_LAG_CLASSES`` classes [lo, hi) of
-    nearly equal count (edges 1 + (n-1) q // classes, duplicates dropped), and
-    a class works at the length its longest sequence needs,
+    R_m(d) = sum_j c(j+m+d) conj(c(j+d)) conj(c(j+m)) c(j) and K_m(d) are
+    both symmetric under m <-> d, and R_m(-d) = conj(R_m(d)). So the double
+    sum over m >= 1 and d != 0 is the sum over |d| >= m >= 1 with the weight
+    w = 1 at |d| = m and 2 at |d| > m; R_m(d) vanishes for m + |d| > 2N, which
+    leaves the lags m = 1..N. The d = 0 terms sum in closed form,
+    sum_{m>=1} R_m(0) = (mass^2 - sum_j |c(j)|^4) / 2. With n = 2N+1, a_m has
+    n-m entries, so each sum over d is (1/L) sum_k Khat_m(k) |ahat_m(k)|^2,
+    where Khat_m is the spectrum of w K_m, on any L >= 2(n-m)-1 points,
+    enough that the circular correlation of a_m does not wrap.
+
+    The lags m = 1..N fall into ``_L4_LAG_CLASSES`` classes [lo, hi) of
+    nearly equal count (edges 1 + N q // classes, duplicates dropped), and a
+    class works at the length its longest sequence needs,
     L = fast_fft_size(2(n-lo)-1), with its own kernel spectrum Khat. That
-    transforms about 1.1 n^2 points per row where one length for all lags
+    transforms about 0.76 n^2 points per row where all n-1 lags at one length
     would take 2 n^2. The rows go through one complex and one real work
     buffer of ``_L4_WORK_VALUES`` values (at least one row of a class), viewed
     as (rows, lags, L) per class, so the transform memory is bounded and
@@ -528,29 +539,35 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
         raise ValueError(f"t_horizon must be finite and >= 0 (got {t_horizon!r})")
     c = np.asarray(block, dtype=np.complex128)
     k, n = c.shape
-    edges = sorted({1 + (n - 1) * q // _L4_LAG_CLASSES for q in range(_L4_LAG_CLASSES + 1)})
+    top = (n - 1) // 2
+    edges = sorted({1 + top * q // _L4_LAG_CLASSES for q in range(_L4_LAG_CLASSES + 1)})
     classes = []
     for lo, hi in zip(edges, edges[1:]):
         size = fast_fft_size(2 * (n - lo) - 1)
         rows = min(k, max(1, _L4_WORK_VALUES // ((hi - lo) * size)))
         classes.append((lo, hi, size, rows))
-    work = max([rows * (hi - lo) * size for lo, hi, size, rows in classes], default=0)
+    work = max([_L4_WORK_VALUES] + [rows * (hi - lo) * size for lo, hi, size, rows in classes])
+    intensity = c.real**2 + c.imag**2
+    mass = np.add.reduce(intensity, axis=1)
+    # the d = 0 terms: K_m(0) = 2T times (mass^2 - sum |c|^4) / 2
+    cross = t_horizon * (mass * mass - np.add.reduce(intensity * intensity, axis=1))
+    del intensity  # not held through the transforms
     padded = np.zeros((k, 2 * n), dtype=np.complex128)
     padded[:, :n] = c
     # shifted[r, m-1, j] = c_r(j+m), zero past the band
-    shifted = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], n, axis=-1)[:, :n - 1]
+    shifted = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], n, axis=-1)[:, :top]
     conj = np.conj(c)[:, None, :]
     buf = np.empty(work, dtype=np.complex128)
     power = np.empty(work)
     part = np.empty(k)
-    cross = np.zeros(k)
     for lo, hi, size, rows in classes:
         width = n - lo  # entries of a_lo, the longest sequence of the class
-        # K_m is real and even in d: hfft takes its lags 0..size//2 and
-        # returns its whole (real) spectrum
+        # w K_m is real and even in d: hfft takes its lags 0..size//2 and
+        # returns its whole (real) spectrum; w = 1 + sign(d - m)
         shift = np.arange(lo, hi)[:, None]
         lag = np.arange(size // 2 + 1)
         kernel = 2.0 * t_horizon * np.sinc(2.0 * t_horizon / math.pi * shift * lag)
+        kernel *= 1.0 + np.sign(lag - shift)
         kernel_hat = np.fft.hfft(kernel, n=size, axis=-1)
         for start in range(0, k, rows):
             stop = min(start + rows, k)
@@ -568,7 +585,6 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
             np.add.reduce(p.reshape(len(p), -1), axis=1, out=part[start:stop])
         part /= size
         cross += part
-    mass = np.add.reduce(c.real**2 + c.imag**2, axis=1)
     return fld.TWO_PI * (2.0 * t_horizon * mass * mass + 2.0 * cross)
 
 

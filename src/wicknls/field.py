@@ -314,7 +314,9 @@ def _grid_means(grid: np.ndarray, ps) -> np.ndarray:
     """The (len(ps), B) means of |u|^p over each row of the (B, m) grid values ``grid``."""
     a2 = grid.real**2
     a2 += grid.imag**2
-    return np.array([np.mean(a2 ** (p / 2.0), axis=-1) for p in ps])
+    # |u|^6 as a product: numpy's general pow takes three times as long
+    return np.array([np.mean(a2 * a2 * a2 if p == 6.0 else a2 ** (p / 2.0), axis=-1)
+                     for p in ps])
 
 
 def _power_means(block: np.ndarray, ps) -> np.ndarray:

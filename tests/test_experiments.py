@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -397,16 +398,61 @@ class TestStrichartzProbe:
             assert value[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("t_hor", [1e-6, 0.3, 1.0])
-    @pytest.mark.parametrize("band", [0, 1, 2, 3, 8, 16, 32, 64])
+    @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64])
     def test_lag_classes_match_quadruple_sum(self, band, t_hor):
-        # bands 0-3 leave fewer than eight lags (none at band 0), so some or
-        # all lag classes are empty; from band 8 on all eight are in use
+        # the kernel transforms the lags 1..band: bands 0-7 have fewer than
+        # eight of them (none at band 0), so fewer than eight classes of one
+        # lag each; band 8 has exactly eight, and from band 9 on a class holds
+        # several lags
         rng = np.random.default_rng(band)
         n = 2 * band + 1
         block = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         got = xp._free_flow_l4_exact(block, t_hor)
         for row, value in zip(block, got):
             assert value == pytest.approx(quadruple_sum_free_l4(row, band, t_hor), rel=1e-12)
+
+    def test_transform_budget(self, monkeypatch):
+        # lags 1..32 of a band-32 field in eight classes of four, each at its
+        # own length: 4 * (128 + 120 + 112 + 105 + 96 + 90 + 80 + 72) points
+        points = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            points.append(np.asarray(a).size)
+            return fft(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "fft", counted)
+        xp._free_flow_l4_exact(np.ones((1, 65), dtype=complex), 0.5)
+        assert sum(points) == 3212
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+           st.floats(-math.pi, math.pi), st.integers(0, 2**32 - 1))
+    def test_invariances(self, band, t_hor, x0, seed):
+        # reflection, translation and the Galilean shift of one mode keep
+        # |S(t)f| up to a motion of x, so they keep the norm; each moves the
+        # correlation terms R_m(d) between lags m and d differently
+        rng = np.random.default_rng(seed)
+        n = 2 * band + 1
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        moved = [c[::-1], np.exp(1j * x0 * np.arange(-band, band + 1)) * c]
+        base = xp._free_flow_l4_exact(c[None, :], t_hor)[0]
+        got = xp._free_flow_l4_exact(np.array(moved), t_hor)
+        boosted = xp._free_flow_l4_exact(np.concatenate([[0.0, 0.0], c])[None, :], t_hor)
+        for value in (*got, *boosted):
+            assert value == pytest.approx(base, rel=1e-12)
+
+    def test_memory_of_a_block(self):
+        # 100 white-noise fields at band 64: the work buffers, the copies of
+        # the block and numpy's iterator buffers; 1.37 MiB measured
+        block = rnd.sample_block(rnd.RandomDataSpec(alpha=0.0, max_mode=64, seed=0),
+                                 range(100))
+        tracemalloc.start()
+        try:
+            xp._free_flow_l4_exact(block, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * 2**20
 
     @pytest.mark.parametrize("t_hor", [-0.5, float("nan"), float("inf"), float("-inf")])
     def test_norm_rejects_bad_horizon(self, t_hor):
