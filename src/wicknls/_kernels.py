@@ -99,9 +99,10 @@ def hermite_batch(n: int, x: np.ndarray, sigma: float, *,
 # ---------------------------------------------------------------------------
 # pointwise nonlinear phase:  u <- u * exp(1j * factor * (|u|^2 + offset))
 # u is one grid or a (B, m) stack of grids, factor a scalar or a (B, 1)
-# column, offset None, a scalar or a (B, 1) column; mutates u, which keeps its modulus. The solver passes None, since
-# its Wick shifts are linear rates (dynamics._linear_rate); the kernel sweep
-# of perfbench/layers.py passes an offset positionally.
+# column, offset None, a scalar or a (B, 1) column; mutates u, which keeps
+# its modulus. The solver passes None, since its Wick shifts are linear
+# rates (dynamics._linear_rate); the kernel sweep of perfbench/layers.py
+# passes an offset positionally.
 #
 # The rotation is taken in Cayley form, exp(i theta) = (1 + i tau) / (1 - i tau)
 # with tau = tan(theta / 2), which is exact. On numpy 2.x float64 tan is a

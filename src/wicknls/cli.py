@@ -300,6 +300,11 @@ def _out_dir(args, cfg: _Section) -> Path:
 # lines)``, where ``files`` are (name, payload) pairs that ``main`` writes
 # ---------------------------------------------------------------------------
 
+# a run whose records numpy cannot allocate is refused by its step count
+# (``dynamics._Recorder``), which the integrator's dt sets
+_STEPS = {"dt": "integrator.dt"}
+
+
 def _scheme_failure(name: str, cfg: dict, command: str, exc, files=()):
     """Exit 3, one stderr line, and ``files`` then ``name``: the meta record, marked
     ``diverged``, and the failing row."""
@@ -337,7 +342,7 @@ def cmd_simulate(cfg: _Section):
 
     def run():
         try:
-            traj = evolve(u0, eq, integ)
+            traj = _checked(cfg, evolve, u0, eq, integ, keys=_STEPS)
         except IntegrationDivergedError as exc:
             return _scheme_failure("trajectory.ndjson", cfg, "simulate", exc,
                                    snapshots(exc.trajectory))
@@ -371,7 +376,7 @@ def cmd_weak_limit(cfg: _Section):
         return xp.phase_defect_contrast_run(spec)
 
     return _run_report(
-        cfg, "weak-limit", "weak_limit_summary.csv", experiment,
+        cfg, "weak-limit", "weak_limit_summary.csv", lambda: _checked(cfg, experiment, keys=_STEPS),
         lambda report: [f"verdict {name}: {'pass' if ok else 'FAIL'}"
                         for name, ok in report.verdicts.items()])
 

@@ -465,7 +465,8 @@ class _Recorder:
     row's records as a ``Trajectory`` in ascending time. Each probe is
     projected onto the band, past which the state is zero, so no probe sizes
     or refuses a run. The constructor records the pairings and the snapshot
-    of the initial state.
+    of the initial state; records that numpy cannot allocate raise
+    ``SpecFieldError`` naming ``dt``, which sets the step count.
     """
 
     def __init__(self, eqs, integs, band, probes, state, n_steps):
@@ -473,9 +474,10 @@ class _Recorder:
         self.width = 2 * band + 1
         self.names = tuple(probes)
         rows, n_snaps = len(state), n_steps // self.stride + 1
-        self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
-        # pairing at step k of row r against probe j (without the 2 pi)
-        self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
+        with fld.sized_by("dt", f"step count {n_steps}"):
+            self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
+            # pairing at step k of row r against probe j (without the 2 pi)
+            self.pairings = np.empty((n_steps + 1, rows, len(self.names)), dtype=np.complex128)
         self.taken = self.recorded = 0
         if self.names:
             p = np.array([fld.project(q, band).padded_to(band).coeffs for q in probes.values()])

@@ -12,13 +12,13 @@
   Both run their families through one private runner, ``_weak_run``: it
   steps each family under its shift-free variant (``nls`` or
   ``truncated-nls``), every distinct datum once forward and, unless it and
-  the probe are real, once backward, all in one stack. A real datum's
-  backward run is the time reversal of its forward run
-  (``dynamics._time_reversed``), and each Wick family's runs are the discrete
-  gauge ``u -> e^{-i shift t} u`` of the stepped ones (``dynamics.gauge``).
-  It returns each family's statistics (the ``_WEAK_STATS`` series over its
-  modes) and its plateau prediction. The experiments only pick families and
-  verdicts.
+  the probe are real, once backward, all in one stack. So each datum has a
+  (forward, backward) run pair; a real datum's backward run is the time
+  reversal of its forward run (``dynamics._time_reversed``), and each Wick
+  family's runs are the gauge ``u -> e^{-i shift t} u`` of the stepped ones.
+  ``_family_stats`` reads the pairs into each family's statistics (the
+  ``_WEAK_STATS`` series over its modes) and its plateau prediction. The
+  experiments only pick families and verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
   data, stability of the max ratio under band doubling.
 * ``apriori_growth_probe``: distribution of sup_t ||u(t)||_{H^s} / ||u0||_{H^s}
@@ -207,30 +207,6 @@ def _real(u: fld.TorusField) -> bool:
     return not np.any(u.coeffs.imag)
 
 
-def _family_runs(family: WeakSequenceSpec, probe: fld.TorusField, start: int) -> tuple:
-    """The ``(u0, eq, integ)`` runs of a bump family, and each datum's pair of indices.
-
-    The data are the base, then each bump. Each runs forward; then each
-    datum that time reversal cannot give runs backward. Paired with a real
-    ``probe``, a real datum's backward run is ``_time_reversed`` of its
-    forward run, so it is not stepped. A pair holds the indices of the
-    datum's forward and backward runs, counted from ``start``; a backward
-    index is None when the run is derived.
-    """
-    data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
-    integ = family.integrator
-    runs = [(u0, family.eq, integ) for u0 in data]
-    pairs = []
-    reversible = _real(probe)
-    for i, u0 in enumerate(data):
-        if reversible and _real(u0):
-            pairs.append((start + i, None))
-        else:
-            pairs.append((start + i, start + len(runs)))
-            runs.append((u0, family.eq, replace(integ, t_end=-integ.t_end)))
-    return runs, pairs
-
-
 def _weak_run(*specs: WeakSequenceSpec) -> list:
     """``(stats, prediction)`` of each spec's bump family.
 
@@ -244,104 +220,94 @@ def _weak_run(*specs: WeakSequenceSpec) -> list:
     specs share. Each family is stepped under the shift-free variant of its
     equation (``_shift_free``), and a Wick family's runs are the ``gauge``
     of those. Families that are the same once shifts are dropped (the
-    contrast's plain and Wick families) step once and share their runs. Every
-    datum (the base and each bump) runs forward; it runs backward too unless
-    it and the probe are real, in which case its backward run is
-    ``_time_reversed`` of its forward run (``_family_runs``). All the stepped
-    runs of all families go into one ``_evolve_runs`` call, so rows that
-    share a grid step as one stack; this loop is the only place runs are
-    made. So a stepped row is bit-identical to its own ``evolve``, and a
-    derived row (gauged or reversed) equals its own to roundoff. A family's
-    rows share one grid: at band N >= 4 x every bump mode, a bump row's top
-    mode is the base's or at most N/4 <= (N-1)/3, below which the grid does
-    not depend on it. A scheme failure is reported as a run of the first
-    spec whose family's run range holds the failed run, through the same gauge.
-
-    The strong gaps are left rectangle sums over the snapshots of [-T, T)
-    of the spatial means of |u_n - u|^p on the ``field._power_grid``. Each
-    stepped run is synthesized once, and its grid values serve every family
-    that shares it: a Wick row's are the plain row's times the gauge phase of
-    each snapshot (``_gauge_phase``), and a derived backward run's are its
-    forward run's, mirrored (``x_j -> x_{-j}``) and conjugated. Only the grids
-    of the base and of one bump, over a chunk of snapshots, are held at a
-    time (``_family_stats``).
+    contrast's plain and Wick families) step once and share their runs. Each
+    datum (the base, then each bump) runs forward; it runs backward too
+    unless it and the probe are real, when its backward run is
+    ``_time_reversed`` of its forward run. All the stepped runs of all
+    families go into one ``_evolve_runs`` call, so rows that share a grid
+    step as one stack; this loop is the only place runs are made. So a
+    stepped row is bit-identical to its own ``evolve``, and a derived row
+    (gauged or reversed) equals its own to roundoff. A family's rows share
+    one grid: at band N >= 4 x every bump mode, a bump row's top mode is the
+    base's or at most N/4 <= (N-1)/3, below which the grid does not depend on
+    it. A scheme failure is reported as a run of the first spec of its
+    family, through the same gauge. ``_family_stats`` reads each datum's
+    ``(forward, backward)`` run pair.
     """
     probe = specs[0].probe
     families = [replace(spec, eq=_shift_free(spec.eq)) for spec in specs]
-    layout, spans, runs = {}, {}, []  # each stepped family -> its pairs, its run range
-    for family in families:
-        if family not in layout:
-            new, layout[family] = _family_runs(family, probe, len(runs))
-            spans[family] = range(len(runs), len(runs) + len(new))
-            runs += new
+    layout, runs, owners = {}, [], []  # each stepped family -> which data step backward
+    for family in dict.fromkeys(families):
+        data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
+        layout[family] = [not (_real(probe) and _real(u0)) for u0 in data]
+        new = [(u0, family.eq, family.integrator) for u0 in data]
+        new += [(u0, family.eq, replace(family.integrator, t_end=-family.integrator.t_end))
+                for u0, stepped in zip(data, layout[family]) if stepped]
+        runs += new
+        owners += [families.index(family)] * len(new)  # the first spec of the run's family
     try:
-        trajs = _evolve_runs(runs, {"phi": probe})
+        trajs = iter(_evolve_runs(runs, {"phi": probe}))
     except IntegrationDivergedError as error:
-        spec = next(spec for spec, family in zip(specs, families)
-                    if error.run_index in spans[family])
+        spec = specs[owners[error.run_index]]
         error.trajectory = gauge(error.trajectory, spec.eq)
         raise
     out = [None] * len(specs)
-    for family, pairs in layout.items():
+    for family, stepped in layout.items():
+        forward = [next(trajs) for _ in stepped]
+        pairs = [(f, next(trajs) if b else _time_reversed(f)) for f, b in zip(forward, stepped)]
         members = [i for i, other in enumerate(families) if other == family]
-        stats = _family_stats(family, [specs[i].eq for i in members], trajs, pairs)
+        stats = _family_stats(family, [specs[i].eq for i in members], pairs)
         for i, result in zip(members, stats):
             out[i] = result
     return out
 
 
-def _family_stats(family: WeakSequenceSpec, eqs, trajs, pairs) -> list:
+def _family_stats(family: WeakSequenceSpec, eqs, pairs) -> list:
     """``(stats, prediction)`` of ``family`` under each equation of ``eqs``, each
-    ``family.eq`` or a Wick variant of it, from the runs ``trajs`` at the
-    indices ``pairs`` of ``_family_runs``.
+    ``family.eq`` or a Wick variant of it, from the ``(forward, backward)`` run
+    pair of each datum, the base's first.
 
-    The strong gaps sum over the snapshots t_s, s = 0..S-2, of the forward
-    runs and -t_s, s = 1..S-1, of the backward runs. They take the s in
-    chunks of at most ``field._POWER_WORK_VALUES // m`` (m the grid size), so
-    that the grids of a chunk stay small whatever S is; each snapshot of a
-    stepped run is synthesized once.
+    A datum's record over [-T, T] is its backward run, in ascending time,
+    then its forward run past 0; its pairings are read the same way. The
+    strong gaps are left rectangle sums, over the record's snapshots at
+    -T..T-h, of the spatial means of |u_n - u|^p on the
+    ``field._power_grid``. They take those points in chunks of at most
+    ``field._POWER_WORK_VALUES // m`` (m the grid size), and hold only the
+    grids of the base and of one bump at a time, so that the memory stays
+    small whatever the snapshot count. Each point of each datum is
+    synthesized once, and its grid values serve every equation: a Wick
+    row's are the plain row's times the gauge phase of each snapshot
+    (``_gauge_phase``).
     """
-    fwd = [trajs[f] for f, _ in pairs]
-
-    def backward(r):
-        f, b = pairs[r]
-        return _time_reversed(trajs[f]) if b is None else trajs[b]
-
-    mu0 = [fld.mean_intensity(traj.snapshots[0]) for traj in fwd]
-    # combined fine time axis: backward run ascending [-T..0], then forward (0..T]
-    times = np.concatenate([backward(0).probe_times, fwd[0].probe_times[1:]])
+    forward, backward = pairs[0]
+    mu0 = [fld.mean_intensity(fwd.snapshots[0]) for fwd, _ in pairs]
+    times = np.concatenate([backward.probe_times, forward.probe_times[1:]])
     window = np.cos(np.pi * times / (2.0 * float(family.horizon))) ** 2  # vanishes at +-T
-    pairings = [np.concatenate([backward(r).probes["phi"], traj.probes["phi"][1:]])
-                for r, traj in enumerate(fwd)]
+    pairings = [np.concatenate([bwd.probes["phi"], fwd.probes["phi"][1:]]) for fwd, bwd in pairs]
     gauged = [eq != family.eq for eq in eqs]
     probes = [[p * _gauge_phase(eq, family.eq, mu, times) for p, mu in zip(pairings, mu0)]
               if shifted else pairings for eq, shifted in zip(eqs, gauged)]
 
-    t = fwd[0].times
-    count, h = len(t), float(t[1] - t[0])
-    m = fld._power_grid(fwd[0].coeffs.shape[1], _GAP_POWERS)
-    mirror = -np.arange(m) % m
+    t = np.concatenate([backward.times, forward.times[1:]])
+    split, h = len(backward.times), float(forward.times[1])
+    m = fld._power_grid(forward.coeffs.shape[1], _GAP_POWERS)
 
-    def grid(r, s):
-        """Run r's grid values at t_s and at -t_s for the snapshots ``s`` the gaps sum over."""
-        f, b = pairs[r]
-        ahead, back = s < count - 1, s > 0
-        if b is None:  # the backward run is the forward one, reversed
-            g = fld._synthesis(trajs[f].coeffs[s], m)
-            return np.concatenate([g[ahead], np.conj(g[back][:, mirror])])
-        return fld._synthesis(np.concatenate([trajs[f].coeffs[s[ahead]],
-                                              trajs[b].coeffs[count - 1 - s[back]]]), m)
+    def grid(pair, s):
+        """The grid values of a datum's record at its snapshots ``s``."""
+        fwd, bwd = pair
+        return fld._synthesis(np.concatenate([bwd.coeffs[s[s < split]],
+                                              fwd.coeffs[s[s >= split] - (split - 1)]]), m)
 
-    chunks = -(-count // max(1, fld._POWER_WORK_VALUES // m))
+    points = len(t) - 1
+    chunks = -(-points // max(1, fld._POWER_WORK_VALUES // m))
     sums = np.zeros((len(eqs), len(pairs) - 1, len(_GAP_POWERS)))
-    for s in np.array_split(np.arange(count), chunks):
-        tau = np.concatenate([t[s[s < count - 1]], -t[s[s > 0]]])
-        phases = [[_gauge_phase(eq, family.eq, mu, tau)[:, None] for mu in mu0]
+    for s in np.array_split(np.arange(points), chunks):
+        phases = [[_gauge_phase(eq, family.eq, mu, t[s])[:, None] for mu in mu0]
                   if shifted else None for eq, shifted in zip(eqs, gauged)]
-        base = grid(0, s)
+        base = grid(pairs[0], s)
         bases = [base if ph is None else base * ph[0] for ph in phases]
         for r in range(1, len(pairs)):
-            g = grid(r, s)
+            g = grid(pairs[r], s)
             for ph, ref, total in zip(phases, bases, sums):
                 diff = g - ref if ph is None else g * ph[r] - ref
                 total[r - 1] += np.sum(fld._grid_means(diff, _GAP_POWERS), axis=-1)
@@ -496,7 +462,7 @@ def free_flow_l4_norm(f: fld.TorusField, t_horizon: float) -> float:
 # The row count of a group follows from this, the band and the lag class
 # alone, so a field's integral does not depend on which other fields share
 # its block. The kernel's other transient memory is its padded and conjugated
-# copies of the block (48 bytes a coefficient) and up to 384 KiB of numpy's
+# copies of the block (40 bytes a coefficient) and up to 384 KiB of numpy's
 # iterator buffers for the strided a_m product; the |c|^2 of the d = 0 terms
 # is freed before any of them is made.
 _L4_WORK_VALUES = 2**14
@@ -552,7 +518,7 @@ def _free_flow_l4_exact(block: np.ndarray, t_horizon: float) -> np.ndarray:
     # the d = 0 terms: K_m(0) = 2T times (mass^2 - sum |c|^4) / 2
     cross = t_horizon * (mass * mass - np.add.reduce(intensity * intensity, axis=1))
     del intensity  # not held through the transforms
-    padded = np.zeros((k, 2 * n), dtype=np.complex128)
+    padded = np.zeros((k, n + top + 1), dtype=np.complex128)
     padded[:, :n] = c
     # shifted[r, m-1, j] = c_r(j+m), zero past the band
     shifted = np.lib.stride_tricks.sliding_window_view(padded[:, 1:], n, axis=-1)[:, :top]

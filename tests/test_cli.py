@@ -502,6 +502,10 @@ class TestConfigErrors:
         ("wick-check", "wick_check.yaml",
          "hypercontractivity=[{q: 4, order: 2, dim: 1152921504606846976}]",
          "'hypercontractivity[0].dim'"),
+        # a step count whose snapshots and pairings numpy cannot allocate
+        ("simulate", "simulate_plane_wave.yaml", "integrator.dt=1e-15", "'integrator.dt'"),
+        ("weak-limit", "phase_defect_contrast.yaml",
+         ("integrator.dt=1e-15", "integrator.snapshot_stride=1"), "'integrator.dt'"),
     ])
     def test_typed_fields_name_the_field(self, tmp_path, capsys, command, config, pair,
                                          key):
@@ -709,6 +713,33 @@ class TestShippedConfigs:
             assert {p.name for p in out.iterdir()} == DOCUMENTED_FILES[command]
         for file in DOCUMENTED_FILES[command]:
             assert (plain / file).read_bytes() == (repro / file).read_bytes(), file
+
+    def test_runtime_dependencies_alone(self, tmp_path):
+        # pyproject.toml declares only numpy and PyYAML at run time: every
+        # shipped config runs through main in one child interpreter where
+        # importing scipy or hypothesis, the test extra, raises
+        code = (
+            "import importlib.abc, json, sys\n"
+            "class Refuse(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in ('scipy', 'hypothesis'):\n"
+            "            raise ImportError(name + ' is not a runtime dependency')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from wicknls import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n")
+        names = sorted(SHIPPED_COMMANDS)
+        argvs = [[SHIPPED_COMMANDS[name], "--config", str(CONFIG_DIR / f"{name}.yaml"),
+                  "--out", str(tmp_path / name)] for name in names]
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            4 if name in ("weak_limit_nls", "wick_check_corrupted") else 0 for name in names]
+        for name in names:
+            assert ({p.name for p in (tmp_path / name).iterdir()}
+                    == DOCUMENTED_FILES[SHIPPED_COMMANDS[name]]), name
 
 
 class TestWeakLimit:

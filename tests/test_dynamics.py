@@ -913,19 +913,20 @@ class TestProbes:
 
 
 def assert_same_trajectory(a, b):
-    assert np.array_equal(a.times, b.times)
-    assert len(a.snapshots) == len(b.snapshots)
-    assert all(x.max_mode == y.max_mode and np.array_equal(x.coeffs, y.coeffs)
-               for x, y in zip(a.snapshots, b.snapshots))
-    assert a.ledger.keys() == b.ledger.keys()
-    # equal_nan: a row whose mass overflowed has NaN energy columns
-    assert all(np.array_equal(a.ledger[k], b.ledger[k], equal_nan=True) for k in a.ledger)
+    """Equations and integrators equal; coefficients, times, probe pairings and probe
+    times equal byte for byte; ledgers equal."""
+    assert a.eq == b.eq and a.integrator == b.integrator
+    assert a.coeffs.shape == b.coeffs.shape and a.coeffs.tobytes() == b.coeffs.tobytes()
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.probes.keys() == b.probes.keys()
+    assert all(a.probes[k].tobytes() == b.probes[k].tobytes() for k in a.probes)
     if a.probe_times is None:
         assert b.probe_times is None
     else:
-        assert np.array_equal(a.probe_times, b.probe_times)
-    assert a.probes.keys() == b.probes.keys()
-    assert all(np.array_equal(a.probes[k], b.probes[k]) for k in a.probes)
+        assert a.probe_times.tobytes() == b.probe_times.tobytes()
+    assert a.ledger.keys() == b.ledger.keys()
+    # equal_nan: a row whose mass overflowed has NaN energy columns
+    assert all(np.array_equal(a.ledger[k], b.ledger[k], equal_nan=True) for k in a.ledger)
 
 
 # a scheme failure of each scheme: (failing row, dt, snapshots recorded before
@@ -984,9 +985,10 @@ class TestTrajectoryBlock:
         n = steps // integ.snapshot_stride + 1
         assert partial.coeffs.shape[0] == n == recorded
         last = partial.times[-1] if t_end > 0 else partial.times[0]
-        # the probe pairings, too, end at the last snapshot
-        assert_same_trajectory(
-            partial, dyn.evolve_batch(rows, eq, replace(integ, t_end=last), probes=probes)[1])
+        # the probe pairings, too, end at the last snapshot; the partial
+        # trajectory keeps the integrator of its whole run
+        shorter = dyn.evolve_batch(rows, eq, replace(integ, t_end=last), probes=probes)[1]
+        assert_same_trajectory(partial, replace(shorter, integrator=integ))
         ledger = dyn._ledger(partial.coeffs, eq.sign)
         assert partial.ledger.keys() == ledger.keys()
         assert all(np.array_equal(partial.ledger[k], ledger[k], equal_nan=True)
@@ -1065,19 +1067,6 @@ class TestEvolveBatch:
             assert_same_trajectory(batch.value.trajectory, single.value.trajectory)
 
 
-def assert_bitwise_trajectory(a, b):
-    """Coefficients, times, probe pairings and probe times equal byte for byte."""
-    assert a.eq == b.eq and a.integrator == b.integrator
-    assert a.coeffs.shape == b.coeffs.shape and a.coeffs.tobytes() == b.coeffs.tobytes()
-    assert a.times.tobytes() == b.times.tobytes()
-    assert a.probes.keys() == b.probes.keys()
-    assert all(a.probes[k].tobytes() == b.probes[k].tobytes() for k in a.probes)
-    if a.probe_times is None:
-        assert b.probe_times is None
-    else:
-        assert a.probe_times.tobytes() == b.probe_times.tobytes()
-
-
 class TestTrajectoryIdentity:
     def test_compares_and_hashes_by_identity(self):
         u0 = random_field(4, seed=40)
@@ -1123,7 +1112,7 @@ class TestEvolveRuns:
         trajs = dyn._evolve_runs(runs, probes)
         assert len(trajs) == len(runs)
         for (u0, eq, integ), traj in zip(runs, trajs):
-            assert_bitwise_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
+            assert_same_trajectory(traj, dyn.evolve(u0, eq, integ, probes=probes))
 
     def test_equation_sign_and_direction_share_one_stack(self, monkeypatch):
         # the contrast's rows: plain and Wick, forward and backward, one Strang call
@@ -1168,7 +1157,7 @@ class TestEvolveRuns:
         got, want = failure(runs), alone(runs[1])
         assert str(got) == str(want) and got.last_valid_time == want.last_valid_time == -0.09
         assert (got.run_index, want.run_index) == (1, 0)
-        assert_bitwise_trajectory(got.trajectory, want.trajectory)
+        assert_same_trajectory(got.trajectory, want.trajectory)
 
         # a backward row of stride 5 fails at step 4, before every stride-10 row
         early = (narrow, wick, replace(bwd, snapshot_stride=5))
@@ -1176,7 +1165,7 @@ class TestEvolveRuns:
         got, want = failure(runs), alone(early)
         assert str(got) == str(want) and got.last_valid_time == -0.04
         assert got.run_index == 3
-        assert_bitwise_trajectory(got.trajectory, want.trajectory)
+        assert_same_trajectory(got.trajectory, want.trajectory)
         assert got.trajectory.times.tolist() == [0.0]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -1200,4 +1189,4 @@ class TestEvolveRuns:
             dyn.evolve(failing, eq, rk4)
         assert str(info.value) == str(single.value)
         assert info.value.last_valid_time == single.value.last_valid_time
-        assert_bitwise_trajectory(partial, single.value.trajectory)
+        assert_same_trajectory(partial, single.value.trajectory)
