@@ -49,6 +49,14 @@ class ConfigError(Exception):
 # config plumbing
 # ---------------------------------------------------------------------------
 
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's error on one line: its problem, line and column, without the excerpt."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is None:  # a reader error: its message and position
+        return " ".join(str(exc).split())
+    return f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise ConfigError("a --config file is required")
@@ -56,8 +64,8 @@ def _load_config(path: str | None) -> dict:
         cfg = yaml.safe_load(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except yaml.YAMLError as exc:  # yaml errors carry line/column info
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {_yaml_problem(exc)}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return cfg
@@ -71,7 +79,8 @@ def _apply_overrides(cfg: dict, pairs: list[str]):
         try:
             value = yaml.safe_load(raw)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"--set {key}: cannot parse value {raw!r}: {exc}") from exc
+            raise ConfigError(f"--set {key}: cannot parse value {raw!r}: "
+                              f"{_yaml_problem(exc)}") from exc
         node = cfg
         parts = key.split(".")
         for part in parts[:-1]:

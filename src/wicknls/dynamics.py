@@ -343,7 +343,7 @@ def _ledger(block: np.ndarray, sign: int, renorm: float | None = None) -> dict:
     mass = fld.TWO_PI * mu
     momentum = fld.TWO_PI * np.add.reduce(n * a2, axis=-1)
     hamiltonian = 0.5 * fld.TWO_PI * np.add.reduce(n * n * a2, axis=-1) \
-        + sign * 0.25 * (fld.TWO_PI * fld._power_means(block, (4.0,))[0])
+        + sign * 0.25 * (fld.TWO_PI * fld._power_means(block, 4.0))
     ledger = {"mass": mass, "momentum": momentum, "hamiltonian": hamiltonian, "mu": mu}
     if renorm is not None:
         ledger["wick_hamiltonian"] = (hamiltonian - sign * renorm * mass

@@ -9,16 +9,16 @@
   with the plateau of the plain equation checked against the scalar
   phase-defect prediction built from the gauge identity.
 
-  Both run their families through one private runner, ``_weak_run``: it
-  steps each family under its shift-free variant (``nls`` or
-  ``truncated-nls``), every distinct datum once forward and, unless it and
-  the probe are real, once backward, all in one stack. So each datum has a
-  (forward, backward) run pair; a real datum's backward run is the time
-  reversal of its forward run (``dynamics._time_reversed``), and each Wick
-  family's runs are the gauge ``u -> e^{-i shift t} u`` of the stepped ones.
-  ``_family_stats`` reads the pairs into each family's statistics (the
-  ``_WEAK_STATS`` series over its modes) and its plateau prediction. The
-  experiments only pick families and verdicts.
+  Both run one bump family through one private runner, ``_weak_run``, with
+  the equations to report it under: it steps the family under its
+  shift-free variant (``nls`` or ``truncated-nls``), each datum once forward
+  and, unless it and the probe are real, once backward, all in one stack.
+  So each datum has a (forward, backward) run pair; a real datum's backward
+  run is the time reversal of its forward run (``dynamics._time_reversed``),
+  and each Wick equation's runs are the gauge ``u -> e^{-i shift t} u`` of
+  the stepped ones. ``_family_stats`` reads the pairs into the statistics
+  under each equation (the ``_WEAK_STATS`` series over the modes) and its
+  plateau prediction. The experiments only pick equations and verdicts.
 * ``strichartz_ratio_probe``: space-time L4 norm of the free flow over random
   data, stability of the max ratio under band doubling.
 * ``apriori_growth_probe``: distribution of sup_t ||u(t)||_{H^s} / ||u0||_{H^s}
@@ -207,59 +207,45 @@ def _real(u: fld.TorusField) -> bool:
     return not np.any(u.coeffs.imag)
 
 
-def _weak_run(*specs: WeakSequenceSpec) -> list:
-    """``(stats, prediction)`` of each spec's bump family.
+def _weak_run(spec: WeakSequenceSpec, eqs) -> list:
+    """``(stats, prediction)`` of the bump family of ``spec`` under each equation of ``eqs``.
 
     ``stats`` maps each ``_WEAK_STATS`` name to its values over
     ``spec.mode_list``, each bump run measured against the base run.
     ``prediction`` is the plateau max_t |e^{2 i s delta t} - 1| |<u_ref(t), phi>|
-    of the gauge identity, from the family's own base run and the defect
-    delta of its top mode.
+    of the gauge identity, from the base run and the top mode's defect delta.
 
-    Every spec is paired with the first spec's probe, which the callers'
-    specs share. Each family is stepped under the shift-free variant of its
-    equation (``_shift_free``), and a Wick family's runs are the ``gauge``
-    of those. Families that are the same once shifts are dropped (the
-    contrast's plain and Wick families) step once and share their runs. Each
-    datum (the base, then each bump) runs forward; it runs backward too
-    unless it and the probe are real, when its backward run is
-    ``_time_reversed`` of its forward run. All the stepped runs of all
-    families go into one ``_evolve_runs`` call, so rows that share a grid
-    step as one stack; this loop is the only place runs are made. So a
-    stepped row is bit-identical to its own ``evolve``, and a derived row
-    (gauged or reversed) equals its own to roundoff. A family's rows share
-    one grid: at band N >= 4 x every bump mode, a bump row's top mode is the
-    base's or at most N/4 <= (N-1)/3, below which the grid does not depend on
-    it. A scheme failure is reported as a run of the first spec of its
-    family, through the same gauge. ``_family_stats`` reads each datum's
-    ``(forward, backward)`` run pair.
+    Each equation is ``spec.eq`` up to its Wick shift (else ``ValueError``,
+    as from ``gauge``), and its runs are the ``gauge`` of the family's runs
+    under the shift-free variant (``_shift_free``). Each datum (the base,
+    then each bump) runs forward, and backward too unless it and the probe
+    are real, when its backward run is ``_time_reversed`` of its forward run.
+    The stepped runs go into one ``_evolve_runs`` call: a stepped row is
+    bit-identical to its own ``evolve``, and a derived row (gauged or
+    reversed) equals its own to roundoff. The rows share one grid: at band
+    N >= 4 x every bump mode, a bump row's top mode is the base's or at most
+    N/4 <= (N-1)/3, below which the grid does not depend on it. A scheme
+    failure is reported as a run of ``eqs[0]``. ``_family_stats`` reads each
+    datum's ``(forward, backward)`` run pair.
     """
-    probe = specs[0].probe
-    families = [replace(spec, eq=_shift_free(spec.eq)) for spec in specs]
-    layout, runs, owners = {}, [], []  # each stepped family -> which data step backward
-    for family in dict.fromkeys(families):
-        data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
-        layout[family] = [not (_real(probe) and _real(u0)) for u0 in data]
-        new = [(u0, family.eq, family.integrator) for u0 in data]
-        new += [(u0, family.eq, replace(family.integrator, t_end=-family.integrator.t_end))
-                for u0, stepped in zip(data, layout[family]) if stepped]
-        runs += new
-        owners += [families.index(family)] * len(new)  # the first spec of the run's family
+    family = replace(spec, eq=_shift_free(spec.eq))
+    for eq in eqs:
+        if _shift_free(eq) != family.eq:
+            raise ValueError(f"no gauge maps a run of {family.eq.to_dict()} onto "
+                             f"{eq.to_dict()}: they differ past their Wick shift")
+    data = [family.initial_data(None)] + [family.initial_data(n) for n in family.mode_list]
+    stepped = [not (_real(spec.probe) and _real(u0)) for u0 in data]
+    backward = replace(family.integrator, t_end=-family.integrator.t_end)
+    runs = [(u0, family.eq, family.integrator) for u0 in data]
+    runs += [(u0, family.eq, backward) for u0, b in zip(data, stepped) if b]
     try:
-        trajs = iter(_evolve_runs(runs, {"phi": probe}))
+        trajs = _evolve_runs(runs, {"phi": spec.probe})
     except IntegrationDivergedError as error:
-        spec = specs[owners[error.run_index]]
-        error.trajectory = gauge(error.trajectory, spec.eq)
+        error.trajectory = gauge(error.trajectory, eqs[0])
         raise
-    out = [None] * len(specs)
-    for family, stepped in layout.items():
-        forward = [next(trajs) for _ in stepped]
-        pairs = [(f, next(trajs) if b else _time_reversed(f)) for f, b in zip(forward, stepped)]
-        members = [i for i, other in enumerate(families) if other == family]
-        stats = _family_stats(family, [specs[i].eq for i in members], pairs)
-        for i, result in zip(members, stats):
-            out[i] = result
-    return out
+    backs = iter(trajs[len(data):])
+    pairs = [(f, next(backs) if b else _time_reversed(f)) for f, b in zip(trajs, stepped)]
+    return _family_stats(family, eqs, pairs)
 
 
 def _family_stats(family: WeakSequenceSpec, eqs, pairs) -> list:
@@ -398,7 +384,7 @@ def weak_continuity_run(spec: WeakSequenceSpec,
     if verdict_mode not in _VERDICT_MODES:
         raise ValueError(f"verdict mode must be one of {', '.join(_VERDICT_MODES)} "
                          f"(got {verdict_mode!r})")
-    (stats, _), = _weak_run(spec)
+    (stats, _), = _weak_run(spec, [spec.eq])
     verdicts, details = _weak_verdicts(spec, stats["gap_sup"], verdict_mode)
     details["working_band"] = spec.resolved_band()
     return ExperimentReport(kind="weak-continuity", config=spec.to_dict(),
@@ -411,11 +397,11 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
 
     The plain equation's gap plateau is compared against the scalar
     phase-defect prediction; the mean-shifted equation must pass its decay
-    verdicts on the same data. The two families share their runs: each
+    verdicts on the same data. One ``_weak_run`` serves both equations: each
     datum is stepped under the plain equation, in one ``_evolve_runs`` call,
     forward and, unless it and the probe are real, backward; the backward run
     of a real datum is the time reversal of its forward run, and the Wick
-    rows are the gauge ``e^{-2 i s mu0 t}`` of the plain ones (``_weak_run``).
+    rows are the gauge ``e^{-2 i s mu0 t}`` of the plain ones.
     So every stepped plain row is bit-identical to its own ``evolve``, and
     every other row equals its own to roundoff. ``threads`` is accepted but
     unused.
@@ -425,7 +411,7 @@ def phase_defect_contrast_run(spec: WeakSequenceSpec, threads: int = 1) -> Exper
                       else Variant.WNLS)
 
     spec_w, spec_n = replace(spec, eq=shifted), replace(spec, eq=plain)
-    (stats_w, predicted), (stats_n, _) = _weak_run(spec_w, spec_n)
+    (stats_w, predicted), (stats_n, _) = _weak_run(spec, [shifted, plain])
 
     w_verdicts, w_details = _weak_verdicts(spec_w, stats_w["gap_sup"])
     measured = float(stats_n["gap_sup"][np.argmax(spec.mode_list)])

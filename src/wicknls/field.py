@@ -319,48 +319,26 @@ def _grid_means(grid: np.ndarray, ps) -> np.ndarray:
                      for p in ps])
 
 
-def _power_means(block: np.ndarray, ps) -> np.ndarray:
-    """Spatial mean of |u|^p for each p in ``ps`` and each row of a (B, 2N+1) block.
+def _power_means(block: np.ndarray, p: float) -> np.ndarray:
+    """Spatial mean of |u|^p for each row of a (B, 2N+1) block of modes -N..N.
 
-    Row r holds modes -N..N. The rows are synthesized (:func:`_synthesis`)
-    on the ``_power_grid`` of the largest p, which averages |u|^p exactly for
-    every even p in ``ps``; returns a (len(ps), B) array. The rows are
-    transformed a group at a time, so the work memory stays bounded; a
-    row's values do not depend on its group.
+    The rows are synthesized (:func:`_synthesis`) on the ``_power_grid`` of
+    p, which averages |u|^p exactly for even p. The rows are transformed a
+    group at a time, so the work memory stays bounded; a row's value does
+    not depend on its group.
     """
     rows, width = block.shape
-    m = _power_grid(width, ps)
+    m = _power_grid(width, (p,))
     group = max(1, _POWER_WORK_VALUES // m)
-    out = np.empty((len(ps), rows))
+    out = np.empty(rows)
     for start in range(0, rows, group):
-        out[:, start:start + group] = _grid_means(_synthesis(block[start:start + group], m), ps)
+        out[start:start + group] = _grid_means(_synthesis(block[start:start + group], m), (p,))[0]
     return out
 
 
 def quartic_integral(field: TorusField) -> float:
     """Integral of |u|^4 over the torus, exact via an oversampled grid."""
-    return TWO_PI * float(_power_means(field.coeffs[None, :], (4.0,))[0, 0])
-
-
-def _lp_sums(times, block: np.ndarray, ps) -> list[float]:
-    """Left rectangle-rule sums of the integral of |u|^p over space-time, one per p.
-
-    Row k of the (S, 2N+1) ``block`` holds modes -N..N at ``times[k]``; the
-    spatial means of all rows but the last come from :func:`_power_means`,
-    and the time sum runs row by row.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if len(times) < 2 or len(block) != len(times):
-        raise ValueError("need at least two snapshots with matching times")
-    dts = np.diff(times)
-    dt = dts[0]
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("snapshot times must be uniformly spaced")
-    totals = [0.0] * len(ps)
-    for i, means in enumerate(_power_means(block[:-1], ps)):
-        for mean in means:
-            totals[i] += dt * TWO_PI * float(mean)
-    return totals
+    return TWO_PI * float(_power_means(field.coeffs[None, :], 4.0)[0])
 
 
 def spacetime_lp_norm(trajectory, p: float) -> float:
@@ -368,11 +346,23 @@ def spacetime_lp_norm(trajectory, p: float) -> float:
 
     ``trajectory`` is anything with ``times`` and ``snapshots`` attributes;
     times must be uniformly spaced, with at least two snapshots. The spatial
-    integral is exact for band-limited fields (2x-oversampled grid).
+    means of all snapshots but the last (:func:`_power_means`, exact for
+    band-limited fields at even p) are summed in time order.
     """
-    n_max = max((f.max_mode for f in trajectory.snapshots), default=0)
-    block = np.array([f.padded_to(n_max).coeffs for f in trajectory.snapshots])
-    return _lp_sums(trajectory.times, block, (p,))[0] ** (1.0 / p)
+    times = np.asarray(trajectory.times, dtype=np.float64)
+    snapshots = trajectory.snapshots
+    if len(times) < 2 or len(snapshots) != len(times):
+        raise ValueError("need at least two snapshots with matching times")
+    dts = np.diff(times)
+    dt = dts[0]
+    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=1e-12):
+        raise ValueError("snapshot times must be uniformly spaced")
+    n_max = max(f.max_mode for f in snapshots)
+    block = np.array([f.padded_to(n_max).coeffs for f in snapshots[:-1]])
+    total = 0.0
+    for mean in _power_means(block, p):
+        total += dt * TWO_PI * float(mean)
+    return total ** (1.0 / p)
 
 
 def spacetime_l4_norm(trajectory) -> float:

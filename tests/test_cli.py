@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -239,10 +240,32 @@ class TestConfigErrors:
     def test_nonexistent_file(self):
         assert run("simulate", "--config", "/does/not/exist.yaml") == 2
 
-    def test_bad_yaml(self, tmp_path):
-        p = tmp_path / "bad.yaml"
-        p.write_text("equation: [unclosed\n")
-        assert run("simulate", "--config", str(p)) == 2
+    @pytest.mark.parametrize("text, pair, message", [
+        ("equation: [unclosed\n", None, r"cannot parse \S+c\.yaml: expected ',' or '\]', "
+                                         r"but got '<stream end>' at line 2, column 1$"),
+        ("- 1\n- 2\n", None, r"c\.yaml: top level must be a mapping$"),
+        (None, "nokey", r"--set expects key\.path=value, got 'nokey'$"),
+        (None, "integrator.dt.x=1", r"--set integrator\.dt\.x: dt is not a mapping$"),
+        (None, "integrator.dt=[1", r"--set integrator\.dt: cannot parse value '\[1': "
+                                   r"expected ',' or '\]', but got '<stream end>' "
+                                   r"at line 1, column 3$"),
+    ], ids=["parse-file", "not-a-mapping", "set-without-value", "set-through-scalar",
+            "parse-set"])
+    def test_config_plumbing_error_is_one_line(self, tmp_path, capsys, text, pair, message):
+        # PyYAML's multi-line messages are cut to the problem and its place
+        path = tmp_path / "c.yaml"
+        if text is None:
+            write_yaml(path, small_simulate_cfg())
+        else:
+            path.write_text(text)
+        out = tmp_path / "o"
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+        assert run(*argv, *(["--set", pair] if pair else [])) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert re.search(message, lines[0]), lines[0]
+        assert captured.out == "" and not out.exists()
 
     def test_wrong_schema_version(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", small_simulate_cfg(schema_version=99))

@@ -18,6 +18,7 @@ from wicknls import dynamics as dyn
 from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
+from wicknls import wick
 from wicknls.dynamics import (EquationSpec, IntegratorSpec, evolve, evolve_batch,
                               linear_propagator)
 from wicknls.serialization import spec_hash
@@ -69,6 +70,33 @@ def test_integer_fields_reject_non_integers(field, build):
     with pytest.raises(fld.SpecFieldError, match="must be an integer") as info:
         build()
     assert info.value.field == field
+
+
+# library guards that no command reaches, since each caller checks first:
+# each must still refuse its argument at once
+@pytest.mark.parametrize("error, match, build", [
+    (ValueError, r"one 2K\+1 row", lambda: dyn.Trajectory(
+        np.zeros((2, 4)), EquationSpec("nls", 1), IntegratorSpec("strang", dt=0.1, t_end=0.1))),
+    (ValueError, "must be finite", lambda: dyn.Trajectory(
+        np.full((2, 3), np.nan), EquationSpec("nls", 1),
+        IntegratorSpec("strang", dt=0.1, t_end=0.1))),
+    (ValueError, "cannot shrink", lambda: fld.TorusField.zeros(3).padded_to(2)),
+    (ValueError, "at least one sample", lambda: fld.analyze([])),
+    (ValueError, "n_max must be >= 0", lambda: fld.project(fld.TorusField.zeros(1), -1)),
+    (ValueError, "max_mode must be >= 0", lambda: wick.renormalization_constant(-1, 1.0)),
+    (ValueError, "sign must be", lambda: wick.wick_hamiltonian(fld.TorusField.zeros(1), 1, 1.0,
+                                                               sign=0)),
+    (fld.SpecFieldError, "more coordinates than dim",
+     lambda: wick._case_terms(2, 1, 4.0, 20_000, 0, terms=[(1.0, (1, 1))])),
+    (fld.SpecFieldError, "at least one chaos term",
+     lambda: wick._case_terms(2, 1, 4.0, 20_000, 0, terms=[])),
+    (KeyError, "nope", lambda: xp.ExperimentReport("k", {}, (), {}).get_series("nope")),
+], ids=["trajectory-even-width", "trajectory-non-finite", "padded-to-shrinks", "analyze-empty",
+        "project-negative", "renormalization-negative", "hamiltonian-sign", "terms-past-dim",
+        "terms-empty", "unknown-series"])
+def test_library_guards_refuse(error, match, build):
+    with pytest.raises(error, match=match):
+        build()
 
 
 class TestWeakSequenceSpec:
@@ -149,6 +177,11 @@ class TestWeakContinuityRun:
         assert set(report.verdicts) == {"gap_plateau"}
         assert report.verdicts["gap_plateau"]
 
+    def test_zero_gaps_pass_a_forced_plateau_verdict(self):
+        # all-zero gaps are no plateau to measure: the verdict passes
+        report = xp.weak_continuity_run(small_spec(bump=0.0), verdict_mode="plateau")
+        assert report.verdicts == {"gap_plateau": True}
+
     def test_forced_decay_verdict_fails_for_plain(self):
         report = xp.weak_continuity_run(small_spec(eq=EquationSpec("nls", sign=1)),
                                         verdict_mode="decay")
@@ -228,25 +261,30 @@ class TestPhaseDefectContrast:
                              ids=["wnls+", "wnls-", "truncated-wnls-gauged"])
     @pytest.mark.parametrize("scheme", ["strang", "rk4"])
     def test_one_stack_equals_one_run_per_family(self, monkeypatch, eq, scheme):
-        # one two-spec _weak_run call against one call per spec, value for value
+        # one _weak_run call with the Wick and the plain equation against one
+        # call per equation, value for value
         spec = small_spec(eq=eq, modes=(3, 9, 10), horizon=0.1)
         spec = replace(spec, integrator=replace(spec.integrator, scheme=scheme, dt=1e-3))
         one = xp.phase_defect_contrast_run(spec)
         single = xp._weak_run
-        monkeypatch.setattr(xp, "_weak_run", lambda *specs: [r for s in specs
-                                                             for r in single(s)])
+        monkeypatch.setattr(xp, "_weak_run", lambda spec, eqs: [r for e in eqs
+                                                                for r in single(spec, [e])])
         two = xp.phase_defect_contrast_run(spec)
         assert one.to_records() == two.to_records()
         assert one.details == two.details and one.verdicts == two.verdicts
-        # two families of opposite sign, too, step as one stack; the
-        # prediction reads each family's base run over the whole time axis
-        specs = (spec, replace(spec, eq=replace(eq, sign=-eq.sign)))
-        for (joint, joint_pred), (alone, alone_pred) in zip(single(*specs),
-                                                            [single(s)[0] for s in specs]):
-            assert list(joint) == list(alone) == [name for name, _ in xp._WEAK_STATS]
-            for name in joint:
-                assert np.array_equal(joint[name], alone[name])
-            assert joint_pred == alone_pred
+
+    @pytest.mark.parametrize("other", [EquationSpec("wnls", -1), EquationSpec("nls", -1),
+                                       EquationSpec("truncated-nls", 1, truncation=40)],
+                             ids=["sign", "plain-sign", "truncated"])
+    def test_equation_past_the_shift_is_refused_before_stepping(self, monkeypatch, other):
+        # no gauge maps the family's runs onto an equation of another sign
+        # or truncation: it is refused, as gauge refuses it, before any step
+        calls = []
+        monkeypatch.setattr(xp, "_evolve_runs", lambda *args: calls.append(args))
+        spec = small_spec()
+        with pytest.raises(ValueError, match="differ past their Wick shift"):
+            xp._weak_run(spec, [spec.eq, other])
+        assert calls == []
 
     @settings(max_examples=24, deadline=None)
     @given(scheme=st.sampled_from(["strang", "rk4"]), sign=st.sampled_from([1, -1]),
@@ -267,11 +305,11 @@ class TestPhaseDefectContrast:
         eq = EquationSpec(variant, sign, truncation=None if variant == "wnls" else 24)
         spec = small_spec(eq=eq, bump=bump, modes=(2, 5, 6), horizon=0.1, dt=1e-3)
         spec = replace(spec, integrator=replace(spec.integrator, scheme=scheme))
-        (derived, derived_pred), = xp._weak_run(spec)
+        (derived, derived_pred), = xp._weak_run(spec, [spec.eq])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(xp, "_shift_free", lambda eq: eq)
             mp.setattr(xp, "_real", lambda u: False)
-            (stepped, stepped_pred), = xp._weak_run(spec)
+            (stepped, stepped_pred), = xp._weak_run(spec, [spec.eq])
         scale = {name: np.max(np.abs(stepped[name])) for name, _ in xp._WEAK_STATS}
         scale["weak_l4_proxy"] = 2.0 * spec.horizon * scale["gap_sup"]
         for name, _ in xp._WEAK_STATS:
@@ -333,11 +371,11 @@ class TestPhaseDefectContrast:
                           stride=1)
         spec = replace(spec, integrator=replace(spec.integrator, scheme="rk4"))
         with pytest.raises(dyn.IntegrationDivergedError) as derived:
-            xp._weak_run(spec)
+            xp._weak_run(spec, [spec.eq])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(xp, "_shift_free", lambda eq: eq)
             with pytest.raises(dyn.IntegrationDivergedError) as stepped:
-                xp._weak_run(spec)
+                xp._weak_run(spec, [spec.eq])
         got, want = derived.value.trajectory, stepped.value.trajectory
         assert str(derived.value) == str(stepped.value)
         assert derived.value.last_valid_time == stepped.value.last_valid_time

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from wicknls import experiments as xp
 from wicknls import field as fld
 from wicknls import random_data as rnd
 from wicknls.field import SpecFieldError
+from wicknls.serialization import field_coeffs_dict
 from wicknls.wick import renormalization_constant
 
 from oracles import keyed_sample_coeffs, regularity_profile_loop
@@ -55,6 +58,18 @@ class TestSpecValidation:
         wide = fld.TorusField.single_mode(6, 1.0)
         with pytest.raises(ValueError):
             rnd.RandomDataSpec(alpha=0.0, max_mode=4, seed=0, offset=wide)
+
+    def test_offset_enters_the_dict_and_the_series_hash(self):
+        # an ensemble with an offset draws other fields, so its series must
+        # not share the hash of the ensemble without it
+        offset = fld.TorusField.from_modes({-1: 0.5, 2: 0.25j})
+        plain = rnd.RandomDataSpec(alpha=1.0, max_mode=4, seed=0)
+        shifted = replace(plain, offset=offset)
+        assert "offset" not in plain.to_dict()
+        assert shifted.to_dict() == {**plain.to_dict(), "offset": field_coeffs_dict(offset)}
+        hashes = [{s.spec_hash for s in xp.strichartz_ratio_probe(spec, 0.5, 100).series}
+                  for spec in (plain, shifted)]
+        assert not hashes[0] & hashes[1]
 
 
 class TestDeterminism:
