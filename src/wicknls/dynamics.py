@@ -455,25 +455,42 @@ def plane_wave_frequency(mode: int, amplitude: complex, eq: EquationSpec) -> flo
 # ---------------------------------------------------------------------------
 
 class _Recorder:
-    """Snapshots and probe pairings of B runs that step together.
+    """The (B, m) stack of B runs that step together, and their snapshots and pairings.
 
-    A state handed to it is a (B, m) stack whose row r holds modes
-    -band..band of run r in columns 0..2 band, i.e. the spectrum of
-    e^{i band x} u; columns past 2 band are not read. Row r runs ``eqs[r]``
-    and ``integs[r]``, which share the snapshot stride. Snapshots go into one
-    (B, S, 2 band + 1) block, like the pairings, and ``build`` wraps each
-    row's records as a ``Trajectory`` in ascending time. Each probe is
-    projected onto the band, past which the state is zero, so no probe sizes
-    or refuses a run. The constructor records the pairings and the snapshot
-    of the initial state; records that numpy cannot allocate raise
-    ``SpecFieldError`` naming ``dt``, which sets the step count.
+    Row r of ``state`` runs ``eqs[r]`` and ``integs[r]``, which share the
+    snapshot stride. It holds modes -band..band in columns 0..2 band, the
+    spectrum of e^{i band x} u (the pointwise phase commutes with that
+    unimodular factor), zero-padded to the m columns that ``_evolve_runs``
+    sized. Columns past 2 band are not read, and ``half``, the multiplier
+    exp(i rate dt/2) at each row's ``_linear_rate`` (``rate``, which the core
+    frees once its multipliers are built) and step, is zero there, so a
+    truncated run's linear substep is also the projection. ``mu0`` is each
+    row's initial ``mass``; ``dt`` and ``sign_dt``, its step and sign times
+    step, are floats when the rows agree in them (``_per_row``).
+
+    Snapshots go into one (B, S, 2 band + 1) block, like the pairings, and
+    ``build`` wraps each row's records as a ``Trajectory`` in ascending
+    time. Each probe is projected onto the band, past which the state is
+    zero, so no probe sizes or refuses a run. The constructor records the
+    pairings and the snapshot of the initial state; records that numpy
+    cannot allocate raise ``SpecFieldError`` naming ``dt``, which sets the
+    step count.
     """
 
-    def __init__(self, eqs, integs, band, probes, state, n_steps):
-        self.eqs, self.integs, self.stride = eqs, integs, integs[0].snapshot_stride
-        self.width = 2 * band + 1
+    def __init__(self, runs, band, m, probes, n_steps):
+        u0s, self.eqs, self.integs = zip(*runs)
+        self.band, self.width, self.stride = band, 2 * band + 1, self.integs[0].snapshot_stride
+        self.state = np.zeros((len(u0s), m), dtype=np.complex128)
+        self.state[:, :self.width] = [u0.padded_to(band).coeffs for u0 in u0s]
+        self.mu0 = self.mass()
+        self.dt = _per_row([integ.signed_dt for integ in self.integs])
+        self.sign_dt = _per_row([eq.sign * integ.signed_dt
+                                 for eq, integ in zip(self.eqs, self.integs)])
+        self.rate = _linear_rate(self.eqs, np.arange(m, dtype=np.float64) - band, self.mu0)
+        self.half = np.exp(1j * self.rate * (self.dt / 2.0))
+        self.half[:, self.width:] = 0.0
         self.names = tuple(probes)
-        rows, n_snaps = len(state), n_steps // self.stride + 1
+        rows, n_snaps = len(u0s), n_steps // self.stride + 1
         with fld.sized_by("dt", f"step count {n_steps}"):
             self.snaps = np.empty((rows, n_snaps, self.width), dtype=np.complex128)
             # pairing at step k of row r against probe j (without the 2 pi)
@@ -483,17 +500,23 @@ class _Recorder:
             p = np.array([fld.project(q, band).padded_to(band).coeffs for q in probes.values()])
             self.support = np.flatnonzero(np.any(p != 0.0, axis=0))
             self.paired = np.conj(p[:, self.support])[None]  # (1, P, support)
-            self.probe(state, self.paired)
-        self.snapshot(state)
+            self.probe(self.paired)
+        self.snapshot()
 
-    def probe(self, state, vectors):
+    def mass(self):
+        """Each row's mean intensity, the mass without the 2 pi."""
+        real = self.state.view(np.float64)
+        return np.einsum("ij,ij->i", real, real)
+
+    def probe(self, vectors):
         """Record each row's pairing with its probe vectors, (B or 1, P, support)."""
         # einsum, not matmul: a row's pairing does not depend on its neighbours
-        self.pairings[self.recorded] = np.einsum("ij,ikj->ik", state[:, self.support], vectors)
+        self.pairings[self.recorded] = np.einsum("ij,ikj->ik", self.state[:, self.support],
+                                                 vectors)
         self.recorded += 1
 
-    def snapshot(self, state):
-        self.snaps[:, self.taken] = state[:, :self.width]
+    def snapshot(self):
+        self.snaps[:, self.taken] = self.state[:, :self.width]
         self.taken += 1
 
     def check_mass(self, mass, target, step):
@@ -564,12 +587,14 @@ def _evolve_runs(runs, probes: dict | None = None) -> list[Trajectory]:
     """The trajectories of ``(u0, eq, integ)`` runs, each bit-identical to its own ``evolve``.
 
     Truncated rows are first projected and padded to the truncation band.
-    The runs are then grouped by what their rows must share to step
-    together: the scheme, the stack size (the band under RK4, the grid of
-    ``_strang_grid`` under Strang), the step count, the snapshot stride and
-    the truncation. Variant, sign and time step are properties of each row,
-    so each group steps as one (B, m) stack of its scheme's core, and every
-    run pairs with the same ``probes``.
+    Each run's stack is then sized here alone: the carried band and the
+    column count (RK4: the data band on 2N+1 columns; Strang: the
+    truncation, or the grid band (m-1)//2, on the m points of
+    ``_strang_grid``). The runs are grouped by what their rows must share to
+    step together: the scheme, those two sizes, the step count, the snapshot
+    stride and the truncation. Variant, sign and time step are properties of
+    each row, so each group steps as one ``_Recorder`` stack of its scheme's
+    core, and every run pairs with the same ``probes``.
 
     When rows fail, the IntegrationDivergedError raised is that of the row
     that failed at the earliest step, the first in run order among those,
@@ -581,16 +606,19 @@ def _evolve_runs(runs, probes: dict | None = None) -> list[Trajectory]:
     groups: dict = {}  # what a stack shares -> the runs that step on it
     for i, (u0, eq, integ) in enumerate(runs):
         if integ.scheme == "rk4":
-            size = u0.max_mode
+            band, m = u0.max_mode, 2 * u0.max_mode + 1
+        elif eq.truncated:
+            band, m = eq.truncation, _strang_grid(eq.truncation, eq.truncation)
         else:
-            size = _strang_grid(u0.max_mode, eq.truncation if eq.truncated else _top_mode(u0))
-        key = (integ.scheme, size, integ.step_count(), integ.snapshot_stride, eq.truncation)
+            m = _strang_grid(u0.max_mode, _top_mode(u0))
+            band = (m - 1) // 2
+        key = (integ.scheme, band, m, integ.step_count(), integ.snapshot_stride, eq.truncation)
         groups.setdefault(key, []).append(i)
     out, failures = [None] * len(runs), []
-    for (scheme, size, n_steps, _, _), rows in groups.items():
+    for (scheme, band, m, n_steps, _, _), rows in groups.items():
         core = _evolve_lawson if scheme == "rk4" else _evolve_strang
         try:
-            trajs = core([runs[i] for i in rows], n_steps, size, probes)
+            trajs = core(_Recorder([runs[i] for i in rows], band, m, probes, n_steps), n_steps)
         except IntegrationDivergedError as error:
             step, row = error._at
             error.run_index = rows[row]
@@ -622,23 +650,14 @@ def _strang_grid(band: int, top: int) -> int:
     return fast_fft_size(max(2 * band + 1, 3 * (2 * top + 1)), odd=True)
 
 
-def _evolve_strang(runs, n_steps, m, probes):
-    """Strang splitting of a (B, m) stack, with adjacent half-steps fused; returns its runs.
+def _evolve_strang(rec, n_steps):
+    """Strang splitting of ``rec``'s stack, with adjacent half-steps fused; returns its runs.
 
-    The grid is odd with the m points of ``_strang_grid``, which hold the
-    cubic of every row's initial data without aliasing. Row r holds modes
-    -K..K in columns 0..2K, the spectrum of e^{iKx} u, with K the grid band
-    (m = 2K+1) for untruncated runs and the truncation otherwise; the
-    pointwise phase commutes with that unimodular factor. A truncated run's
-    multipliers are zero past column 2K, so every linear substep is also the
-    projection.
-
-    The multipliers are (B, m), at each row's ``_linear_rate`` and time
-    step, and the phase is sign dt |u|^2 of the field values for every
-    variant, with one sign dt per row when the rows differ in it. The
-    transforms run in place on the state. The fft leaves m times the
-    coefficients: ``full``, ``half_m`` and the per-row probe vectors carry
-    the 1/m, and the pin's target is m^2 times the mass.
+    The phase is sign dt |u|^2 of the field values for every variant, with
+    one sign dt per row when the rows differ in it. The transforms run in
+    place on the state. The fft leaves m times the coefficients: ``full``,
+    ``half_m`` and the per-row probe vectors carry the 1/m, and the pin's
+    target is m^2 times the mass.
 
     Between snapshots the state owes half a linear step: it is rotated by
     one full multiplier per step, and the probes are rotated by the missing
@@ -652,71 +671,53 @@ def _evolve_strang(runs, n_steps, m, probes):
     then conserve mass, so the pin norms match the target to roundoff unless
     a value turned non-finite, which ``check_mass`` catches first.
     """
-    u0s, eqs, integs = zip(*runs)
-    truncated, stride = eqs[0].truncated, integs[0].snapshot_stride
-    band = eqs[0].truncation if truncated else (m - 1) // 2
-    width = 2 * band + 1
-    dt = _per_row([integ.signed_dt for integ in integs])
-
-    s = np.zeros((len(u0s), m), dtype=np.complex128)
-    s[:, :width] = [u0.padded_to(band).coeffs for u0 in u0s]
-    s_real = s.view(np.float64)
+    s, half, m, truncated = rec.state, rec.half, rec.state.shape[1], rec.eqs[0].truncated
     work = phase_work(s.shape)
-    target = np.einsum("ij,ij->i", s_real, s_real)  # mu0 per row
-    empty = (target == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
-
-    rate = _linear_rate(eqs, np.arange(m, dtype=np.float64) - band, target)  # column mode n
-    half = np.exp(1j * rate * (dt / 2.0))
-    full = np.exp(1j * rate * dt) / m
-    del rate
-    half[:, width:] = full[:, width:] = 0.0
+    empty = (rec.mu0 == 0.0).astype(np.float64)  # pins a zero row by 0 / (0 + 1)
+    full = np.exp(1j * rec.rate * rec.dt) / m
+    del rec.rate
+    full[:, rec.width:] = 0.0
     half_m = half / m
-
-    rec = _Recorder(eqs, integs, band, probes, s, n_steps)
-    if probes:
+    if rec.names:
         rotated = rec.paired * half_m[:, None, rec.support]
-
-    phase_factor = _per_row([eq.sign * integ.signed_dt for eq, integ in zip(eqs, integs)])
-    pin_target = float(m * m) * target
+    pin_target = float(m * m) * rec.mu0
     s *= half
     for k in range(n_steps):
-        snap = (k + 1) % stride == 0
+        snap = (k + 1) % rec.stride == 0
         if truncated and snap:
-            pin_target = float(m * m) * np.einsum("ij,ij->i", s_real, s_real)
+            pin_target = float(m * m) * rec.mass()
         np.fft.ifft(s, axis=-1, norm="forward", out=s)
-        nonlinear_phase(s, phase_factor, None, work=work)
+        nonlinear_phase(s, rec.sign_dt, None, work=work)
         np.fft.fft(s, axis=-1, out=s)
         if snap:
-            pin = np.einsum("ij,ij->i", s_real, s_real)
+            pin = rec.mass()
             rec.check_mass(pin, pin_target, k)
             pin += empty
             np.divide(pin_target, pin, out=pin)
             np.sqrt(pin, out=pin)
             s *= pin[:, None]
-        if probes:
-            rec.probe(s, rotated)
+        if rec.names:
+            rec.probe(rotated)
         if snap:
             s *= half_m
-            rec.snapshot(s)
+            rec.snapshot()
             s *= half
         else:
             s *= full
     return rec.build()
 
 
-def _evolve_lawson(runs, n_steps, n, probes):
-    """Integrating-factor (Lawson) RK4 of a (B, m) stack; returns its runs.
+def _evolve_lawson(rec, n_steps):
+    """Integrating-factor (Lawson) RK4 of ``rec``'s stack; returns its runs.
 
-    With ``E = exp(i(n^2 - shift) dt/2)`` (``_linear_rate``) applied exactly
+    With ``E = exp(i(n^2 - shift) dt/2)`` (``rec.half``) applied exactly
     and ``K(v)`` the nonlinear term times dt, a step is
     ``u+ = E^2 u + (E^2 K1 + 2E (K2 + K3) + K4) / 6`` with stage inputs
     ``u``, ``E(u + K1/2)``, ``Eu + K2/2`` and ``E(Eu + K3)``. E and the
     factor ``i sign dt`` of K are per row, the factor a float when the rows
-    agree in it.
-
-    Row r holds modes -N..N; ``K(v)`` is the exact Galerkin term
-    P_N(|v|^2 v) of ``GalerkinCubic`` with K = N, whose input rows are the
-    stage inputs and whose grid values are field values.
+    agree in it. ``K(v)`` is the exact Galerkin term P_N(|v|^2 v) of
+    ``GalerkinCubic`` with K = N, whose input rows are the stage inputs and
+    whose grid values are field values.
 
     The scheme does not conserve mass, so it can fail. Each snapshot checks
     every row's mass drift (``check_mass``). Each step checks the state it
@@ -724,25 +725,14 @@ def _evolve_lawson(runs, n_steps, n, probes):
     intensity mu0 whose max |u|^2 exceeds (2N+1) mu0 (1 + MASS_RTOL) has
     gained more than MASS_RTOL of its mass (or turned NaN).
     """
-    u0s, eqs, integs = zip(*runs)
-    stride = integs[0].snapshot_stride
-    dt = _per_row([integ.signed_dt for integ in integs])
-    c = np.array([u0.coeffs for u0 in u0s])
-    c_real = c.view(np.float64)
-    target = np.einsum("ij,ij->i", c_real, c_real)  # mass per row, without the 2 pi
-
-    half = np.exp(1j * _linear_rate(eqs, np.arange(-n, n + 1, dtype=np.float64), target)
-                  * (dt / 2.0))
-
+    c, half, n = rec.state, rec.half, rec.band
+    del rec.rate
     cubic = GalerkinCubic(len(c), n, n)
     stage_in, a2 = cubic.inputs, cubic.intensity
     eu, slope = np.empty_like(c), np.empty_like(c)  # E u, and each stage's K
     # K(v) = dt * i sign P_N(|v|^2 v)
-    factor = _per_row([1j * eq.sign * integ.signed_dt for eq, integ in zip(eqs, integs)])
-
-    rec = _Recorder(eqs, integs, n, probes, c, n_steps)
-
-    bound = target * ((2 * n + 1) * (1.0 + MASS_RTOL))  # (2N+1) mu0 (1 + MASS_RTOL)
+    factor = _per_row([1j * eq.sign * integ.signed_dt for eq, integ in zip(rec.eqs, rec.integs)])
+    bound = rec.mu0 * ((2 * n + 1) * (1.0 + MASS_RTOL))  # (2N+1) mu0 (1 + MASS_RTOL)
     for k in range(n_steps):
         # c <- E (E (c + K1/6) + (K2 + K3)/3) + K4/6, accumulated in place
         stage_in[...] = c
@@ -772,11 +762,11 @@ def _evolve_lawson(runs, n_steps, n, probes):
         cubic(slope, factor)  # K4
         slope *= 1.0 / 6.0
         c += slope
-        snap = (k + 1) % stride == 0
+        snap = (k + 1) % rec.stride == 0
         if snap:
-            rec.check_mass(np.einsum("ij,ij->i", c_real, c_real), target, k)
-        if probes:
-            rec.probe(c, rec.paired)
+            rec.check_mass(rec.mass(), rec.mu0, k)
+        if rec.names:
+            rec.probe(rec.paired)
         if snap:
-            rec.snapshot(c)
+            rec.snapshot()
     return rec.build()

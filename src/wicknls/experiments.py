@@ -587,7 +587,7 @@ def strichartz_ratio_probe(ensemble: rnd.RandomDataSpec, t_horizon: float,
     def ratios(band, block):
         norms = [float(v) ** 0.25 for v in _free_flow_l4_exact(block, t_horizon)]
         # the L2 norms as fld.pairing takes them
-        denoms = [math.sqrt(fld.TWO_PI * np.vdot(row, row).real) for row in block]
+        denoms = [math.sqrt(fld.TWO_PI * fld._dot(row, row).real) for row in block]
         return [l4 / d for l4, d in zip(norms, denoms) if d != 0.0]
 
     series, lists = _band_doubling(ensemble, "l4_ratio", samples, ratios,

@@ -246,27 +246,33 @@ def norm(field: TorusField, spec: NormSpec) -> float:
     return float(np.sum(w ** (spec.s * spec.p) * a**spec.p) ** (1.0 / spec.p))
 
 
-# floats per BLAS dot of ``mean_intensity``: OpenBLAS (0.3.31) splits a dot of
-# more than 10,000 floats across its threads, which changes the order of the
-# sum, so a longer field is dotted in chunks of this length, added in order
+# floats per BLAS dot of ``_dot``: OpenBLAS (0.3.31) splits a dot of more
+# than 10,000 floats across its threads, which changes the order of the sum,
+# so a longer vector is dotted in chunks of this length, added in order
 _DOT_CHUNK = 2**13
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """``np.vdot(x, y)`` of two 1D arrays as one BLAS dot per chunk of ``_DOT_CHUNK``
+    floats, added in order, so the bits do not depend on the BLAS thread count;
+    inputs of at most one chunk take a single dot."""
+    step = _DOT_CHUNK * 8 // x.itemsize
+    if len(x) <= step:
+        return np.vdot(x, y)
+    total = np.vdot(x[:step], y[:step])
+    for start in range(step, len(x), step):
+        total += np.vdot(x[start:start + step], y[start:start + step])
+    return total
 
 
 def mean_intensity(field: TorusField) -> float:
     """Average of |u|^2 over the torus: sum of squared coefficient moduli.
 
-    One BLAS dot of the interleaved re, im floats per chunk of
-    ``_DOT_CHUNK``, so the bits do not depend on the BLAS thread count; the
-    sum differs from a pairwise one by a few ulps.
+    One ``_dot`` of the interleaved re, im floats, whose sum differs from a
+    pairwise one by a few ulps.
     """
     x = field.coeffs.view(np.float64)  # re, im interleaved
-    if len(x) <= _DOT_CHUNK:
-        return float(x.dot(x))
-    total = 0.0
-    for start in range(0, len(x), _DOT_CHUNK):
-        part = x[start:start + _DOT_CHUNK]
-        total += float(part.dot(part))
-    return total
+    return float(_dot(x, x))
 
 
 def require_finite_mass(field: str, u: TorusField) -> float:
@@ -282,7 +288,7 @@ def require_finite_mass(field: str, u: TorusField) -> float:
 def pairing(f: TorusField, g: TorusField) -> complex:
     """L2(T) inner product: integral of f * conj(g) = 2*pi * sum f(n) conj(g(n))."""
     n = max(f.max_mode, g.max_mode)
-    return TWO_PI * complex(np.vdot(g.padded_to(n).coeffs, f.padded_to(n).coeffs))
+    return TWO_PI * complex(_dot(g.padded_to(n).coeffs, f.padded_to(n).coeffs))
 
 
 # grid values per group of ``_power_means`` (at least one row): 128 KiB of

@@ -156,20 +156,19 @@ class HypercontractivityReport:
         }
 
 
-def gaussian_batches(dim: int, samples: int, seed: int, out: np.ndarray | None = None):
+def gaussian_batches(dim: int, samples: int, seed: int, out: np.ndarray):
     """Deterministic i.i.d. N(0,1) batches, shape (b, dim), keyed Philox streams.
 
     Each batch holds ``_MC_BATCH`` rows (the last, the rest), and batch k is
     drawn from the stream keyed ``[seed, k]``. Partitioning is by fixed batch
     index, so the stream is reproducible and safe to distribute over workers
-    as long as results are reduced in batch order. With ``out``, a
-    (``min(samples, _MC_BATCH)``, dim) float array, every batch is drawn into
-    a leading slice of that one buffer, which the next batch overwrites.
+    as long as results are reduced in batch order. Every batch is drawn into
+    a leading slice of ``out``, a (``min(samples, _MC_BATCH)``, dim) float
+    array, which the next batch overwrites.
     """
     starts = range(0, samples, _MC_BATCH)
     for start, gen in zip(starts, philox_streams(seed, range(len(starts)))):
-        take = min(_MC_BATCH, samples - start)
-        yield gen.standard_normal(out=np.empty((take, dim)) if out is None else out[:take])
+        yield gen.standard_normal(out=out[:min(_MC_BATCH, samples - start)])
 
 
 def evaluate_chaos(x: np.ndarray, terms, out: np.ndarray, work: np.ndarray) -> np.ndarray:

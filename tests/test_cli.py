@@ -249,8 +249,11 @@ class TestConfigErrors:
         (None, "integrator.dt=[1", r"--set integrator\.dt: cannot parse value '\[1': "
                                    r"expected ',' or '\]', but got '<stream end>' "
                                    r"at line 1, column 3$"),
+        ("a: 1\x07\n", None, r"cannot parse \S+c\.yaml: unacceptable character #x0007: "
+                             r"special characters are not allowed in \"<unicode string>\", "
+                             r"position 4$"),
     ], ids=["parse-file", "not-a-mapping", "set-without-value", "set-through-scalar",
-            "parse-set"])
+            "parse-set", "reader-error"])
     def test_config_plumbing_error_is_one_line(self, tmp_path, capsys, text, pair, message):
         # PyYAML's multi-line messages are cut to the problem and its place
         path = tmp_path / "c.yaml"

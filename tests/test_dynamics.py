@@ -548,8 +548,10 @@ class TestLedger:
                               alpha=0.5)
         rows = [random_field(band, seed=seed), fld.TorusField.zeros(band),
                 random_field(band, seed=seed + 1, scale=0.3)]
-        integ = dyn.IntegratorSpec(scheme, dt=0.01, t_end=-0.04 if backward else 0.04,
-                                   snapshot_stride=2)
+        # RK4 at dt = 0.01 drifts past MASS_RTOL on some band-6 data (seed 148)
+        dt, stride = (0.005, 4) if scheme == "rk4" else (0.01, 2)
+        integ = dyn.IntegratorSpec(scheme, dt=dt, t_end=-0.04 if backward else 0.04,
+                                   snapshot_stride=stride)
         for traj in dyn.evolve_batch(rows, eq, integ):
             ledger = traj.ledger
             assert len(traj.snapshots) == 3
@@ -1119,7 +1121,7 @@ class TestEvolveRuns:
         calls = []
         core = dyn._evolve_strang
         monkeypatch.setattr(dyn, "_evolve_strang",
-                            lambda runs, *args: calls.append(len(runs)) or core(runs, *args))
+                            lambda rec, *args: calls.append(len(rec.state)) or core(rec, *args))
         rows = [random_field(6, seed=45), random_field(6, seed=46)]
         runs = [(u0, dyn.EquationSpec(variant, sign),
                  dyn.IntegratorSpec("strang", dt=0.01, t_end=t_end, snapshot_stride=5))

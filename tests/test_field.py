@@ -207,11 +207,15 @@ class TestMeanIntensityPairing:
     def test_mean_intensity_independent_of_blas_threads(self):
         # OpenBLAS splits a dot of more than 10,000 floats across its threads;
         # a band-6,000 field has 24,002, so it is summed as fixed chunks. One
-        # dot of all of them moves by an ulp under 2 threads on most fields.
+        # dot of all of them moves by an ulp under 2 threads on most fields,
+        # and so does one complex dot of two fields in their pairing.
         code = ("import numpy as np; from wicknls import field as fld\n"
                 "for seed in range(4):\n"
-                "    c = np.random.default_rng(seed).standard_normal((12001, 2)) @ [1, 1j]\n"
-                "    print(fld.mean_intensity(fld.TorusField(c, 6000)).hex())")
+                "    rng = np.random.default_rng(seed)\n"
+                "    f, g = (fld.TorusField(rng.standard_normal((12001, 2)) @ [1, 1j], 6000)\n"
+                "            for _ in range(2))\n"
+                "    z = fld.pairing(f, g)\n"
+                "    print(fld.mean_intensity(f).hex(), z.real.hex(), z.imag.hex())")
         bits = set()
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
